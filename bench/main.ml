@@ -571,9 +571,25 @@ let micro () =
     Test.make ~name:"prng: splitmix64 draw"
       (Staged.stage (fun () -> ignore (Stats.Prng.float p)))
   in
+  (* every PFS payload crosses between the GC heap and the arena slab
+     through these two copies; CI fails the run if either regresses
+     toward a per-byte loop *)
+  let slab_blit_bench ~name ~to_slab =
+    let slab =
+      Capfs_disk.Arena.alloc
+        (Capfs_disk.Arena.create ~cell_bytes:4096 ~cells:1 ())
+    in
+    let heap = Capfs_disk.Data.real 4096 in
+    let src, dst = if to_slab then (heap, slab) else (slab, heap) in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           Capfs_disk.Data.blit ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:4096))
+  in
   let tests =
     [ sched_bench; cache_hit_bench; lru_bench; heap_bench; geometry_bench;
-      seek_bench; inode_bench; key_bench; prng_bench ]
+      seek_bench; inode_bench; key_bench; prng_bench;
+      slab_blit_bench ~name:"data: 4 KiB bytes->slab blit" ~to_slab:true;
+      slab_blit_bench ~name:"data: 4 KiB slab->bytes blit" ~to_slab:false ]
   in
   let clock = Toolkit.Instance.monotonic_clock in
   let benchmark test =

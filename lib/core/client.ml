@@ -264,6 +264,11 @@ let read_x t ~client path ~offset ~bytes =
   let file = lookup_file t ~client path ~create_if_missing:false in
   File.read file ~offset ~bytes
 
+let read_into_x t ~client path arena ~offset ~bytes =
+  let path = Namespace.normalize path in
+  let file = lookup_file t ~client path ~create_if_missing:false in
+  File.read_into file arena ~offset ~bytes
+
 let write_x t ~client path ~offset data =
   let path = Namespace.normalize path in
   let file = lookup_file t ~client path ~create_if_missing:true in
@@ -311,6 +316,10 @@ let close_ t ~client path =
 
 let read t ~client path ~offset ~bytes =
   try Ok (read_x t ~client path ~offset ~bytes) with e -> errno_or_reraise e
+
+let read_into t ~client path arena ~offset ~bytes =
+  try Ok (read_into_x t ~client path arena ~offset ~bytes)
+  with e -> errno_or_reraise e
 
 let write t ~client path ~offset data =
   try Ok (write_x t ~client path ~offset data) with e -> errno_or_reraise e

@@ -102,6 +102,13 @@ val read :
   t -> client:int -> string -> offset:int -> bytes:int ->
   (Capfs_disk.Data.t, Capfs_core.Errno.t) result
 
+(** [read_into t ~client path arena ~offset ~bytes] is {!read} with each
+    block's piece copied into its own [arena] cell as it is fetched
+    ({!File.read_into}); the caller owns the result and releases it. *)
+val read_into :
+  t -> client:int -> string -> Capfs_disk.Arena.t -> offset:int ->
+  bytes:int -> (Capfs_disk.Data.t, Capfs_core.Errno.t) result
+
 val write :
   t -> client:int -> string -> offset:int -> Capfs_disk.Data.t ->
   (unit, Capfs_core.Errno.t) result

@@ -74,38 +74,86 @@ let open_count t = t.opens
 
 (* {2 Reads} *)
 
-let read t ~offset ~bytes =
+(* The length a read actually covers (short at EOF, 0 past it); also
+   moves the multimedia prefetch window up to the read's last block. *)
+let clip_read t ~offset ~bytes =
   if offset < 0 || bytes < 0 then invalid_arg "File.read: negative range";
+  let len = Stdlib.min bytes (Stdlib.max 0 (size t - offset)) in
+  if len > 0 && kind t = Inode.Multimedia then
+    t.mm_high_water <-
+      Stdlib.max t.mm_high_water ((offset + len - 1) / block_bytes t);
+  len
+
+let note_access t =
+  if t.fsys.Fsys.config.Fsys.track_atime then begin
+    t.inode.Inode.atime <- Fsys.now t.fsys;
+    t.fsys.Fsys.layout.Layout.update_inode t.inode
+  end
+
+(* Fetch each block of [offset, offset + len) in order and pass its
+   piece to [own] at once. A piece is a borrowed [Data.sub] view of the
+   cached block, valid only until this fibre next yields — and the next
+   block's fetch may yield on a disk fill, during which a writer can
+   replace an earlier block and the fill can reuse its slab cell. So
+   [own] must retain or copy the piece before returning. The owned
+   pieces come back in order; if a later fetch raises, each is
+   released on the way out. *)
+let read_pieces t ~offset ~len ~own =
   let bb = block_bytes t in
-  let available = Stdlib.max 0 (size t - offset) in
-  let len = Stdlib.min bytes available in
+  let last = (offset + len - 1) / bb in
+  let rec go idx =
+    if idx > last then []
+    else begin
+      let block = read_cached_block t idx in
+      let lo = Stdlib.max offset (idx * bb) in
+      let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
+      let piece =
+        own (Data.sub block ~pos:(lo - (idx * bb)) ~len:(hi - lo))
+      in
+      match go (idx + 1) with
+      | rest -> piece :: rest
+      | exception e ->
+        Data.release piece;
+        raise e
+    end
+  in
+  go (offset / bb)
+
+let retained piece =
+  Data.retain piece;
+  piece
+
+let read t ~offset ~bytes =
+  let len = clip_read t ~offset ~bytes in
   if len = 0 then Data.sim 0
   else begin
-    let first = offset / bb and last = (offset + len - 1) / bb in
-    if kind t = Inode.Multimedia then
-      t.mm_high_water <- Stdlib.max t.mm_high_water last;
+    let bb = block_bytes t in
+    let first = offset / bb in
     let result =
-      if first = last then
+      if (offset + len - 1) / bb = first then
         (* common case: the range lives in one block — no part list,
            no concat *)
-        let block = read_cached_block t first in
-        Data.sub block ~pos:(offset - (first * bb)) ~len
-      else
-        let parts =
-          List.init (last - first + 1) (fun k ->
-              let idx = first + k in
-              let block = read_cached_block t idx in
-              let lo = Stdlib.max offset (idx * bb) in
-              let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
-              Data.sub block ~pos:(lo - (idx * bb)) ~len:(hi - lo))
-        in
-        Data.concat parts
+        Data.sub (read_cached_block t first) ~pos:(offset - (first * bb)) ~len
+      else begin
+        let pieces = read_pieces t ~offset ~len ~own:retained in
+        let out = Data.concat pieces in
+        List.iter Data.release pieces;
+        out
+      end
     in
-    if t.fsys.Fsys.config.Fsys.track_atime then begin
-      t.inode.Inode.atime <- Fsys.now t.fsys;
-      t.fsys.Fsys.layout.Layout.update_inode t.inode
-    end;
+    note_access t;
     result
+  end
+
+let read_into t arena ~offset ~bytes =
+  let len = clip_read t ~offset ~bytes in
+  if len = 0 then Data.sim 0
+  else begin
+    let pieces =
+      read_pieces t ~offset ~len ~own:(Capfs_disk.Arena.copy_in arena)
+    in
+    note_access t;
+    Data.gather pieces
   end
 
 (* {2 Writes} *)

@@ -50,17 +50,39 @@ let rec release = function
   | Gather g -> List.iter (fun (_, s) -> release s) g.g_segs
   | Real _ | Sim _ | Slice { s_cell = None; _ } -> ()
 
-(* byte <-> bigarray copies: the stdlib has no blit between [bytes] and
-   a char bigarray, so these loop; [ba_blit] between two slabs uses the
-   Bigarray primitive (memmove under the hood) *)
+(* byte <-> slab copies. The stdlib has no blit between [bytes] and a
+   char bigarray, so these move a word per step through the compiler's
+   unboxed 64-bit load/store primitives (native byte order on both
+   sides, so bytes land unchanged) and finish the tail a byte at a
+   time. The slab parameter must stay the concrete [buf]: left
+   polymorphic, every access compiles to a call into the runtime's
+   generic bigarray accessor. [ba_blit] between two slabs uses the
+   Bigarray primitive (memmove under the hood). Callers bounds-check. *)
 
-let ba_to_bytes src soff dst doff len =
-  for i = 0 to len - 1 do
+external bytes_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+external buf_get64u : buf -> int -> int64 = "%caml_bigstring_get64u"
+external buf_set64u : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+let ba_to_bytes (src : buf) soff dst doff len =
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    bytes_set64u dst (doff + !i) (buf_get64u src (soff + !i));
+    i := !i + 8
+  done;
+  for i = words to len - 1 do
     Bytes.unsafe_set dst (doff + i) (Bigarray.Array1.unsafe_get src (soff + i))
   done
 
-let ba_of_bytes src soff dst doff len =
-  for i = 0 to len - 1 do
+let ba_of_bytes src soff (dst : buf) doff len =
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    buf_set64u dst (doff + !i) (bytes_get64u src (soff + !i));
+    i := !i + 8
+  done;
+  for i = words to len - 1 do
     Bigarray.Array1.unsafe_set dst (doff + i) (Bytes.unsafe_get src (soff + i))
   done
 

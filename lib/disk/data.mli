@@ -62,7 +62,9 @@ val length : t -> int
 (** [sub t ~pos ~len] extracts a slice. Simulated slices stay simulated;
     a sub of a [Slice] is a zero-copy {e borrowed} view of the same slab
     cell (no refcount: it is only valid while the parent is retained).
-    Raises [Invalid_argument] on out-of-range. *)
+    A view of a payload someone else owns, such as a cached block, is
+    valid only until its holder next yields: {!retain} it to keep it
+    longer. Raises [Invalid_argument] on out-of-range. *)
 val sub : t -> pos:int -> len:int -> t
 
 (** [blit ~src ~src_pos ~dst ~dst_pos ~len] copies bytes when both sides
@@ -70,7 +72,8 @@ val sub : t -> pos:int -> len:int -> t
     is nothing to move). Mixed copies into a real destination from a
     [Sim] source zero-fill the range, modelling reading from a fresh
     simulated disk. Gather sources and destinations are walked segment by
-    segment; slab slices copy through the bigarray. *)
+    segment. Copies between heap bytes and a slab move a word at a time;
+    slab to slab is a Bigarray blit. *)
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
 (** [concat ts] joins payloads with a copy; the result is [Real] iff all

@@ -130,15 +130,16 @@ let exec sh req =
     | Ok () -> Wire.Ok_unit
     | Error e -> Wire.Err e)
   | Read { client; path; offset; count } -> (
-    match Client.read c ~client path ~offset ~bytes:count with
+    (* one copy, cache slab -> reply arena, block by block as each is
+       fetched: the reply is a gather of owned cells that rides to the
+       writer fibre's buffer with no intermediate heap copy *)
+    match
+      Client.read_into c ~client path sd.reply_arena ~offset ~bytes:count
+    with
     | Ok d ->
-      (* one copy, cache slab -> reply arena: the slice then rides to
-         the writer fibre's gather buffer with no intermediate string *)
-      let len = Data.length d in
-      let out = Capfs_disk.Arena.copy_in sd.reply_arena d in
       Atomic.incr sd.w_blit;
-      ignore (Atomic.fetch_and_add sd.w_copied len);
-      Wire.Ok_data out
+      ignore (Atomic.fetch_and_add sd.w_copied (Data.length d));
+      Wire.Ok_data d
     | Error e -> Wire.Err e)
   | Write { client; path; offset; data } -> (
     match Client.write c ~client path ~offset (Data.of_string data) with
@@ -420,8 +421,9 @@ let create ?injector (cfg : Pfs.Config.t) =
         lease = Lease.create ~lease_s:cfg.Pfs.Config.lease_s ();
         pushers = Hashtbl.create 64;
         pushers_lock = Mutex.create ();
-        (* read replies: bounded by in-flight admission; oversized or
-           overflow reads fall back to heap buffers gracefully *)
+        (* read replies, one cell per block: bounded by in-flight
+           admission; a block that finds no free cell falls back to a
+           heap buffer *)
         reply_arena =
           Capfs_disk.Arena.create ~shared:true ~cell_bytes:Pfs.block_bytes
             ~cells:

@@ -369,6 +369,29 @@ let test_real_socket_parity () =
       CC.disconnect cc;
       Alcotest.(check (triple int int int))
         "virtual and real runs count identically" virtual_counts real_counts;
+      (* one raw Read spanning the block boundary: the server's gathered
+         reply must reach the wire whole and in order *)
+      let rfd = connect () in
+      let opcode, payload =
+        Wire.encode_request
+          (Wire.Read { client = 7; path = "/d/f"; offset = bb - 3; count = bb })
+      in
+      (match Frame.write rfd { Frame.req_id = 42; opcode; payload } with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "raw read send: %s" (Errno.to_string e));
+      (match Frame.read rfd with
+      | Ok (Some f) -> (
+        Alcotest.(check int) "raw read req_id" 42 f.Frame.req_id;
+        match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
+        | Ok (Wire.Ok_data d) ->
+          Alcotest.(check string) "raw multi-block read"
+            (String.make 3 '1' ^ String.make (bb - 3) '2')
+            (Capfs_disk.Data.to_string d)
+        | Ok r -> Alcotest.failf "raw read: %a" Wire.pp_reply r
+        | Error e -> Alcotest.failf "raw read decode: %s" (Errno.to_string e))
+      | Ok None -> Alcotest.fail "raw read: connection closed"
+      | Error e -> Alcotest.failf "raw read recv: %s" (Errno.to_string e));
+      Unix.close rfd;
       (* stop the server over the wire; its clean exit is the ack *)
       let sfd = connect () in
       let opcode, body = Wire.encode_request Wire.Shutdown in

@@ -603,7 +603,39 @@ let prop_slice_matches_real_model =
       Data.release da;
       Data.release db;
       Data.release db';
-      true)
+      (* the word-wide copies, in all three directions (bytes->slab,
+         slab->bytes, slab->slab): unaligned offsets on both sides, and
+         lengths from under one word to several words plus a tail *)
+      let blit_agrees ~src_slab ~dst_slab =
+        let len = Stdlib.Random.State.int rng (arena_cell - 4) in
+        let soff = Stdlib.Random.State.int rng (arena_cell - len + 1)
+        and doff = Stdlib.Random.State.int rng (arena_cell - len + 1) in
+        let ss = string_of_len rng arena_cell
+        and ds = string_of_len rng arena_cell in
+        let mk slab s =
+          if slab then Arena.copy_in arena (Data.of_string s)
+          else Data.of_string s
+        in
+        let src = mk src_slab ss and dst = mk dst_slab ds in
+        Data.blit ~src ~src_pos:soff ~dst ~dst_pos:doff ~len;
+        let want =
+          String.sub ds 0 doff ^ String.sub ss soff len
+          ^ String.sub ds (doff + len) (arena_cell - doff - len)
+        in
+        let ok = Data.to_string dst = want in
+        Data.release src;
+        Data.release dst;
+        ok
+      in
+      let copies_agree =
+        List.for_all
+          (fun (src_slab, dst_slab) ->
+            List.for_all
+              (fun () -> blit_agrees ~src_slab ~dst_slab)
+              [ (); (); (); () ])
+          [ (false, true); (true, false); (true, true) ]
+      in
+      copies_agree && Arena.fallbacks arena = 0)
 
 let test_arena_recycles_after_free () =
   let a = Arena.create ~cell_bytes:16 ~cells:2 () in

@@ -21,8 +21,10 @@ let in_fibre t f =
   ignore (Sched.spawn t.Pfs.sched ~name:"test" (fun () -> f ()));
   Sched.run t.Pfs.sched
 
-let start_pfs ?(clock = `Virtual) ?(size_mb = 8) path =
-  match Pfs.create (Pfs.Config.make ~image:path ~size_mb ~clock ()) with
+let start_pfs ?(clock = `Virtual) ?(size_mb = 8) ?cache_mb path =
+  match
+    Pfs.create (Pfs.Config.make ~image:path ~size_mb ?cache_mb ~clock ())
+  with
   | Ok t -> t
   | Error e -> Alcotest.failf "Pfs.create: %s" (Capfs_core.Errno.to_string e)
 
@@ -130,6 +132,67 @@ let test_pfs_real_clock_smoke () =
           Alcotest.(check string) "io" "realtime" (Data.to_string d));
       let elapsed = Unix.gettimeofday () -. t0 in
       if elapsed > 5. then Alcotest.failf "PFS took %.1fs wall-clock" elapsed)
+
+(* A multi-block read whose later block misses yields on the disk fill.
+   A writer that replaces an earlier block meanwhile releases that
+   block's slab cell, and the fill reuses it. The read must still see
+   block 0 as it was before the write or after it, never block 1's
+   bytes. Each of the eight files is one such race, under its own draw
+   of the random run queue. *)
+let test_pfs_multiblock_read_races_overwrite () =
+  with_temp_image (fun path ->
+      let bb = Pfs.block_bytes in
+      let files = List.init 8 (Printf.sprintf "/race%d") in
+      let t = start_pfs path in
+      in_fibre t (fun () ->
+          List.iter
+            (fun f ->
+              Capfs.Client.open_exn t.Pfs.client ~client:1 f Capfs.Client.WO;
+              Capfs.Client.write_exn t.Pfs.client ~client:1 f ~offset:0
+                (Data.of_string (String.make bb 'A' ^ String.make bb 'B'));
+              Capfs.Client.close_exn t.Pfs.client ~client:1 f)
+            files);
+      Pfs.shutdown t;
+      (* remount with a cold cache: every block is on disk only *)
+      let t = start_pfs ~cache_mb:1 path in
+      let c = t.Pfs.client and s = t.Pfs.sched in
+      let reads = ref [] in
+      in_fibre t (fun () ->
+          List.iter
+            (fun f ->
+              (* block 0 cached, block 1 still on disk *)
+              ignore (Capfs.Client.read_exn c ~client:1 f ~offset:0 ~bytes:bb);
+              let pending = ref 2 and both = Sched.new_event s in
+              let finish () =
+                decr pending;
+                if !pending = 0 then Sched.broadcast s both
+              in
+              ignore
+                (Sched.spawn s (fun () ->
+                     let d =
+                       Capfs.Client.read_exn c ~client:1 f ~offset:0
+                         ~bytes:(2 * bb)
+                     in
+                     reads := (f, Data.to_string d) :: !reads;
+                     finish ()));
+              ignore
+                (Sched.spawn s (fun () ->
+                     Capfs.Client.write_exn c ~client:2 f ~offset:0
+                       (Data.of_string (String.make bb 'C'));
+                     finish ()));
+              if !pending > 0 then Sched.await s both)
+            files);
+      Pfs.shutdown t;
+      Alcotest.(check int) "every race ran" (List.length files)
+        (List.length !reads);
+      List.iter
+        (fun (f, got) ->
+          let block0 = String.sub got 0 bb in
+          if block0 <> String.make bb 'A' && block0 <> String.make bb 'C' then
+            Alcotest.failf "%s: block 0 read back as %C..." f block0.[0];
+          Alcotest.(check string) (f ^ " block 1") (String.make bb 'B')
+            (String.sub got bb bb))
+        !reads)
 
 (* NFS front end *)
 
@@ -330,6 +393,8 @@ let suite =
     Alcotest.test_case "pfs format + io" `Quick test_pfs_format_and_basic_io;
     Alcotest.test_case "pfs survives restart" `Quick test_pfs_survives_restart;
     Alcotest.test_case "pfs real clock" `Quick test_pfs_real_clock_smoke;
+    Alcotest.test_case "multi-block read races overwrite" `Quick
+      test_pfs_multiblock_read_races_overwrite;
     Alcotest.test_case "nfs lookup/create/write/read" `Quick
       test_nfs_lookup_create_write_read;
     Alcotest.test_case "nfs namespace errors" `Quick test_nfs_namespace_errors;

@@ -278,6 +278,67 @@ let test_server_ops_across_shards () =
                 Alcotest.(check bool) "stat kind" false is_dir
               | r -> Alcotest.failf "stat: %a" Wire.pp_reply r)
             dirs;
+          (* a payload of several blocks, each with its own bytes: a read
+             comes back as a gather of reply-arena cells, one per block *)
+          let bb = Pfs.block_bytes in
+          let size = (4 * bb) + (bb / 2) in
+          let big =
+            String.init size (fun i ->
+                Char.chr (33 + ((((i / bb) * 17) + i) mod 90)))
+          in
+          let path = "/alpha/big" in
+          check_reply "open big" Wire.Ok_unit
+            (Server.call t
+               (Wire.Open { client = 1; path; mode = Capfs.Client.WO }));
+          check_reply "write big" Wire.Ok_unit
+            (Server.call t
+               (Wire.Write { client = 1; path; offset = 0; data = big }));
+          check_reply "close big" Wire.Ok_unit
+            (Server.call t (Wire.Close { client = 1; path }));
+          let read_req ~offset ~count =
+            Wire.Read { client = 1; path; offset; count }
+          in
+          let read_back what ~offset ~count =
+            match Server.call t (read_req ~offset ~count) with
+            | Wire.Ok_data d ->
+              Alcotest.(check string) what
+                (String.sub big offset (min count (size - offset)))
+                (Data.to_string d)
+            | r -> Alcotest.failf "%s: %a" what Wire.pp_reply r
+          in
+          read_back "unaligned multi-block read" ~offset:((bb / 2) + 3)
+            ~count:((3 * bb) + 5);
+          read_back "read across EOF" ~offset:((3 * bb) + 100) ~count:(4 * bb);
+          (* more whole-file reads in flight than the reply arena's 1024
+             cells: the late pieces fall back to heap buffers *)
+          let n = (1024 / 5) + 16 in
+          let replies = ref [] in
+          for _ = 1 to n do
+            match
+              Server.submit t (read_req ~offset:0 ~count:size)
+                ~complete:(fun r -> replies := r :: !replies)
+            with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "submit read: %s" (Errno.to_string e)
+          done;
+          Server.drive t;
+          Alcotest.(check int) "every read answered" n (List.length !replies);
+          let heap_pieces = ref 0 in
+          List.iter
+            (fun r ->
+              (match r with
+              | Wire.Ok_data (Data.Gather g as d) ->
+                Alcotest.(check string)
+                  "concurrent read" big (Data.to_string d);
+                List.iter
+                  (function _, Data.Real _ -> incr heap_pieces | _ -> ())
+                  g.Data.g_segs
+              | r -> Alcotest.failf "concurrent read: %a" Wire.pp_reply r);
+              Wire.release_reply r)
+            !replies;
+          if !heap_pieces = 0 then Alcotest.fail "heap fallback never taken";
+          (* the released cells serve the next read *)
+          read_back "read after release" ~offset:0 ~count:size;
           (* a miss comes back as the same typed errno the API raises *)
           check_reply "absent" (Wire.Err Errno.ENOENT)
             (Server.call t (Wire.Stat "/alpha/absent"));
