@@ -625,22 +625,6 @@ let micro () =
    Gc.quick_stat deltas taken around the experiment (see Fleet);
    failed jobs carry "ok": false and "error" instead of the figures. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f =
   (* JSON has no inf/nan; clamp to null *)
   if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
@@ -649,11 +633,10 @@ let result_json (r : Fleet.job_result) =
   let j = r.Fleet.job in
   let common =
     [
-      ("label", Printf.sprintf "%S" (json_escape j.Fleet.label));
-      ("trace", Printf.sprintf "%S" (json_escape j.Fleet.trace));
+      ("label", Stats.Json.quote j.Fleet.label);
+      ("trace", Stats.Json.quote j.Fleet.trace);
       ( "policy",
-        Printf.sprintf "%S"
-          (json_escape (Experiment.policy_name j.Fleet.config.Experiment.policy)) );
+        Stats.Json.quote (Experiment.policy_name j.Fleet.config.Experiment.policy) );
       ("worker", string_of_int r.Fleet.worker);
       ("wall_s", json_float r.Fleet.wall_s);
     ]
@@ -665,8 +648,7 @@ let result_json (r : Fleet.job_result) =
       @ [
           ("ok", "false");
           ( "error",
-            Printf.sprintf "%S"
-              (json_escape (Format.asprintf "%a" Fleet.pp_failure e)) );
+            Stats.Json.quote (Format.asprintf "%a" Fleet.pp_failure e) );
         ]
     | Ok o ->
       let ops = o.Experiment.replay.Replay.operations in
@@ -698,7 +680,7 @@ let result_json (r : Fleet.job_result) =
             ^ String.concat ", "
                 (List.map
                    (fun (kind, n) ->
-                     Printf.sprintf "%S: %d" (json_escape kind) n)
+                     Printf.sprintf "%s: %d" (Stats.Json.quote kind) n)
                    o.Experiment.replay.Replay.errors_by_kind)
             ^ "}" );
           ("sim_elapsed_s", json_float o.Experiment.replay.Replay.elapsed);
@@ -720,7 +702,7 @@ let result_json (r : Fleet.job_result) =
 let write_results_json ~path ~preset ~jobs ~duration results =
   let oc = open_out path in
   output_string oc "{\n";
-  output_string oc (Printf.sprintf "  \"preset\": %S,\n" (json_escape preset));
+  output_string oc (Printf.sprintf "  \"preset\": %s,\n" (Stats.Json.quote preset));
   output_string oc (Printf.sprintf "  \"jobs\": %d,\n" jobs);
   output_string oc
     (Printf.sprintf "  \"duration_s\": %s,\n" (json_float duration));

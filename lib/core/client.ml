@@ -39,7 +39,6 @@ let client_handles t client =
 
 let fsys t = t.fs
 let file_table t = t.ftable
-let namespace t = t.ns
 
 let file_of_ino t ino =
   match File_table.get t.ftable ino with
@@ -47,6 +46,12 @@ let file_of_ino t ino =
   | None -> raise (Namespace.Not_found_path (Printf.sprintf "ino %d" ino))
 
 let file_of_path t path = file_of_ino t (Namespace.resolve t.ns path)
+
+(* Data operations refuse a directory: its bytes are the namespace. *)
+let data_file path file =
+  if File.kind file = Inode.Directory then
+    raise (Namespace.Is_a_directory path);
+  file
 
 (* {2 The exception-to-errno boundary}
 
@@ -138,19 +143,49 @@ let delete_x t path =
     if not inode_alive then File_table.unlink t.ftable entry_ino
   | None -> raise (Namespace.Not_found_path path)
 
+(* Every check runs before the first [remove_entry], so a refused
+   rename changes nothing. *)
 let rename_x t ~src ~dst =
   let src = Namespace.normalize src and dst = Namespace.normalize dst in
   let sparent, sname = Namespace.split_parent t.ns src in
   let dparent, dname = Namespace.split_parent t.ns dst in
-  let entry = Namespace.remove_entry t.ns ~parent:sparent ~name:sname in
-  (* replace an existing destination, as rename(2) does *)
-  (match Namespace.lookup t.ns ~dir:dparent ~name:dname with
-  | Some { Dir.entry_ino; kind; _ } ->
-    ignore (Namespace.remove_entry t.ns ~parent:dparent ~name:dname);
-    if kind <> Inode.Directory then File_table.unlink t.ftable entry_ino
-  | None -> ());
-  Namespace.add_entry t.ns ~parent:dparent ~name:dname
-    ~ino:entry.Dir.entry_ino ~kind:entry.Dir.kind
+  let entry =
+    match Namespace.lookup t.ns ~dir:sparent ~name:sname with
+    | Some e -> e
+    | None -> raise (Namespace.Not_found_path src)
+  in
+  let is_dir = entry.Dir.kind = Inode.Directory in
+  (* a directory cannot move beneath itself. [dparent] is already
+     resolved (through any symlinks), so search [src]'s subtree for it
+     by inode rather than comparing path prefixes. *)
+  let rec holds_dparent dir =
+    dir = dparent
+    || List.exists
+         (fun e ->
+           e.Dir.kind = Inode.Directory && holds_dparent e.Dir.entry_ino)
+         (Namespace.entries t.ns dir)
+  in
+  if is_dir && holds_dparent entry.Dir.entry_ino then
+    raise (Errno.Error Errno.EINVAL);
+  if sparent <> dparent || sname <> dname then begin
+    (* replace an existing destination, as rename(2) does *)
+    let replaced = Namespace.lookup t.ns ~dir:dparent ~name:dname in
+    (match replaced with
+    | Some { Dir.kind = Inode.Directory; entry_ino; _ } ->
+      if not is_dir then raise (Namespace.Is_a_directory dst);
+      if Namespace.entries t.ns entry_ino <> [] then
+        raise (Namespace.Not_empty dst)
+    | Some _ -> if is_dir then raise (Namespace.Not_a_directory dst)
+    | None -> ());
+    ignore (Namespace.remove_entry t.ns ~parent:sparent ~name:sname);
+    (match replaced with
+    | Some { Dir.entry_ino; _ } ->
+      ignore (Namespace.remove_entry t.ns ~parent:dparent ~name:dname);
+      File_table.unlink t.ftable entry_ino
+    | None -> ());
+    Namespace.add_entry t.ns ~parent:dparent ~name:dname
+      ~ino:entry.Dir.entry_ino ~kind:entry.Dir.kind
+  end
 
 let readdir_x t path =
   let path = Namespace.normalize path in
@@ -215,9 +250,7 @@ let open_x t ~client path mode =
         create_file_x t path;
         Namespace.resolve t.ns path)
   in
-  let file = file_of_ino t ino in
-  if File.kind file = Inode.Directory then
-    raise (Namespace.Is_a_directory path);
+  let file = data_file path (file_of_ino t ino) in
   let h = client_handles t client in
   if Hashtbl.mem h path then
     (* idempotent re-open: traces occasionally re-open without a close *)
@@ -251,7 +284,7 @@ let lookup_file t ~client path ~create_if_missing =
   | ino -> file_of_ino t ino
   | exception Not_found -> (
     match Namespace.resolve_opt t.ns path with
-    | Some ino -> file_of_ino t ino
+    | Some ino -> data_file path (file_of_ino t ino)
     | None ->
       if create_if_missing then begin
         create_file_x t path;
@@ -276,7 +309,7 @@ let write_x t ~client path ~offset data =
 
 let truncate_x t path ~size =
   let path = Namespace.normalize path in
-  File.truncate (file_of_path t path) ~size
+  File.truncate (data_file path (file_of_path t path)) ~size
 
 let fsync_x t path =
   let path = Namespace.normalize path in

@@ -3,8 +3,9 @@
     "The abstract client interface provides the basic file-system
     interface. There are functions to open, close, read, write or delete
     a file and there are functions to manipulate an hierarchical
-    name-space." Both front ends dispatch onto this module: the NFS
-    class in PFS and the trace-replay classes in Patsy.
+    name-space." Both front ends dispatch onto this module: PFS's
+    request server (the paper's NFS class) and the trace-replay classes
+    in Patsy.
 
     Operations identify files by path; [open_]/[close_] maintain a
     per-(client, path) descriptor so traces replay naturally. Reads and
@@ -13,7 +14,9 @@
 
     {b Errors.} Every operation returns [('a, Capfs_core.Errno.t) result].
     Path-walking failures map onto the usual codes ([ENOENT], [EEXIST],
-    [ENOTDIR], [EISDIR], [ENOTEMPTY], [ELOOP]); closing a handle that
+    [ENOTDIR], [EISDIR], [ENOTEMPTY], [ELOOP]); a data operation on a
+    directory is [EISDIR]; a namespace mutation of the root itself is
+    [EINVAL]; closing a handle that
     was never opened is [EBADF]; layout and disk failures pass through
     as [ENOSPC]/[EIO]/[ETIMEDOUT]. Each operation also has an [_exn]
     twin that raises {!Capfs_core.Errno.Error} instead — convenient in
@@ -35,18 +38,8 @@ type open_mode = RO | WO | RW
 val create : Fsys.t -> t
 val fsys : t -> Fsys.t
 
-(** Underlying components, for front ends that need them. *)
+(** The open-file table, for front ends that address files by inode. *)
 val file_table : t -> File_table.t
-
-val namespace : t -> Namespace.t
-
-(** [trap f] runs [f] and converts the errors this module's operations
-    can raise — the {!Namespace} exceptions and
-    {!Capfs_core.Errno.Error} — into an [Error] result. Front ends that
-    drive {!Namespace}/{!File} directly (e.g. the NFS server) use it to
-    share the one exception-to-errno mapping. Unrecognised exceptions
-    propagate. *)
-val trap : (unit -> 'a) -> ('a, Capfs_core.Errno.t) result
 
 (** {2 Namespace operations} *)
 
@@ -63,6 +56,11 @@ val symlink : t -> target:string -> string -> (unit, Capfs_core.Errno.t) result
 (** [EINVAL] if [path] names something that is not a symlink. *)
 val readlink : t -> string -> (string, Capfs_core.Errno.t) result
 
+(** [rename t ~src ~dst] replaces an existing [dst] as rename(2) does:
+    a directory onto a non-empty directory is [ENOTEMPTY], a file onto
+    a directory [EISDIR], a directory onto a file [ENOTDIR], and a
+    directory into its own subtree [EINVAL]. A refused rename changes
+    nothing. *)
 val rename :
   t -> src:string -> dst:string -> (unit, Capfs_core.Errno.t) result
 

@@ -168,7 +168,7 @@ let resolve_opt t path =
 let split_parent t path =
   let comps = components path in
   match List.rev comps with
-  | [] -> invalid_arg "Namespace.split_parent: root has no parent"
+  | [] -> raise (Capfs_core.Errno.Error Capfs_core.Errno.EINVAL)
   | leaf :: rev_parents ->
     let parent_path = "/" ^ String.concat "/" (List.rev rev_parents) in
     let parent = resolve t parent_path in

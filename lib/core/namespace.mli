@@ -39,7 +39,8 @@ val add_entry :
 val remove_entry : t -> parent:int -> name:string -> Dir.entry
 
 (** [split_parent t path] resolves the dirname to its directory inode
-    and returns it with the basename. *)
+    and returns it with the basename. The root has no parent: raises
+    [Capfs_core.Errno.Error EINVAL]. *)
 val split_parent : t -> string -> int * string
 
 (** Register / read a symlink target. Targets live in the in-core

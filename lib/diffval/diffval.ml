@@ -265,9 +265,7 @@ let run_patsy ~speedup base source =
 (* Translate an experiment config into the [Pfs.Config] of the
    equivalent single-volume server. The cache knobs go through
    [Experiment.cache_config_of] so policy → trigger/scope/nvram mapping
-   stays in one place. [workers = 0]: replay drives the abstract client
-   interface directly, and idle NFS worker fibres would shift the
-   scheduler's PRNG dispatch draws. *)
+   stays in one place. *)
 let pfs_config_of ~image ~image_mb ~clock base =
   let cc = Experiment.cache_config_of base in
   let block = Experiment.block_bytes in
@@ -282,7 +280,7 @@ let pfs_config_of ~image ~image_mb ~clock base =
     ~mem_copy_rate:cc.Cache.mem_copy_rate
     ~coalesce:cc.Cache.coalesce
     ~flush_window:cc.Cache.flush_window
-    ~max_extent:cc.Cache.max_extent_blocks ~workers:0 ~clock
+    ~max_extent:cc.Cache.max_extent_blocks ~clock
     ~seed:base.Experiment.seed ()
 
 (* The differential harness must never mistake "no data" for "no
@@ -484,26 +482,12 @@ let run ?config ?skew ~trace_name source =
 
 (* {2 Rendering} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let add_string_list b l =
   Buffer.add_char b '[';
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape s)))
+      Buffer.add_string b (Stats.Json.quote s))
     l;
   Buffer.add_char b ']'
 
@@ -523,8 +507,8 @@ let to_json r =
   Buffer.add_string b
     (Printf.sprintf
        "{\"trace\":\"%s\",\"policy\":\"%s\",\"fault_plan\":\"%s\",\"speedup\":%g,\"skewed\":%b,\"ok\":%b,"
-       (json_escape r.r_trace) (json_escape r.r_policy)
-       (json_escape r.r_plan) r.r_speedup r.r_skewed r.r_ok);
+       (Stats.Json.escape r.r_trace) (Stats.Json.escape r.r_policy)
+       (Stats.Json.escape r.r_plan) r.r_speedup r.r_skewed r.r_ok);
   Buffer.add_string b "\"patsy\":";
   add_side b r.r_patsy;
   Buffer.add_string b ",\"pfs\":";
@@ -540,7 +524,7 @@ let to_json r =
       Buffer.add_string b
         (Printf.sprintf
            "{\"key\":\"%s\",\"patsy\":%d,\"pfs\":%d,\"tolerance\":\"%s\",\"ok\":%b}"
-           (json_escape v.v_key) v.v_patsy v.v_pfs
+           (Stats.Json.escape v.v_key) v.v_patsy v.v_pfs
            (tolerance_to_string v.v_tolerance)
            v.v_ok))
     r.r_verdicts;

@@ -12,11 +12,12 @@ type t =
   | ETIMEDOUT
   | EINVAL
   | EAGAIN
+  | EXDEV
 
 let all =
   [|
     ENOENT; EEXIST; ENOTDIR; EISDIR; ENOTEMPTY; ELOOP; EBADF; ESTALE; ENOSPC;
-    EIO; ETIMEDOUT; EINVAL; EAGAIN;
+    EIO; ETIMEDOUT; EINVAL; EAGAIN; EXDEV;
   |]
 
 let to_index = function
@@ -33,6 +34,7 @@ let to_index = function
   | ETIMEDOUT -> 10
   | EINVAL -> 11
   | EAGAIN -> 12
+  | EXDEV -> 13
 
 let to_string = function
   | ENOENT -> "enoent"
@@ -48,6 +50,7 @@ let to_string = function
   | ETIMEDOUT -> "etimedout"
   | EINVAL -> "einval"
   | EAGAIN -> "eagain"
+  | EXDEV -> "exdev"
 
 (* Linux's ESTALE; Unix.error has no portable constructor for it *)
 let estale_code = 116
@@ -66,6 +69,7 @@ let to_unix = function
   | ETIMEDOUT -> Unix.ETIMEDOUT
   | EINVAL -> Unix.EINVAL
   | EAGAIN -> Unix.EAGAIN
+  | EXDEV -> Unix.EXDEV
 
 let of_unix = function
   | Unix.ENOENT -> ENOENT
@@ -81,6 +85,7 @@ let of_unix = function
   | Unix.ETIMEDOUT -> ETIMEDOUT
   | Unix.EINVAL -> EINVAL
   | Unix.EAGAIN | Unix.EWOULDBLOCK -> EAGAIN
+  | Unix.EXDEV -> EXDEV
   | _ -> EIO
 
 exception Error of t

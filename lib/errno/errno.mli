@@ -5,8 +5,8 @@
     [('a, Errno.t) result] over this single variant, replacing the
     per-module exception zoo (three separate [Disk_full]s,
     [Client.Bad_handle], six [Namespace] exceptions). The names follow
-    errno(3) so that PFS's NFS front end can translate a failure
-    straight into an NFS status code with {!to_unix}.
+    errno(3), and the PFS wire protocol carries them unchanged: a
+    reply's status byte is [1 + to_index e].
 
     This module sits below every other [capfs] library (it depends only
     on [unix]) so that [lib/disk] and [lib/layout] can share the type
@@ -29,9 +29,14 @@ type t =
       (** resource temporarily unavailable — the server's typed
           admission-control pushback: a shard's bounded request queue is
           full and the client should back off and retry *)
+  | EXDEV
+      (** cross-device link — a server-side [Rename] whose two names
+          live on different shards *)
 
 (** Every constructor, in declaration order. The order is stable: replay
-    and bench report error counts in arrays indexed by {!to_index}. *)
+    and bench report error counts in arrays indexed by {!to_index}, and
+    wire status bytes are [1 + to_index e], so new codes only ever go
+    at the end. *)
 val all : t array
 
 (** Position of [t] in {!all}. *)

@@ -11,23 +11,9 @@ let pp_text ppf stream =
    flat array of small objects. Everything numeric is finite by
    construction (scheduler times and durations). *)
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_str buf s =
   Buffer.add_char buf '"';
-  add_escaped buf s;
+  Capfs_stats.Json.add_escaped buf s;
   Buffer.add_char buf '"'
 
 let add_field buf ~first name value =

@@ -32,7 +32,6 @@ module Config = struct
     coalesce : bool;
     flush_window : int;
     max_extent : int;
-    workers : int;
     shards : int;
     admission : int;
     lease_s : float;
@@ -46,7 +45,7 @@ module Config = struct
       ?(seg_blocks = Lfs.default_config.Lfs.seg_blocks)
       ?(cleaner = Lfs.default_config.Lfs.cleaner) ?(async_flush = true)
       ?(mem_copy_rate = 0.) ?(coalesce = true) ?(flush_window = 4)
-      ?(max_extent = 64) ?(workers = 4) ?(shards = 1) ?(admission = 64)
+      ?(max_extent = 64) ?(shards = 1) ?(admission = 64)
       ?(lease_s = 5.0) ?(clock = `Real) ?(seed = 1996) ~image () =
     {
       image;
@@ -64,7 +63,6 @@ module Config = struct
       coalesce;
       flush_window;
       max_extent;
-      workers;
       shards;
       admission;
       lease_s;
@@ -97,7 +95,6 @@ module Config = struct
     check (t.mem_copy_rate >= 0.) "mem-copy-rate < 0";
     check (t.flush_window >= 1) "flush-window < 1";
     check (t.max_extent >= 1) "max-extent < 1";
-    check (t.workers >= 0) "workers < 0";
     check (t.shards >= 1) "shards < 1";
     check (t.admission >= 0) "admission < 0";
     check (t.lease_s > 0.) "lease-s <= 0";
@@ -130,7 +127,6 @@ module Config = struct
       "coalesce";
       "flush-window";
       "max-extent";
-      "workers";
       "shards";
       "admission";
       "lease-s";
@@ -143,7 +139,7 @@ module Config = struct
      (demand | periodic:MAX_AGE:SCAN_INTERVAL), scope (whole-file | \
      single-block), iosched, replacement, seg-blocks, cleaner (greedy | \
      cost-benefit), async-flush, mem-copy-rate, coalesce, flush-window, \
-     max-extent, workers, shards, admission, lease-s (client-cache lease \
+     max-extent, shards, admission, lease-s (client-cache lease \
      seconds), clock (real | virtual), seed"
 
   exception Bad of string
@@ -203,7 +199,6 @@ module Config = struct
       | "coalesce" -> { t with coalesce = bool v }
       | "flush-window" -> { t with flush_window = int v }
       | "max-extent" -> { t with max_extent = int v }
-      | "workers" -> { t with workers = int v }
       | "shards" -> { t with shards = int v }
       | "admission" -> { t with admission = int v }
       | "lease-s" -> { t with lease_s = float v }
@@ -225,7 +220,6 @@ end
 type t = {
   sched : Sched.t;
   client : Capfs.Client.t;
-  nfs : Nfs.t;
   image_path : string;
   registry : Capfs_stats.Registry.t option;
   config : Config.t;
@@ -324,18 +318,15 @@ let create ?registry ?injector (cfg : Config.t) =
              Capfs.Fsys.create ?registry ~replacement ~arena ~cache_config
                ~layout sched
            in
-           let client = Capfs.Client.create fs in
-           let nfs = Nfs.serve ~workers:cfg.Config.workers client in
-           assembled := Some (client, nfs)));
+           assembled := Some (Capfs.Client.create fs)));
     match Sched.run sched with
     | () -> (
       match !assembled with
-      | Some (client, nfs) ->
+      | Some client ->
         Ok
           {
             sched;
             client;
-            nfs;
             image_path = cfg.Config.image;
             registry;
             config = cfg;
@@ -360,35 +351,3 @@ let shutdown t =
          Capfs.Client.sync_exn t.client));
   Sched.run t.sched;
   File_blockdev.close t.transport
-
-(* {2 Deprecated shim — delete after one release} *)
-
-type config = {
-  cache_mb : int;
-  nvram_mb : int;
-  trigger : Cache.flush_trigger;
-  scope : Cache.flush_scope;
-  iosched : string;
-  workers : int;
-}
-
-let default_config =
-  {
-    cache_mb = 16;
-    nvram_mb = 0;
-    trigger = Cache.Periodic { max_age = 30.; scan_interval = 5. };
-    scope = `Whole_file;
-    iosched = "clook";
-    workers = 4;
-  }
-
-let start ?(clock = `Real) ?(config = default_config) ?registry ~image
-    ~size_mb () =
-  let cfg =
-    Config.make ~image ~size_mb ~cache_mb:config.cache_mb
-      ~nvram_mb:config.nvram_mb ~trigger:config.trigger ~scope:config.scope
-      ~iosched:config.iosched ~workers:config.workers ~clock ()
-  in
-  match create ?registry cfg with
-  | Ok t -> t
-  | Error e -> raise (Errno.Error e)

@@ -3,9 +3,10 @@
     Assembles the same components Patsy uses — driver with C-LOOK
     queueing, block cache with a pluggable flush policy, segmented LFS,
     abstract client interface — over a {e real} clock and a {e real}
-    Unix-file block device, and puts the NFS front end on top. "We did
-    not have to change anything in the code except for some small
-    additions when data was actually moved."
+    Unix-file block device. "We did not have to change anything in the
+    code except for some small additions when data was actually moved."
+    External requests reach the volume through {!Server}, which maps
+    each {!Wire} request onto one abstract-client call.
 
     Construction is two steps: build a validated {!Config.t}, then
     {!create} a volume from it. Every front end — the pfs shell, the
@@ -40,7 +41,6 @@ module Config : sig
     coalesce : bool;  (** merge adjacent I/O in cache and driver *)
     flush_window : int;  (** concurrent flush extents *)
     max_extent : int;  (** largest coalesced extent, blocks *)
-    workers : int;  (** NFS worker fibres (0 = direct calls only) *)
     shards : int;  (** server namespace shards (see {!Server}) *)
     admission : int;
         (** per-shard admission limit: in-flight requests beyond this
@@ -71,7 +71,6 @@ module Config : sig
     ?coalesce:bool ->
     ?flush_window:int ->
     ?max_extent:int ->
-    ?workers:int ->
     ?shards:int ->
     ?admission:int ->
     ?lease_s:float ->
@@ -113,7 +112,6 @@ type t = {
       (** the volume's scheduler (real clock in production, virtual in
           tests) *)
   client : Capfs.Client.t;  (** the abstract client interface *)
-  nfs : Nfs.t;  (** the NFS front end *)
   image_path : string;  (** backing image the volume runs on *)
   registry : Capfs_stats.Registry.t option;
       (** the registry passed to {!create}, if any — the handle
@@ -126,7 +124,7 @@ type t = {
 (** [create cfg] opens (formatting when fresh or invalid) the
     file-system image at [cfg.image] and assembles one volume: driver,
     cache, LFS behind a single-way {!Capfs_layout.Multiplex.layout},
-    NFS front end. Validation failures and typed construction errors
+    abstract client interface. Validation failures and typed construction errors
     come back as [Error]; [injector] threads a fault plan into the
     scheduler (the differential validator's hook). *)
 val create :
@@ -145,31 +143,3 @@ val shutdown : t -> unit
     when {!create} was given no registry. Capture after a sync (e.g.
     {!shutdown}) for complete flush counters. *)
 val snapshot : t -> Capfs_stats.Snapshot.t option
-
-(** {2 Deprecated one-call interface}
-
-    The pre-{!Config} API, kept for one release. [config]'s six fields
-    are a strict subset of {!Config.t}; [start] raises on failure where
-    {!create} returns a typed error. *)
-
-type config = {
-  cache_mb : int;
-  nvram_mb : int;
-  trigger : Capfs_cache.Cache.flush_trigger;
-  scope : Capfs_cache.Cache.flush_scope;
-  iosched : string;
-  workers : int;  (** NFS worker fibres *)
-}
-
-val default_config : config
-[@@ocaml.deprecated "Use Pfs.Config.make instead."]
-
-val start :
-  ?clock:Capfs_sched.Sched.clock ->
-  ?config:config ->
-  ?registry:Capfs_stats.Registry.t ->
-  image:string ->
-  size_mb:int ->
-  unit ->
-  t
-[@@ocaml.deprecated "Use Pfs.Config.make + Pfs.create instead."]

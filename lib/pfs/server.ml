@@ -103,7 +103,8 @@ let fnv1a s =
     s;
   !h
 
-let route t path = fnv1a (first_component path) mod Array.length t.shards
+let shards t = Array.length t.shards
+let route t path = fnv1a (first_component path) mod shards t
 
 (* {2 Request execution — inside a fibre on the shard's scheduler} *)
 
@@ -116,14 +117,16 @@ let note_mutation sd ~client ~path =
   | Some (version, holders) ->
     deliver_invalidations sd ~path ~version holders
 
+let unit_reply = function Ok () -> Wire.Ok_unit | Error e -> Wire.Err e
+
+(* Each request is one abstract-client call; the wire adds no
+   namespace logic of its own. *)
 let exec sh req =
   let c = sh.volume.Pfs.client in
   let sd = sh.s_shared in
   match (req : Wire.request) with
-  | Open { client; path; mode } -> (
-    match Client.open_ c ~client path mode with
-    | Ok () -> Wire.Ok_unit
-    | Error e -> Wire.Err e)
+  | Open { client; path; mode } ->
+    unit_reply (Client.open_ c ~client path mode)
   | Close { client; path } -> (
     Lease.close_ sd.lease ~client ~path;
     match Client.close_ c ~client path with
@@ -207,9 +210,30 @@ let exec sh req =
         | Error e -> Wire.Err e
       end
       else Wire.Ok_unit)
-  | Mkdir p -> (
-    match Client.mkdir c p with
-    | Ok () -> Wire.Ok_unit
+  | Mkdir p -> unit_reply (Client.mkdir c p)
+  | Rmdir p -> unit_reply (Client.rmdir c p)
+  | Symlink { target; path } -> unit_reply (Client.symlink c ~target path)
+  | Readlink p -> (
+    match Client.readlink c p with
+    | Ok target -> Wire.Ok_link target
+    | Error e -> Wire.Err e)
+  | Readdir p -> (
+    match Client.readdir c p with
+    | Ok entries ->
+      Wire.Ok_names (List.map (fun e -> e.Capfs.Dir.name) entries)
+    | Error e -> Wire.Err e)
+  | Truncate { path; size } -> (
+    match Client.truncate c path ~size with
+    | Ok () ->
+      note_mutation sd ~client:(-1) ~path;
+      Wire.Ok_unit
+    | Error e -> Wire.Err e)
+  | Rename { src; dst } -> (
+    match Client.rename c ~src ~dst with
+    | Ok () ->
+      note_mutation sd ~client:(-1) ~path:src;
+      note_mutation sd ~client:(-1) ~path:dst;
+      Wire.Ok_unit
     | Error e -> Wire.Err e)
   | Delete p -> (
     match Client.delete c p with
@@ -226,10 +250,7 @@ let exec sh req =
           is_dir = st.Client.st_kind = Capfs_layout.Inode.Directory;
         }
     | Error e -> Wire.Err e)
-  | Sync -> (
-    match Client.sync c with
-    | Ok () -> Wire.Ok_unit
-    | Error e -> Wire.Err e)
+  | Sync -> unit_reply (Client.sync c)
   | Stats | Shutdown ->
     (* server-level operations never reach a shard *)
     Wire.Err Errno.EINVAL
@@ -289,50 +310,62 @@ let submit_to_shard t sh job =
     Ok ()
   end
 
-let submit t req ~complete =
-  match Wire.route_path req with
-  | Some path -> submit_to_shard t t.shards.(route t path) { req; complete }
+(* Merge one reply per shard: the first error in shard order, else the
+   union of the listings (a root [Readdir]) or [Ok_unit] (a [Sync]). *)
+let merge_replies replies =
+  match Array.find_opt (function Wire.Err _ -> true | _ -> false) replies with
+  | Some err -> err
   | None -> (
-    match (req : Wire.request) with
-    | Sync ->
-      (* fan out; reply once the slowest shard is stable, carrying the
-         worst per-shard verdict *)
-      let n = Array.length t.shards in
-      let pending = Atomic.make n in
-      let worst = Atomic.make None in
-      let record_err e =
-        (* first error wins; sync errors are rare enough that a racy
-           "first" is fine — any error fails the sync *)
-        if Atomic.get worst = None then Atomic.set worst (Some e)
+    match replies.(0) with
+    | Wire.Ok_names _ ->
+      Wire.Ok_names
+        (Array.to_list replies
+        |> List.concat_map (function Wire.Ok_names l -> l | _ -> [])
+        |> List.sort_uniq compare)
+    | r -> r)
+
+(* Send [req] to every shard and complete once, after the slowest one
+   answers. A shard that refuses admission counts as an [EAGAIN] answer;
+   when every shard refuses, the whole request is refused. Each shard
+   writes only its own slot of [replies], and the atomic countdown
+   publishes those writes to whichever domain completes last. *)
+let fan_out t req ~complete =
+  let n = shards t in
+  let replies = Array.make n Wire.Ok_unit in
+  let pending = Atomic.make n in
+  let finish k =
+    if Atomic.fetch_and_add pending (-k) = k then
+      complete (merge_replies replies)
+  in
+  let rejected = ref 0 in
+  Array.iteri
+    (fun i sh ->
+      let complete r =
+        replies.(i) <- r;
+        finish 1
       in
-      let finish k =
-        if Atomic.fetch_and_add pending (-k) = k then
-          complete
-            (match Atomic.get worst with
-            | None -> Wire.Ok_unit
-            | Some e -> Wire.Err e)
-      in
-      let rejected = ref 0 in
-      Array.iter
-        (fun sh ->
-          let sub_complete r =
-            (match r with Wire.Err e -> record_err e | _ -> ());
-            finish 1
-          in
-          match
-            submit_to_shard t sh { req = Wire.Sync; complete = sub_complete }
-          with
-          | Ok () -> ()
-          | Error e ->
-            record_err e;
-            incr rejected)
-        t.shards;
-      if !rejected = n then Error Errno.EAGAIN
-      else begin
-        if !rejected > 0 then finish !rejected;
-        Ok ()
-      end
-    | _ -> Error Errno.EINVAL)
+      match submit_to_shard t sh { req; complete } with
+      | Ok () -> ()
+      | Error e ->
+        replies.(i) <- Wire.Err e;
+        incr rejected)
+    t.shards;
+  if !rejected = n then Error Errno.EAGAIN
+  else begin
+    if !rejected > 0 then finish !rejected;
+    Ok ()
+  end
+
+let submit t req ~complete =
+  match (req : Wire.request) with
+  | Sync -> fan_out t req ~complete
+  | Readdir p when shards t > 1 && Capfs.Namespace.normalize p = "/" ->
+    fan_out t req ~complete
+  | Rename { src; dst } when route t src <> route t dst -> Error Errno.EXDEV
+  | _ -> (
+    match Wire.route_path req with
+    | Some path -> submit_to_shard t t.shards.(route t path) { req; complete }
+    | None -> Error Errno.EINVAL (* [Stats]/[Shutdown]: server-level *))
 
 (* {2 The shard service loop}
 
@@ -514,8 +547,6 @@ let create ?injector (cfg : Pfs.Config.t) =
         else None
       in
       Ok { config = cfg; shards; shared; pool; stopped = Atomic.make false })
-
-let shards t = Array.length t.shards
 
 (* {2 Statistics} *)
 

@@ -9,12 +9,13 @@
     The request execution path — admission, routing, the abstract
     client interface, the multiplexed volume layer, the driver — is the
     same code under both clocks; only the wake-up mechanism differs.
+    Each {!Wire} request runs as one {!Capfs.Client} call on its shard.
 
     {b Admission.} Each shard bounds its in-flight requests at
     [Config.admission]; a full (or stopping) shard refuses at {!submit}
-    time with a typed [EAGAIN] — the client-visible pushback that maps
-    to [NFSERR_JUKEBOX] on the NFS side. Counted per shard under
-    [server.submitted] / [server.rejected] / [server.completed]. *)
+    time with a typed [EAGAIN] — the client-visible pushback. Counted
+    per shard under [server.submitted] / [server.rejected] /
+    [server.completed]. *)
 
 type t
 
@@ -37,9 +38,11 @@ val route : t -> string -> int
 (** [submit t req ~complete] — admission check, then hand [req] to its
     shard; [complete] fires {e on the shard's domain} once (out of
     order with other submissions). [Error EAGAIN] when the target shard
-    is full or stopping. A [Sync] fans out to every shard and completes
-    once with the worst per-shard verdict; [Stats]/[Shutdown] are
-    server-level and answer [Error EINVAL] here. *)
+    is full or stopping; [Error EXDEV] for a [Rename] across shards,
+    before any shard does work. A [Sync], and a [Readdir "/"] on more
+    than one shard, fan out to every shard and complete once with the
+    first per-shard error or else the merged answer; [Stats]/[Shutdown]
+    are server-level and answer [Error EINVAL] here. *)
 val submit :
   t ->
   Wire.request ->

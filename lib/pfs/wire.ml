@@ -27,6 +27,12 @@ type request =
       close : bool;
       blocks : (int * string) list;
     }
+  | Rename of { src : string; dst : string }
+  | Readdir of string
+  | Rmdir of string
+  | Symlink of { target : string; path : string }
+  | Readlink of string
+  | Truncate of { path : string; size : int }
 
 type reply =
   | Ok_unit
@@ -34,6 +40,8 @@ type reply =
   | Ok_stat of stat
   | Ok_stats of string
   | Ok_grant of grant
+  | Ok_names of string list
+  | Ok_link of string
   | Err of Errno.t
 
 type push = Invalidate of { path : string; version : int }
@@ -52,6 +60,12 @@ let op_open_grant = 11
 let op_writeback = 12
 let op_invalidate = 13
 let op_batch = 14
+let op_rename = 15
+let op_readdir = 16
+let op_rmdir = 17
+let op_symlink = 18
+let op_readlink = 19
+let op_truncate = 20
 
 (* Server-pushed frames ride the reply path with a req_id no client ever
    issues; clients demultiplex on it before consulting their in-flight
@@ -71,14 +85,23 @@ let opcode = function
   | Shutdown -> op_shutdown
   | Open_grant _ -> op_open_grant
   | Writeback _ -> op_writeback
+  | Rename _ -> op_rename
+  | Readdir _ -> op_readdir
+  | Rmdir _ -> op_rmdir
+  | Symlink _ -> op_symlink
+  | Readlink _ -> op_readlink
+  | Truncate _ -> op_truncate
 
 let route_path = function
   | Open { path; _ } | Close { path; _ } | Read { path; _ }
   | Write { path; _ }
   | Open_grant { path; _ }
-  | Writeback { path; _ } ->
+  | Writeback { path; _ }
+  | Symlink { path; _ }
+  | Truncate { path; _ } ->
     Some path
-  | Mkdir p | Delete p | Stat p -> Some p
+  | Rename { src; _ } -> Some src
+  | Mkdir p | Delete p | Stat p | Readdir p | Rmdir p | Readlink p -> Some p
   | Sync | Stats | Shutdown -> None
 
 (* {2 Payload codecs}
@@ -152,7 +175,8 @@ let encode_request r =
     add_u32 b offset;
     add_str b path;
     Buffer.add_string b data
-  | Mkdir p | Delete p | Stat p -> add_str b p
+  | Mkdir p | Delete p | Stat p | Readdir p | Rmdir p | Readlink p ->
+    add_str b p
   | Sync | Stats | Shutdown -> ()
   | Open_grant { client; path; mode } ->
     add_u32 b client;
@@ -169,7 +193,16 @@ let encode_request r =
         add_u32 b off;
         add_u32 b (String.length data);
         Buffer.add_string b data)
-      blocks);
+      blocks
+  | Rename { src; dst } ->
+    add_str b src;
+    add_str b dst
+  | Symlink { target; path } ->
+    add_str b target;
+    add_str b path
+  | Truncate { path; size } ->
+    add_u32 b size;
+    add_str b path);
   (opcode r, Buffer.contents b)
 
 let decode_request ~opcode payload =
@@ -232,6 +265,24 @@ let decode_request ~opcode payload =
       in
       Writeback { client; path; size; close; blocks }
     end
+    else if opcode = op_rename then begin
+      let src = get_str c in
+      let dst = get_str c in
+      Rename { src; dst }
+    end
+    else if opcode = op_readdir then Readdir (get_str c)
+    else if opcode = op_rmdir then Rmdir (get_str c)
+    else if opcode = op_symlink then begin
+      let target = get_str c in
+      let path = get_str c in
+      Symlink { target; path }
+    end
+    else if opcode = op_readlink then Readlink (get_str c)
+    else if opcode = op_truncate then begin
+      let size = get_u32 c in
+      let path = get_str c in
+      Truncate { path; size }
+    end
     else raise Short
   with
   | r -> Ok r
@@ -249,8 +300,10 @@ let reply_bytes = function
   | Ok_unit | Err _ -> 1
   | Ok_data d -> 1 + Data.length d
   | Ok_stat _ -> 1 + 5
-  | Ok_stats s -> 1 + String.length s
+  | Ok_stats s | Ok_link s -> 1 + String.length s
   | Ok_grant _ -> 1 + 13
+  | Ok_names names ->
+    List.fold_left (fun n s -> n + 2 + String.length s) (1 + 4) names
 
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
@@ -266,9 +319,20 @@ let blit_reply r b off =
     Bytes.set_uint8 b off 0;
     set_u32 b (off + 1) size;
     Bytes.set_uint8 b (off + 5) (if is_dir then 1 else 0)
-  | Ok_stats s ->
+  | Ok_stats s | Ok_link s ->
     Bytes.set_uint8 b off 0;
     Bytes.blit_string s 0 b (off + 1) (String.length s)
+  | Ok_names names ->
+    Bytes.set_uint8 b off 0;
+    set_u32 b (off + 1) (List.length names);
+    ignore
+      (List.fold_left
+         (fun pos s ->
+           let n = String.length s in
+           Bytes.set_uint16_le b pos n;
+           Bytes.blit_string s 0 b (pos + 2) n;
+           pos + 2 + n)
+         (off + 5) names)
   | Ok_grant { version; cacheable; lease_s; size } ->
     Bytes.set_uint8 b off 0;
     set_u32 b (off + 1) version;
@@ -316,6 +380,14 @@ let decode_reply ~opcode payload =
       let size = get_u32 c in
       Ok_grant { version; cacheable; lease_s; size }
     end
+    else if opcode = op_readdir then begin
+      let n = get_u32 c in
+      (* each name needs >= 2 length bytes: a hostile count can't force
+         a huge list allocation *)
+      if n * 2 > String.length c.buf - c.pos then raise Short;
+      Ok_names (List.init n (fun _ -> get_str c))
+    end
+    else if opcode = op_readlink then Ok_link (get_rest c)
     else Ok_unit
   with
   | r -> Ok r
@@ -408,6 +480,9 @@ let pp_reply ppf = function
       (if is_dir then "dir" else "file")
       size
   | Ok_stats s -> Format.fprintf ppf "ok (stats, %d bytes)" (String.length s)
+  | Ok_names names ->
+    Format.fprintf ppf "ok [%s]" (String.concat ", " names)
+  | Ok_link target -> Format.fprintf ppf "ok -> %s" target
   | Ok_grant { version; cacheable; lease_s; size } ->
     Format.fprintf ppf "ok (grant v%d %s lease %.1fs, %d bytes)" version
       (if cacheable then "cacheable" else "uncacheable")

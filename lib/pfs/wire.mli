@@ -5,7 +5,18 @@
     whose opcode and payload these codecs fill), and the load
     generator. Requests name files by {e path} — the abstract client
     interface's own vocabulary — so routing can hash the first path
-    component to a shard before any file-system state is touched.
+    component to a shard before any file-system state is touched. Each
+    file-system request maps onto one {!Capfs.Client} call: this is the
+    paper's NFS-class mapping onto the abstract client interface.
+
+    {b Routing.} A request goes to the shard its path hashes to
+    ({!Server.route}), with three refinements:
+    - a [Rename] whose [src] and [dst] route to different shards is
+      refused with [Err EXDEV] before any shard sees it;
+    - [Readdir "/"] on a multi-shard server asks every shard and
+      answers the sorted union of their root entries;
+    - a [Symlink] lives on the shard of its [path], and its [target]
+      resolves within that shard's namespace.
 
     Integers are little-endian u32, strings are u16-length-prefixed; a
     write's data rides as the payload tail (the frame header already
@@ -54,6 +65,15 @@ type request =
     }
       (** one frame committing every dirty block of one file — the
           delayed-write flush at close or lease expiry. *)
+  | Rename of { src : string; dst : string }
+      (** replaces an existing [dst] as rename(2) does; [EXDEV] across
+          shards *)
+  | Readdir of string  (** answered by {!reply.Ok_names} *)
+  | Rmdir of string  (** the directory must be empty *)
+  | Symlink of { target : string; path : string }
+      (** create [path] pointing at [target] *)
+  | Readlink of string  (** answered by {!reply.Ok_link} *)
+  | Truncate of { path : string; size : int }
 
 type reply =
   | Ok_unit
@@ -65,6 +85,8 @@ type reply =
   | Ok_stat of stat
   | Ok_stats of string  (** the merged JSON report *)
   | Ok_grant of grant  (** reply to [Open_grant] *)
+  | Ok_names of string list  (** entry names, sorted: reply to [Readdir] *)
+  | Ok_link of string  (** the unexpanded target: reply to [Readlink] *)
   | Err of Capfs_core.Errno.t
 
 (** A server-initiated frame, delivered on the reply path under
@@ -78,9 +100,9 @@ val push_req_id : int
 (** Frame opcode of a request; replies echo it. *)
 val opcode : request -> int
 
-(** The path a request is routed by; [None] for the server-level
-    operations ([Sync] fans out to every shard, [Stats]/[Shutdown] are
-    answered by the listener itself). *)
+(** The path a request is routed by ([src] for a [Rename]); [None] for
+    the server-level operations ([Sync] fans out to every shard,
+    [Stats]/[Shutdown] are answered by the listener itself). *)
 val route_path : request -> string option
 
 val encode_request : request -> int * string

@@ -2,9 +2,9 @@
 
     Devices in the framework are "modeled by a separate thread of control
     that waits for work to arrive" — a mailbox is that arrival queue: disk
-    drivers post I/O requests into the disk thread's mailbox; NFS worker
-    threads take requests from the server mailbox. Unbounded by default;
-    with [capacity], senders block while full (back-pressure). *)
+    drivers post I/O requests into the disk thread's mailbox. Unbounded
+    by default; with [capacity], senders block while full
+    (back-pressure). *)
 
 type 'a t
 

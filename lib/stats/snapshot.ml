@@ -41,20 +41,6 @@ let starts_with ~prefix s =
 let policy_visible key =
   List.exists (fun prefix -> starts_with ~prefix key) policy_prefixes
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_float x =
   if Float.is_integer x && Float.abs x < 1e15 then
     Printf.sprintf "%.1f" x
@@ -67,7 +53,7 @@ let add_json b t =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "{\"key\":\"%s\",\"count\":%d,\"total\":%s,\"mean\":%s}"
-           (json_escape e.e_key) e.e_count (json_float e.e_total)
+           (Json.escape e.e_key) e.e_count (json_float e.e_total)
            (json_float e.e_mean)))
     t;
   Buffer.add_char b ']'

@@ -31,8 +31,7 @@ let with_temp_base shards f =
 
 let with_virtual_server ?(shards = 2) ?lease_s path f =
   let cfg =
-    Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Virtual ~shards ~workers:0
-      ?lease_s ()
+    Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Virtual ~shards ?lease_s ()
   in
   match Server.create cfg with
   | Error e -> Alcotest.failf "Server.create: %s" (Errno.to_string e)
@@ -255,6 +254,36 @@ let test_caching_resumes () =
           CC.disconnect a;
           CC.disconnect b))
 
+(* Namespace mutations by another client keep a granted cache honest:
+   a Truncate and then a Rename of the held path each push an
+   Invalidate. *)
+let test_truncate_and_rename_invalidate () =
+  with_temp_base 2 (fun path ->
+      with_virtual_server path (fun srv ->
+          let a = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
+          ok "mkdir" (CC.mkdir a "/d");
+          ok "open wo" (CC.open_ a "/d/f" Capfs.Client.WO);
+          ok "write" (CC.write a "/d/f" ~offset:0 ~data:(block 'a'));
+          ok "close" (CC.close_ a "/d/f");
+          ok "open ro" (CC.open_ a "/d/f" Capfs.Client.RO);
+          ignore (ok "warm" (CC.read a "/d/f" ~offset:0 ~count:bb));
+          Alcotest.(check bool) "cached" true (CC.cached_blocks a > 0);
+          let expect_unit what = function
+            | Wire.Ok_unit -> ()
+            | r -> Alcotest.failf "%s: %a" what Wire.pp_reply r
+          in
+          expect_unit "truncate"
+            (Server.call srv (Wire.Truncate { path = "/d/f"; size = 10 }));
+          (* any operation drains pending pushes first *)
+          ignore (ok "stat" (CC.stat a "/d"));
+          Alcotest.(check int) "invalidated by truncate" 1 (CC.invalidations a);
+          Alcotest.(check int) "cache dropped" 0 (CC.cached_blocks a);
+          expect_unit "rename"
+            (Server.call srv (Wire.Rename { src = "/d/f"; dst = "/d/g" }));
+          ignore (ok "stat" (CC.stat a "/d"));
+          Alcotest.(check int) "invalidated by rename" 2 (CC.invalidations a);
+          CC.disconnect a))
+
 (* Frame.Splitter: frames reassemble whatever the chunking, and a
    desynchronized stream fails sticky. *)
 let test_splitter () =
@@ -344,8 +373,7 @@ let test_real_socket_parity () =
         [ 0 ] |> ignore;
       (* the real run: serve on a Unix socket from another domain *)
       let cfg =
-        Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Real ~shards:1
-          ~workers:0 ()
+        Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Real ~shards:1 ()
       in
       let srv =
         match Server.create cfg with
@@ -369,28 +397,40 @@ let test_real_socket_parity () =
       CC.disconnect cc;
       Alcotest.(check (triple int int int))
         "virtual and real runs count identically" virtual_counts real_counts;
-      (* one raw Read spanning the block boundary: the server's gathered
-         reply must reach the wire whole and in order *)
+      (* raw requests over the socket, one frame each *)
       let rfd = connect () in
-      let opcode, payload =
-        Wire.encode_request
-          (Wire.Read { client = 7; path = "/d/f"; offset = bb - 3; count = bb })
+      let raw req_id req =
+        let opcode, payload = Wire.encode_request req in
+        (match Frame.write rfd { Frame.req_id; opcode; payload } with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "raw send: %s" (Errno.to_string e));
+        match Frame.read rfd with
+        | Ok (Some f) -> (
+          Alcotest.(check int) "raw req_id" req_id f.Frame.req_id;
+          match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
+          | Ok r -> r
+          | Error e -> Alcotest.failf "raw decode: %s" (Errno.to_string e))
+        | Ok None -> Alcotest.fail "raw: connection closed"
+        | Error e -> Alcotest.failf "raw recv: %s" (Errno.to_string e)
       in
-      (match Frame.write rfd { Frame.req_id = 42; opcode; payload } with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "raw read send: %s" (Errno.to_string e));
-      (match Frame.read rfd with
-      | Ok (Some f) -> (
-        Alcotest.(check int) "raw read req_id" 42 f.Frame.req_id;
-        match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
-        | Ok (Wire.Ok_data d) ->
-          Alcotest.(check string) "raw multi-block read"
-            (String.make 3 '1' ^ String.make (bb - 3) '2')
-            (Capfs_disk.Data.to_string d)
-        | Ok r -> Alcotest.failf "raw read: %a" Wire.pp_reply r
-        | Error e -> Alcotest.failf "raw read decode: %s" (Errno.to_string e))
-      | Ok None -> Alcotest.fail "raw read: connection closed"
-      | Error e -> Alcotest.failf "raw read recv: %s" (Errno.to_string e));
+      (* a Read spanning the block boundary: the server's gathered reply
+         must reach the wire whole and in order *)
+      (match
+         raw 42
+           (Wire.Read { client = 7; path = "/d/f"; offset = bb - 3; count = bb })
+       with
+      | Wire.Ok_data d ->
+        Alcotest.(check string) "raw multi-block read"
+          (String.make 3 '1' ^ String.make (bb - 3) '2')
+          (Capfs_disk.Data.to_string d)
+      | r -> Alcotest.failf "raw read: %a" Wire.pp_reply r);
+      (match raw 43 (Wire.Rename { src = "/d/f"; dst = "/d/g" }) with
+      | Wire.Ok_unit -> ()
+      | r -> Alcotest.failf "raw rename: %a" Wire.pp_reply r);
+      (match raw 44 (Wire.Readdir "/d") with
+      | Wire.Ok_names names ->
+        Alcotest.(check (list string)) "raw readdir" [ "g" ] names
+      | r -> Alcotest.failf "raw readdir: %a" Wire.pp_reply r);
       Unix.close rfd;
       (* stop the server over the wire; its clean exit is the ack *)
       let sfd = connect () in
@@ -415,6 +455,8 @@ let suite =
       test_lease_expiry_flushes;
     Alcotest.test_case "caching resumes after writer departs" `Quick
       test_caching_resumes;
+    Alcotest.test_case "truncate and rename invalidate" `Quick
+      test_truncate_and_rename_invalidate;
     Alcotest.test_case "frame splitter" `Quick test_splitter;
     Alcotest.test_case "virtual vs real socket parity" `Quick
       test_real_socket_parity;

@@ -189,7 +189,31 @@ let test_rename_moves_and_replaces () =
       Client.create_file_exn c "/b/h";
       Client.rename_exn c ~src:"/b/g" ~dst:"/b/h";
       let d2 = Client.read_exn c ~client:1 "/b/h" ~offset:0 ~bytes:7 in
-      Alcotest.(check string) "replaced" "payload" (Data.to_string d2))
+      Alcotest.(check string) "replaced" "payload" (Data.to_string d2);
+      (* refused renames change nothing *)
+      Client.mkdir_exn c "/a/b";
+      Client.mkdir_exn c "/a/b/keep";
+      Client.create_file_exn c "/b/d";
+      Client.mkdir_exn c "/e";
+      Client.symlink_exn c ~target:"/a/b" "/l";
+      let refuse what want ~src ~dst =
+        match Client.rename c ~src ~dst with
+        | Error e when e = want -> ()
+        | Error e -> Alcotest.failf "%s: %s" what (Errno.to_string e)
+        | Ok () -> Alcotest.failf "%s: accepted" what
+      in
+      refuse "into own subtree" Errno.EINVAL ~src:"/a" ~dst:"/a/b/c";
+      refuse "into own subtree via symlink" Errno.EINVAL ~src:"/a" ~dst:"/l/c";
+      refuse "dir onto non-empty dir" Errno.ENOTEMPTY ~src:"/e" ~dst:"/a";
+      refuse "file onto dir" Errno.EISDIR ~src:"/b/h" ~dst:"/e";
+      refuse "dir onto file" Errno.ENOTDIR ~src:"/e" ~dst:"/b/d";
+      List.iter
+        (fun p -> Alcotest.(check bool) (p ^ " survives") true (Client.exists c p))
+        [ "/a"; "/a/b/keep"; "/b/h"; "/b/d"; "/e" ];
+      (* a directory onto an empty directory replaces it *)
+      Client.rename_exn c ~src:"/e" ~dst:"/a/b/keep";
+      Alcotest.(check bool) "moved dir" false (Client.exists c "/e");
+      Alcotest.(check bool) "replaced dir" true (Client.exists c "/a/b/keep"))
 
 let test_symlink_resolution () =
   run_fs (fun s ->

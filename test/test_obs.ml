@@ -350,7 +350,12 @@ let test_chrome_json_roundtrip () =
   let instant =
     List.find (fun ev -> as_str (member "ph" ev) = "i") evs
   in
-  Alcotest.(check string) "instant scope" "t" (as_str (member "s" instant))
+  Alcotest.(check string) "instant scope" "t" (as_str (member "s" instant));
+  (* the shared escaper survives every ASCII byte, controls included *)
+  let ascii = String.init 0x80 Char.chr in
+  Alcotest.(check string)
+    "every byte 0x00-0x7f round-trips" ascii
+    (as_str (parse_json (Capfs_stats.Json.quote ascii)))
 
 let test_pp_text () =
   let events =

@@ -1,12 +1,11 @@
-(* Tests for the PFS on-line instantiation: real file-backed images and
-   the NFS front end. The same framework code runs here over real bytes;
-   most tests run PFS under the virtual clock — which is itself the
-   paper's central claim in action. *)
+(* Tests for the PFS on-line instantiation over real file-backed
+   images. The same framework code runs here over real bytes; most tests
+   run PFS under the virtual clock — which is itself the paper's central
+   claim in action. Requests over the wire are covered in test_server. *)
 
 module Sched = Capfs_sched.Sched
 module Data = Capfs_disk.Data
 module Pfs = Capfs_pfs.Pfs
-module Nfs = Capfs_pfs.Nfs
 module File_blockdev = Capfs_pfs.File_blockdev
 module Driver = Capfs_disk.Driver
 module Inode = Capfs_layout.Inode
@@ -194,157 +193,6 @@ let test_pfs_multiblock_read_races_overwrite () =
             (String.sub got bb bb))
         !reads)
 
-(* NFS front end *)
-
-let nfs_setup path = start_pfs path
-
-let test_nfs_lookup_create_write_read () =
-  with_temp_image (fun path ->
-      let t = nfs_setup path in
-      in_fibre t (fun () ->
-          let nfs = t.Pfs.nfs in
-          let root = Nfs.mount_root nfs in
-          let dir =
-            match Nfs.call nfs (Nfs.Mkdir { dir = root; name = "exports" }) with
-            | Nfs.Handle (fh, attr) ->
-              Alcotest.(check bool) "dir kind" true
-                (attr.Nfs.a_kind = Inode.Directory);
-              fh
-            | _ -> Alcotest.fail "mkdir failed"
-          in
-          let file =
-            match Nfs.call nfs (Nfs.Create { dir; name = "hello" }) with
-            | Nfs.Handle (fh, _) -> fh
-            | _ -> Alcotest.fail "create failed"
-          in
-          (match
-             Nfs.call nfs
-               (Nfs.Write
-                  { file; offset = 0; data = Data.of_string "over nfs" })
-           with
-          | Nfs.Attr a -> Alcotest.(check int) "size" 8 a.Nfs.a_size
-          | _ -> Alcotest.fail "write failed");
-          (match Nfs.call nfs (Nfs.Read { file; offset = 5; count = 10 }) with
-          | Nfs.Payload d ->
-            Alcotest.(check string) "read" "nfs" (Data.to_string d)
-          | _ -> Alcotest.fail "read failed");
-          (match Nfs.call nfs (Nfs.Lookup { dir; name = "hello" }) with
-          | Nfs.Handle (fh, _) -> Alcotest.(check int) "lookup" file fh
-          | _ -> Alcotest.fail "lookup failed");
-          match Nfs.call nfs (Nfs.Lookup { dir; name = "absent" }) with
-          | Nfs.Error Nfs.Noent -> ()
-          | _ -> Alcotest.fail "expected NOENT"))
-
-let test_nfs_namespace_errors () =
-  with_temp_image (fun path ->
-      let t = nfs_setup path in
-      in_fibre t (fun () ->
-          let nfs = t.Pfs.nfs in
-          let root = Nfs.mount_root nfs in
-          ignore (Nfs.call nfs (Nfs.Mkdir { dir = root; name = "d" }));
-          (match Nfs.call nfs (Nfs.Mkdir { dir = root; name = "d" }) with
-          | Nfs.Error Nfs.Exist -> ()
-          | _ -> Alcotest.fail "expected EXIST");
-          let d =
-            match Nfs.call nfs (Nfs.Lookup { dir = root; name = "d" }) with
-            | Nfs.Handle (fh, _) -> fh
-            | _ -> Alcotest.fail "lookup d"
-          in
-          ignore (Nfs.call nfs (Nfs.Create { dir = d; name = "f" }));
-          (match Nfs.call nfs (Nfs.Rmdir { dir = root; name = "d" }) with
-          | Nfs.Error Nfs.Notempty -> ()
-          | _ -> Alcotest.fail "expected NOTEMPTY");
-          (match Nfs.call nfs (Nfs.Remove { dir = root; name = "d" }) with
-          | Nfs.Error Nfs.Isdir -> ()
-          | _ -> Alcotest.fail "expected ISDIR");
-          ignore (Nfs.call nfs (Nfs.Remove { dir = d; name = "f" }));
-          match Nfs.call nfs (Nfs.Rmdir { dir = root; name = "d" }) with
-          | Nfs.Done -> ()
-          | _ -> Alcotest.fail "rmdir should succeed now"))
-
-let test_nfs_rename_readdir_symlink () =
-  with_temp_image (fun path ->
-      let t = nfs_setup path in
-      in_fibre t (fun () ->
-          let nfs = t.Pfs.nfs in
-          let root = Nfs.mount_root nfs in
-          ignore (Nfs.call nfs (Nfs.Create { dir = root; name = "a" }));
-          (match
-             Nfs.call nfs
-               (Nfs.Rename
-                  { sdir = root; sname = "a"; ddir = root; dname = "b" })
-           with
-          | Nfs.Done -> ()
-          | _ -> Alcotest.fail "rename failed");
-          (match
-             Nfs.call nfs
-               (Nfs.Symlink { dir = root; name = "l"; target = "/b" })
-           with
-          | Nfs.Handle (link_fh, _) -> (
-            match Nfs.call nfs (Nfs.Readlink link_fh) with
-            | Nfs.Link target -> Alcotest.(check string) "target" "/b" target
-            | _ -> Alcotest.fail "readlink failed")
-          | _ -> Alcotest.fail "symlink failed");
-          match Nfs.call nfs (Nfs.Readdir root) with
-          | Nfs.Entries entries ->
-            Alcotest.(check (list string)) "names" [ "b"; "l" ]
-              (List.map fst entries |> List.sort compare)
-          | _ -> Alcotest.fail "readdir failed"))
-
-let test_nfs_setattr_truncates_and_commit () =
-  with_temp_image (fun path ->
-      let t = nfs_setup path in
-      in_fibre t (fun () ->
-          let nfs = t.Pfs.nfs in
-          let root = Nfs.mount_root nfs in
-          let file =
-            match Nfs.call nfs (Nfs.Create { dir = root; name = "f" }) with
-            | Nfs.Handle (fh, _) -> fh
-            | _ -> Alcotest.fail "create"
-          in
-          ignore
-            (Nfs.call nfs
-               (Nfs.Write
-                  { file; offset = 0; data = Data.of_string (String.make 9000 'z') }));
-          (match Nfs.call nfs (Nfs.Setattr { file; size = 100 }) with
-          | Nfs.Attr a -> Alcotest.(check int) "truncated" 100 a.Nfs.a_size
-          | _ -> Alcotest.fail "setattr");
-          (match Nfs.call nfs (Nfs.Commit file) with
-          | Nfs.Done -> ()
-          | _ -> Alcotest.fail "commit");
-          match Nfs.call nfs Nfs.Statfs with
-          | Nfs.Fsinfo { total_blocks; free_blocks } ->
-            if free_blocks <= 0 || free_blocks > total_blocks then
-              Alcotest.fail "statfs bounds"
-          | _ -> Alcotest.fail "statfs"))
-
-let test_nfs_concurrent_clients () =
-  with_temp_image (fun path ->
-      let t = nfs_setup path in
-      let nfs = t.Pfs.nfs in
-      let root = Nfs.mount_root nfs in
-      let finished = ref 0 in
-      for i = 1 to 8 do
-        ignore
-          (Sched.spawn t.Pfs.sched (fun () ->
-               let name = Printf.sprintf "c%d" i in
-               (match Nfs.call nfs (Nfs.Create { dir = root; name }) with
-               | Nfs.Handle (fh, _) ->
-                 ignore
-                   (Nfs.call nfs
-                      (Nfs.Write
-                         {
-                           file = fh;
-                           offset = 0;
-                           data = Data.of_string (String.make 2048 'w');
-                         }))
-               | _ -> Alcotest.fail "create");
-               incr finished))
-      done;
-      Sched.run t.Pfs.sched;
-      Alcotest.(check int) "all clients served" 8 !finished;
-      if Nfs.served nfs < 16 then Alcotest.fail "nfsd served too few calls")
-
 (* Replay a short synthesized trace against PFS over a real backing
    file: the workload generator built for the simulator drives the
    on-line server unchanged, and the volume survives a cold restart. *)
@@ -395,13 +243,4 @@ let suite =
     Alcotest.test_case "pfs real clock" `Quick test_pfs_real_clock_smoke;
     Alcotest.test_case "multi-block read races overwrite" `Quick
       test_pfs_multiblock_read_races_overwrite;
-    Alcotest.test_case "nfs lookup/create/write/read" `Quick
-      test_nfs_lookup_create_write_read;
-    Alcotest.test_case "nfs namespace errors" `Quick test_nfs_namespace_errors;
-    Alcotest.test_case "nfs rename/readdir/symlink" `Quick
-      test_nfs_rename_readdir_symlink;
-    Alcotest.test_case "nfs setattr/commit/statfs" `Quick
-      test_nfs_setattr_truncates_and_commit;
-    Alcotest.test_case "nfs concurrent clients" `Quick
-      test_nfs_concurrent_clients;
   ]

@@ -21,8 +21,7 @@ let with_temp_base shards f =
     (fun () -> f path)
 
 let server_config ?(shards = 2) ?(admission = 0) path =
-  Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Virtual ~shards ~admission
-    ~workers:0 ()
+  Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Virtual ~shards ~admission ()
 
 let with_server ?shards ?admission path f =
   match Server.create (server_config ?shards ?admission path) with
@@ -71,6 +70,12 @@ let test_wire_request_roundtrip () =
         };
       Wire.Writeback
         { client = 4; path = "/shared/f"; size = 0; close = false; blocks = [] };
+      Wire.Rename { src = "/a/b"; dst = "/a/c" };
+      Wire.Readdir "/a";
+      Wire.Rmdir "/a/d";
+      Wire.Symlink { target = "../t"; path = "/a/l" };
+      Wire.Readlink "/a/l";
+      Wire.Truncate { path = "/a/f"; size = 100_000 };
     ]
 
 let roundtrip_reply ~opcode reply =
@@ -102,7 +107,22 @@ let test_wire_reply_roundtrip () =
     ~opcode:
       (op (Wire.Open_grant { client = 1; path = "/f"; mode = Capfs.Client.WO }))
     (Wire.Ok_grant
-       { Wire.version = 1; cacheable = false; lease_s = 0.25; size = 0 })
+       { Wire.version = 1; cacheable = false; lease_s = 0.25; size = 0 });
+  roundtrip_reply ~opcode:(op (Wire.Readdir "/d"))
+    (Wire.Ok_names [ "a"; ""; String.make 300 'n' ]);
+  roundtrip_reply ~opcode:(op (Wire.Readdir "/d")) (Wire.Ok_names []);
+  roundtrip_reply ~opcode:(op (Wire.Readlink "/l")) (Wire.Ok_link "/target");
+  roundtrip_reply ~opcode:(op (Wire.Readlink "/l")) (Wire.Ok_link "");
+  List.iter
+    (fun req -> roundtrip_reply ~opcode:(op req) Wire.Ok_unit)
+    [
+      Wire.Rename { src = "/a"; dst = "/b" };
+      Wire.Rmdir "/d";
+      Wire.Symlink { target = "/t"; path = "/l" };
+      Wire.Truncate { path = "/f"; size = 0 };
+    ];
+  roundtrip_reply ~opcode:(op (Wire.Rename { src = "/a"; dst = "/b" }))
+    (Wire.Err Errno.EXDEV)
 
 let test_wire_push_roundtrip () =
   let p = Wire.Invalidate { path = "/shared/doc"; version = 42 } in
@@ -153,16 +173,33 @@ let test_wire_decode_errors () =
   (match Wire.decode_request ~opcode:0xFF "" with
   | Error Errno.EINVAL -> ()
   | Ok _ | Error _ -> Alcotest.fail "unknown opcode must be EINVAL");
-  let opcode, payload =
-    Wire.encode_request
-      (Wire.Open { client = 1; path = "/x"; mode = Capfs.Client.RO })
+  let truncated req =
+    let opcode, payload = Wire.encode_request req in
+    match
+      Wire.decode_request ~opcode
+        (String.sub payload 0 (String.length payload - 1))
+    with
+    | Error Errno.EINVAL -> ()
+    | Ok _ | Error _ -> Alcotest.fail "truncated payload must be EINVAL"
   in
+  List.iter truncated
+    [
+      Wire.Open { client = 1; path = "/x"; mode = Capfs.Client.RO };
+      Wire.Rename { src = "/x"; dst = "/y" };
+      Wire.Readdir "/x";
+      Wire.Rmdir "/x";
+      Wire.Symlink { target = "/t"; path = "/x" };
+      Wire.Readlink "/x";
+      Wire.Truncate { path = "/x"; size = 7 };
+    ];
+  (* a name count the payload cannot hold *)
   (match
-     Wire.decode_request ~opcode
-       (String.sub payload 0 (String.length payload - 1))
+     Wire.decode_reply
+       ~opcode:(fst (Wire.encode_request (Wire.Readdir "/")))
+       "\000\255\255\255\127"
    with
   | Error Errno.EINVAL -> ()
-  | Ok _ | Error _ -> Alcotest.fail "truncated payload must be EINVAL");
+  | Ok _ | Error _ -> Alcotest.fail "oversized name count must be EINVAL");
   match Wire.decode_reply ~opcode:(fst (Wire.encode_request Wire.Sync)) "" with
   | Error Errno.EINVAL -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty reply must be EINVAL"
@@ -216,6 +253,7 @@ let test_config_rejects_nonsense () =
   expect_einval "unknown iosched"
     (Pfs.Config.of_args ~base [ "iosched=quantum" ]);
   expect_einval "zero shards" (Pfs.Config.of_args ~base [ "shards=0" ]);
+  expect_einval "removed key" (Pfs.Config.of_args ~base [ "workers=4" ]);
   expect_einval "empty image"
     (Pfs.Config.validate (Pfs.Config.make ~image:"" ()));
   expect_einval "tiny segments"
@@ -409,6 +447,11 @@ let test_server_restart_persistence () =
               | r -> Alcotest.failf "reread %s: %a" p Wire.pp_reply r)
             [ "/one"; "/two"; "/three" ]))
 
+let merged_count t key =
+  match Capfs_stats.Snapshot.find (Server.merged t) key with
+  | Some e -> e.Capfs_stats.Snapshot.e_count
+  | None -> Alcotest.failf "no merged entry for %s" key
+
 let test_server_merged_stats () =
   with_temp_base 2 (fun path ->
       with_server path (fun t ->
@@ -419,12 +462,7 @@ let test_server_merged_stats () =
             ops;
           check_reply "sync" Wire.Ok_unit (Server.call t Wire.Sync);
           (* every submission is counted, across all shards *)
-          let merged = Server.merged t in
-          let count key =
-            match Capfs_stats.Snapshot.find merged key with
-            | Some e -> e.Capfs_stats.Snapshot.e_count
-            | None -> Alcotest.failf "no merged entry for %s" key
-          in
+          let count = merged_count t in
           (* 4 mkdirs + one sync fanned out to 2 shards *)
           Alcotest.(check int) "submitted" 6 (count "server.submitted");
           Alcotest.(check int) "completed" 6 (count "server.completed");
@@ -443,6 +481,181 @@ let test_server_merged_stats () =
             Alcotest.(check bool) "json has per_shard" true (has "per_shard");
             Alcotest.(check bool) "json has totals" true (has "totals")
           | r -> Alcotest.failf "stats: %a" Wire.pp_reply r))
+
+(* The namespace over the wire: every request is one abstract-client
+   call on its shard, run here on one shard and on two. *)
+
+let on_1_and_2_shards f =
+  List.iter
+    (fun shards ->
+      with_temp_base shards (fun path -> with_server ~shards path f))
+    [ 1; 2 ]
+
+let expect_ok t what req = check_reply what Wire.Ok_unit (Server.call t req)
+
+let create_file t ?(data = "") path =
+  expect_ok t ("open " ^ path)
+    (Wire.Open { client = 1; path; mode = Capfs.Client.WO });
+  if data <> "" then
+    expect_ok t ("write " ^ path)
+      (Wire.Write { client = 1; path; offset = 0; data });
+  expect_ok t ("close " ^ path) (Wire.Close { client = 1; path })
+
+let read_all t path =
+  match
+    Server.call t
+      (Wire.Read { client = 1; path; offset = 0; count = 1 lsl 20 })
+  with
+  | Wire.Ok_data d -> Data.to_string d
+  | r -> Alcotest.failf "read %s: %a" path Wire.pp_reply r
+
+let test_wire_create_write_read () =
+  on_1_and_2_shards (fun t ->
+      let path = "/exports/hello" in
+      expect_ok t "mkdir" (Wire.Mkdir "/exports");
+      create_file t path ~data:"over the wire";
+      check_reply "stat" (Wire.Ok_stat { Wire.size = 13; is_dir = false })
+        (Server.call t (Wire.Stat path));
+      (match Server.call t (Wire.Stat "/exports") with
+      | Wire.Ok_stat { Wire.is_dir = true; _ } -> ()
+      | r -> Alcotest.failf "stat dir: %a" Wire.pp_reply r);
+      (match
+         Server.call t (Wire.Read { client = 1; path; offset = 5; count = 100 })
+       with
+      | Wire.Ok_data d ->
+        Alcotest.(check string) "short read at EOF" "the wire" (Data.to_string d)
+      | r -> Alcotest.failf "read: %a" Wire.pp_reply r);
+      check_reply "absent" (Wire.Err Errno.ENOENT)
+        (Server.call t (Wire.Stat "/exports/absent")))
+
+let test_wire_namespace_errors () =
+  on_1_and_2_shards (fun t ->
+      expect_ok t "mkdir" (Wire.Mkdir "/d");
+      check_reply "mkdir again" (Wire.Err Errno.EEXIST)
+        (Server.call t (Wire.Mkdir "/d"));
+      create_file t "/d/f";
+      check_reply "rmdir non-empty" (Wire.Err Errno.ENOTEMPTY)
+        (Server.call t (Wire.Rmdir "/d"));
+      check_reply "delete dir" (Wire.Err Errno.EISDIR)
+        (Server.call t (Wire.Delete "/d"));
+      check_reply "rmdir file" (Wire.Err Errno.ENOTDIR)
+        (Server.call t (Wire.Rmdir "/d/f"));
+      expect_ok t "delete" (Wire.Delete "/d/f");
+      expect_ok t "rmdir" (Wire.Rmdir "/d");
+      check_reply "gone" (Wire.Err Errno.ENOENT) (Server.call t (Wire.Stat "/d")))
+
+let test_wire_rename_readdir_symlink () =
+  on_1_and_2_shards (fun t ->
+      expect_ok t "mkdir" (Wire.Mkdir "/d");
+      create_file t "/d/a" ~data:"moved";
+      expect_ok t "rename" (Wire.Rename { src = "/d/a"; dst = "/d/b" });
+      check_reply "src gone" (Wire.Err Errno.ENOENT)
+        (Server.call t (Wire.Stat "/d/a"));
+      expect_ok t "symlink" (Wire.Symlink { target = "/d/b"; path = "/d/l" });
+      check_reply "readlink" (Wire.Ok_link "/d/b")
+        (Server.call t (Wire.Readlink "/d/l"));
+      check_reply "readlink of a file" (Wire.Err Errno.EINVAL)
+        (Server.call t (Wire.Readlink "/d/b"));
+      check_reply "readdir" (Wire.Ok_names [ "b"; "l" ])
+        (Server.call t (Wire.Readdir "/d"));
+      (* the link resolves within its shard *)
+      Alcotest.(check string) "read through link" "moved" (read_all t "/d/l"))
+
+let test_wire_truncate_and_sync () =
+  on_1_and_2_shards (fun t ->
+      expect_ok t "mkdir" (Wire.Mkdir "/t");
+      create_file t "/t/f" ~data:(String.make 9000 'z');
+      expect_ok t "truncate" (Wire.Truncate { path = "/t/f"; size = 100 });
+      check_reply "stat" (Wire.Ok_stat { Wire.size = 100; is_dir = false })
+        (Server.call t (Wire.Stat "/t/f"));
+      expect_ok t "sync" Wire.Sync;
+      Alcotest.(check string) "read" (String.make 100 'z') (read_all t "/t/f"))
+
+(* Data operations used to overwrite a directory's entry blocks: after
+   a restart the children were gone. *)
+let test_wire_directory_data_ops_refused () =
+  with_temp_base 1 (fun path ->
+      let files = List.init 10 (Printf.sprintf "/a/f%d") in
+      with_server ~shards:1 path (fun t ->
+          expect_ok t "mkdir" (Wire.Mkdir "/a");
+          List.iter (create_file t) files;
+          List.iter
+            (fun (what, req) ->
+              check_reply what (Wire.Err Errno.EISDIR) (Server.call t req))
+            [
+              ( "writeback onto a directory",
+                Wire.Writeback
+                  { client = 1; path = "/a"; size = 0; close = false; blocks = [] }
+              );
+              ( "write into a directory",
+                Wire.Write { client = 1; path = "/a"; offset = 0; data = "xx" } );
+              ("truncate a directory", Wire.Truncate { path = "/a"; size = 0 });
+            ];
+          expect_ok t "sync" Wire.Sync);
+      with_server ~shards:1 path (fun t ->
+          List.iter
+            (fun f ->
+              check_reply (f ^ " after restart")
+                (Wire.Ok_stat { Wire.size = 0; is_dir = false })
+                (Server.call t (Wire.Stat f)))
+            files))
+
+(* The root has no parent: mutating it is a typed EINVAL, not a crashed
+   request. *)
+let test_wire_root_operations () =
+  with_temp_base 1 (fun path ->
+      with_server ~shards:1 path (fun t ->
+          List.iter
+            (fun (what, req) ->
+              check_reply what (Wire.Err Errno.EINVAL) (Server.call t req))
+            [
+              ("mkdir /", Wire.Mkdir "/");
+              ("delete /", Wire.Delete "/");
+              ("rmdir /", Wire.Rmdir "/");
+              ("rename / away", Wire.Rename { src = "/"; dst = "/x" });
+              ("rename onto /", Wire.Rename { src = "/x"; dst = "/" });
+            ];
+          check_reply "root survives" (Wire.Ok_names [])
+            (Server.call t (Wire.Readdir "/"))))
+
+let test_wire_rename_across_shards () =
+  with_temp_base 2 (fun path ->
+      with_server path (fun t ->
+          let dirs = List.init 16 (Printf.sprintf "/r%d") in
+          let src_dir = List.hd dirs in
+          let dst_dir =
+            List.find (fun d -> Server.route t d <> Server.route t src_dir) dirs
+          in
+          List.iter (fun d -> expect_ok t ("mkdir " ^ d) (Wire.Mkdir d))
+            [ src_dir; dst_dir ];
+          create_file t (src_dir ^ "/f") ~data:"stays";
+          let before = merged_count t "server.submitted" in
+          check_reply "cross-shard rename" (Wire.Err Errno.EXDEV)
+            (Server.call t
+               (Wire.Rename { src = src_dir ^ "/f"; dst = dst_dir ^ "/f" }));
+          Alcotest.(check int)
+            "no shard saw it" before
+            (merged_count t "server.submitted");
+          Alcotest.(check string)
+            "src intact" "stays"
+            (read_all t (src_dir ^ "/f"));
+          check_reply "dst untouched" (Wire.Ok_names [])
+            (Server.call t (Wire.Readdir dst_dir))))
+
+let test_wire_root_readdir_spans_shards () =
+  with_temp_base 2 (fun path ->
+      with_server path (fun t ->
+          let names = List.init 8 (Printf.sprintf "c%d") in
+          let used =
+            List.sort_uniq compare
+              (List.map (fun n -> Server.route t ("/" ^ n)) names)
+          in
+          Alcotest.(check (list int)) "both shards hold entries" [ 0; 1 ] used;
+          List.iter
+            (fun n -> expect_ok t ("mkdir " ^ n) (Wire.Mkdir ("/" ^ n)))
+            names;
+          check_reply "root listing" (Wire.Ok_names names)
+            (Server.call t (Wire.Readdir "/"))))
 
 let suite =
   [
@@ -465,4 +678,18 @@ let suite =
     Alcotest.test_case "restart persistence" `Quick
       test_server_restart_persistence;
     Alcotest.test_case "merged stats" `Quick test_server_merged_stats;
+    Alcotest.test_case "wire create/write/read" `Quick
+      test_wire_create_write_read;
+    Alcotest.test_case "wire namespace errors" `Quick test_wire_namespace_errors;
+    Alcotest.test_case "wire rename/readdir/symlink" `Quick
+      test_wire_rename_readdir_symlink;
+    Alcotest.test_case "wire truncate and sync" `Quick
+      test_wire_truncate_and_sync;
+    Alcotest.test_case "wire directory data ops refused" `Quick
+      test_wire_directory_data_ops_refused;
+    Alcotest.test_case "wire root operations" `Quick test_wire_root_operations;
+    Alcotest.test_case "wire rename across shards" `Quick
+      test_wire_rename_across_shards;
+    Alcotest.test_case "wire root readdir spans shards" `Quick
+      test_wire_root_readdir_spans_shards;
   ]
