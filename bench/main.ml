@@ -377,85 +377,6 @@ let ablation_nvram_size ~jobs ~duration =
         (o.Experiment.blocks_flushed / 1000))
     (ablate ~jobs ~duration ~trace:"sprite-1b" variants)
 
-let ablation_client_caching () =
-  section
-    "Extension (3): client caching with Sprite consistency — network \
-     traffic and latency";
-  let run ~cache_blocks =
-    let s = Capfs_sched.Sched.create ~clock:`Virtual () in
-    let out = ref (0, 0.) in
-    ignore
-      (Capfs_sched.Sched.spawn s (fun () ->
-           let drv =
-             Capfs_disk.Driver.create s
-               (Capfs_disk.Driver.mem_transport ~sector_bytes:512
-                  ~total_sectors:65536 s ())
-           in
-           let layout =
-             Capfs_layout.Lfs.format_and_mount s drv ~block_bytes:4096
-           in
-           let fs =
-             Capfs.Fsys.create
-               ~cache_config:
-                 (Capfs_cache.Cache.default_config ~capacity_blocks:512)
-               ~layout s
-           in
-           let net = Capfs_ccache.Netlink.ethernet_10 s in
-           let server =
-             Capfs_ccache.Cc_server.create (Capfs.Client.create fs) net
-           in
-           let pub =
-             Capfs_ccache.Cc_client.attach server ~client_id:0
-               ~cache_blocks:64
-           in
-           for f = 0 to 7 do
-             let p = Printf.sprintf "/hot%d" f in
-             Capfs_ccache.Cc_client.open_ pub p Capfs_ccache.Cc_server.Write;
-             Capfs_ccache.Cc_client.write pub p ~offset:0
-               (Capfs_disk.Data.sim 65536);
-             Capfs_ccache.Cc_client.close_ pub p
-           done;
-           let base = Capfs_ccache.Netlink.bytes_carried net in
-           let t0 = Capfs_sched.Sched.now s in
-           let remaining = ref 4 in
-           let all_done = Capfs_sched.Sched.new_event s in
-           for w = 1 to 4 do
-             ignore
-               (Capfs_sched.Sched.spawn s (fun () ->
-                    let c =
-                      Capfs_ccache.Cc_client.attach server ~client_id:w
-                        ~cache_blocks
-                    in
-                    for _ = 1 to 5 do
-                      for f = 0 to 7 do
-                        let p = Printf.sprintf "/hot%d" f in
-                        Capfs_ccache.Cc_client.open_ c p
-                          Capfs_ccache.Cc_server.Read;
-                        ignore
-                          (Capfs_ccache.Cc_client.read c p ~offset:0
-                             ~bytes:65536);
-                        Capfs_ccache.Cc_client.close_ c p
-                      done
-                    done;
-                    decr remaining;
-                    if !remaining = 0 then
-                      Capfs_sched.Sched.broadcast s all_done))
-           done;
-           Capfs_sched.Sched.await s all_done;
-           out :=
-             ( Capfs_ccache.Netlink.bytes_carried net - base,
-               Capfs_sched.Sched.now s -. t0 )));
-    Capfs_sched.Sched.run s;
-    !out
-  in
-  List.iter
-    (fun (name, cache_blocks) ->
-      let bytes, time = run ~cache_blocks in
-      Format.printf "  %-18s %7.1f MB on the wire, %6.2f s@." name
-        (float_of_int bytes /. 1048576.)
-        time)
-    [ ("no client cache", 1); ("with client cache", 256) ]
-
 (* {1 Bechamel micro-benchmarks}
 
    The paper found its simulator bottleneck in cache-list maintenance
@@ -1082,8 +1003,7 @@ let () =
     ablation_replacement ~jobs ~duration;
     ablation_disk_features ~jobs ~duration;
     ablation_cache_size ~jobs ~duration;
-    ablation_nvram_size ~jobs ~duration;
-    ablation_client_caching ()
+    ablation_nvram_size ~jobs ~duration
   end;
   if do_micro then micro ();
   if do_perfsmoke then perfsmoke ~jobs ~duration;

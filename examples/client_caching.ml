@@ -3,122 +3,178 @@
    traffic and file latency."
 
    Four diskless workstations on a shared 10 Mbit/s Ethernet re-read a
-   hot set of files from the PFS server. With a local block cache each
-   workstation fetches a file once; without, every read crosses the
-   wire. Consistency is kept by the version/disable protocol — the demo
-   ends with a write-sharing episode to show stale data is impossible.
+   hot set of files from a PFS server. Each workstation runs the client
+   cache the live server speaks to — [Cached_client] — over the
+   simulated link ([Cached_client.over_link]) in front of an in-process
+   virtual-clock [Server]. With the cache a workstation opens the files
+   once, fetches each block once and serves every later read locally;
+   without it, every read crosses the wire as a plain Open/Read/Close.
+   The link clock measures network time only: server work runs on the
+   shards' own clocks. The demo ends with a write-sharing episode to
+   show a reader never sees a stale value.
+
+   Exits non-zero if the reader ever sees a stale value, or if the
+   cache does not at least halve the bytes on the wire.
 
    Run: dune exec examples/client_caching.exe *)
 
 module Sched = Capfs_sched.Sched
-module Data = Capfs_disk.Data
-module Driver = Capfs_disk.Driver
-module Cache = Capfs_cache.Cache
-module Lfs = Capfs_layout.Lfs
 module Netlink = Capfs_ccache.Netlink
-module Cc_server = Capfs_ccache.Cc_server
-module Cc_client = Capfs_ccache.Cc_client
+module Frame = Netlink.Frame
+module Pfs = Capfs_pfs.Pfs
+module Server = Capfs_pfs.Server
+module Wire = Capfs_pfs.Wire
+module CC = Capfs_pfs.Cached_client
 
 let workstations = 4
 let files = 8
 let file_bytes = 64 * 1024
 let rounds = 5
+let hot f = Printf.sprintf "/hot%d" f
 
-let run ~cache_blocks =
+let ok what = function
+  | Ok v -> v
+  | Error e -> failwith (what ^ ": " ^ Capfs_core.Errno.to_string e)
+
+(* A 1-shard virtual-clock server on a temporary image, removed at
+   exit. *)
+let with_server f =
+  let image = Filename.temp_file "client_caching" ".img" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ image; image ^ ".shard0" ])
+    (fun () ->
+      let cfg =
+        Pfs.Config.make ~image ~size_mb:8 ~clock:`Virtual ~shards:1 ()
+      in
+      let srv = ok "server" (Server.create cfg) in
+      Fun.protect ~finally:(fun () -> Server.shutdown srv) (fun () -> f srv))
+
+(* The publisher writes the hot set off the link: it is not part of
+   the measurement. *)
+let publish srv =
+  let pub = CC.create ~client:0 (CC.virtual_transport srv ~client:0) in
+  for f = 0 to files - 1 do
+    ok "publish open" (CC.open_ pub (hot f) Capfs.Client.WO);
+    ok "publish write"
+      (CC.write pub (hot f) ~offset:0 ~data:(String.make file_bytes 'h'));
+    ok "publish close" (CC.close_ pub (hot f))
+  done;
+  CC.disconnect pub
+
+(* One measured run: every workstation is a fibre of one link's
+   scheduler, running [session] over its own transport on the shared
+   medium. Returns the payload bytes carried, the elapsed link time and
+   each session's result. *)
+let measure srv session =
   let s = Sched.create ~clock:`Virtual () in
-  let carried = ref 0 and elapsed = ref 0. in
-  ignore
-    (Sched.spawn s (fun () ->
-         let drv =
-           Driver.create s
-             (Driver.mem_transport ~sector_bytes:512 ~total_sectors:65536 s ())
-         in
-         let layout = Lfs.format_and_mount s drv ~block_bytes:4096 in
-         let fs =
-           Capfs.Fsys.create
-             ~cache_config:(Cache.default_config ~capacity_blocks:512)
-             ~layout s
-         in
-         let server_fs = Capfs.Client.create fs in
-         let net = Netlink.ethernet_10 s in
-         let server = Cc_server.create server_fs net in
-         (* publish the hot set *)
-         let publisher = Cc_client.attach server ~client_id:0 ~cache_blocks:64 in
-         for f = 0 to files - 1 do
-           let p = Printf.sprintf "/hot%d" f in
-           Cc_client.open_ publisher p Cc_server.Write;
-           Cc_client.write publisher p ~offset:0
-             (Data.of_string (String.make file_bytes 'h'));
-           Cc_client.close_ publisher p
-         done;
-         let base_bytes = Netlink.bytes_carried net in
-         let t0 = Sched.now s in
-         let remaining = ref workstations in
-         let all_done = Sched.new_event s in
-         for w = 1 to workstations do
-           ignore
-             (Sched.spawn s (fun () ->
-                  let c = Cc_client.attach server ~client_id:w ~cache_blocks in
-                  for _ = 1 to rounds do
-                    for f = 0 to files - 1 do
-                      let p = Printf.sprintf "/hot%d" f in
-                      Cc_client.open_ c p Cc_server.Read;
-                      ignore (Cc_client.read c p ~offset:0 ~bytes:file_bytes);
-                      Cc_client.close_ c p
-                    done
-                  done;
-                  decr remaining;
-                  if !remaining = 0 then Sched.broadcast s all_done))
-         done;
-         Sched.await s all_done;
-         carried := Netlink.bytes_carried net - base_bytes;
-         elapsed := Sched.now s -. t0));
+  let net = Netlink.ethernet_10 s in
+  let results = ref [] in
+  for w = 1 to workstations do
+    ignore
+      (Sched.spawn s (fun () ->
+           let tr = CC.over_link net (CC.virtual_transport srv ~client:w) in
+           let r = session ~client:w tr in
+           results := r :: !results))
+  done;
   Sched.run s;
-  (!carried, !elapsed)
+  (Netlink.bytes_carried net, Netlink.now net, !results)
+
+(* The cache-off baseline: a plain Open/Read/Close per read, one
+   request in flight, as loadgen's cache-off path speaks. *)
+let uncached ~client (tr : CC.transport) =
+  let call req =
+    let opcode, payload = Wire.encode_request req in
+    ok "send" (tr.t_send [ { Frame.req_id = 1; opcode; payload } ]);
+    match ok "recv" (tr.t_recv ~block:true) with
+    | None -> failwith "recv: connection closed"
+    | Some f -> (
+      match ok "decode" (Wire.decode_reply ~opcode:f.opcode f.payload) with
+      | Wire.Err e -> failwith ("reply: " ^ Capfs_core.Errno.to_string e)
+      | _ -> ())
+  in
+  for _ = 1 to rounds do
+    for f = 0 to files - 1 do
+      let path = hot f in
+      call (Wire.Open { client; path; mode = Capfs.Client.RO });
+      call (Wire.Read { client; path; offset = 0; count = file_bytes });
+      call (Wire.Close { client; path })
+    done
+  done;
+  tr.t_close ()
+
+(* The cached run: open the hot set once, re-read it [rounds] times,
+   close it. The files stay open because a close drops their blocks.
+   Returns the block hits and misses. *)
+let cached ~client tr =
+  let c = CC.create ~client tr in
+  for f = 0 to files - 1 do
+    ok "open" (CC.open_ c (hot f) Capfs.Client.RO)
+  done;
+  for _ = 1 to rounds do
+    for f = 0 to files - 1 do
+      ignore (ok "read" (CC.read c (hot f) ~offset:0 ~count:file_bytes))
+    done
+  done;
+  for f = 0 to files - 1 do
+    ok "close" (CC.close_ c (hot f))
+  done;
+  CC.disconnect c;
+  (CC.local_hits c, CC.remote_misses c)
+
+(* The consistency coda: a reader shares a file with a writer. The
+   reader opens first, so its open invalidates the writer, which goes
+   write-through: each read sees the write before it. *)
+let write_sharing srv =
+  let client id =
+    CC.create ~client:id (CC.virtual_transport srv ~client:id)
+  in
+  let writer = client 11 and reader = client 12 in
+  ok "writer open" (CC.open_ writer "/status" Capfs.Client.WO);
+  ok "reader open" (CC.open_ reader "/status" Capfs.Client.RO);
+  let seen =
+    List.map
+      (fun v ->
+        ok "write" (CC.write writer "/status" ~offset:0 ~data:v);
+        (v, ok "read" (CC.read reader "/status" ~offset:0 ~count:8)))
+      [ "booting "; "running!" ]
+  in
+  CC.disconnect writer;
+  CC.disconnect reader;
+  seen
 
 let () =
+  let off, on, seen =
+    with_server (fun srv ->
+        publish srv;
+        let off = measure srv uncached in
+        let on = measure srv cached in
+        (off, on, write_sharing srv))
+  in
+  let uncached_bytes, uncached_time, _ = off
+  and cached_bytes, cached_time, counts = on in
+  let hits, misses =
+    List.fold_left (fun (h, m) (h', m') -> (h + h', m + m')) (0, 0) counts
+  in
+  let mb b = float_of_int b /. 1048576. in
   Format.printf
     "%d workstations re-read %d x %d KB files %d times over 10 Mbit/s \
      Ethernet:@."
     workstations files (file_bytes / 1024) rounds;
-  let uncached_bytes, uncached_time = run ~cache_blocks:1 in
-  let cached_bytes, cached_time = run ~cache_blocks:256 in
   Format.printf "  no client cache:   %6.1f MB on the wire, %6.2f s@."
-    (float_of_int uncached_bytes /. 1048576.)
-    uncached_time;
-  Format.printf "  with client cache: %6.1f MB on the wire, %6.2f s@."
-    (float_of_int cached_bytes /. 1048576.)
-    cached_time;
+    (mb uncached_bytes) uncached_time;
+  Format.printf
+    "  with client cache: %6.1f MB on the wire, %6.2f s (%d local hits, %d \
+     misses)@."
+    (mb cached_bytes) cached_time hits misses;
   Format.printf "  traffic saved: %.0f%%, latency saved: %.0f%%@."
     (100. *. (1. -. (float_of_int cached_bytes /. float_of_int uncached_bytes)))
     (100. *. (1. -. (cached_time /. uncached_time)));
-  (* the consistency coda: writer + reader share a file; the reader can
-     never see stale contents *)
-  let s = Sched.create ~clock:`Virtual () in
-  ignore
-    (Sched.spawn s (fun () ->
-         let drv =
-           Driver.create s
-             (Driver.mem_transport ~sector_bytes:512 ~total_sectors:32768 s ())
-         in
-         let layout = Lfs.format_and_mount s drv ~block_bytes:4096 in
-         let fs =
-           Capfs.Fsys.create
-             ~cache_config:(Cache.default_config ~capacity_blocks:128)
-             ~layout s
-         in
-         let server = Cc_server.create (Capfs.Client.create fs)
-             (Netlink.ethernet_10 s) in
-         let a = Cc_client.attach server ~client_id:1 ~cache_blocks:64 in
-         let b = Cc_client.attach server ~client_id:2 ~cache_blocks:64 in
-         Cc_client.open_ a "/status" Cc_server.Write;
-         Cc_client.write a "/status" ~offset:0 (Data.of_string "booting ");
-         Cc_client.open_ b "/status" Cc_server.Read;
-         Format.printf "@.write sharing: reader sees %S"
-           (Data.to_string (Cc_client.read b "/status" ~offset:0 ~bytes:8));
-         Cc_client.write a "/status" ~offset:0 (Data.of_string "running!");
-         Format.printf " then %S — never stale.@."
-           (Data.to_string (Cc_client.read b "/status" ~offset:0 ~bytes:8));
-         Cc_client.close_ a "/status";
-         Cc_client.close_ b "/status"));
-  Sched.run s
+  let stale = List.filter (fun (wrote, read) -> wrote <> read) seen in
+  Format.printf "@.write sharing: reader sees %s — %s.@."
+    (String.concat " then "
+       (List.map (fun (_, r) -> Printf.sprintf "%S" r) seen))
+    (if stale = [] then "never stale" else "STALE");
+  if stale <> [] || 2 * cached_bytes >= uncached_bytes then exit 1

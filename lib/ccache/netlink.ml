@@ -9,34 +9,18 @@ type t = {
   latency : float;
   medium : Sync.Mutex.t;
   mutable carried : int;
-  c_transfer : Capfs_stats.Counter.t;
-  nname : string;
 }
 
-let create ?registry ?(name = "net") ~bandwidth_bytes_per_sec ~latency sched =
-  if bandwidth_bytes_per_sec <= 0. then invalid_arg "Netlink.create: bandwidth";
-  let c_transfer =
-    match registry with
-    | Some r ->
-      Capfs_stats.Registry.register r
-        (Capfs_stats.Stat.scalar (name ^ ".transfer"));
-      Capfs_stats.Registry.counter r (name ^ ".transfer")
-    | None -> Capfs_stats.Counter.null
-  in
+let ethernet_10 sched =
   {
     sched;
-    bandwidth = bandwidth_bytes_per_sec;
-    latency;
-    medium = Sync.Mutex.create ~name sched;
+    bandwidth = 10.0e6 /. 8.;
+    latency = 0.5e-3;
+    medium = Sync.Mutex.create ~name:"ether10" sched;
     carried = 0;
-    c_transfer;
-    nname = name;
   }
 
-let ethernet_10 ?registry sched =
-  create ?registry ~name:"ether10"
-    ~bandwidth_bytes_per_sec:(10.0e6 /. 8.)
-    ~latency:0.5e-3 sched
+let now t = Sched.now t.sched
 
 module Frame = struct
   module Errno = Capfs_core.Errno
@@ -243,7 +227,6 @@ let transfer t ~bytes =
   Sync.Mutex.with_lock t.medium (fun () ->
       let dt = t.latency +. (float_of_int wire /. t.bandwidth) in
       Sched.sleep t.sched dt;
-      t.carried <- t.carried + bytes;
-      Capfs_stats.Counter.record t.c_transfer dt)
+      t.carried <- t.carried + bytes)
 
 let bytes_carried t = t.carried

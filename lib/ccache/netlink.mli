@@ -4,8 +4,7 @@
     and client cache performance" (§3) the framework needs the wire too.
     A link charges each message a fixed per-RPC latency plus payload
     serialization time, and models half-duplex contention: concurrent
-    senders share the medium (10 Mbit/s Ethernet of the era by
-    default). *)
+    senders share the medium (10 Mbit/s Ethernet of the era). *)
 
 (** One shared medium. The link is a mutex around a time charge: a
     message holds the medium for [latency + wire_bytes / bandwidth]
@@ -15,29 +14,19 @@
 type t
 
 (** [ethernet_10 sched] — 10 Mbit/s, 0.5 ms per-message latency: a
-    1990s departmental LAN. *)
-val ethernet_10 : ?registry:Capfs_stats.Registry.t -> Capfs_sched.Sched.t -> t
+    1990s departmental LAN, timed on [sched]'s clock. *)
+val ethernet_10 : Capfs_sched.Sched.t -> t
 
-(** [create ~bandwidth_bytes_per_sec ~latency sched] builds a link with
-    the given serialization rate and fixed per-message setup cost
-    (propagation + protocol processing, charged once per
-    {!transfer}). With [registry], per-message medium time is recorded
-    under [<name>.transfer] ([name] defaults to ["netlink"]). *)
-val create :
-  ?registry:Capfs_stats.Registry.t ->
-  ?name:string ->
-  bandwidth_bytes_per_sec:float ->
-  latency:float ->
-  Capfs_sched.Sched.t ->
-  t
+(** The link's clock: [sched]'s current time. *)
+val now : t -> float
 
 (** [transfer t ~bytes] blocks the calling fibre for the message's time
     on the (contended) medium. Framing: [bytes] is payload only; a
     fixed 160-byte header — Ethernet + IP + UDP + RPC overhead of an
     NFS-era packet — is added per message, so zero-payload RPCs (open,
     close, callbacks) still pay for a real packet. One [transfer] is
-    one message: callers model a request/reply exchange as two
-    transfers, and large reads/writes as one transfer per block. *)
+    one message: [Capfs_pfs.Cached_client.over_link] charges one per
+    frame each way, so a request/reply exchange costs two. *)
 val transfer : t -> bytes:int -> unit
 
 (** Total payload bytes carried so far (both directions, headers

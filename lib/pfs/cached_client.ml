@@ -1,7 +1,8 @@
-(* The leased client cache: Cc_client's hit/miss/invalidate machine
-   re-cut onto the PFS wire protocol. See cached_client.mli. *)
+(* The leased client cache: Sprite-style client caching on the PFS wire
+   protocol. See cached_client.mli. *)
 
-module Frame = Capfs_ccache.Netlink.Frame
+module Netlink = Capfs_ccache.Netlink
+module Frame = Netlink.Frame
 module Data = Capfs_disk.Data
 module Errno = Capfs_core.Errno
 
@@ -466,11 +467,15 @@ let mkdir t path =
 
 let delete t path =
   drain_pushes t;
-  (match Hashtbl.find_opt t.handles path with
-  | Some h ->
-    Hashtbl.reset h.h_blocks;
-    Hashtbl.remove t.handles path
-  | None -> ());
+  if Hashtbl.mem t.handles path then begin
+    (* dirty blocks die with the file, but the grant and the volume
+       open must go first: a holder left behind keeps the path
+       write-shared for everyone else and turns this client's next
+       open into a renewal that skips the create. The Delete's reply
+       is the answer either way. *)
+    Hashtbl.remove t.handles path;
+    ignore (rpc t (Wire.Close { client = t.client; path }))
+  end;
   unit_rpc t (Wire.Delete path)
 
 let stat t path =
@@ -649,4 +654,24 @@ let virtual_transport ?now server ~client =
     t_recv;
     t_now = (match now with Some f -> f | None -> fun () -> 0.);
     t_close = (fun () -> Server.unregister_pusher server ~client);
+  }
+
+let over_link net tr =
+  let charge (f : Frame.t) =
+    Netlink.transfer net ~bytes:(String.length f.payload)
+  in
+  {
+    tr with
+    t_send =
+      (fun frames ->
+        List.iter charge frames;
+        tr.t_send frames);
+    t_recv =
+      (fun ~block ->
+        match tr.t_recv ~block with
+        | Ok (Some f) as r ->
+          charge f;
+          r
+        | r -> r);
+    t_now = (fun () -> Netlink.now net);
   }

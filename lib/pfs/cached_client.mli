@@ -1,14 +1,13 @@
-(** The leased client cache: {!Capfs_ccache.Cc_client}'s
-    hit/miss/invalidate machine re-cut onto the PFS wire protocol.
+(** The leased client cache: Sprite-style client caching (the paper's
+    §3 future work) on the PFS wire protocol.
 
-    Where [Cc_client] calls its server through a function, this client
-    speaks {!Wire} over a {!transport} — the same state machine
-    (version-checked grants, delayed writes for sole holders,
-    write-through under concurrent sharing, push-driven invalidation)
-    now survives a serialization boundary. A repeated read of a granted
-    file touches no wire at all; misses for a multi-block read go out
-    as {e one} batched send ({!Wire.Batch}); dirty blocks go home as
-    {e one} {!Wire.request.Writeback} frame at close or lease expiry.
+    The client speaks {!Wire} over a {!transport}: version-checked
+    grants, delayed writes for sole holders, write-through under
+    concurrent sharing, push-driven invalidation. A repeated read of a
+    granted file touches no wire at all; misses for a multi-block read
+    go out as {e one} batched send ({!Wire.Batch}); dirty blocks go
+    home as {e one} {!Wire.request.Writeback} frame at close or lease
+    expiry.
 
     Consistency contract (close-to-open, Sprite's rules):
     - An {!open_} asks for a grant; a version newer than the cached one
@@ -20,6 +19,14 @@
     - An in-flight fetch that races an invalidation is {e served} to
       the caller (the read was issued first) but {e not cached} — the
       per-handle epoch guard.
+    - There is no synchronous recall: a writer's delayed writes reach
+      the server at its next operation, close or lease expiry. A
+      reader that opens {e before} the writes invalidates the writer,
+      which flushes and goes write-through, so the reader sees each
+      write as it happens.
+    - A handle keeps every block it has read or written until close or
+      invalidation; there is no block bound. {!close_} drops the
+      blocks, so a re-open starts cold.
     - Leases are enforced here, not at the server: when the grant's
       [lease_s] lapses, local service stops until a flush + renewal
       round trip succeeds. A write-through handle renews too — the
@@ -28,9 +35,10 @@
 
     The client is single-threaded: one fibre (or the test harness)
     drives it. It runs unchanged over a real socket
-    ({!socket_transport}) and an in-process virtual-clock server
-    ({!virtual_transport}) — the cut-and-paste claim, applied to the
-    client half of the protocol. *)
+    ({!socket_transport}), an in-process virtual-clock server
+    ({!virtual_transport}) and a simulated Ethernet ({!over_link}) —
+    the cut-and-paste claim, applied to the client half of the
+    protocol. *)
 
 type t
 
@@ -76,7 +84,9 @@ val close_ : t -> string -> (unit, Capfs_core.Errno.t) result
 
 val mkdir : t -> string -> (unit, Capfs_core.Errno.t) result
 
-(** Drops any cached state for [path] before asking the server. *)
+(** Drops any cached state for [path] (dirty blocks are discarded)
+    and, when [path] is open, sends [Close] before [Delete] so the
+    server releases this client's grant and volume open. *)
 val delete : t -> string -> (unit, Capfs_core.Errno.t) result
 
 val stat : t -> string -> (Wire.stat, Capfs_core.Errno.t) result
@@ -125,3 +135,15 @@ val socket_transport :
     pusher. *)
 val virtual_transport :
   ?now:(unit -> float) -> Server.t -> client:int -> transport
+
+(** [over_link net tr] — [tr] with every frame charged to the simulated
+    link [net]: each frame handed to [t_send] costs one
+    {!Capfs_ccache.Netlink.transfer} of its payload before it is sent,
+    each frame [t_recv] returns costs one after it arrives, and a poll
+    that finds nothing costs nothing. [t_now] is the link's virtual
+    clock ({!Capfs_ccache.Netlink.now}), so leases lapse in simulated
+    time. The caller must run in a fibre of the link's scheduler:
+    [transfer] blocks that fibre. The link clock measures network time
+    only — a wrapped {!virtual_transport}'s server work runs on the
+    shards' own clocks and is not charged here. *)
+val over_link : Capfs_ccache.Netlink.t -> transport -> transport

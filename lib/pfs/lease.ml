@@ -1,7 +1,7 @@
-(* Per-path grant state for the leased client cache: the Cc_server
-   version/holder machine (lib/ccache) re-cut for the wire. Mutex-guarded
-   because shard fibres on different domains consult it; operations are
-   short and allocation-free on the hot path.
+(* Per-path grant state for the leased client cache: Sprite's
+   version/holder machine, one table per server. Mutex-guarded because
+   shard fibres on different domains consult it; operations are short
+   and allocation-free on the hot path.
 
    The server never blocks on a client (no Sprite-style synchronous
    recall): a write-open bumps the version and *pushes* Invalidate
@@ -98,12 +98,11 @@ let open_grant t ~client ~path ~write =
         gi_invalidate = invalidate;
       })
 
-(* Unlike the simulated Cc_server (which waits for every holder to
-   leave), caching may resume as soon as the last writer departs: a
-   writer's close commits its dirty blocks in the same Writeback frame,
-   so the server copy is current the moment no writer holds the file.
-   Surviving readers pick the good news up at their next lease
-   renewal. *)
+(* Unlike Sprite (which waits for every holder to leave), caching may
+   resume as soon as the last writer departs: a writer's close commits
+   its dirty blocks in the same Writeback frame, so the server copy is
+   current the moment no writer holds the file. Surviving readers pick
+   the good news up at their next lease renewal. *)
 let refresh_cacheable st =
   if not (List.exists (fun h -> h.h_write) st.holders) then
     st.cacheable <- true

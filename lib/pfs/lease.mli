@@ -1,13 +1,13 @@
 (** Per-path grant state for the leased client cache.
 
-    {!Capfs_ccache.Cc_server}'s version/holder machine re-cut for the
-    socket protocol: a write-open bumps the file version and names the
-    other holders to push {!Wire.push.Invalidate} frames to; concurrent
-    write sharing (a writer plus any other holder) turns the file
-    uncacheable until every holder closes, exactly Sprite's rule. The
-    server never blocks on a client — there is no synchronous recall;
-    a reader arriving on a delayed-write file instead invalidates the
-    writer, which flushes and goes write-through.
+    Sprite's version/holder machine for the {!Cached_client} protocol:
+    a write-open bumps the file version and names the other holders to
+    push {!Wire.push.Invalidate} frames to; concurrent write sharing (a
+    writer plus any other holder) turns the file uncacheable, Sprite's
+    rule, until the last writer closes (see {!close_}). The server
+    never blocks on a client — there is no synchronous recall; a reader
+    arriving on a delayed-write file instead invalidates the writer,
+    which flushes and goes write-through.
 
     Lease durations are enforced by the {e client} (the grant carries
     the duration; local hits stop when it lapses), so holder state here

@@ -26,7 +26,7 @@
 
 type stat = { size : int; is_dir : bool }
 
-(** What an {!request.Open_grant} reply carries: the {!Capfs_ccache}
+(** What an {!request.Open_grant} reply carries: the {!Lease} table's
     consistency vocabulary on the wire. [version] bumps at every
     write-open; [cacheable] false means concurrent write sharing was
     detected and the client must write through; [lease_s] bounds how

@@ -1,9 +1,11 @@
 (* The leased client cache over the wire: local hits with zero wire
    traffic, push-driven invalidation (including one racing an in-flight
    read), lease expiry forcing a write-back + renewal, read-your-writes
-   across two clients, incremental frame reassembly, and virtual-vs-real
-   parity — the same client state machine over Server.drive and over an
-   actual Unix socket served by Server.serve. *)
+   across two clients, sequential and concurrent write sharing, delete
+   of an open file, incremental frame reassembly, and virtual-vs-real
+   parity — the same client state machine over Server.drive and over
+   an actual Unix socket served by Server.serve. The same client over
+   the simulated Ethernet is tested in test_ccache.ml. *)
 
 module Pfs = Capfs_pfs.Pfs
 module Server = Capfs_pfs.Server
@@ -49,7 +51,10 @@ let test_hits_zero_wire () =
           ok "open wo" (CC.open_ a "/d/f" Capfs.Client.WO);
           let body = block 'a' ^ block 'b' ^ block 'c' in
           ok "write" (CC.write a "/d/f" ~offset:0 ~data:body);
+          Alcotest.(check int) "delayed writes held" 3 (CC.dirty_blocks a);
           ok "close" (CC.close_ a "/d/f");
+          (* close flushed the writes and dropped the blocks: the
+             reopened read fetches them back from the server *)
           ok "open ro" (CC.open_ a "/d/f" Capfs.Client.RO);
           let r1 = ok "read 1" (CC.read a "/d/f" ~offset:0 ~count:(3 * bb)) in
           Alcotest.(check string) "first read" body r1;
@@ -116,6 +121,66 @@ let test_read_your_writes_virtual () =
           let r2 = ok "b read v2" (CC.read b "/d/f" ~offset:0 ~count:bb) in
           Alcotest.(check string) "b sees v2" (block 'b') r2;
           Alcotest.(check bool) "b invalidated" true (CC.invalidations b >= 1);
+          (* sequential sharing: b lets go, a rewrites, b comes back *)
+          ok "b close" (CC.close_ b "/d/f");
+          ok "a reopen wo 3" (CC.open_ a "/d/f" Capfs.Client.WO);
+          ok "a write v3" (CC.write a "/d/f" ~offset:0 ~data:(block 'c'));
+          ok "a close 3" (CC.close_ a "/d/f");
+          ok "b reopen ro" (CC.open_ b "/d/f" Capfs.Client.RO);
+          let r3 = ok "b read v3" (CC.read b "/d/f" ~offset:0 ~count:bb) in
+          Alcotest.(check string) "b sees v3" (block 'c') r3;
+          Alcotest.(check bool) "b caches again" true (CC.cached_blocks b > 0);
+          CC.disconnect a;
+          CC.disconnect b))
+
+(* Concurrent write sharing: a reader opening a file a writer holds
+   turns both write-through, so every read sees the write before it. *)
+let test_concurrent_write_sharing () =
+  with_temp_base 2 (fun path ->
+      with_virtual_server path (fun srv ->
+          let w = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
+          let r = CC.create ~client:2 (CC.virtual_transport srv ~client:2) in
+          ok "mkdir" (CC.mkdir w "/d");
+          ok "writer open" (CC.open_ w "/d/log" Capfs.Client.WO);
+          ok "reader open" (CC.open_ r "/d/log" Capfs.Client.RO);
+          List.iter
+            (fun c ->
+              ok "write" (CC.write w "/d/log" ~offset:0 ~data:(block c));
+              Alcotest.(check int) "written through" 0 (CC.dirty_blocks w);
+              let got = ok "read" (CC.read r "/d/log" ~offset:0 ~count:bb) in
+              Alcotest.(check string) "reader sees the write" (block c) got;
+              Alcotest.(check int) "reader caches nothing" 0
+                (CC.cached_blocks r))
+            [ 'x'; 'y' ];
+          CC.disconnect w;
+          CC.disconnect r))
+
+(* Deleting an open file releases the grant: afterwards another client
+   caches the path again, and the deleter can create it anew. *)
+let test_delete_releases_grant () =
+  with_temp_base 2 (fun path ->
+      with_virtual_server path (fun srv ->
+          let a = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
+          let b = CC.create ~client:2 (CC.virtual_transport srv ~client:2) in
+          ok "mkdir" (CC.mkdir a "/d");
+          ok "a open wo" (CC.open_ a "/d/f" Capfs.Client.WO);
+          ok "a write" (CC.write a "/d/f" ~offset:0 ~data:(block 'a'));
+          ok "a delete" (CC.delete a "/d/f");
+          ok "b create" (CC.open_ b "/d/f" Capfs.Client.WO);
+          ok "b write" (CC.write b "/d/f" ~offset:0 ~data:(block 'b'));
+          Alcotest.(check int) "b's write is delayed" 1 (CC.dirty_blocks b);
+          ok "b close" (CC.close_ b "/d/f");
+          ok "b open ro" (CC.open_ b "/d/f" Capfs.Client.RO);
+          let r = ok "b read" (CC.read b "/d/f" ~offset:0 ~count:bb) in
+          Alcotest.(check string) "b's bytes" (block 'b') r;
+          ignore (ok "b reread" (CC.read b "/d/f" ~offset:0 ~count:bb));
+          Alcotest.(check int) "b caches" 1 (CC.cached_blocks b);
+          Alcotest.(check int) "b hits" 1 (CC.local_hits b);
+          ok "b close ro" (CC.close_ b "/d/f");
+          ok "b delete" (CC.delete b "/d/f");
+          ok "a re-create" (CC.open_ a "/d/f" Capfs.Client.WO);
+          ok "a write again" (CC.write a "/d/f" ~offset:0 ~data:(block 'c'));
+          ok "a close" (CC.close_ a "/d/f");
           CC.disconnect a;
           CC.disconnect b))
 
@@ -457,6 +522,10 @@ let suite =
       test_caching_resumes;
     Alcotest.test_case "truncate and rename invalidate" `Quick
       test_truncate_and_rename_invalidate;
+    Alcotest.test_case "concurrent write sharing" `Quick
+      test_concurrent_write_sharing;
+    Alcotest.test_case "delete releases the grant" `Quick
+      test_delete_releases_grant;
     Alcotest.test_case "frame splitter" `Quick test_splitter;
     Alcotest.test_case "virtual vs real socket parity" `Quick
       test_real_socket_parity;
