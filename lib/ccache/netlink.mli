@@ -79,7 +79,7 @@ module Frame : sig
 
   (** {!read} for a non-blocking fd inside a fibre: short reads park the
       fibre on {!Capfs_sched.Sched.wait_readable} (real clock only)
-      instead of spinning, so one listener domain multiplexes many
+      instead of spinning, so one domain multiplexes many
       connections. *)
   val read_sched :
     ?max_payload:int ->

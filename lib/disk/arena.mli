@@ -22,8 +22,8 @@ type t
     bytes. [poison] fills freed cells with [0xDE] — cheap use-after-free
     detection for tests. [shared] guards the free list with a mutex so
     cells may be allocated on one domain and released on another (e.g. a
-    read reply filled on a shard domain and freed by the listener's
-    writer fibre); refcount handoff must still be published through a
+    read reply filled on one shard's domain and freed by a connection's
+    writer fibre on another); refcount handoff must still be published through a
     lock or queue of the caller's own. *)
 val create :
   ?poison:bool -> ?shared:bool -> cell_bytes:int -> cells:int -> unit -> t

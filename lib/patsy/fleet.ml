@@ -1,119 +1,9 @@
 (* Domain-pool experiment runner. See fleet.mli for the isolation
    rules; the implementation is a work-stealing-free fixed pool: an
    atomic counter hands out job indices, each worker writes only its
-   own result slots, and [Pool.join] publishes them to the caller. *)
+   own result slots, and [Domain.join] publishes them to the caller. *)
 
 module Errno = Capfs_core.Errno
-
-module Pool = struct
-  (* Long-lived pinned worker domains. Each worker owns a one-slot job
-     channel guarded by a host mutex: [run_on] is rejected while the
-     previous job on that worker is still running, so a job never
-     migrates and two jobs never share a domain — the invariant both
-     the experiment fleet (per-domain GC accounting) and the PFS server
-     (one shard scheduler per domain) rely on. *)
-  type slot = Idle | Job of (unit -> unit) | Quit
-
-  type worker = {
-    mutable slot : slot;
-    mutable busy : bool;
-    lock : Mutex.t;
-    cond : Condition.t;
-    mutable domain : unit Domain.t option;
-  }
-
-  type t = { workers : worker array }
-
-  let worker_loop w () =
-    let rec next () =
-      Mutex.lock w.lock;
-      let rec wait () =
-        match w.slot with
-        | Idle ->
-          Condition.wait w.cond w.lock;
-          wait ()
-        | Job f ->
-          w.slot <- Idle;
-          Mutex.unlock w.lock;
-          Some f
-        | Quit ->
-          Mutex.unlock w.lock;
-          None
-      in
-      match wait () with
-      | None -> ()
-      | Some f ->
-        (* a job that raises poisons nothing: the exception is the
-           submitter's problem (captured by the closure), never the
-           pool's — mirror run_jobs, where workers classify their own
-           failures *)
-        (try f ()
-         with _ -> ());
-        Mutex.lock w.lock;
-        w.busy <- false;
-        Condition.broadcast w.cond;
-        Mutex.unlock w.lock;
-        next ()
-    in
-    next ()
-
-  let create ~size =
-    if size < 1 then invalid_arg "Fleet.Pool.create: size < 1";
-    let workers =
-      Array.init size (fun _ ->
-          {
-            slot = Idle;
-            busy = false;
-            lock = Mutex.create ();
-            cond = Condition.create ();
-            domain = None;
-          })
-    in
-    let t = { workers } in
-    Array.iter (fun w -> w.domain <- Some (Domain.spawn (worker_loop w))) workers;
-    t
-
-  let size t = Array.length t.workers
-
-  let run_on t i f =
-    let w = t.workers.(i) in
-    Mutex.lock w.lock;
-    let ok = (not w.busy) && w.slot = Idle in
-    if ok then begin
-      w.busy <- true;
-      w.slot <- Job f;
-      Condition.broadcast w.cond
-    end;
-    Mutex.unlock w.lock;
-    if not ok then invalid_arg "Fleet.Pool.run_on: worker busy"
-
-  let join_worker w =
-    Mutex.lock w.lock;
-    while w.busy || w.slot <> Idle do
-      Condition.wait w.cond w.lock
-    done;
-    Mutex.unlock w.lock
-
-  let join t = Array.iter join_worker t.workers
-
-  let shutdown t =
-    join t;
-    Array.iter
-      (fun w ->
-        Mutex.lock w.lock;
-        w.slot <- Quit;
-        Condition.broadcast w.cond;
-        Mutex.unlock w.lock)
-      t.workers;
-    Array.iter
-      (fun w ->
-        match w.domain with
-        | Some d ->
-          Domain.join d;
-          w.domain <- None
-        | None -> ())
-      t.workers
-end
 
 type job = {
   label : string;
@@ -216,17 +106,16 @@ let run_jobs ?(jobs = default_jobs ()) ~gen jl =
   in
   if jobs = 1 then worker 0 ()
   else begin
-    (* the fleet is a one-shot use of the long-lived pool: pin worker w
-       of the job loop to pool worker w, then retire the domains *)
-    let pool = Pool.create ~size:jobs in
-    let failed = Atomic.make None in
-    for w = 0 to jobs - 1 do
-      Pool.run_on pool w (fun () ->
-          try worker w ()
-          with e -> Atomic.set failed (Some e))
-    done;
-    Pool.shutdown pool;
-    match Atomic.get failed with Some e -> raise e | None -> ()
+    (* one domain per worker: join them all before re-raising the first
+       escaped exception, so no domain outlives the call *)
+    let domains = List.init jobs (fun w -> Domain.spawn (worker w)) in
+    let failed =
+      List.filter_map
+        (fun d ->
+          match Domain.join d with () -> None | exception e -> Some e)
+        domains
+    in
+    match failed with e :: _ -> raise e | [] -> ()
   end;
   Array.to_list results
   |> List.mapi (fun i r ->

@@ -26,44 +26,6 @@
       are kept as {!Failed} codes; anything else is a {!Crashed}
       exception. *)
 
-(** Long-lived pinned worker domains — the substrate both the one-shot
-    experiment fleet below and the PFS server's shard pool run on.
-
-    Each worker is one OCaml 5 domain with a one-slot job channel. A job
-    submitted with {!Pool.run_on} runs on exactly the worker named, and
-    a worker runs one job at a time — so per-domain state (GC counters
-    in the fleet, a shard's scheduler and cache in the PFS server) is
-    never shared or migrated. Workers survive between jobs: a server
-    shard parks a [Sched.run] service loop on its worker for the whole
-    life of the process. *)
-module Pool : sig
-  type t
-
-  (** [create ~size] spawns [size] worker domains, all idle. Raises
-      [Invalid_argument] when [size < 1]. Counting the calling domain,
-      keep [size < Domain.recommended_domain_count] for true
-      parallelism. *)
-  val create : size:int -> t
-
-  val size : t -> int
-
-  (** [run_on t i f] starts [f ()] on worker [i]. Raises
-      [Invalid_argument] if that worker is still running a previous job
-      — the pool hands out {e placement}, not queueing; callers that
-      want a queue put one in [f]'s closure (the PFS server's ingress
-      queues). A job's uncaught exception is discarded: jobs must
-      report failure through their own channel (the fleet captures
-      per-job failures; the server's shard loops trap their own). *)
-  val run_on : t -> int -> (unit -> unit) -> unit
-
-  (** Block until every worker is idle. *)
-  val join : t -> unit
-
-  (** {!join}, then retire every worker domain. The pool must not be
-      used afterwards. *)
-  val shutdown : t -> unit
-end
-
 type job = {
   label : string;             (** display / report key, unique per job *)
   trace : string;             (** trace name, passed to [gen] *)

@@ -1,6 +1,5 @@
 module Sched = Capfs_sched.Sched
 module Errno = Capfs_core.Errno
-module Pool = Capfs_patsy.Fleet.Pool
 module Frame = Capfs_ccache.Netlink.Frame
 module Counter = Capfs_stats.Counter
 module Registry = Capfs_stats.Registry
@@ -12,13 +11,12 @@ let src = Logs.Src.create "capfs.server" ~doc:"sharded PFS server"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type job = { req : Wire.request; complete : Wire.reply -> unit }
-
-(* Consistency and data-plane state common to every shard and the
-   listener: the lease table (any shard may grant or invalidate), the
-   push sinks (client id -> how to reach its connection), the shared
-   reply arena (read payloads filled on shard domains, blitted and
-   freed on the listener — hence [~shared]), and the wire counters. *)
+(* Consistency and data-plane state common to every shard: the lease
+   table (any shard may grant or invalidate), the push sinks (client id
+   -> how to reach its connection), the shared reply arena (read
+   payloads filled on the serving shard's domain, blitted and freed by
+   the connection's writer, which may live on another — hence
+   [~shared]), and the wire counters. *)
 type shared = {
   lease : Lease.t;
   pushers : (int, Wire.push -> unit) Hashtbl.t;
@@ -31,28 +29,53 @@ type shared = {
   w_batched : int Atomic.t; (* messages that rode a Batch container *)
 }
 
+(* One outbound message: a typed reply still owning its (possibly
+   arena-backed) payload, or a pre-encoded frame body (server pushes). *)
+type out_msg =
+  | Reply of { req_id : int; opcode : int; reply : Wire.reply }
+  | Raw of { req_id : int; opcode : int; payload : string }
+
 type shard = {
   s_index : int;
   volume : Pfs.t;
   s_shared : shared;
   s_registry : Registry.t;
-  inbox : job Queue.t;
+  inbox : (unit -> unit) Queue.t;
+      (* work other domains hand this one: a request, a reply or push
+         owed to one of its connections, a connection to host *)
   lock : Mutex.t;
   in_flight : int Atomic.t;
   stopping : bool Atomic.t;
   wake : (Unix.file_descr * Unix.file_descr) option;
-      (* (read, write) self-pipe, real clock only: submitters poke the
+      (* (read, write) self-pipe, real clock only: posters poke the
          write end, the shard's pump fibre parks on the read end *)
+  mutable conns : conn list; (* hosted here; touched only on this domain *)
   c_submitted : Counter.t;
   c_rejected : Counter.t;
   c_completed : Counter.t;
+}
+
+(* A socket connection lives on one shard's domain: its reader and
+   writer fibres run on that shard's scheduler. *)
+and conn = {
+  fd : Unix.file_descr;
+  home : shard;
+  outbox : out_msg Queue.t;
+  out_ev : Sched.event;
+  mutable closed : bool;
+  mutable batch_ok : bool;
+      (* peer has spoken the batch/grant vocabulary: it can decode a
+         Batch container, and pushes may be sent to it *)
+  mutable gather : Bytes.t; (* reusable writer buffer, grows to fit *)
+  mutable pusher_ids : int list; (* client ids registered via Open_grant *)
+  mutable fibres : int; (* live reader/writer fibres; the last closes [fd] *)
 }
 
 type t = {
   config : Pfs.Config.t;
   shards : shard array;
   shared : shared;
-  pool : Pool.t option; (* one pinned domain per shard under [`Real] *)
+  domains : unit Domain.t array; (* one per shard under [`Real], else none *)
   stopped : bool Atomic.t;
 }
 
@@ -67,8 +90,8 @@ let unregister_pusher t ~client =
   Mutex.unlock t.shared.pushers_lock
 
 (* Fan an [Invalidate] out to the named clients' connections. Runs on a
-   shard domain mid-[exec]; real-connection sinks only enqueue on the
-   listener's completion queue, so no I/O happens under the lock. *)
+   shard domain mid-[exec]; connection sinks only enqueue (here or on
+   the connection's domain), so no I/O happens under the lock. *)
 let deliver_invalidations sd ~path ~version clients =
   if clients <> [] then begin
     Mutex.lock sd.pushers_lock;
@@ -255,26 +278,48 @@ let exec sh req =
     (* server-level operations never reach a shard *)
     Wire.Err Errno.EINVAL
 
-let run_job sh job =
-  let reply =
-    try exec sh job.req with
-    | Errno.Error e -> Wire.Err e
-    | e ->
-      Log.err (fun m ->
-          m "shard %d: request crashed: %s" sh.s_index (Printexc.to_string e));
-      Wire.Err Errno.EIO
-  in
-  Atomic.decr sh.in_flight;
-  Counter.incr sh.c_completed;
-  job.complete reply
+(* [complete] runs before the slot is released: a shard at rest owes
+   no reply to anyone, which is what the shutdown drain waits for. *)
+let start_job sh req complete =
+  Counter.incr sh.c_submitted;
+  ignore
+    (Sched.spawn sh.volume.Pfs.sched ~name:"shard.req" (fun () ->
+         let reply =
+           try exec sh req with
+           | Errno.Error e -> Wire.Err e
+           | e ->
+             Log.err (fun m ->
+                 m "shard %d: request crashed: %s" sh.s_index
+                   (Printexc.to_string e));
+             Wire.Err Errno.EIO
+         in
+         Counter.incr sh.c_completed;
+         complete reply;
+         Atomic.decr sh.in_flight))
 
-(* {2 Admission and submission}
+(* {2 Domains and the inbox}
 
-   [submit] runs on the caller's domain (listener or test); everything
-   after the inbox hand-off runs on the shard's. The admission check is
-   a CAS loop on [in_flight]: a full shard answers a typed [EAGAIN]
-   {e before} any queueing happens, so overload costs the client one
-   round-trip and the server almost nothing. *)
+   Under [`Real] each shard's domain runs one scheduler for the whole
+   life of its requests: the connection fibres it hosts, the requests
+   it serves, their replies. Only work that crosses domains goes
+   through the target's inbox and self-pipe. Under [`Virtual] there
+   are no shard domains; every hand-off goes through the inbox and
+   {!drive} pumps it. *)
+
+(* The shard whose domain the caller is running on, if any: set once,
+   when a shard's domain starts. *)
+let domain_shard : shard option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let on_domain sh =
+  match Domain.DLS.get domain_shard with Some s -> s == sh | None -> false
+
+let close_wake sh =
+  Option.iter
+    (fun (r, w) ->
+      Unix.close r;
+      Unix.close w)
+    sh.wake
 
 let poke sh =
   match sh.wake with
@@ -286,27 +331,51 @@ let poke sh =
       () (* pipe full: the pump is already overdue to wake *)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
+(* Hand [f] to [sh]'s domain: it runs there at the next inbox drain,
+   outside any request, and must not block. *)
+let post sh f =
+  Mutex.lock sh.lock;
+  Queue.push f sh.inbox;
+  Mutex.unlock sh.lock;
+  poke sh
+
+(* Run [f] on [sh]'s domain: right here when the caller is already
+   on it, else through the inbox. *)
+let on_shard sh f = if on_domain sh then f () else post sh f
+
+(* Run everything posted so far; [true] when there was anything. *)
+let run_inbox sh =
+  Mutex.lock sh.lock;
+  let posted = List.rev (Queue.fold (fun acc f -> f :: acc) [] sh.inbox) in
+  Queue.clear sh.inbox;
+  Mutex.unlock sh.lock;
+  List.iter (fun f -> f ()) posted;
+  posted <> []
+
+(* {2 Admission and submission}
+
+   [submit] runs on the caller's domain. The admission check is a CAS
+   loop on [in_flight]: a full shard answers a typed [EAGAIN] {e before}
+   any queueing happens, so overload costs the client one round-trip
+   and the server almost nothing. An admitted request for the caller's
+   own shard is spawned right here; any other goes through its shard's
+   inbox. Every counter of a shard is written on its own domain, so a
+   refusal made elsewhere is counted through the inbox too. *)
+
 let rec admit sh limit =
   let cur = Atomic.get sh.in_flight in
   if limit > 0 && cur >= limit then false
   else if Atomic.compare_and_set sh.in_flight cur (cur + 1) then true
   else admit sh limit
 
-let submit_to_shard t sh job =
-  if Atomic.get sh.stopping then begin
-    Counter.incr sh.c_rejected;
-    Error Errno.EAGAIN
-  end
-  else if not (admit sh t.config.Pfs.Config.admission) then begin
-    Counter.incr sh.c_rejected;
+let submit_to_shard t sh req complete =
+  if Atomic.get sh.stopping || not (admit sh t.config.Pfs.Config.admission)
+  then begin
+    on_shard sh (fun () -> Counter.incr sh.c_rejected);
     Error Errno.EAGAIN
   end
   else begin
-    Mutex.lock sh.lock;
-    Queue.push job sh.inbox;
-    Mutex.unlock sh.lock;
-    Counter.incr sh.c_submitted;
-    poke sh;
+    on_shard sh (fun () -> start_job sh req complete);
     Ok ()
   end
 
@@ -344,7 +413,7 @@ let fan_out t req ~complete =
         replies.(i) <- r;
         finish 1
       in
-      match submit_to_shard t sh { req; complete } with
+      match submit_to_shard t sh req complete with
       | Ok () -> ()
       | Error e ->
         replies.(i) <- Wire.Err e;
@@ -364,34 +433,19 @@ let submit t req ~complete =
   | Rename { src; dst } when route t src <> route t dst -> Error Errno.EXDEV
   | _ -> (
     match Wire.route_path req with
-    | Some path -> submit_to_shard t t.shards.(route t path) { req; complete }
+    | Some path -> submit_to_shard t t.shards.(route t path) req complete
     | None -> Error Errno.EINVAL (* [Stats]/[Shutdown]: server-level *))
 
 (* {2 The shard service loop}
 
-   Real clock: the shard lives on a pinned pool worker. A non-daemon
-   pump fibre parks on the self-pipe; every wake drains the inbox and
-   spawns one fibre per request. When [stopping] is observed the pump
-   drains once more and exits — [Sched.run] then winds down the
-   remaining request fibres and the worker shuts the volume. *)
+   A non-daemon pump fibre parks on the self-pipe and runs whatever
+   other domains posted. When [stopping] is observed it keeps draining
+   until no shard has a request in flight — every reply owed to this
+   domain's connections has then been posted — gives the writer fibres
+   one breath, drains once more and exits. [Sched.run] then returns,
+   and the domain syncs and closes its volume. *)
 
-let drain sh =
-  Mutex.lock sh.lock;
-  let jobs = List.rev (Queue.fold (fun acc j -> j :: acc) [] sh.inbox) in
-  Queue.clear sh.inbox;
-  Mutex.unlock sh.lock;
-  jobs
-
-let spawn_jobs sh jobs =
-  let sched = sh.volume.Pfs.sched in
-  List.iter
-    (fun job ->
-      ignore
-        (Sched.spawn sched ~name:"shard.req" (fun () -> run_job sh job)))
-    jobs;
-  jobs <> []
-
-let pump sh =
+let pump shards sh =
   let sched = sh.volume.Pfs.sched in
   let r = match sh.wake with Some (r, _) -> r | None -> assert false in
   let buf = Bytes.create 256 in
@@ -402,37 +456,53 @@ let pump sh =
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       -> ());
-    ignore (spawn_jobs sh (drain sh));
-    if Atomic.get sh.stopping then ignore (spawn_jobs sh (drain sh))
-    else loop ()
+    ignore (run_inbox sh);
+    if Atomic.get sh.stopping then wind_down () else loop ()
+  and wind_down () =
+    if Array.exists (fun s -> Atomic.get s.in_flight > 0) shards then begin
+      Sched.sleep sched 0.001;
+      ignore (run_inbox sh);
+      wind_down ()
+    end
+    else begin
+      Sched.sleep sched 0.05;
+      ignore (run_inbox sh)
+    end
   in
   loop ()
 
-let shard_main sh () =
+let shard_main shards sh () =
+  Domain.DLS.set domain_shard (Some sh);
   let sched = sh.volume.Pfs.sched in
-  ignore (Sched.spawn sched ~name:"shard.pump" (fun () -> pump sh));
-  (try Sched.run sched with
-  | e ->
-    Log.err (fun m ->
-        m "shard %d: scheduler died: %s" sh.s_index (Printexc.to_string e)));
-  Pfs.shutdown sh.volume
+  ignore (Sched.spawn sched ~name:"shard.pump" (fun () -> pump shards sh));
+  let guard what f =
+    try f ()
+    with e ->
+      Log.err (fun m ->
+          m "shard %d: %s: %s" sh.s_index what (Printexc.to_string e))
+  in
+  guard "scheduler died" (fun () -> Sched.run sched);
+  guard "volume shutdown failed" (fun () -> Pfs.shutdown sh.volume);
+  (* connections still open at shutdown; their fibres never run again *)
+  List.iter
+    (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
+    sh.conns
 
-(* Virtual clock: no domains, no pipes — the caller pumps explicitly.
-   [drive] drains every inbox, runs every shard scheduler to
-   quiescence, and repeats until nothing moved (a completion may submit
-   follow-up work). Identical request path — only the wake-up mechanism
-   differs. *)
+(* Virtual clock: the caller pumps explicitly. [drive] runs every
+   inbox, runs every shard scheduler to quiescence, and repeats until
+   nothing moved (a completion may submit follow-up work). Identical
+   request path — only the wake-up mechanism differs. *)
+
+let real t = t.config.Pfs.Config.clock = `Real
 
 let drive t =
-  (match t.pool with
-  | Some _ -> invalid_arg "Server.drive: real-clock server pumps itself"
-  | None -> ());
+  if real t then invalid_arg "Server.drive: real-clock server pumps itself";
   let progress = ref true in
   while !progress do
     progress := false;
     Array.iter
       (fun sh ->
-        if spawn_jobs sh (drain sh) then begin
+        if run_inbox sh then begin
           progress := true;
           Sched.run sh.volume.Pfs.sched
         end)
@@ -477,11 +547,7 @@ let create ?injector (cfg : Pfs.Config.t) =
       List.iter
         (fun sh ->
           Pfs.shutdown sh.volume;
-          match sh.wake with
-          | Some (r, w) ->
-            Unix.close r;
-            Unix.close w
-          | None -> ())
+          close_wake sh)
         !built
     in
     match
@@ -526,6 +592,7 @@ let create ?injector (cfg : Pfs.Config.t) =
               in_flight = Atomic.make 0;
               stopping = Atomic.make false;
               wake;
+              conns = [];
               c_submitted;
               c_rejected;
               c_completed;
@@ -538,15 +605,12 @@ let create ?injector (cfg : Pfs.Config.t) =
       Error e
     | () ->
       let shards = Array.of_list (List.rev !built) in
-      let pool =
-        if real then begin
-          let pool = Pool.create ~size:n in
-          Array.iteri (fun i sh -> Pool.run_on pool i (shard_main sh)) shards;
-          Some pool
-        end
-        else None
+      let domains =
+        if real then
+          Array.map (fun sh -> Domain.spawn (shard_main shards sh)) shards
+        else [||]
       in
-      Ok { config = cfg; shards; shared; pool; stopped = Atomic.make false })
+      Ok { config = cfg; shards; shared; domains; stopped = Atomic.make false })
 
 (* {2 Statistics} *)
 
@@ -623,25 +687,18 @@ let rec shutdown t =
 
 and shutdown_once t =
   Array.iter (fun sh -> Atomic.set sh.stopping true) t.shards;
-  match t.pool with
-  | Some pool ->
+  if real t then begin
     Array.iter poke t.shards;
-    Pool.shutdown pool;
+    Array.iter Domain.join t.domains;
+    Array.iter close_wake t.shards
+  end
+  else begin
+    (* run whatever was still queued, then close each volume *)
     Array.iter
-      (fun sh ->
-        match sh.wake with
-        | Some (r, w) ->
-          Unix.close r;
-          Unix.close w
-        | None -> ())
-      t.shards
-  | None ->
-    (* drain whatever was still queued, then close each volume *)
-    Array.iter
-      (fun sh ->
-        if spawn_jobs sh (drain sh) then Sched.run sh.volume.Pfs.sched)
+      (fun sh -> if run_inbox sh then Sched.run sh.volume.Pfs.sched)
       t.shards;
     Array.iter (fun sh -> Pfs.shutdown sh.volume) t.shards
+  end
 
 let call t req =
   match (req : Wire.request) with
@@ -660,14 +717,14 @@ let call t req =
     match submit t req ~complete with
     | Error e -> Wire.Err e
     | Ok () -> (
-      (match t.pool with
-      | None -> drive t
-      | Some _ ->
+      if real t then begin
         Mutex.lock m;
         while !cell = None do
           Condition.wait cv m
         done;
-        Mutex.unlock m);
+        Mutex.unlock m
+      end
+      else drive t;
       match !cell with
       (* read payloads live in the shared reply arena; the in-process
          boundary hands the caller a private heap copy instead of a
@@ -675,299 +732,268 @@ let call t req =
       | Some r -> Wire.detach_reply r
       | None -> Wire.Err Errno.EIO))
 
-(* {2 The socket listener}
+(* {2 The socket front door}
 
-   One [`Real] scheduler on the calling domain multiplexes every
-   connection: a reader fibre per connection reassembles frames and
-   submits, shard completions cross back over a completion queue plus
-   wake pipe, and a per-connection writer fibre serializes replies
-   (out-of-order by design — the request id correlates). *)
-
-(* One outbound message: a typed reply still owning its (possibly
-   arena-backed) payload, or a pre-encoded frame body (server pushes). *)
-type out_msg =
-  | Reply of { req_id : int; opcode : int; reply : Wire.reply }
-  | Raw of { req_id : int; opcode : int; payload : string }
-
-type conn = {
-  fd : Unix.file_descr;
-  outbox : out_msg Queue.t;
-  out_ev : Sched.event;
-  mutable closed : bool;
-  mutable batch_ok : bool;
-      (* peer has spoken the batch/grant vocabulary: it can decode a
-         Batch container, and pushes may be sent to it *)
-  mutable gather : Bytes.t; (* reusable writer buffer, grows to fit *)
-  mutable pusher_ids : int list; (* client ids registered via Open_grant *)
-}
+   An accept fibre on shard 0's scheduler deals connections round-robin
+   to the shard domains. The domain a connection lands on hosts its
+   reader fibre, which reassembles frames and submits, and its writer
+   fibre, which serializes replies (out of order by design — the
+   request id correlates). A request for that same shard never leaves
+   the domain; a reply or push owed by another domain arrives through
+   this one's inbox. *)
 
 (* How many pending messages one gathered write may carry. *)
 let max_gather_msgs = 64
 
-let serve t lfd =
-  (match t.pool with
-  | Some _ -> ()
-  | None -> invalid_arg "Server.serve: needs a real-clock server");
-  let sd = t.shared in
-  let ls = Sched.create ~clock:`Real () in
-  let cq = Queue.create () in
-  let cq_lock = Mutex.create () in
-  let cq_r, cq_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock cq_r;
-  Unix.set_nonblock cq_w;
-  let stop = ref false in
-  let poke_listener () =
-    match Unix.write_substring cq_w "!" 0 1 with
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
-  (* shard domains land replies (and pushes) here *)
-  let enqueue_remote conn msg =
-    Mutex.lock cq_lock;
-    Queue.push (conn, msg) cq;
-    Mutex.unlock cq_lock;
-    poke_listener ()
-  in
-  (* messages produced on the listener domain itself skip the queue *)
-  let enqueue_local conn msg =
-    if conn.closed then
-      (* drop, but never leak a reply's arena cell *)
-      match msg with
-      | Reply { reply; _ } -> Wire.release_reply reply
-      | Raw _ -> ()
-    else begin
-      Queue.push msg conn.outbox;
-      Sched.signal ls conn.out_ev
+let sched_of conn = conn.home.volume.Pfs.sched
+
+(* On the connection's domain: queue for its writer, or drop (but never
+   leak a reply's arena cell) once the connection is gone. *)
+let enqueue conn msg =
+  if conn.closed then
+    match msg with
+    | Reply { reply; _ } -> Wire.release_reply reply
+    | Raw _ -> ()
+  else begin
+    Queue.push msg conn.outbox;
+    Sched.signal (sched_of conn) conn.out_ev
+  end
+
+let deliver conn msg = on_shard conn.home (fun () -> enqueue conn msg)
+
+(* The second of a connection's fibres to finish closes its descriptor
+   and forgets it. *)
+let fibre_done conn =
+  conn.fibres <- conn.fibres - 1;
+  if conn.fibres = 0 then begin
+    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+    conn.home.conns <- List.filter (fun c -> c != conn) conn.home.conns
+  end
+
+let writer sd conn () =
+  let sched = sched_of conn in
+  let ensure len =
+    if Bytes.length conn.gather < len then begin
+      let cap = ref (max 4096 (Bytes.length conn.gather)) in
+      while !cap < len do
+        cap := !cap * 2
+      done;
+      conn.gather <- Bytes.create !cap
     end
   in
-  let writer conn () =
-    let ensure len =
-      if Bytes.length conn.gather < len then begin
-        let cap = ref (max 4096 (Bytes.length conn.gather)) in
-        while !cap < len do
-          cap := !cap * 2
-        done;
-        conn.gather <- Bytes.create !cap
-      end
+  let flush len =
+    match Frame.write_bytes ~sched conn.fd conn.gather ~len with
+    | Ok sys ->
+      ignore (Atomic.fetch_and_add sd.w_syscalls sys);
+      Atomic.incr sd.w_frames
+    | Error _ -> conn.closed <- true
+  in
+  let payload_len = function
+    | Reply { reply; _ } -> Wire.reply_bytes reply
+    | Raw { payload; _ } -> String.length payload
+  in
+  (* lay one message at [off]: entry/frame header then payload,
+     straight from the arena slice — no intermediate string *)
+  let blit_msg ~entry msg off plen =
+    (match msg with
+    | Reply { req_id; opcode; _ } | Raw { req_id; opcode; _ } ->
+      if entry then
+        Wire.Batch.blit_entry_header conn.gather off ~req_id ~opcode
+          ~payload_len:plen
+      else Frame.blit_header conn.gather off ~req_id ~opcode ~payload_len:plen);
+    let body =
+      off + if entry then Wire.Batch.entry_header else Frame.header_bytes
     in
-    let flush len =
-      match Frame.write_bytes ~sched:ls conn.fd conn.gather ~len with
-      | Ok sys ->
-        ignore (Atomic.fetch_and_add sd.w_syscalls sys);
-        Atomic.incr sd.w_frames
-      | Error _ -> conn.closed <- true
-    in
-    let payload_len = function
-      | Reply { reply; _ } -> Wire.reply_bytes reply
-      | Raw { payload; _ } -> String.length payload
-    in
-    (* lay one message at [off]: entry/frame header then payload,
-       straight from the arena slice — no intermediate string *)
-    let blit_msg ~entry msg off plen =
-      (match msg with
-      | Reply { req_id; opcode; _ } | Raw { req_id; opcode; _ } ->
-        if entry then
-          Wire.Batch.blit_entry_header conn.gather off ~req_id ~opcode
-            ~payload_len:plen
-        else
-          Frame.blit_header conn.gather off ~req_id ~opcode
-            ~payload_len:plen);
-      let body =
-        off + if entry then Wire.Batch.entry_header else Frame.header_bytes
-      in
-      match msg with
-      | Reply { reply; _ } ->
-        Wire.blit_reply reply conn.gather body;
-        Wire.release_reply reply
-      | Raw { payload; _ } ->
-        Bytes.blit_string payload 0 conn.gather body plen
-    in
-    let rec loop () =
-      if Queue.is_empty conn.outbox then
-        if conn.closed then ()
-        else begin
-          Sched.await ls conn.out_ev;
-          loop ()
-        end
+    match msg with
+    | Reply { reply; _ } ->
+      Wire.blit_reply reply conn.gather body;
+      Wire.release_reply reply
+    | Raw { payload; _ } -> Bytes.blit_string payload 0 conn.gather body plen
+  in
+  let rec loop () =
+    if Queue.is_empty conn.outbox then
+      if conn.closed then ()
       else begin
-        (* gather whatever is pending — capped by count and by the
-           container payload limit — into one write(2) *)
-        let limit = if conn.batch_ok then max_gather_msgs else 1 in
-        let msgs = ref [] in
-        let total = ref 0 in
-        let count = ref 0 in
-        let stop_gather = ref false in
-        while
-          (not !stop_gather)
-          && !count < limit
-          && not (Queue.is_empty conn.outbox)
-        do
-          let m = Queue.peek conn.outbox in
-          let plen = payload_len m in
-          if
-            !count = 0
-            || !total + Wire.Batch.entry_header + plen
-               <= Frame.default_max_payload
-          then begin
-            ignore (Queue.pop conn.outbox);
-            msgs := (m, plen) :: !msgs;
-            total := !total + Wire.Batch.entry_header + plen;
-            incr count
-          end
-          else stop_gather := true
-        done;
-        (match List.rev !msgs with
-        | [] -> ()
-        | [ (m, plen) ] ->
-          let len = Frame.header_bytes + plen in
-          ensure len;
-          blit_msg ~entry:false m 0 plen;
-          flush len
-        | batch ->
-          let len = Frame.header_bytes + !total in
-          ensure len;
-          Frame.blit_header conn.gather 0 ~req_id:0
-            ~opcode:Wire.Batch.opcode ~payload_len:!total;
-          let off = ref Frame.header_bytes in
-          List.iter
-            (fun (m, plen) ->
-              blit_msg ~entry:true m !off plen;
-              off := !off + Wire.Batch.entry_header + plen)
-            batch;
-          ignore (Atomic.fetch_and_add sd.w_batched (List.length batch));
-          flush len);
+        Sched.await sched conn.out_ev;
         loop ()
       end
-    in
-    loop ()
-  in
-  let reader conn () =
-    let process req_id opcode payload =
-      match Wire.decode_request ~opcode payload with
-      | Error e -> enqueue_local conn (Reply { req_id; opcode; reply = Wire.Err e })
-      | Ok Wire.Shutdown ->
-        (* no reply: the client closes, a clean exit acknowledges *)
-        stop := true;
-        poke_listener ()
-      | Ok Wire.Stats ->
-        enqueue_local conn
-          (Reply { req_id; opcode; reply = Wire.Ok_stats (report_json t) })
-      | Ok req -> (
-        (match req with
-        | Wire.Open_grant { client; _ } ->
-          (* the grant vocabulary implies batch fluency, and names the
-             connection as this client's push channel *)
-          conn.batch_ok <- true;
-          if not (List.mem client conn.pusher_ids) then begin
-            conn.pusher_ids <- client :: conn.pusher_ids;
-            register_pusher t ~client (fun push ->
-                let opcode, payload = Wire.encode_push push in
-                enqueue_remote conn
-                  (Raw { req_id = Wire.push_req_id; opcode; payload }))
-          end
-        | _ -> ());
-        match
-          submit t req ~complete:(fun r ->
-              enqueue_remote conn (Reply { req_id; opcode; reply = r }))
-        with
-        | Ok () -> ()
-        | Error e ->
-          enqueue_local conn (Reply { req_id; opcode; reply = Wire.Err e }))
-    in
-    let rec loop () =
-      match Frame.read_sched ls conn.fd with
-      | Ok (Some { Frame.req_id; opcode; payload })
-        when opcode = Wire.Batch.opcode -> (
-        conn.batch_ok <- true;
-        match Wire.Batch.decode payload with
-        | Error e ->
-          enqueue_local conn (Reply { req_id; opcode; reply = Wire.Err e });
-          loop ()
-        | Ok entries ->
-          List.iter (fun (rid, op, pl) -> process rid op pl) entries;
-          loop ())
-      | Ok (Some { Frame.req_id; opcode; payload }) ->
-        process req_id opcode payload;
-        loop ()
-      | Ok None | Error _ ->
-        conn.closed <- true;
-        (* a dead connection stops caching: drop its push channels and
-           every lease its clients held *)
+    else begin
+      (* gather whatever is pending — capped by count and by the
+         container payload limit — into one write(2) *)
+      let limit = if conn.batch_ok then max_gather_msgs else 1 in
+      let msgs = ref [] in
+      let total = ref 0 in
+      let count = ref 0 in
+      let stop_gather = ref false in
+      while
+        (not !stop_gather) && !count < limit && not (Queue.is_empty conn.outbox)
+      do
+        let m = Queue.peek conn.outbox in
+        let plen = payload_len m in
+        if
+          !count = 0
+          || !total + Wire.Batch.entry_header + plen
+             <= Frame.default_max_payload
+        then begin
+          ignore (Queue.pop conn.outbox);
+          msgs := (m, plen) :: !msgs;
+          total := !total + Wire.Batch.entry_header + plen;
+          incr count
+        end
+        else stop_gather := true
+      done;
+      (match List.rev !msgs with
+      | [] -> ()
+      | [ (m, plen) ] ->
+        let len = Frame.header_bytes + plen in
+        ensure len;
+        blit_msg ~entry:false m 0 plen;
+        flush len
+      | batch ->
+        let len = Frame.header_bytes + !total in
+        ensure len;
+        Frame.blit_header conn.gather 0 ~req_id:0 ~opcode:Wire.Batch.opcode
+          ~payload_len:!total;
+        let off = ref Frame.header_bytes in
         List.iter
-          (fun cid ->
-            unregister_pusher t ~client:cid;
-            ignore (Lease.drop_client sd.lease ~client:cid))
-          conn.pusher_ids;
-        conn.pusher_ids <- [];
-        Sched.signal ls conn.out_ev
-    in
-    loop ()
-  in
-  let conns = ref [] in
-  let accept_loop () =
-    let rec loop () =
-      Sched.wait_readable ls lfd;
-      (match Unix.accept ~cloexec:true lfd with
-      | fd, _ ->
-        Unix.set_nonblock fd;
-        let conn =
-          {
-            fd;
-            outbox = Queue.create ();
-            out_ev = Sched.new_event ls;
-            closed = false;
-            batch_ok = false;
-            gather = Bytes.create 4096;
-            pusher_ids = [];
-          }
-        in
-        conns := conn :: !conns;
-        ignore (Sched.spawn ls ~daemon:true ~name:"conn.read" (reader conn));
-        ignore (Sched.spawn ls ~daemon:true ~name:"conn.write" (writer conn))
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        -> ());
+          (fun (m, plen) ->
+            blit_msg ~entry:true m !off plen;
+            off := !off + Wire.Batch.entry_header + plen)
+          batch;
+        ignore (Atomic.fetch_and_add sd.w_batched (List.length batch));
+        flush len);
       loop ()
-    in
+    end
+  in
+  loop ()
+
+let reader t conn ~on_shutdown () =
+  let sd = t.shared in
+  let process req_id opcode payload =
+    match Wire.decode_request ~opcode payload with
+    | Error e -> enqueue conn (Reply { req_id; opcode; reply = Wire.Err e })
+    | Ok Wire.Shutdown ->
+      (* no reply: the client closes, a clean exit acknowledges *)
+      on_shutdown ()
+    | Ok Wire.Stats ->
+      enqueue conn
+        (Reply { req_id; opcode; reply = Wire.Ok_stats (report_json t) })
+    | Ok req -> (
+      (match req with
+      | Wire.Open_grant { client; _ } ->
+        (* the grant vocabulary implies batch fluency, and names the
+           connection as this client's push channel *)
+        conn.batch_ok <- true;
+        if not (List.mem client conn.pusher_ids) then begin
+          conn.pusher_ids <- client :: conn.pusher_ids;
+          register_pusher t ~client (fun push ->
+              let opcode, payload = Wire.encode_push push in
+              deliver conn (Raw { req_id = Wire.push_req_id; opcode; payload }))
+        end
+      | _ -> ());
+      match
+        submit t req ~complete:(fun r ->
+            deliver conn (Reply { req_id; opcode; reply = r }))
+      with
+      | Ok () -> ()
+      | Error e -> enqueue conn (Reply { req_id; opcode; reply = Wire.Err e }))
+  in
+  let rec loop () =
+    match Frame.read_sched (sched_of conn) conn.fd with
+    | Ok (Some { Frame.req_id; opcode; payload })
+      when opcode = Wire.Batch.opcode -> (
+      conn.batch_ok <- true;
+      match Wire.Batch.decode payload with
+      | Error e ->
+        enqueue conn (Reply { req_id; opcode; reply = Wire.Err e });
+        loop ()
+      | Ok entries ->
+        List.iter (fun (rid, op, pl) -> process rid op pl) entries;
+        loop ())
+    | Ok (Some { Frame.req_id; opcode; payload }) ->
+      process req_id opcode payload;
+      loop ()
+    | Ok None | Error _ ->
+      conn.closed <- true;
+      (* a dead connection stops caching: drop its push channels and
+         every lease its clients held *)
+      List.iter
+        (fun cid ->
+          unregister_pusher t ~client:cid;
+          ignore (Lease.drop_client sd.lease ~client:cid))
+        conn.pusher_ids;
+      conn.pusher_ids <- [];
+      Sched.signal (sched_of conn) conn.out_ev
+  in
+  loop ()
+
+(* On [home]'s domain: adopt an accepted descriptor. *)
+let host t home fd ~on_shutdown =
+  let sched = home.volume.Pfs.sched in
+  let conn =
+    {
+      fd;
+      home;
+      outbox = Queue.create ();
+      out_ev = Sched.new_event sched;
+      closed = false;
+      batch_ok = false;
+      gather = Bytes.create 4096;
+      pusher_ids = [];
+      fibres = 2;
+    }
+  in
+  home.conns <- conn :: home.conns;
+  let spawn name f =
+    ignore
+      (Sched.spawn sched ~daemon:true ~name (fun () ->
+           f ();
+           fibre_done conn))
+  in
+  spawn "conn.read" (reader t conn ~on_shutdown);
+  spawn "conn.write" (writer t.shared conn)
+
+let accept_loop t lfd ~on_shutdown () =
+  let sched = t.shards.(0).volume.Pfs.sched in
+  let next = ref 0 in
+  let rec loop () =
+    Sched.wait_readable sched lfd;
+    (match Unix.accept ~cloexec:true lfd with
+    | fd, _ ->
+      Unix.set_nonblock fd;
+      let home = t.shards.(!next) in
+      next := (!next + 1) mod shards t;
+      on_shard home (fun () -> host t home fd ~on_shutdown)
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      -> ());
     loop ()
   in
-  let drain_cq () =
-    Mutex.lock cq_lock;
-    let pending = List.rev (Queue.fold (fun acc x -> x :: acc) [] cq) in
-    Queue.clear cq;
-    Mutex.unlock cq_lock;
-    List.iter (fun (conn, msg) -> enqueue_local conn msg) pending
+  loop ()
+
+let serve t lfd =
+  if not (real t) then invalid_arg "Server.serve: needs a real-clock server";
+  (* a peer that hangs up mid-reply must cost only its own connection:
+     with SIGPIPE ignored the write fails with EPIPE, a typed error
+     that closes just that connection *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let stop = ref false in
+  let m = Mutex.create () in
+  let cv = Condition.create () in
+  let on_shutdown () =
+    Mutex.lock m;
+    stop := true;
+    Condition.broadcast cv;
+    Mutex.unlock m
   in
-  let completion_pump () =
-    let buf = Bytes.create 256 in
-    let rec loop () =
-      Sched.wait_readable ls cq_r;
-      (match Unix.read cq_r buf 0 256 with
-      | _ -> ()
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        ());
-      drain_cq ();
-      let quiescent =
-        !stop
-        && Array.for_all (fun sh -> Atomic.get sh.in_flight = 0) t.shards
-        && Queue.is_empty cq
-      in
-      if quiescent then
-        (* one breath for writer fibres to flush their outboxes *)
-        Sched.sleep ls 0.05
-      else loop ()
-    in
-    loop ()
-  in
-  ignore (Sched.spawn ls ~daemon:true ~name:"accept" accept_loop);
-  ignore (Sched.spawn ls ~name:"completion-pump" completion_pump);
-  Sched.run ls;
-  List.iter
-    (fun conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ())
-    !conns;
-  Unix.close cq_r;
-  Unix.close cq_w;
+  let s0 = t.shards.(0) in
+  post s0 (fun () ->
+      ignore
+        (Sched.spawn s0.volume.Pfs.sched ~daemon:true ~name:"accept"
+           (accept_loop t lfd ~on_shutdown)));
+  Mutex.lock m;
+  while not !stop do
+    Condition.wait cv m
+  done;
+  Mutex.unlock m;
   shutdown t

@@ -3,9 +3,15 @@
     The namespace is sharded by hashing a path's first component onto
     [shards] independent PFS volumes ({!Pfs.create} each, so every
     shard has its own scheduler, cache, LFS and backing image —
-    [<image>.shard<i>]). Under the [`Real] clock each shard lives on a
-    pinned OCaml 5 domain from {!Capfs_patsy.Fleet.Pool} and pumps its
-    own ingress queue; under [`Virtual] the caller pumps with {!drive}.
+    [<image>.shard<i>]). Under the [`Real] clock each shard runs on its
+    own OCaml 5 domain, and that domain's one scheduler runs the whole
+    life of its requests: the socket connections {!serve} dealt to it,
+    the requests it serves, their replies. A request for the caller's
+    own shard runs in place; only work that crosses domains — a request
+    for another shard, a reply or push owed to another domain's
+    connection — goes through the target domain's inbox and wakes it
+    through a self-pipe. Under [`Virtual] there are no domains: every
+    request goes through an inbox and the caller pumps with {!drive}.
     The request execution path — admission, routing, the abstract
     client interface, the multiplexed volume layer, the driver — is the
     same code under both clocks; only the wake-up mechanism differs.
@@ -20,7 +26,7 @@
 type t
 
 (** [create cfg] builds [cfg.shards] volumes (validating first) and,
-    under the [`Real] clock, starts their pinned service domains. A
+    under the [`Real] clock, starts one service domain per shard. A
     failure tears down the volumes already built. [injector] is
     threaded into every shard's scheduler. *)
 val create :
@@ -36,8 +42,10 @@ val shards : t -> int
 val route : t -> string -> int
 
 (** [submit t req ~complete] — admission check, then hand [req] to its
-    shard; [complete] fires {e on the shard's domain} once (out of
-    order with other submissions). [Error EAGAIN] when the target shard
+    shard: spawned right here when the caller runs on that shard's
+    domain, else through the shard's inbox. [complete] fires {e on the
+    shard's domain} once (out of order with other submissions).
+    [Error EAGAIN] when the target shard
     is full or stopping; [Error EXDEV] for a [Rename] across shards,
     before any shard does work. A [Sync], and a [Readdir "/"] on more
     than one shard, fan out to every shard and complete once with the
@@ -57,10 +65,12 @@ val drive : t -> unit
 
 (** [register_pusher t ~client sink] names [sink] as client [client]'s
     push channel: every {!Wire.push} the server owes that client (cache
-    invalidations) is handed to it. May fire on a shard's domain
-    mid-request — a sink must only enqueue. The socket listener
-    registers connections automatically at their first [Open_grant];
-    this entry point exists for in-process transports (the virtual-clock
+    invalidations) is handed to it. Fires on the domain of whichever
+    shard made the push, mid-request — a sink must only enqueue. {!serve}
+    registers a connection automatically at its first [Open_grant]; its
+    sink queues the push on the connection's own domain, directly when
+    the push is made there, else through that domain's inbox. This
+    entry point exists for in-process transports (the virtual-clock
     {!Cached_client}). *)
 val register_pusher : t -> client:int -> (Wire.push -> unit) -> unit
 
@@ -84,14 +94,22 @@ val merged : t -> Capfs_stats.Snapshot.t
 val report_json : t -> string
 
 (** Stop accepting ([EAGAIN]), drain in-flight requests, sync and close
-    every volume, retire the domains. Idempotent. *)
+    every volume, join the domains. Idempotent. *)
 val shutdown : t -> unit
 
 (** [serve t lfd] — the multi-client front door: accept connections
     from the listening socket [lfd] (already bound and listening; Unix
     or TCP), speak {!Capfs_ccache.Netlink.Frame} framing with
     {!Wire} payloads, and pipeline out-of-order replies per connection.
+    It runs no scheduler of its own: an accept fibre on shard 0's
+    scheduler deals connections round-robin to the shard domains, and
+    a connection's descriptor is closed as soon as its peer hangs up.
     Blocks until a client sends [Shutdown] (which gets no reply), then
-    drains, shuts the server down and returns — the caller's clean exit
-    is the acknowledgement. Requires a [`Real]-clock server. *)
+    drains — replies to requests still in flight are written — shuts
+    the server down and returns; the caller's clean exit is the
+    acknowledgement. Requires a [`Real]-clock server.
+
+    [serve] sets [SIGPIPE] to ignored for the whole process: a client
+    that hangs up with replies still owed then makes the reply's write
+    fail with [EPIPE], which closes only that connection. *)
 val serve : t -> Unix.file_descr -> unit

@@ -337,8 +337,9 @@ let blit_reply r b off =
     Bytes.set_uint8 b off 0;
     set_u32 b (off + 1) version;
     Bytes.set_uint8 b (off + 5) (if cacheable then 1 else 0);
-    (* lease travels as u32 milliseconds *)
-    set_u32 b (off + 6) (int_of_float (lease_s *. 1000.));
+    (* lease travels as u32 milliseconds, rounded: truncation would
+       turn 1.001 s into 1.000 s *)
+    set_u32 b (off + 6) (int_of_float (Float.round (lease_s *. 1000.)));
     set_u32 b (off + 10) size
 
 let encode_reply r =

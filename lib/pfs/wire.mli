@@ -31,7 +31,8 @@ type stat = { size : int; is_dir : bool }
     write-open; [cacheable] false means concurrent write sharing was
     detected and the client must write through; [lease_s] bounds how
     long local hits may be served without renewing (u32 milliseconds on
-    the wire); [size] is the file size at grant time. *)
+    the wire, rounded to the nearest); [size] is the file size at grant
+    time. *)
 type grant = { version : int; cacheable : bool; lease_s : float; size : int }
 
 type request =
@@ -102,7 +103,8 @@ val opcode : request -> int
 
 (** The path a request is routed by ([src] for a [Rename]); [None] for
     the server-level operations ([Sync] fans out to every shard,
-    [Stats]/[Shutdown] are answered by the listener itself). *)
+    [Stats]/[Shutdown] are answered by the connection's reader
+    itself). *)
 val route_path : request -> string option
 
 val encode_request : request -> int * string

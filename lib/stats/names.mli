@@ -28,6 +28,6 @@ val bus : int -> string
 
 (** [wire c] is a socket data-plane counter: ["wire.frames_sent"],
     ["wire.syscalls"], ["wire.batched"], ["wire.blit_count"],
-    ["wire.copied_bytes"] (server listener; never part of the diffval
+    ["wire.copied_bytes"] (socket server; never part of the diffval
     contract — wall-clock wire traffic has no simulated twin). *)
 val wire : string -> string

@@ -4,8 +4,11 @@
    across two clients, sequential and concurrent write sharing, delete
    of an open file, incremental frame reassembly, and virtual-vs-real
    parity — the same client state machine over Server.drive and over
-   an actual Unix socket served by Server.serve. The same client over
-   the simulated Ethernet is tested in test_ccache.ml. *)
+   an actual Unix socket served by Server.serve. Server.serve itself is
+   held to surviving a client that hangs up mid-reply, closing a
+   connection's descriptor at hang-up, and serving two shard domains
+   behind one socket. The same client over the simulated Ethernet is
+   tested in test_ccache.ml. *)
 
 module Pfs = Capfs_pfs.Pfs
 module Server = Capfs_pfs.Server
@@ -407,6 +410,59 @@ let test_splitter () =
   | Error Errno.EINVAL -> ()
   | _ -> Alcotest.fail "a desynchronized splitter must stay failed"
 
+(* A real-clock server on a Unix socket: Server.serve in its own domain.
+   [f srv connect] runs against it; afterwards a wire Shutdown must
+   make [serve] return — its clean exit is the acknowledgement. *)
+let with_socket_server ~shards path f =
+  let cfg = Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Real ~shards () in
+  let srv =
+    match Server.create cfg with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "Server.create: %s" (Errno.to_string e)
+  in
+  let sock = path ^ ".sock" in
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX sock);
+  Unix.listen lfd 64;
+  let server_domain = Domain.spawn (fun () -> Server.serve srv lfd) in
+  let connect () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    fd
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      let sfd = connect () in
+      let opcode, body = Wire.encode_request Wire.Shutdown in
+      (match Frame.write sfd { Frame.req_id = 0; opcode; payload = body } with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "shutdown send: %s" (Errno.to_string e));
+      Unix.close sfd;
+      Domain.join server_domain;
+      Unix.close lfd)
+    (fun () -> f srv connect)
+
+(* One request as one frame on a blocking socket, and its reply. *)
+let raw fd req_id req =
+  let opcode, payload = Wire.encode_request req in
+  (match Frame.write fd { Frame.req_id; opcode; payload } with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "raw send: %s" (Errno.to_string e));
+  match Frame.read fd with
+  | Ok (Some f) -> (
+    Alcotest.(check int) "raw req_id" req_id f.Frame.req_id;
+    match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "raw decode: %s" (Errno.to_string e))
+  | Ok None -> Alcotest.fail "raw: connection closed"
+  | Error e -> Alcotest.failf "raw recv: %s" (Errno.to_string e)
+
+let expect what want got =
+  if want <> got then
+    Alcotest.failf "%s: expected %a, got %a" what Wire.pp_reply want
+      Wire.pp_reply got
+
 (* The same client code over a real socket: Server.serve in a second
    domain, Cached_client on a Unix-domain socket. Parity check: the
    hit/miss counters match the virtual-clock run of the same workload. *)
@@ -434,78 +490,201 @@ let test_real_socket_parity () =
             CC.disconnect cc;
             r)
       in
-      List.iter (fun i -> Sys.remove (Printf.sprintf "%s.shard%d" path i))
-        [ 0 ] |> ignore;
+      Sys.remove (path ^ ".shard0");
       (* the real run: serve on a Unix socket from another domain *)
-      let cfg =
-        Pfs.Config.make ~image:path ~size_mb:8 ~clock:`Real ~shards:1 ()
-      in
-      let srv =
-        match Server.create cfg with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "Server.create: %s" (Errno.to_string e)
-      in
-      let sock = path ^ ".sock" in
-      (try Unix.unlink sock with Unix.Unix_error _ -> ());
-      let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind lfd (Unix.ADDR_UNIX sock);
-      Unix.listen lfd 8;
-      let server_domain = Domain.spawn (fun () -> Server.serve srv lfd) in
-      let connect () =
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX sock);
-        fd
-      in
-      let fd = connect () in
-      let cc = CC.create ~client:1 (CC.socket_transport fd) in
-      let real_counts = workload cc in
-      CC.disconnect cc;
-      Alcotest.(check (triple int int int))
-        "virtual and real runs count identically" virtual_counts real_counts;
-      (* raw requests over the socket, one frame each *)
-      let rfd = connect () in
-      let raw req_id req =
-        let opcode, payload = Wire.encode_request req in
-        (match Frame.write rfd { Frame.req_id; opcode; payload } with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "raw send: %s" (Errno.to_string e));
-        match Frame.read rfd with
-        | Ok (Some f) -> (
-          Alcotest.(check int) "raw req_id" req_id f.Frame.req_id;
-          match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
-          | Ok r -> r
-          | Error e -> Alcotest.failf "raw decode: %s" (Errno.to_string e))
-        | Ok None -> Alcotest.fail "raw: connection closed"
-        | Error e -> Alcotest.failf "raw recv: %s" (Errno.to_string e)
-      in
-      (* a Read spanning the block boundary: the server's gathered reply
-         must reach the wire whole and in order *)
-      (match
-         raw 42
-           (Wire.Read { client = 7; path = "/d/f"; offset = bb - 3; count = bb })
-       with
-      | Wire.Ok_data d ->
-        Alcotest.(check string) "raw multi-block read"
-          (String.make 3 '1' ^ String.make (bb - 3) '2')
-          (Capfs_disk.Data.to_string d)
-      | r -> Alcotest.failf "raw read: %a" Wire.pp_reply r);
-      (match raw 43 (Wire.Rename { src = "/d/f"; dst = "/d/g" }) with
-      | Wire.Ok_unit -> ()
-      | r -> Alcotest.failf "raw rename: %a" Wire.pp_reply r);
-      (match raw 44 (Wire.Readdir "/d") with
-      | Wire.Ok_names names ->
-        Alcotest.(check (list string)) "raw readdir" [ "g" ] names
-      | r -> Alcotest.failf "raw readdir: %a" Wire.pp_reply r);
-      Unix.close rfd;
-      (* stop the server over the wire; its clean exit is the ack *)
-      let sfd = connect () in
-      let opcode, body = Wire.encode_request Wire.Shutdown in
-      (match Frame.write sfd { Frame.req_id = 0; opcode; payload = body } with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "shutdown send: %s" (Errno.to_string e));
-      Unix.close sfd;
-      Domain.join server_domain;
-      Unix.close lfd)
+      with_socket_server ~shards:1 path (fun _ connect ->
+          let cc = CC.create ~client:1 (CC.socket_transport (connect ())) in
+          let real_counts = workload cc in
+          CC.disconnect cc;
+          Alcotest.(check (triple int int int))
+            "virtual and real runs count identically" virtual_counts
+            real_counts;
+          (* raw requests over the socket, one frame each *)
+          let rfd = connect () in
+          (* a Read spanning the block boundary: the server's gathered
+             reply must reach the wire whole and in order *)
+          (match
+             raw rfd 42
+               (Wire.Read
+                  { client = 7; path = "/d/f"; offset = bb - 3; count = bb })
+           with
+          | Wire.Ok_data d ->
+            Alcotest.(check string) "raw multi-block read"
+              (String.make 3 '1' ^ String.make (bb - 3) '2')
+              (Capfs_disk.Data.to_string d)
+          | r -> Alcotest.failf "raw read: %a" Wire.pp_reply r);
+          expect "raw rename" Wire.Ok_unit
+            (raw rfd 43 (Wire.Rename { src = "/d/f"; dst = "/d/g" }));
+          expect "raw readdir" (Wire.Ok_names [ "g" ])
+            (raw rfd 44 (Wire.Readdir "/d"));
+          Unix.close rfd))
+
+(* A client that hangs up with replies still owed costs only its own
+   connection: the server's write fails (EPIPE, SIGPIPE being ignored)
+   and the next client is served as usual. *)
+let test_peer_hangup_mid_reply () =
+  with_temp_base 1 (fun path ->
+      with_socket_server ~shards:1 path (fun _ connect ->
+          let a = connect () in
+          let size = 64 * 1024 in
+          expect "mkdir" Wire.Ok_unit (raw a 1 (Wire.Mkdir "/d"));
+          expect "open" Wire.Ok_unit
+            (raw a 2
+               (Wire.Open
+                  { client = 1; path = "/d/f"; mode = Capfs.Client.WO }));
+          expect "write" Wire.Ok_unit
+            (raw a 3
+               (Wire.Write
+                  { client = 1; path = "/d/f"; offset = 0;
+                    data = String.make size 'p' }));
+          expect "close" Wire.Ok_unit
+            (raw a 4 (Wire.Close { client = 1; path = "/d/f" }));
+          for round = 1 to 3 do
+            (* 32 whole-file reads in flight, one reply read, hang up *)
+            let b = connect () in
+            let opcode, payload =
+              Wire.encode_request
+                (Wire.Read
+                   { client = 2; path = "/d/f"; offset = 0; count = size })
+            in
+            for req_id = 1 to 32 do
+              match Frame.write b { Frame.req_id; opcode; payload } with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "pipeline: %s" (Errno.to_string e)
+            done;
+            (match Frame.read b with
+            | Ok (Some _) -> ()
+            | Ok None | Error _ ->
+              Alcotest.failf "round %d: no first reply" round);
+            Unix.close b
+          done;
+          Unix.close a;
+          let c = connect () in
+          expect "fresh connection served"
+            (Wire.Ok_stat { Wire.size; is_dir = false })
+            (raw c 1 (Wire.Stat "/d/f"));
+          Unix.close c))
+
+(* A connection's descriptor is closed once its peer hangs up, not kept
+   until the server stops. *)
+let test_closed_connections_release_fds () =
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then
+    with_temp_base 1 (fun path ->
+        with_socket_server ~shards:1 path (fun _ connect ->
+            let count () = Array.length (Sys.readdir fd_dir) in
+            let before = count () in
+            for _ = 1 to 50 do
+              let fd = connect () in
+              (match raw fd 1 (Wire.Stat "/") with
+              | Wire.Ok_stat _ -> ()
+              | r -> Alcotest.failf "stat: %a" Wire.pp_reply r);
+              Unix.close fd
+            done;
+            (* the server closes its end when it sees the hang-up *)
+            let deadline = Unix.gettimeofday () +. 2. in
+            let rec settle () =
+              let n = count () in
+              if n <= before + 2 || Unix.gettimeofday () > deadline then n
+              else begin
+                Unix.sleepf 0.01;
+                settle ()
+              end
+            in
+            let after = settle () in
+            if after > before + 2 then
+              Alcotest.failf "50 closed connections left %d descriptors open"
+                (after - before)))
+
+(* Two shards on two domains behind one socket. Each of two connections
+   works on files of both shards, so requests, replies and pushed
+   invalidations cross domains whichever domain hosts the connection. *)
+let test_two_shards_over_socket () =
+  with_temp_base 2 (fun path ->
+      with_socket_server ~shards:2 path (fun srv connect ->
+          let dir_on k =
+            let rec go i =
+              let d = Printf.sprintf "/d%d" i in
+              if Server.route srv d = k then d else go (i + 1)
+            in
+            go 0
+          in
+          let dirs = [ dir_on 0; dir_on 1 ] in
+          let files = List.map (fun d -> d ^ "/f") dirs in
+          let a = CC.create ~client:1 (CC.socket_transport (connect ())) in
+          let b = connect () in
+          let rid = ref 0 in
+          let call_b req =
+            incr rid;
+            raw b !rid req
+          in
+          List.iter
+            (fun d -> expect ("mkdir " ^ d) Wire.Ok_unit (call_b (Wire.Mkdir d)))
+            dirs;
+          (* A holds a grant, and cached blocks, on one file per shard *)
+          List.iter
+            (fun f ->
+              ok "a open wo" (CC.open_ a f Capfs.Client.WO);
+              ok "a write" (CC.write a f ~offset:0 ~data:(block 'a'));
+              ok "a close" (CC.close_ a f);
+              ok "a open ro" (CC.open_ a f Capfs.Client.RO);
+              Alcotest.(check string)
+                ("a reads " ^ f) (block 'a')
+                (ok "a read" (CC.read a f ~offset:0 ~count:bb)))
+            files;
+          let msgs = CC.msgs_sent a in
+          List.iter
+            (fun f -> ignore (ok "a reread" (CC.read a f ~offset:0 ~count:bb)))
+            files;
+          Alcotest.(check int) "rereads are local" msgs (CC.msgs_sent a);
+          (* B rewrites both files through the grant-free vocabulary *)
+          List.iter
+            (fun f ->
+              expect "b open" Wire.Ok_unit
+                (call_b
+                   (Wire.Open { client = 2; path = f; mode = Capfs.Client.WO }));
+              expect "b write" Wire.Ok_unit
+                (call_b
+                   (Wire.Write
+                      { client = 2; path = f; offset = 0; data = block 'b' }));
+              expect "b close" Wire.Ok_unit
+                (call_b (Wire.Close { client = 2; path = f })))
+            files;
+          let deadline = Unix.gettimeofday () +. 5. in
+          while CC.invalidations a < 2 && Unix.gettimeofday () < deadline do
+            ignore (ok "a stat" (CC.stat a (List.hd dirs)));
+            Unix.sleepf 0.001
+          done;
+          Alcotest.(check int)
+            "one invalidation per file" 2 (CC.invalidations a);
+          List.iter
+            (fun f ->
+              Alcotest.(check string)
+                ("a sees b's bytes in " ^ f) (block 'b')
+                (ok "a read" (CC.read a f ~offset:0 ~count:bb)))
+            files;
+          (* the fan-out requests and the cross-shard refusal; an
+             in-process call from this thread, foreign to every shard
+             domain, travels through the inboxes too *)
+          expect "sync" Wire.Ok_unit (call_b Wire.Sync);
+          expect "in-process sync" Wire.Ok_unit (Server.call srv Wire.Sync);
+          List.iter
+            (fun d ->
+              match Server.call srv (Wire.Stat d) with
+              | Wire.Ok_stat { Wire.is_dir = true; _ } -> ()
+              | r -> Alcotest.failf "in-process stat %s: %a" d Wire.pp_reply r)
+            dirs;
+          ok "a sync" (CC.sync a);
+          let names = List.map (fun d -> Filename.basename d) dirs in
+          expect "root readdir spans shards"
+            (Wire.Ok_names (List.sort compare names))
+            (call_b (Wire.Readdir "/"));
+          expect "cross-shard rename" (Wire.Err Errno.EXDEV)
+            (call_b
+               (Wire.Rename
+                  { src = List.hd files; dst = List.nth dirs 1 ^ "/g" }));
+          CC.disconnect a;
+          Unix.close b))
 
 let suite =
   [
@@ -529,4 +708,10 @@ let suite =
     Alcotest.test_case "frame splitter" `Quick test_splitter;
     Alcotest.test_case "virtual vs real socket parity" `Quick
       test_real_socket_parity;
+    Alcotest.test_case "peer hang-up mid-reply" `Quick
+      test_peer_hangup_mid_reply;
+    Alcotest.test_case "closed connections release descriptors" `Quick
+      test_closed_connections_release_fds;
+    Alcotest.test_case "two shards over a socket" `Quick
+      test_two_shards_over_socket;
   ]

@@ -1,14 +1,16 @@
-(* The sharded multi-client server: wire codecs, configuration
-   grammar, routing, admission control and the merged statistics
-   report. Everything here runs under the virtual clock through
-   [Server.call]/[Server.drive] — the same execution path the socket
-   listener uses under the real clock, exercised deterministically. *)
+(* The sharded multi-client server: wire codecs (by example and by
+   qcheck property), configuration grammar, routing, admission control
+   and the merged statistics report. Everything here runs under the
+   virtual clock through [Server.call]/[Server.drive] — the same
+   execution path the socket front door uses under the real clock,
+   exercised deterministically. *)
 
 module Pfs = Capfs_pfs.Pfs
 module Server = Capfs_pfs.Server
 module Wire = Capfs_pfs.Wire
 module Errno = Capfs_core.Errno
 module Data = Capfs_disk.Data
+module Frame = Capfs_ccache.Netlink.Frame
 
 let with_temp_base shards f =
   let path = Filename.temp_file "capfs_srv" ".img" in
@@ -203,6 +205,229 @@ let test_wire_decode_errors () =
   match Wire.decode_reply ~opcode:(fst (Wire.encode_request Wire.Sync)) "" with
   | Error Errno.EINVAL -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty reply must be EINVAL"
+
+(* Wire codecs, property-tested: every request and reply shape
+   round-trips with integers over the whole u32 range and strings up to
+   the u16 length limit, and hostile bytes never raise. *)
+
+module G = QCheck.Gen
+
+let u32 =
+  G.frequency
+    [
+      (1, G.oneofl [ 0; 1; 0x7fffffff; 0x80000000; 0xfffffffe; 0xffffffff ]);
+      (4, G.map (fun x -> x land 0xffffffff) G.int);
+    ]
+
+(* mostly short, sometimes up to the u16 length prefix's limit *)
+let wire_string =
+  G.string_size
+    (G.frequency [ (6, G.int_bound 24); (1, G.int_bound 0xffff) ])
+
+let mode = G.oneofl Capfs.Client.[ RO; WO; RW ]
+
+let gen_request =
+  let open G in
+  oneof
+    [
+      map3 (fun client path mode -> Wire.Open { client; path; mode })
+        u32 wire_string mode;
+      map2 (fun client path -> Wire.Close { client; path }) u32 wire_string;
+      map3
+        (fun (client, path) offset count ->
+          Wire.Read { client; path; offset; count })
+        (pair u32 wire_string) u32 u32;
+      map3
+        (fun (client, path) offset data ->
+          Wire.Write { client; path; offset; data })
+        (pair u32 wire_string) u32 wire_string;
+      map (fun p -> Wire.Mkdir p) wire_string;
+      map (fun p -> Wire.Delete p) wire_string;
+      map (fun p -> Wire.Stat p) wire_string;
+      oneofl [ Wire.Sync; Wire.Stats; Wire.Shutdown ];
+      map3 (fun client path mode -> Wire.Open_grant { client; path; mode })
+        u32 wire_string mode;
+      map3
+        (fun (client, path) (size, close) blocks ->
+          Wire.Writeback { client; path; size; close; blocks })
+        (pair u32 wire_string) (pair u32 bool)
+        (list_size (int_bound 4) (pair u32 wire_string));
+      map2 (fun src dst -> Wire.Rename { src; dst }) wire_string wire_string;
+      map (fun p -> Wire.Readdir p) wire_string;
+      map (fun p -> Wire.Rmdir p) wire_string;
+      map2
+        (fun target path -> Wire.Symlink { target; path })
+        wire_string wire_string;
+      map (fun p -> Wire.Readlink p) wire_string;
+      map2 (fun path size -> Wire.Truncate { path; size }) wire_string u32;
+    ]
+
+let op req = Wire.opcode req
+
+let grant_op =
+  op (Wire.Open_grant { client = 0; path = ""; mode = Capfs.Client.RO })
+
+(* every success shape under the opcode whose reply it is *)
+let gen_reply =
+  let open G in
+  let errno = oneofl (Array.to_list Errno.all) in
+  let any_op = map op gen_request in
+  let unit_op =
+    oneofl
+      (List.map op
+         [
+           Wire.Open { client = 0; path = ""; mode = Capfs.Client.RO };
+           Wire.Close { client = 0; path = "" };
+           Wire.Write { client = 0; path = ""; offset = 0; data = "" };
+           Wire.Mkdir "";
+           Wire.Delete "";
+           Wire.Sync;
+           Wire.Rename { src = ""; dst = "" };
+           Wire.Rmdir "";
+           Wire.Symlink { target = ""; path = "" };
+           Wire.Truncate { path = ""; size = 0 };
+           Wire.Writeback
+             { client = 0; path = ""; size = 0; close = false; blocks = [] };
+         ])
+  in
+  oneof
+    [
+      map (fun o -> (o, Wire.Ok_unit)) unit_op;
+      map
+        (fun d ->
+          (op (Wire.Read { client = 0; path = ""; offset = 0; count = 0 }),
+           Wire.Ok_data (Data.of_string d)))
+        wire_string;
+      map2
+        (fun size is_dir -> (op (Wire.Stat ""), Wire.Ok_stat { size; is_dir }))
+        u32 bool;
+      map (fun s -> (op Wire.Stats, Wire.Ok_stats s)) wire_string;
+      map3
+        (fun (version, cacheable) ms size ->
+          ( grant_op,
+            Wire.Ok_grant
+              {
+                Wire.version;
+                cacheable;
+                lease_s = float_of_int ms /. 1000.;
+                size;
+              } ))
+        (pair u32 bool) u32 u32;
+      map
+        (fun names -> (op (Wire.Readdir ""), Wire.Ok_names names))
+        (list_size (int_bound 6) wire_string);
+      map (fun s -> (op (Wire.Readlink ""), Wire.Ok_link s)) wire_string;
+      map2 (fun o e -> (o, Wire.Err e)) any_op errno;
+    ]
+
+let gen_batch =
+  G.list_size (G.int_bound 6)
+    (G.triple u32 (G.int_bound 0xffff) wire_string)
+
+let prop_requests_roundtrip =
+  QCheck.Test.make ~name:"wire requests round-trip" ~count:300
+    (QCheck.make gen_request) (fun req ->
+      let opcode, payload = Wire.encode_request req in
+      Wire.decode_request ~opcode payload = Ok req)
+
+let prop_replies_roundtrip =
+  QCheck.Test.make ~name:"wire replies round-trip under their opcode"
+    ~count:300 (QCheck.make gen_reply) (fun (opcode, reply) ->
+      Wire.decode_reply ~opcode (Wire.encode_reply reply) = Ok reply)
+
+let prop_batch_roundtrip =
+  QCheck.Test.make ~name:"batch containers round-trip" ~count:200
+    (QCheck.make gen_batch) (fun entries ->
+      Wire.Batch.decode (Wire.Batch.encode entries) = Ok entries)
+
+(* Hostile input: random bytes, and valid encodings with a byte flipped
+   or the tail cut off. *)
+let gen_hostile =
+  let open G in
+  let mangle (opcode, payload) =
+    map2
+      (fun cut flip ->
+        let n = String.length payload in
+        let b = Bytes.of_string (String.sub payload 0 (min n cut)) in
+        (match flip with
+        | Some (i, c) when Bytes.length b > 0 ->
+          Bytes.set b (i mod Bytes.length b) c
+        | _ -> ());
+        (opcode, Bytes.to_string b))
+      (int_bound (String.length payload + 1))
+      (opt (pair nat char))
+  in
+  oneof
+    [
+      pair (int_bound 0xffff) (string_size (int_bound 64));
+      pair (int_bound 24) (string_size (int_bound 64));
+      (gen_request >>= fun r -> mangle (Wire.encode_request r));
+      (gen_reply >>= fun (o, r) -> mangle (o, Wire.encode_reply r));
+      (gen_batch >>= fun e -> mangle (Wire.Batch.opcode, Wire.Batch.encode e));
+    ]
+
+let typed = function Ok _ -> true | Error (_ : Errno.t) -> true
+
+let prop_decoders_total =
+  QCheck.Test.make ~name:"hostile bytes decode to Ok or a typed error"
+    ~count:500 (QCheck.make gen_hostile) (fun (opcode, payload) ->
+      typed (Wire.decode_request ~opcode payload)
+      && typed (Wire.decode_reply ~opcode payload)
+      && typed (Wire.decode_push ~opcode payload)
+      && typed (Wire.Batch.decode payload))
+
+(* The splitter over arbitrary chunks of arbitrary bytes, some of them
+   valid frames: every pop is a frame, a wait or a typed error. *)
+let prop_splitter_total =
+  let frame (req_id, opcode, payload) =
+    let plen = String.length payload in
+    let b = Bytes.create (Frame.header_bytes + plen) in
+    Frame.blit_header b 0 ~req_id ~opcode ~payload_len:plen;
+    Bytes.blit_string payload 0 b Frame.header_bytes plen;
+    Bytes.to_string b
+  in
+  let piece =
+    G.oneof
+      [
+        G.string_size (G.int_bound 40);
+        G.map frame (G.triple u32 (G.int_bound 0xffff) wire_string);
+      ]
+  in
+  QCheck.Test.make ~name:"frame splitter never raises" ~count:300
+    (QCheck.make G.(pair (list_size (int_bound 6) piece) (int_range 1 64)))
+    (fun (pieces, chunk) ->
+      let stream = Bytes.of_string (String.concat "" pieces) in
+      let sp = Frame.Splitter.create () in
+      let rec pop_all () =
+        match Frame.Splitter.pop sp with
+        | Ok (Some _) -> pop_all ()
+        | Ok None | Error _ -> ()
+      in
+      let n = Bytes.length stream in
+      let rec go off =
+        if off < n then begin
+          let len = min chunk (n - off) in
+          Frame.Splitter.feed sp stream off len;
+          pop_all ();
+          go (off + len)
+        end
+      in
+      go 0;
+      true)
+
+(* The grant's lease rides as whole milliseconds: every value keeps
+   its millisecond. *)
+let test_wire_lease_milliseconds () =
+  for ms = 0 to 100_000 do
+    let lease_s = float_of_int ms /. 1000. in
+    let g =
+      Wire.Ok_grant { Wire.version = 0; cacheable = true; lease_s; size = 0 }
+    in
+    match Wire.decode_reply ~opcode:grant_op (Wire.encode_reply g) with
+    | Ok (Wire.Ok_grant { lease_s = got; _ }) when got = lease_s -> ()
+    | Ok r -> Alcotest.failf "%d ms came back as %a" ms Wire.pp_reply r
+    | Error e -> Alcotest.failf "%d ms: %s" ms (Errno.to_string e)
+  done
 
 (* Config grammar *)
 
@@ -666,6 +891,8 @@ let suite =
     Alcotest.test_case "wire push roundtrip" `Quick test_wire_push_roundtrip;
     Alcotest.test_case "wire batch roundtrip" `Quick test_wire_batch_roundtrip;
     Alcotest.test_case "wire batch errors" `Quick test_wire_batch_errors;
+    Alcotest.test_case "wire lease milliseconds" `Quick
+      test_wire_lease_milliseconds;
     Alcotest.test_case "config of_args roundtrip" `Quick
       test_config_of_args_roundtrip;
     Alcotest.test_case "config rejects nonsense" `Quick
@@ -693,3 +920,11 @@ let suite =
     Alcotest.test_case "wire root readdir spans shards" `Quick
       test_wire_root_readdir_spans_shards;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_requests_roundtrip;
+        prop_replies_roundtrip;
+        prop_batch_roundtrip;
+        prop_decoders_total;
+        prop_splitter_total;
+      ]
