@@ -77,70 +77,60 @@ module Frame = struct
     | Ok _ -> Ok ()
     | Error _ as e -> e
 
-  (* Reassembly loop shared by the blocking and fibre readers: [wait]
-     is what to do when the fd has no bytes yet (block, or park the
-     fibre on the scheduler's readiness list). Returns [Ok None] on a
-     clean EOF at a frame boundary; EOF mid-header or mid-payload is a
-     torn frame — [Error EIO]. *)
-  let read_into ~wait fd =
-    let read_exact b off len ~started =
-      let rec go off len started =
-        if len = 0 then Ok true
-        else
-          match Unix.read fd b off len with
-          | 0 -> if started then Error Errno.EIO else Ok false
-          | k -> go (off + k) (len - k) true
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len started
-          | exception
-              Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            wait ();
-            go off len started
-          | exception Unix.Unix_error (e, _, _) -> Error (Errno.of_unix e)
-      in
-      go off len started
-    in
-    fun ~max_payload ->
-      let hdr = Bytes.create header_bytes in
-      match read_exact hdr 0 header_bytes ~started:false with
-      | Error _ as e -> e
-      | Ok false -> Ok None
-      | Ok true ->
-        if Bytes.get_uint16_le hdr 0 <> magic then Error Errno.EINVAL
-        else begin
-          let opcode = Bytes.get_uint16_le hdr 2 in
-          (* u32: mask off the sign extension so ids in the reserved
-             high range (server pushes) survive the round trip *)
-          let req_id =
-            Int32.to_int (Bytes.get_int32_le hdr 4) land 0xffffffff
-          in
-          let len = Int32.to_int (Bytes.get_int32_le hdr 8) in
-          if len < 0 || len > max_payload then Error Errno.EINVAL
-          else
-            let pb = Bytes.create len in
-            match read_exact pb 0 len ~started:true with
-            | Error _ as e -> e
-            | Ok _ ->
-              Ok
-                (Some
-                   { req_id; opcode; payload = Bytes.unsafe_to_string pb })
-        end
+  (* Header fields at [b.(o)]. req_id is a u32: mask off the sign
+     extension so ids in the reserved high range (server pushes) survive
+     the round trip. *)
+  let opcode_at b o = Bytes.get_uint16_le b (o + 2)
+  let req_id_at b o = Int32.to_int (Bytes.get_int32_le b (o + 4)) land 0xffffffff
+  let len_at b o = Int32.to_int (Bytes.get_int32_le b (o + 8))
 
+  let bad_header b o ~max_payload =
+    Bytes.get_uint16_le b o <> magic
+    ||
+    let len = len_at b o in
+    len < 0 || len > max_payload
+
+  (* Returns [Ok None] on a clean EOF at a frame boundary; EOF mid-header
+     or mid-payload is a torn frame — [Error EIO]. *)
   let read ?(max_payload = default_max_payload) fd =
-    (* blocking fd: an EAGAIN here means someone marked it non-blocking
-       without a scheduler to park on — yielding the CPU briefly is the
-       least-wrong answer *)
-    read_into ~wait:(fun () -> ignore (Unix.select [ fd ] [] [] 0.05)) fd
-      ~max_payload
+    let rec read_exact b off len started =
+      if len = 0 then Ok true
+      else
+        match Unix.read fd b off len with
+        | 0 -> if started then Error Errno.EIO else Ok false
+        | k -> read_exact b (off + k) (len - k) true
+        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+          read_exact b off len started
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          (* someone marked the fd non-blocking without a scheduler to
+             park on: yielding the CPU briefly is the least-wrong answer *)
+          ignore (Unix.select [ fd ] [] [] 0.05);
+          read_exact b off len started
+        | exception Unix.Unix_error (e, _, _) -> Error (Errno.of_unix e)
+    in
+    let hdr = Bytes.create header_bytes in
+    match read_exact hdr 0 header_bytes false with
+    | Error _ as e -> e
+    | Ok false -> Ok None
+    | Ok true ->
+      if bad_header hdr 0 ~max_payload then Error Errno.EINVAL
+      else
+        let pb = Bytes.create (len_at hdr 0) in
+        match read_exact pb 0 (Bytes.length pb) true with
+        | Error _ as e -> e
+        | Ok _ ->
+          Ok
+            (Some
+               {
+                 req_id = req_id_at hdr 0;
+                 opcode = opcode_at hdr 0;
+                 payload = Bytes.unsafe_to_string pb;
+               })
 
-  let read_sched ?(max_payload = default_max_payload) sched fd =
-    read_into
-      ~wait:(fun () -> Capfs_sched.Sched.wait_readable sched fd)
-      fd ~max_payload
-
-  (* Incremental reassembly over caller-supplied chunks, for readers that
-     drain an fd opportunistically (the cached client polling for pushed
-     invalidations) instead of parking on it. Protocol errors are sticky:
-     once the stream desynchronizes there is no resync point. *)
+  (* Incremental reassembly in one growable buffer. [fill] reads the fd
+     straight into the free tail; [feed] copies caller-supplied chunks
+     there. Protocol errors are sticky: once the stream desynchronizes
+     there is no resync point. *)
   module Splitter = struct
     type t = {
       mutable buf : Bytes.t;
@@ -150,8 +140,10 @@ module Frame = struct
       mutable failed : Errno.t option;
     }
 
+    (* room for a burst: a [fill] takes whatever the kernel holds, up to
+       the free tail *)
     let create ?(max_payload = default_max_payload) () =
-      { buf = Bytes.create 4096; start = 0; fill = 0; max_payload;
+      { buf = Bytes.create 65536; start = 0; fill = 0; max_payload;
         failed = None }
 
     let avail t = t.fill - t.start
@@ -184,40 +176,63 @@ module Frame = struct
       Bytes.blit b off t.buf t.fill len;
       t.fill <- t.fill + len
 
-    let pop t =
+    let fail t =
+      t.failed <- Some Errno.EINVAL;
+      Error Errno.EINVAL
+
+    let fill t fd =
+      let header = avail t >= header_bytes in
+      match t.failed with
+      | Some e -> Error e
+      | None when header && bad_header t.buf t.start ~max_payload:t.max_payload
+        ->
+        (* checked before the buffer grows to hold the frame *)
+        fail t
+      | None ->
+        let need =
+          if header then header_bytes + len_at t.buf t.start - avail t else 0
+        in
+        (* a read is offered at least a page, compacting first if the
+           tail is shorter *)
+        ensure t (Stdlib.max need 4096);
+        let room = Bytes.length t.buf - t.fill in
+        let rec go () =
+          match Unix.read fd t.buf t.fill room with
+          | 0 -> Ok `Eof
+          | n ->
+            t.fill <- t.fill + n;
+            Ok (if n < room then `Short else `Full)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+          | exception Unix.Unix_error (e, _, _) -> Error (Errno.of_unix e)
+        in
+        go ()
+
+    let pop_with t f =
       match t.failed with
       | Some e -> Error e
       | None ->
+        let b = t.buf and o = t.start in
         if avail t < header_bytes then Ok None
+        else if bad_header b o ~max_payload:t.max_payload then fail t
         else begin
-          let b = t.buf and o = t.start in
-          if Bytes.get_uint16_le b o <> magic then begin
-            t.failed <- Some Errno.EINVAL;
-            Error Errno.EINVAL
-          end
+          let len = len_at b o in
+          if avail t < header_bytes + len then Ok None
           else begin
-            let opcode = Bytes.get_uint16_le b (o + 2) in
-            (* u32, like [read_into]: no sign extension on req_id *)
-            let req_id =
-              Int32.to_int (Bytes.get_int32_le b (o + 4)) land 0xffffffff
-            in
-            let len = Int32.to_int (Bytes.get_int32_le b (o + 8)) in
-            if len < 0 || len > t.max_payload then begin
-              t.failed <- Some Errno.EINVAL;
-              Error Errno.EINVAL
-            end
-            else if avail t < header_bytes + len then Ok None
-            else begin
-              let payload = Bytes.sub_string b (o + header_bytes) len in
-              t.start <- t.start + header_bytes + len;
-              if t.start = t.fill then begin
-                t.start <- 0;
-                t.fill <- 0
-              end;
-              Ok (Some { req_id; opcode; payload })
-            end
+            t.start <- o + header_bytes + len;
+            if t.start = t.fill then begin
+              t.start <- 0;
+              t.fill <- 0
+            end;
+            Ok
+              (Some
+                 (f ~req_id:(req_id_at b o) ~opcode:(opcode_at b o) b
+                    (o + header_bytes) len))
           end
         end
+
+    let pop t =
+      pop_with t (fun ~req_id ~opcode b off len ->
+          { req_id; opcode; payload = Bytes.sub_string b off len })
   end
 end
 

@@ -41,8 +41,9 @@ val bytes_carried : t -> int
     payload.
 
     Concurrency contract: frames from concurrent writers must be
-    serialized per connection (the server holds a per-connection mutex
-    around {!Frame.write}), but {e replies may come back in any order}
+    serialized per connection (the server's one writer fibre per
+    connection lays its frames back to back), but {e replies may come
+    back in any order}
     — the request id is the correlation key, so one socket can carry
     many interleaved in-flight requests (the load generator pipelines
     on exactly this). *)
@@ -77,16 +78,6 @@ module Frame : sig
     Unix.file_descr ->
     (t option, Capfs_core.Errno.t) result
 
-  (** {!read} for a non-blocking fd inside a fibre: short reads park the
-      fibre on {!Capfs_sched.Sched.wait_readable} (real clock only)
-      instead of spinning, so one domain multiplexes many
-      connections. *)
-  val read_sched :
-    ?max_payload:int ->
-    Capfs_sched.Sched.t ->
-    Unix.file_descr ->
-    (t option, Capfs_core.Errno.t) result
-
   (** [blit_header b off ~req_id ~opcode ~payload_len] writes the
       16-byte frame header at [b.(off)] — the gather writer lays many
       headers and payloads into one buffer and hands it to
@@ -105,13 +96,14 @@ module Frame : sig
     len:int ->
     (int, Capfs_core.Errno.t) result
 
-  (** Incremental frame reassembly over caller-supplied byte chunks, for
-      readers that drain an fd opportunistically (a cached client
-      polling for pushed invalidations before serving a local hit)
-      rather than parking on it. Feed whatever [read(2)] returned, then
-      {!Splitter.pop} complete frames until [Ok None]. Protocol errors
-      (bad magic, oversized length) are sticky — a desynchronized byte
-      stream has no resync point. *)
+  (** Incremental frame reassembly in one growable buffer per stream.
+      Bytes come in by one [read(2)] straight into the free tail
+      ({!Splitter.fill}: the socket server's reader and the cached
+      client) or as caller-supplied chunks ({!Splitter.feed}); then
+      {!Splitter.pop} (or the copy-free {!Splitter.pop_with}) cuts out
+      complete frames until [Ok None]. Protocol errors (bad magic,
+      oversized length) are sticky — a desynchronized byte stream has
+      no resync point. *)
   module Splitter : sig
     type frame := t
     type t
@@ -122,7 +114,26 @@ module Frame : sig
         stream. Raises [Invalid_argument] on an out-of-bounds slice. *)
     val feed : t -> Bytes.t -> int -> int -> unit
 
+    (** [fill t fd] is one [read(2)] of [fd] into the buffer's free
+        tail, grown first to hold the whole pending frame — whose length
+        is checked against [max_payload] before the buffer grows
+        ([Error EINVAL], sticky). [`Short]: the kernel had fewer bytes
+        than the tail had room for, so a socket is drained for now;
+        [`Full]: more may be waiting; [`Eof]: the peer closed. [EINTR]
+        restarts; [EAGAIN] and other failures are [Error]. *)
+    val fill :
+      t -> Unix.file_descr -> ([ `Short | `Full | `Eof ], Capfs_core.Errno.t) result
+
     (** Next complete frame, [Ok None] when more bytes are needed. *)
     val pop : t -> (frame option, Capfs_core.Errno.t) result
+
+    (** {!pop} without the payload copy: [pop_with t f] hands the next
+        complete frame to [f ~req_id ~opcode buf off len], its payload
+        the window [buf.(off..off+len)]. The window is valid only during
+        the call: the next {!fill} or {!feed} may overwrite it. *)
+    val pop_with :
+      t ->
+      (req_id:int -> opcode:int -> Bytes.t -> int -> int -> 'a) ->
+      ('a option, Capfs_core.Errno.t) result
   end
 end

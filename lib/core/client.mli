@@ -107,6 +107,11 @@ val read_into :
   t -> client:int -> string -> Capfs_disk.Arena.t -> offset:int ->
   bytes:int -> (Capfs_disk.Data.t, Capfs_core.Errno.t) result
 
+(** [write t ~client path ~offset data] takes ownership of a [Real]
+    [data]: a block-sized or smaller payload may become the cached
+    block itself (without an arena the cache keeps it as it came), so
+    the caller must not write into it afterwards. Nothing here writes
+    into a payload it was handed. *)
 val write :
   t -> client:int -> string -> offset:int -> Capfs_disk.Data.t ->
   (unit, Capfs_core.Errno.t) result

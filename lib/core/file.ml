@@ -188,7 +188,11 @@ let write t ~offset data =
     for idx = first to last do
       let lo = Stdlib.max offset (idx * bb) in
       let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
-      let slice = Data.sub data ~pos:(lo - offset) ~len:(hi - lo) in
+      (* a payload within one block goes to the cache as it came *)
+      let slice =
+        if first = last then data
+        else Data.sub data ~pos:(lo - offset) ~len:(hi - lo)
+      in
       let at = lo - (idx * bb) in
       let whole_block = at = 0 && hi - lo = bb in
       let covers_tail =
@@ -198,8 +202,10 @@ let write t ~offset data =
       in
       let block_data =
         if whole_block then
-          (* [slice] is exactly one block long: real slices are fresh
-             copies, simulated ones are immutable — use it as-is *)
+          (* [slice] is exactly one block long: a real one is a fresh
+             copy or the caller's own payload, which [Client.write]
+             takes ownership of; simulated ones are immutable — use it
+             as-is *)
           slice
         else if covers_tail
                 && not (Cache.contains t.fsys.Fsys.cache (Key.v (ino t) idx))

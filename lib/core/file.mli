@@ -40,7 +40,9 @@ val read_into :
   t -> Capfs_disk.Arena.t -> offset:int -> bytes:int -> Capfs_disk.Data.t
 
 (** [write t ~offset data] buffers the write in the cache (write-back)
-    and grows the file as needed. *)
+    and grows the file as needed. A payload within one block reaches the
+    cache without a copy: the caller hands it over, as with
+    [Client.write]. *)
 val write : t -> offset:int -> Capfs_disk.Data.t -> unit
 
 (** Shrink or grow (sparsely) to [size] bytes. Shrinking drops cached

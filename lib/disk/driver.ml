@@ -12,6 +12,7 @@ type transport = {
   total_sectors : int;
   execute : queue_empty:(unit -> bool) -> Iorequest.t -> unit;
   current_cylinder : unit -> int;
+  close : unit -> unit;
 }
 
 let sim_transport disk =
@@ -22,6 +23,7 @@ let sim_transport disk =
     total_sectors = Sim_disk.capacity_sectors disk;
     execute = (fun ~queue_empty req -> Sim_disk.execute disk ~queue_empty req);
     current_cylinder = (fun () -> Sim_disk.current_cylinder disk);
+    close = ignore;
   }
 
 let mem_transport ?(latency = 0.) ~sector_bytes ~total_sectors sched () =
@@ -69,6 +71,7 @@ let mem_transport ?(latency = 0.) ~sector_bytes ~total_sectors sched () =
     total_sectors;
     execute;
     current_cylinder = (fun () -> 0);
+    close = ignore;
   }
 
 type t = {

@@ -16,13 +16,16 @@
 (** What the driver drives. [execute] services one request to completion,
     blocking the calling fibre for however long that takes, and must call
     [Iorequest.complete] (the driver completes it defensively anyway).
-    [current_cylinder] feeds the queue policy. *)
+    [current_cylinder] feeds the queue policy. [close] releases what the
+    transport holds (a real device's descriptor); it is idempotent and
+    a no-op for the simulated and RAM transports. *)
 type transport = {
   t_name : string;
   sector_bytes : int;
   total_sectors : int;
   execute : queue_empty:(unit -> bool) -> Iorequest.t -> unit;
   current_cylinder : unit -> int;
+  close : unit -> unit;
 }
 
 (** [sim_transport disk] drives a {!Sim_disk}. *)

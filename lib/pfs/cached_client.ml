@@ -518,98 +518,42 @@ let dirty_blocks t =
 
 let socket_transport ?(max_payload = Frame.default_max_payload) fd =
   let sp = Frame.Splitter.create ~max_payload () in
-  let inq : Frame.t Queue.t = Queue.create () in
-  let rbuf = Bytes.create 65536 in
   let gather = ref (Bytes.create 4096) in
-  let ensure n =
-    if Bytes.length !gather < n then
-      gather := Bytes.create (Stdlib.max n (2 * Bytes.length !gather))
-  in
   let readable_now () =
     match Unix.select [ fd ] [] [] 0. with
     | [ _ ], _, _ -> true
     | _ -> false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
   in
-  let read_some () =
-    match Unix.read fd rbuf 0 (Bytes.length rbuf) with
-    | 0 -> Error Errno.EIO (* peer gone mid-conversation *)
-    | n ->
-      Frame.Splitter.feed sp rbuf 0 n;
-      Ok ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> Ok ()
-  in
   let rec next ~block =
-    match Queue.take_opt inq with
-    | Some f -> Ok (Some f)
-    | None -> (
-      match Frame.Splitter.pop sp with
-      | Error e -> Error e
-      | Ok (Some f) ->
-        if f.Frame.opcode = Wire.Batch.opcode then (
-          match Wire.Batch.decode f.Frame.payload with
-          | Error e -> Error e
-          | Ok entries ->
-            List.iter
-              (fun (req_id, opcode, payload) ->
-                Queue.push { Frame.req_id; opcode; payload } inq)
-              entries;
-            next ~block)
-        else Ok (Some f)
-      | Ok None ->
-        if block || readable_now () then (
-          match read_some () with
-          | Error e -> Error e
-          | Ok () -> next ~block)
-        else Ok None)
+    match Frame.Splitter.pop sp with
+    | Ok None when block || readable_now () -> (
+      match Frame.Splitter.fill sp fd with
+      | Ok `Eof -> Error Errno.EIO (* peer gone mid-conversation *)
+      | Ok (`Short | `Full) -> next ~block
+      | Error e -> Error e)
+    | r -> r
   in
-  let write_one (f : Frame.t) =
-    let plen = String.length f.payload in
-    let len = Frame.header_bytes + plen in
-    ensure len;
-    let b = !gather in
-    Frame.blit_header b 0 ~req_id:f.req_id ~opcode:f.opcode ~payload_len:plen;
-    Bytes.blit_string f.payload 0 b Frame.header_bytes plen;
-    match Frame.write_bytes fd b ~len with
-    | Ok _ -> Ok ()
-    | Error e -> Error e
-  in
+  (* the burst back to back as plain frames, one write(2) *)
   let t_send frames =
-    match frames with
-    | [] -> Ok ()
-    | [ f ] -> write_one f
-    | fs ->
-      let inner =
-        List.fold_left
-          (fun acc (f : Frame.t) ->
-            acc + Wire.Batch.entry_header + String.length f.payload)
-          0 fs
-      in
-      if inner > max_payload then
-        (* too big for one container: plain frames, one write each *)
-        List.fold_left
-          (fun acc f -> match acc with Error _ -> acc | Ok () -> write_one f)
-          (Ok ()) fs
-      else begin
-        let len = Frame.header_bytes + inner in
-        ensure len;
-        let b = !gather in
-        Frame.blit_header b 0 ~req_id:0 ~opcode:Wire.Batch.opcode
-          ~payload_len:inner;
-        let off = ref Frame.header_bytes in
-        List.iter
-          (fun (f : Frame.t) ->
-            let plen = String.length f.payload in
-            Wire.Batch.blit_entry_header b !off ~req_id:f.req_id
-              ~opcode:f.opcode ~payload_len:plen;
-            Bytes.blit_string f.payload 0 b (!off + Wire.Batch.entry_header)
-              plen;
-            off := !off + Wire.Batch.entry_header + plen)
-          fs;
-        match Frame.write_bytes fd b ~len with
-        | Ok _ -> Ok ()
-        | Error e -> Error e
-      end
+    let len =
+      List.fold_left
+        (fun n (f : Frame.t) -> n + Frame.header_bytes + String.length f.payload)
+        0 frames
+    in
+    if Bytes.length !gather < len then
+      gather := Bytes.create (Stdlib.max len (2 * Bytes.length !gather));
+    let b = !gather in
+    ignore
+      (List.fold_left
+         (fun off (f : Frame.t) ->
+           let plen = String.length f.payload in
+           Frame.blit_header b off ~req_id:f.req_id ~opcode:f.opcode
+             ~payload_len:plen;
+           Bytes.blit_string f.payload 0 b (off + Frame.header_bytes) plen;
+           off + Frame.header_bytes + plen)
+         0 frames);
+    match Frame.write_bytes fd b ~len with Ok _ -> Ok () | Error e -> Error e
   in
   {
     t_send;

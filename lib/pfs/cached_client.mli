@@ -5,7 +5,7 @@
     grants, delayed writes for sole holders, write-through under
     concurrent sharing, push-driven invalidation. A repeated read of a
     granted file touches no wire at all; misses for a multi-block read
-    go out as {e one} batched send ({!Wire.Batch}); dirty blocks go
+    go out as {e one} send (one [write(2)] on a socket); dirty blocks go
     home as {e one} {!Wire.request.Writeback} frame at close or lease
     expiry.
 
@@ -42,9 +42,10 @@
 
 type t
 
-(** How frames move. [t_send] delivers a burst of frames — transports
-    are encouraged to coalesce a multi-frame burst into one
-    {!Wire.Batch} container / one [write(2)]. [t_recv ~block:false]
+(** How frames move. [t_send] delivers a burst of frames — a socket
+    transport lays them back to back and sends them with one
+    [write(2)]; they stay plain frames, one framing on the wire.
+    [t_recv ~block:false]
     polls (Ok [None] = nothing now); [~block:true] waits for the next
     frame and treats EOF as [Error EIO]. [t_now] is the clock leases
     are measured against. *)
@@ -119,10 +120,10 @@ val dirty_blocks : t -> int
 
 (** [socket_transport fd] — a connected stream socket to
     {!Server.serve}. The fd stays blocking; the non-blocking poll is a
-    zero-timeout [select]. Multi-frame sends coalesce into one
-    {!Wire.Batch} container laid out in a reusable gather buffer (one
-    [write(2)]); received batches are unwrapped transparently. Closing
-    the transport closes [fd]. *)
+    zero-timeout [select]. A multi-frame send is laid back to back in a
+    reusable gather buffer and leaves in one [write(2)]; receives
+    {!Capfs_ccache.Netlink.Frame.Splitter.fill} one [read(2)] straight
+    into the splitter's buffer. Closing the transport closes [fd]. *)
 val socket_transport :
   ?max_payload:int -> Unix.file_descr -> transport
 

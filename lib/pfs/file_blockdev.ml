@@ -3,9 +3,6 @@ module Driver = Capfs_disk.Driver
 module Iorequest = Capfs_disk.Iorequest
 module Data = Capfs_disk.Data
 
-(* transports we created, so [close] can find the fd *)
-let fds : (string, Unix.file_descr) Hashtbl.t = Hashtbl.create 4
-
 let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
   if size_bytes < sector_bytes then
     invalid_arg "File_blockdev.transport: size smaller than one sector";
@@ -81,19 +78,21 @@ let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
       | None -> ()));
     Iorequest.complete sched req
   in
-  let name = "file:" ^ path in
-  Hashtbl.replace fds name fd;
+  (* the transport owns its descriptor: two transports on one path
+     close their own *)
+  let closed = ref false in
   {
-    Driver.t_name = name;
+    Driver.t_name = "file:" ^ path;
     sector_bytes;
     total_sectors;
     execute;
     current_cylinder = (fun () -> 0);
+    close =
+      (fun () ->
+        if not !closed then begin
+          closed := true;
+          Unix.close fd
+        end);
   }
 
-let close (t : Driver.transport) =
-  match Hashtbl.find_opt fds t.Driver.t_name with
-  | Some fd ->
-    Unix.close fd;
-    Hashtbl.remove fds t.Driver.t_name
-  | None -> ()
+let close (t : Driver.transport) = t.Driver.close ()

@@ -18,5 +18,7 @@ val transport :
   unit ->
   Capfs_disk.Driver.transport
 
-(** Close the file descriptor behind a transport created here. *)
+(** Close the file descriptor behind a transport created here — its
+    own, even when another transport has the same [path] open.
+    Idempotent. *)
 val close : Capfs_disk.Driver.transport -> unit

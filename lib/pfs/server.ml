@@ -26,7 +26,8 @@ type shared = {
   w_copied : int Atomic.t; (* bytes those blits moved *)
   w_frames : int Atomic.t; (* frames put on the wire *)
   w_syscalls : int Atomic.t; (* write(2) calls that carried them *)
-  w_batched : int Atomic.t; (* messages that rode a Batch container *)
+  w_reads : int Atomic.t; (* read(2) calls that returned bytes *)
+  w_received : int Atomic.t; (* frames cut out of those reads *)
 }
 
 (* One outbound message: a typed reply still owning its (possibly
@@ -63,9 +64,6 @@ and conn = {
   outbox : out_msg Queue.t;
   out_ev : Sched.event;
   mutable closed : bool;
-  mutable batch_ok : bool;
-      (* peer has spoken the batch/grant vocabulary: it can decode a
-         Batch container, and pushes may be sent to it *)
   mutable gather : Bytes.t; (* reusable writer buffer, grows to fit *)
   mutable pusher_ids : int list; (* client ids registered via Open_grant *)
   mutable fibres : int; (* live reader/writer fibres; the last closes [fd] *)
@@ -142,6 +140,11 @@ let note_mutation sd ~client ~path =
 
 let unit_reply = function Ok () -> Wire.Ok_unit | Error e -> Wire.Err e
 
+(* A request's data, handed over without a copy: the decoder made the
+   string for this request alone, and [Client.write] takes ownership
+   (the cache copies it once, into its slab). *)
+let request_data data = Data.Real (Bytes.unsafe_of_string data)
+
 (* Each request is one abstract-client call; the wire adds no
    namespace logic of its own. *)
 let exec sh req =
@@ -168,7 +171,7 @@ let exec sh req =
       Wire.Ok_data d
     | Error e -> Wire.Err e)
   | Write { client; path; offset; data } -> (
-    match Client.write c ~client path ~offset (Data.of_string data) with
+    match Client.write c ~client path ~offset (request_data data) with
     | Ok () ->
       note_mutation sd ~client ~path;
       Wire.Ok_unit
@@ -206,7 +209,7 @@ let exec sh req =
       | [] -> Ok ()
       | (off, data) :: rest -> (
         match
-          Client.write c ~client path ~offset:off (Data.of_string data)
+          Client.write c ~client path ~offset:off (request_data data)
         with
         | Ok () -> apply rest
         | Error _ as e -> e)
@@ -539,7 +542,8 @@ let create ?injector (cfg : Pfs.Config.t) =
         w_copied = Atomic.make 0;
         w_frames = Atomic.make 0;
         w_syscalls = Atomic.make 0;
-        w_batched = Atomic.make 0;
+        w_reads = Atomic.make 0;
+        w_received = Atomic.make 0;
       }
     in
     let built = ref [] in
@@ -673,7 +677,8 @@ let report_json t =
     [
       ("frames_sent", sd.w_frames);
       ("syscalls", sd.w_syscalls);
-      ("batched", sd.w_batched);
+      ("reads", sd.w_reads);
+      ("frames_received", sd.w_received);
       ("blit_count", sd.w_blit);
       ("copied_bytes", sd.w_copied);
     ];
@@ -772,43 +777,20 @@ let fibre_done conn =
 
 let writer sd conn () =
   let sched = sched_of conn in
-  let ensure len =
+  let grow len used =
     if Bytes.length conn.gather < len then begin
-      let cap = ref (max 4096 (Bytes.length conn.gather)) in
+      let cap = ref (Bytes.length conn.gather) in
       while !cap < len do
         cap := !cap * 2
       done;
-      conn.gather <- Bytes.create !cap
+      let b = Bytes.create !cap in
+      Bytes.blit conn.gather 0 b 0 used;
+      conn.gather <- b
     end
-  in
-  let flush len =
-    match Frame.write_bytes ~sched conn.fd conn.gather ~len with
-    | Ok sys ->
-      ignore (Atomic.fetch_and_add sd.w_syscalls sys);
-      Atomic.incr sd.w_frames
-    | Error _ -> conn.closed <- true
   in
   let payload_len = function
     | Reply { reply; _ } -> Wire.reply_bytes reply
     | Raw { payload; _ } -> String.length payload
-  in
-  (* lay one message at [off]: entry/frame header then payload,
-     straight from the arena slice — no intermediate string *)
-  let blit_msg ~entry msg off plen =
-    (match msg with
-    | Reply { req_id; opcode; _ } | Raw { req_id; opcode; _ } ->
-      if entry then
-        Wire.Batch.blit_entry_header conn.gather off ~req_id ~opcode
-          ~payload_len:plen
-      else Frame.blit_header conn.gather off ~req_id ~opcode ~payload_len:plen);
-    let body =
-      off + if entry then Wire.Batch.entry_header else Frame.header_bytes
-    in
-    match msg with
-    | Reply { reply; _ } ->
-      Wire.blit_reply reply conn.gather body;
-      Wire.release_reply reply
-    | Raw { payload; _ } -> Bytes.blit_string payload 0 conn.gather body plen
   in
   let rec loop () =
     if Queue.is_empty conn.outbox then
@@ -818,50 +800,37 @@ let writer sd conn () =
         loop ()
       end
     else begin
-      (* gather whatever is pending — capped by count and by the
-         container payload limit — into one write(2) *)
-      let limit = if conn.batch_ok then max_gather_msgs else 1 in
-      let msgs = ref [] in
-      let total = ref 0 in
-      let count = ref 0 in
-      let stop_gather = ref false in
+      (* lay whatever is pending — up to [max_gather_msgs] frames or
+         1 MiB — back to back, each reply straight from its arena slice,
+         and hand the lot to one write(2) *)
+      let len = ref 0 and count = ref 0 in
       while
-        (not !stop_gather) && !count < limit && not (Queue.is_empty conn.outbox)
+        !count < max_gather_msgs
+        && (not (Queue.is_empty conn.outbox))
+        && (!count = 0
+           || !len + Frame.header_bytes + payload_len (Queue.peek conn.outbox)
+              <= Frame.default_max_payload)
       do
-        let m = Queue.peek conn.outbox in
+        let m = Queue.pop conn.outbox in
         let plen = payload_len m in
-        if
-          !count = 0
-          || !total + Wire.Batch.entry_header + plen
-             <= Frame.default_max_payload
-        then begin
-          ignore (Queue.pop conn.outbox);
-          msgs := (m, plen) :: !msgs;
-          total := !total + Wire.Batch.entry_header + plen;
-          incr count
-        end
-        else stop_gather := true
+        let body = !len + Frame.header_bytes in
+        grow (body + plen) !len;
+        (match m with
+        | Reply { req_id; opcode; reply } ->
+          Frame.blit_header conn.gather !len ~req_id ~opcode ~payload_len:plen;
+          Wire.blit_reply reply conn.gather body;
+          Wire.release_reply reply
+        | Raw { req_id; opcode; payload } ->
+          Frame.blit_header conn.gather !len ~req_id ~opcode ~payload_len:plen;
+          Bytes.blit_string payload 0 conn.gather body plen);
+        len := body + plen;
+        incr count
       done;
-      (match List.rev !msgs with
-      | [] -> ()
-      | [ (m, plen) ] ->
-        let len = Frame.header_bytes + plen in
-        ensure len;
-        blit_msg ~entry:false m 0 plen;
-        flush len
-      | batch ->
-        let len = Frame.header_bytes + !total in
-        ensure len;
-        Frame.blit_header conn.gather 0 ~req_id:0 ~opcode:Wire.Batch.opcode
-          ~payload_len:!total;
-        let off = ref Frame.header_bytes in
-        List.iter
-          (fun (m, plen) ->
-            blit_msg ~entry:true m !off plen;
-            off := !off + Wire.Batch.entry_header + plen)
-          batch;
-        ignore (Atomic.fetch_and_add sd.w_batched (List.length batch));
-        flush len);
+      (match Frame.write_bytes ~sched conn.fd conn.gather ~len:!len with
+      | Ok sys ->
+        ignore (Atomic.fetch_and_add sd.w_syscalls sys);
+        ignore (Atomic.fetch_and_add sd.w_frames !count)
+      | Error _ -> conn.closed <- true);
       loop ()
     end
   in
@@ -869,8 +838,12 @@ let writer sd conn () =
 
 let reader t conn ~on_shutdown () =
   let sd = t.shared in
-  let process req_id opcode payload =
-    match Wire.decode_request ~opcode payload with
+  let sched = sched_of conn in
+  let sp = Frame.Splitter.create () in
+  (* decode in place from the receive buffer: the request copies out
+     only its own strings *)
+  let process ~req_id ~opcode buf off len =
+    match Wire.decode_request_window ~opcode buf ~off ~len with
     | Error e -> enqueue conn (Reply { req_id; opcode; reply = Wire.Err e })
     | Ok Wire.Shutdown ->
       (* no reply: the client closes, a clean exit acknowledges *)
@@ -881,9 +854,7 @@ let reader t conn ~on_shutdown () =
     | Ok req -> (
       (match req with
       | Wire.Open_grant { client; _ } ->
-        (* the grant vocabulary implies batch fluency, and names the
-           connection as this client's push channel *)
-        conn.batch_ok <- true;
+        (* the grant names the connection as this client's push channel *)
         if not (List.mem client conn.pusher_ids) then begin
           conn.pusher_ids <- client :: conn.pusher_ids;
           register_pusher t ~client (fun push ->
@@ -898,32 +869,41 @@ let reader t conn ~on_shutdown () =
       | Ok () -> ()
       | Error e -> enqueue conn (Reply { req_id; opcode; reply = Wire.Err e }))
   in
+  (* every complete frame in the buffer; [false] on a protocol error *)
+  let rec drain n =
+    match Frame.Splitter.pop_with sp process with
+    | Ok (Some ()) -> drain (n + 1)
+    | r ->
+      ignore (Atomic.fetch_and_add sd.w_received n);
+      Result.is_ok r
+  in
+  let hang_up () =
+    conn.closed <- true;
+    (* a dead connection stops caching: drop its push channels and
+       every lease its clients held *)
+    List.iter
+      (fun cid ->
+        unregister_pusher t ~client:cid;
+        ignore (Lease.drop_client sd.lease ~client:cid))
+      conn.pusher_ids;
+    conn.pusher_ids <- [];
+    Sched.signal sched conn.out_ev
+  in
+  (* one read(2) per burst; after a short read the socket is drained,
+     so the fibre parks until the kernel has more *)
   let rec loop () =
-    match Frame.read_sched (sched_of conn) conn.fd with
-    | Ok (Some { Frame.req_id; opcode; payload })
-      when opcode = Wire.Batch.opcode -> (
-      conn.batch_ok <- true;
-      match Wire.Batch.decode payload with
-      | Error e ->
-        enqueue conn (Reply { req_id; opcode; reply = Wire.Err e });
+    match Frame.Splitter.fill sp conn.fd with
+    | Ok ((`Short | `Full) as got) ->
+      Atomic.incr sd.w_reads;
+      if drain 0 then begin
+        if got = `Short then Sched.wait_readable sched conn.fd;
         loop ()
-      | Ok entries ->
-        List.iter (fun (rid, op, pl) -> process rid op pl) entries;
-        loop ())
-    | Ok (Some { Frame.req_id; opcode; payload }) ->
-      process req_id opcode payload;
+      end
+      else hang_up ()
+    | Error Errno.EAGAIN ->
+      Sched.wait_readable sched conn.fd;
       loop ()
-    | Ok None | Error _ ->
-      conn.closed <- true;
-      (* a dead connection stops caching: drop its push channels and
-         every lease its clients held *)
-      List.iter
-        (fun cid ->
-          unregister_pusher t ~client:cid;
-          ignore (Lease.drop_client sd.lease ~client:cid))
-        conn.pusher_ids;
-      conn.pusher_ids <- [];
-      Sched.signal (sched_of conn) conn.out_ev
+    | Ok `Eof | Error _ -> hang_up ()
   in
   loop ()
 
@@ -937,7 +917,6 @@ let host t home fd ~on_shutdown =
       outbox = Queue.create ();
       out_ev = Sched.new_event sched;
       closed = false;
-      batch_ok = false;
       gather = Bytes.create 4096;
       pusher_ids = [];
       fibres = 2;

@@ -90,7 +90,9 @@ val snapshots : t -> Capfs_stats.Snapshot.t array
     key, means recomputed. *)
 val merged : t -> Capfs_stats.Snapshot.t
 
-(** JSON report: shard count, per-shard snapshots, merged totals. *)
+(** JSON report: shard count, per-shard snapshots, merged totals, and
+    the socket counters under ["wire"] (keys from
+    {!Capfs_stats.Names.wire}). *)
 val report_json : t -> string
 
 (** Stop accepting ([EAGAIN]), drain in-flight requests, sync and close
@@ -104,6 +106,11 @@ val shutdown : t -> unit
     It runs no scheduler of its own: an accept fibre on shard 0's
     scheduler deals connections round-robin to the shard domains, and
     a connection's descriptor is closed as soon as its peer hangs up.
+    A connection moves each burst with one [read(2)] into its receive
+    buffer — every complete request in it decoded in place — and one
+    [write(2)] of up to 64 pending replies laid back to back as plain
+    frames. A bad magic, an oversized length or EOF mid-frame closes
+    only that connection.
     Blocks until a client sends [Shutdown] (which gets no reply), then
     drains — replies to requests still in flight are written — shuts
     the server down and returns; the caller's clean exit is the

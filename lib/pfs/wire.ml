@@ -59,7 +59,7 @@ let op_shutdown = 10
 let op_open_grant = 11
 let op_writeback = 12
 let op_invalidate = 13
-let op_batch = 14
+(* 14 is retired: older peers sent batch containers under it *)
 let op_rename = 15
 let op_readdir = 16
 let op_rmdir = 17
@@ -120,32 +120,39 @@ let add_str b s =
   Buffer.add_uint16_le b (String.length s);
   Buffer.add_string b s
 
-type cursor = { buf : string; mutable pos : int }
+(* A read cursor over the window [buf.(pos..stop)]: every bound is
+   checked against [stop], so a hostile length never reads past the
+   window even when [buf] holds more bytes beyond it. *)
+type cursor = { buf : Bytes.t; mutable pos : int; stop : int }
+
+let cursor_of_string s =
+  { buf = Bytes.unsafe_of_string s; pos = 0; stop = String.length s }
 
 let get_u8 c =
-  if c.pos + 1 > String.length c.buf then raise Short;
-  let v = Char.code c.buf.[c.pos] in
+  if c.pos + 1 > c.stop then raise Short;
+  let v = Bytes.get_uint8 c.buf c.pos in
   c.pos <- c.pos + 1;
   v
 
 let get_u32 c =
-  if c.pos + 4 > String.length c.buf then raise Short;
-  let v = Int32.to_int (String.get_int32_le c.buf c.pos) in
+  if c.pos + 4 > c.stop then raise Short;
+  let v = Int32.to_int (Bytes.get_int32_le c.buf c.pos) in
   c.pos <- c.pos + 4;
   v land 0xffffffff
 
-let get_str c =
-  if c.pos + 2 > String.length c.buf then raise Short;
-  let n = String.get_uint16_le c.buf c.pos in
-  if c.pos + 2 + n > String.length c.buf then raise Short;
-  let s = String.sub c.buf (c.pos + 2) n in
-  c.pos <- c.pos + 2 + n;
+let get_bytes c n =
+  if c.pos + n > c.stop then raise Short;
+  let s = Bytes.sub_string c.buf c.pos n in
+  c.pos <- c.pos + n;
   s
 
-let get_rest c =
-  let s = String.sub c.buf c.pos (String.length c.buf - c.pos) in
-  c.pos <- String.length c.buf;
-  s
+let get_str c =
+  if c.pos + 2 > c.stop then raise Short;
+  let n = Bytes.get_uint16_le c.buf c.pos in
+  c.pos <- c.pos + 2;
+  get_bytes c n
+
+let get_rest c = get_bytes c (c.stop - c.pos)
 
 let mode_byte = function Capfs.Client.RO -> 0 | WO -> 1 | RW -> 2
 
@@ -205,8 +212,10 @@ let encode_request r =
     add_str b path);
   (opcode r, Buffer.contents b)
 
-let decode_request ~opcode payload =
-  let c = { buf = payload; pos = 0 } in
+let decode_request_window ~opcode buf ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    invalid_arg "Wire.decode_request_window";
+  let c = { buf; pos = off; stop = off + len } in
   match
     if opcode = op_open then begin
       let client = get_u32 c in
@@ -253,14 +262,11 @@ let decode_request ~opcode payload =
       let n = get_u32 c in
       (* each block needs >= 8 header bytes: a hostile count can't force
          a huge list allocation past the payload it actually shipped *)
-      if n * 8 > String.length c.buf - c.pos then raise Short;
+      if n * 8 > c.stop - c.pos then raise Short;
       let blocks =
         List.init n (fun _ ->
             let off = get_u32 c in
-            let len = get_u32 c in
-            if c.pos + len > String.length c.buf then raise Short;
-            let data = String.sub c.buf c.pos len in
-            c.pos <- c.pos + len;
+            let data = get_bytes c (get_u32 c) in
             (off, data))
       in
       Writeback { client; path; size; close; blocks }
@@ -287,6 +293,10 @@ let decode_request ~opcode payload =
   with
   | r -> Ok r
   | exception Short -> Error Errno.EINVAL
+
+let decode_request ~opcode payload =
+  decode_request_window ~opcode (Bytes.unsafe_of_string payload) ~off:0
+    ~len:(String.length payload)
 
 (* Reply status byte: 0 for success, [1 + Errno.to_index e] for a typed
    failure — the same closed errno vocabulary on the wire as in the
@@ -358,7 +368,7 @@ let detach_reply = function
   | r -> r
 
 let decode_reply ~opcode payload =
-  let c = { buf = payload; pos = 0 } in
+  let c = cursor_of_string payload in
   match
     let status = get_u8 c in
     if status > 0 then begin
@@ -366,7 +376,8 @@ let decode_reply ~opcode payload =
       if i >= Array.length Errno.all then raise Short else Err Errno.all.(i)
     end
     else if opcode = op_read || opcode = op_write then
-      if opcode = op_read then Ok_data (Data.of_string (get_rest c))
+      if opcode = op_read then
+        Ok_data (Data.Real (Bytes.unsafe_of_string (get_rest c)))
       else Ok_unit
     else if opcode = op_stat then begin
       let size = get_u32 c in
@@ -385,7 +396,7 @@ let decode_reply ~opcode payload =
       let n = get_u32 c in
       (* each name needs >= 2 length bytes: a hostile count can't force
          a huge list allocation *)
-      if n * 2 > String.length c.buf - c.pos then raise Short;
+      if n * 2 > c.stop - c.pos then raise Short;
       Ok_names (List.init n (fun _ -> get_str c))
     end
     else if opcode = op_readlink then Ok_link (get_rest c)
@@ -408,7 +419,7 @@ let encode_push (Invalidate { path; version }) =
 let decode_push ~opcode payload =
   if opcode <> op_invalidate then Error Errno.EINVAL
   else
-    let c = { buf = payload; pos = 0 } in
+    let c = cursor_of_string payload in
     match
       let version = get_u32 c in
       let path = get_str c in
@@ -416,62 +427,6 @@ let decode_push ~opcode payload =
     with
     | p -> Ok p
     | exception Short -> Error Errno.EINVAL
-
-(* {2 Batch container}
-
-   One frame carrying N (req_id, opcode, payload) entries so a pipelined
-   sender — a client with several requests queued, the writer fibre with
-   several replies pending — pays one syscall, not N. Entry layout:
-   u32 req_id | u16 opcode | u32 payload_len | payload. *)
-
-module Batch = struct
-  let opcode = op_batch
-  let entry_header = 10
-
-  let encoded_bytes entries =
-    List.fold_left
-      (fun acc (_, _, p) -> acc + entry_header + String.length p)
-      0 entries
-
-  let blit_entry_header b off ~req_id ~opcode ~payload_len =
-    set_u32 b off req_id;
-    Bytes.set_uint16_le b (off + 4) (opcode land 0xffff);
-    set_u32 b (off + 6) payload_len
-
-  let encode entries =
-    let b = Bytes.create (encoded_bytes entries) in
-    let off = ref 0 in
-    List.iter
-      (fun (req_id, opcode, payload) ->
-        blit_entry_header b !off ~req_id ~opcode
-          ~payload_len:(String.length payload);
-        Bytes.blit_string payload 0 b (!off + entry_header)
-          (String.length payload);
-        off := !off + entry_header + String.length payload)
-      entries;
-    Bytes.unsafe_to_string b
-
-  let decode payload =
-    let n = String.length payload in
-    let rec go acc pos =
-      if pos = n then Ok (List.rev acc)
-      else if pos + entry_header > n then Error Errno.EINVAL
-      else
-        let req_id =
-          Int32.to_int (String.get_int32_le payload pos) land 0xffffffff
-        in
-        let opcode = String.get_uint16_le payload (pos + 4) in
-        let len =
-          Int32.to_int (String.get_int32_le payload (pos + 6))
-          land 0xffffffff
-        in
-        if pos + entry_header + len > n then Error Errno.EINVAL
-        else
-          let body = String.sub payload (pos + entry_header) len in
-          go ((req_id, opcode, body) :: acc) (pos + entry_header + len)
-    in
-    go [] 0
-end
 
 let pp_reply ppf = function
   | Ok_unit -> Format.pp_print_string ppf "ok"

@@ -110,9 +110,22 @@ val route_path : request -> string option
 val encode_request : request -> int * string
 (** [(opcode, payload)]. *)
 
-(** [decode_request ~opcode payload] — [Error EINVAL] on an unknown
-    opcode or a payload that doesn't parse (truncated field, bad open
-    mode). *)
+(** [decode_request_window ~opcode buf ~off ~len] decodes the payload
+    [buf.(off..off+len)] in place — the socket reader's window into its
+    receive buffer — and never reads outside it. Strings (paths, a
+    [Write]'s data) are copied out, so the request outlives [buf].
+    [Error EINVAL] on an unknown opcode or a payload that doesn't parse
+    (truncated field, bad open mode); [Invalid_argument] when the window
+    is not within [buf]. *)
+val decode_request_window :
+  opcode:int ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  (request, Capfs_core.Errno.t) result
+
+(** [decode_request ~opcode payload] is {!decode_request_window} over
+    the whole of [payload]. *)
 val decode_request :
   opcode:int -> string -> (request, Capfs_core.Errno.t) result
 
@@ -146,36 +159,5 @@ val encode_push : push -> int * string
 (** [(opcode, payload)]. *)
 
 val decode_push : opcode:int -> string -> (push, Capfs_core.Errno.t) result
-
-(** One frame carrying N (req_id, opcode, payload) entries, so a
-    pipelined client or the per-connection writer fibre pays one
-    [write(2)] for a burst instead of one per message. Entry layout:
-    u32 req_id | u16 opcode | u32 payload_len | payload. The container
-    is opt-in per connection: the server only sends batches to peers
-    that have already sent one (or an [Open_grant]), so old clients
-    keep seeing plain frames. *)
-module Batch : sig
-  (** The container's frame opcode. *)
-  val opcode : int
-
-  (** Bytes per entry header (10). *)
-  val entry_header : int
-
-  (** Total encoded size of a batch — for sizing a gather buffer. *)
-  val encoded_bytes : (int * int * string) list -> int
-
-  (** [blit_entry_header b off ~req_id ~opcode ~payload_len] writes one
-      entry header at [b.(off)]; the payload follows at
-      [off + entry_header]. *)
-  val blit_entry_header :
-    Bytes.t -> int -> req_id:int -> opcode:int -> payload_len:int -> unit
-
-  val encode : (int * int * string) list -> string
-
-  (** [Error EINVAL] on a truncated entry header or a payload length
-      running past the container. *)
-  val decode :
-    string -> ((int * int * string) list, Capfs_core.Errno.t) result
-end
 
 val pp_reply : Format.formatter -> reply -> unit

@@ -91,6 +91,7 @@ type t = {
   mutable timer_seq : int;
   mutable next_tid : int;
   live : (thread_id, thread) Hashtbl.t;
+  mutable nondaemon : int; (* live non-daemon fibres, kept with [live] *)
   mutable fd_waiters : fd_waiter list;
   mutable current : thread option;
   mutable running : bool;
@@ -120,6 +121,7 @@ let create ?(seed = 42) ?(policy = `Random) ?(tracer = Tracer.null)
     timer_seq = 0;
     next_tid = 1;
     live = Hashtbl.create 64;
+    nondaemon = 0;
     fd_waiters = [];
     current = None;
     running = false;
@@ -204,6 +206,7 @@ let check_alive t = if t.stopping then raise Stopped
 
 let finish t thread result =
   Hashtbl.remove t.live thread.tid;
+  if not thread.daemon then t.nondaemon <- t.nondaemon - 1;
   match result with
   | None -> ()
   | Some Stopped -> ()
@@ -265,6 +268,7 @@ let spawn ?name ?(daemon = false) t f =
   let name = match name with Some n -> n | None -> Printf.sprintf "t%d" tid in
   let thread = { tid; name; daemon } in
   Hashtbl.replace t.live tid thread;
+  if not daemon then t.nondaemon <- t.nondaemon + 1;
   push_run t (Run { thread; thunk = (fun () -> start t thread f) });
   tid
 
@@ -302,9 +306,6 @@ let burn_solo_pop_draw t =
   | `Random -> ignore (Capfs_stats.Prng.int t.rng 1 : int)
   | `Fifo -> ()
 
-let live_nondaemon t =
-  Hashtbl.fold (fun _ th n -> if th.daemon then n else n + 1) t.live 0
-
 let solo_wake_at t ~at =
   t.clk = `Virtual && t.running && t.runq_len = 0
   && (not (Tracer.enabled t.tracer))
@@ -318,7 +319,7 @@ let solo_wake_at t ~at =
      in place would spin its service loop forever and never hand the
      scheduler back. *)
   && (match t.current with
-     | Some th when th.daemon -> live_nondaemon t > 0
+     | Some th when th.daemon -> t.nondaemon > 0
      | Some _ | None -> true)
 
 let yield t =
@@ -490,7 +491,7 @@ let run ?until t =
         loop ()
       | None -> idle ()
   and idle () =
-    if live_nondaemon t = 0 then ()
+    if t.nondaemon = 0 then ()
       (* Only daemons (service loops, periodic flushers) remain: their
          timers and fds must not keep the system alive. *)
     else

@@ -26,8 +26,10 @@ val disk : int -> string
 (** [bus b] is simulated SCSI bus [b] (device model; Patsy only). *)
 val bus : int -> string
 
-(** [wire c] is a socket data-plane counter: ["wire.frames_sent"],
-    ["wire.syscalls"], ["wire.batched"], ["wire.blit_count"],
+(** [wire c] is a socket data-plane counter: ["wire.frames_sent"] and
+    the ["wire.syscalls"] ([write(2)] calls) that carried them,
+    ["wire.reads"] ([read(2)] calls that returned bytes) and the
+    ["wire.frames_received"] cut out of them, ["wire.blit_count"],
     ["wire.copied_bytes"] (socket server; never part of the diffval
     contract — wall-clock wire traffic has no simulated twin). *)
 val wire : string -> string

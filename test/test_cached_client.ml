@@ -6,8 +6,10 @@
    parity — the same client state machine over Server.drive and over
    an actual Unix socket served by Server.serve. Server.serve itself is
    held to surviving a client that hangs up mid-reply, closing a
-   connection's descriptor at hang-up, and serving two shard domains
-   behind one socket. The same client over the simulated Ethernet is
+   connection's descriptor at hang-up, serving two shard domains behind
+   one socket, answering a 32-request burst from a peer that never sent
+   Open_grant, reassembling dribbled and 64 KiB frames, and closing
+   only the connection that sent a bad header. The same client over the simulated Ethernet is
    tested in test_ccache.ml. *)
 
 module Pfs = Capfs_pfs.Pfs
@@ -78,7 +80,7 @@ let test_hits_zero_wire () =
           CC.disconnect a))
 
 (* The three Read frames of a cold multi-block read leave in one
-   transport send (one Batch container on a socket). *)
+   transport send (one write(2) on a socket). *)
 let test_batched_fetch () =
   with_temp_base 2 (fun path ->
       with_virtual_server path (fun srv ->
@@ -463,6 +465,163 @@ let expect what want got =
     Alcotest.failf "%s: expected %a, got %a" what Wire.pp_reply want
       Wire.pp_reply got
 
+(* One request as one frame's bytes, for laying bursts and dribbles by
+   hand. *)
+let frame_string req_id req =
+  let opcode, payload = Wire.encode_request req in
+  let plen = String.length payload in
+  let b = Bytes.create (Frame.header_bytes + plen) in
+  Frame.blit_header b 0 ~req_id ~opcode ~payload_len:plen;
+  Bytes.blit_string payload 0 b Frame.header_bytes plen;
+  Bytes.unsafe_to_string b
+
+(* The next reply on a blocking socket, which must answer [req_id]. *)
+let reply_to fd req_id =
+  match Frame.read fd with
+  | Ok (Some f) -> (
+    Alcotest.(check int) "reply req_id" req_id f.Frame.req_id;
+    match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "reply decode: %s" (Errno.to_string e))
+  | Ok None -> Alcotest.fail "reply: connection closed"
+  | Error e -> Alcotest.failf "reply recv: %s" (Errno.to_string e)
+
+(* A counter of the Stats reply's [wire] object. *)
+let wire_counter fd req_id key =
+  let json =
+    match raw fd req_id Wire.Stats with
+    | Wire.Ok_stats j -> j
+    | r -> Alcotest.failf "stats: %a" Wire.pp_reply r
+  in
+  let pat = Printf.sprintf "\"wire.%s\": " key in
+  let n = String.length pat in
+  let rec find i =
+    if i + n > String.length json then Alcotest.failf "no %s in %s" key json
+    else if String.sub json i n = pat then i + n
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < String.length json && json.[!stop] >= '0' && json.[!stop] <= '9'
+  do
+    incr stop
+  done;
+  int_of_string (String.sub json start (!stop - start))
+
+(* A peer that never sent Open_grant: 32 requests in one write(2) are
+   cut out of the server's receive buffer, and every reply comes back
+   as a plain frame that the blocking [Frame.read] decodes one at a
+   time — as `pfs loadgen` and the benchmark's control connection read
+   them — matched by req_id. *)
+let test_burst_plain_peer () =
+  with_temp_base 1 (fun path ->
+      with_socket_server ~shards:1 path (fun _ connect ->
+          let fd = connect () in
+          let n = 32 in
+          let req i = if i mod 2 = 0 then Wire.Stat "/" else Wire.Stat "/none" in
+          let burst = String.concat "" (List.init n (fun i -> frame_string (i + 1) (req (i + 1)))) in
+          Alcotest.(check int)
+            "one write(2)" (String.length burst)
+            (Unix.write_substring fd burst 0 (String.length burst));
+          let seen = Array.make (n + 1) false in
+          for _ = 1 to n do
+            match Frame.read fd with
+            | Ok (Some f) -> (
+              let id = f.Frame.req_id in
+              if id < 1 || id > n || seen.(id) then
+                Alcotest.failf "unexpected or repeated reply %d" id;
+              seen.(id) <- true;
+              match
+                (req id, Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload)
+              with
+              | Wire.Stat "/", Ok (Wire.Ok_stat { Wire.is_dir = true; _ })
+              | Wire.Stat "/none", Ok (Wire.Err Errno.ENOENT) ->
+                ()
+              | _, Ok r -> Alcotest.failf "reply %d: %a" id Wire.pp_reply r
+              | _, Error e -> Alcotest.failf "reply %d: %s" id (Errno.to_string e))
+            | Ok None -> Alcotest.fail "burst: connection closed"
+            | Error e -> Alcotest.failf "burst: %s" (Errno.to_string e)
+          done;
+          (* a Stats request is counted after its own report *)
+          let frames = wire_counter fd (n + 1) "frames_received" in
+          Alcotest.(check int) "frames_received = requests sent" n frames;
+          let reads = wire_counter fd (n + 2) "reads" in
+          if reads > frames then
+            Alcotest.failf "%d reads for %d frames" reads frames;
+          Unix.close fd))
+
+(* Requests that reach the server in pieces: one dribbled 3 bytes at a
+   time, with cuts inside the header and inside the payload, and a
+   64 KiB Write that spans many reads. Each is answered once, with the
+   right bytes. *)
+let test_dribbled_frames () =
+  with_temp_base 1 (fun path ->
+      with_socket_server ~shards:1 path (fun _ connect ->
+          let fd = connect () in
+          let dribble step s =
+            let off = ref 0 in
+            while !off < String.length s do
+              let k = min step (String.length s - !off) in
+              off := !off + Unix.write_substring fd s !off k;
+              Unix.sleepf 0.0005
+            done
+          in
+          let write req_id offset data =
+            frame_string req_id
+              (Wire.Write { client = 1; path = "/d/f"; offset; data })
+          in
+          expect "mkdir" Wire.Ok_unit (raw fd 1 (Wire.Mkdir "/d"));
+          expect "open" Wire.Ok_unit
+            (raw fd 2
+               (Wire.Open { client = 1; path = "/d/f"; mode = Capfs.Client.RW }));
+          dribble 3 (write 3 0 "dribbled");
+          expect "dribbled write" Wire.Ok_unit (reply_to fd 3);
+          let big = String.init (64 * 1024) (fun i -> Char.chr (i * 7 mod 251)) in
+          dribble 4096 (write 4 8 big);
+          expect "64 KiB write" Wire.Ok_unit (reply_to fd 4);
+          (* the next reply on the wire answers the next request *)
+          (match
+             raw fd 5
+               (Wire.Read
+                  { client = 1; path = "/d/f"; offset = 0; count = 8 + String.length big })
+           with
+          | Wire.Ok_data d ->
+            Alcotest.(check string)
+              "read back" ("dribbled" ^ big)
+              (Capfs_disk.Data.to_string d)
+          | r -> Alcotest.failf "read: %a" Wire.pp_reply r);
+          Unix.close fd))
+
+(* A bad magic or an oversized length closes that connection only:
+   another connection's Stat is still answered. *)
+let test_bad_header_closes_one () =
+  with_temp_base 1 (fun path ->
+      with_socket_server ~shards:1 path (fun _ connect ->
+          let keep = connect () in
+          let hostile what hdr =
+            let fd = connect () in
+            ignore (Unix.write_substring fd hdr 0 (String.length hdr));
+            (match Unix.select [ fd ] [] [] 5. with
+            | [], _, _ -> Alcotest.failf "%s: connection left open" what
+            | _ -> (
+              match Frame.read fd with
+              | Ok None | Error _ -> ()
+              | Ok (Some _) -> Alcotest.failf "%s: answered" what));
+            Unix.close fd;
+            match raw keep 1 (Wire.Stat "/") with
+            | Wire.Ok_stat { Wire.is_dir = true; _ } -> ()
+            | r -> Alcotest.failf "after %s: %a" what Wire.pp_reply r
+          in
+          let oversized = Bytes.create Frame.header_bytes in
+          Frame.blit_header oversized 0 ~req_id:1
+            ~opcode:(Wire.opcode (Wire.Stat "/"))
+            ~payload_len:(Frame.default_max_payload + 1);
+          hostile "oversized length" (Bytes.to_string oversized);
+          let bad = Bytes.of_string (frame_string 1 (Wire.Stat "/")) in
+          Bytes.set_uint16_le bad 0 0xdead;
+          hostile "bad magic" (Bytes.to_string bad);
+          Unix.close keep))
+
 (* The same client code over a real socket: Server.serve in a second
    domain, Cached_client on a Unix-domain socket. Parity check: the
    hit/miss counters match the virtual-clock run of the same workload. *)
@@ -714,4 +873,10 @@ let suite =
       test_closed_connections_release_fds;
     Alcotest.test_case "two shards over a socket" `Quick
       test_two_shards_over_socket;
+    Alcotest.test_case "burst of 32 from a plain peer" `Quick
+      test_burst_plain_peer;
+    Alcotest.test_case "dribbled and 64 KiB frames" `Quick
+      test_dribbled_frames;
+    Alcotest.test_case "bad header closes one connection" `Quick
+      test_bad_header_closes_one;
   ]

@@ -223,8 +223,10 @@ let test_frame_roundtrip () =
 
 let test_frame_short_reads () =
   (* a dribbling writer: the frame arrives a few bytes at a time, with
-     cuts inside the header and inside the payload. [read_sched] must
-     reassemble it exactly (real clock: it parks on wait_readable). *)
+     cuts inside the header and inside the payload. The server's reader
+     discipline -- one [Splitter.fill] per wakeup on a non-blocking fd,
+     parking on wait_readable when drained -- must reassemble it exactly
+     (real clock). *)
   let f =
     { Frame.req_id = 42; opcode = 9; payload = String.init 100 Char.chr }
   in
@@ -233,6 +235,7 @@ let test_frame_short_reads () =
       Unix.set_nonblock b;
       let s = Sched.create ~clock:`Real () in
       let got = ref None in
+      let fills = ref 0 in
       ignore
         (Sched.spawn s ~name:"dribbler" (fun () ->
              let n = String.length bytes in
@@ -246,11 +249,28 @@ let test_frame_short_reads () =
              done));
       ignore
         (Sched.spawn s ~name:"reader" (fun () ->
-             got := Some (Frame.read_sched s b)));
+             let sp = Frame.Splitter.create () in
+             let rec loop () =
+               match Frame.Splitter.pop sp with
+               | Ok None -> (
+                 match Frame.Splitter.fill sp b with
+                 | Ok (`Short | `Full) ->
+                   incr fills;
+                   loop ()
+                 | Error Capfs_core.Errno.EAGAIN ->
+                   Sched.wait_readable s b;
+                   loop ()
+                 | Ok `Eof -> got := Some (Ok None)
+                 | Error e -> got := Some (Error e))
+               | r -> got := Some r
+             in
+             loop ()));
       Sched.run s;
-      match !got with
+      (match !got with
       | Some r -> check_frame "dribbled" f r
-      | None -> Alcotest.fail "reader did not finish")
+      | None -> Alcotest.fail "reader did not finish");
+      (* the frame really did arrive in pieces *)
+      Alcotest.(check bool) "several reads" true (!fills > 1))
 
 let test_frame_oversized_payload () =
   with_socketpair (fun a b ->

@@ -74,6 +74,34 @@ let test_blockdev_persists_across_reopen () =
       Sched.run s;
       File_blockdev.close tr)
 
+(* Two transports on one image each own their descriptor: closing the
+   first leaves the second serving, and closing both returns every
+   descriptor the two opened. *)
+let test_blockdev_two_transports () =
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then
+    with_temp_image (fun path ->
+        let count () = Array.length (Sys.readdir fd_dir) in
+        let before = count () in
+        let s = Sched.create ~clock:`Virtual () in
+        let open_one () =
+          File_blockdev.transport s ~path ~size_bytes:(512 * 1024) ()
+        in
+        let t1 = open_one () in
+        let t2 = open_one () in
+        File_blockdev.close t1;
+        let drv = Driver.create s t2 in
+        ignore
+          (Sched.spawn s (fun () ->
+               Driver.write_exn drv ~lba:3 (Data.of_string (String.make 512 'q'));
+               let d = Driver.read_exn drv ~lba:3 ~sectors:1 in
+               Alcotest.(check string)
+                 "second transport still serves" (String.make 512 'q')
+                 (Data.to_string d)));
+        Sched.run s;
+        File_blockdev.close t2;
+        Alcotest.(check int) "descriptors returned" before (count ()))
+
 (* Full PFS over a real image *)
 
 let test_pfs_format_and_basic_io () =
@@ -236,6 +264,8 @@ let suite =
     Alcotest.test_case "blockdev roundtrip" `Quick test_blockdev_roundtrip;
     Alcotest.test_case "trace replay over file" `Quick
       test_pfs_trace_replay_over_file;
+    Alcotest.test_case "blockdev transports own their fds" `Quick
+      test_blockdev_two_transports;
     Alcotest.test_case "blockdev persists" `Quick
       test_blockdev_persists_across_reopen;
     Alcotest.test_case "pfs format + io" `Quick test_pfs_format_and_basic_io;

@@ -134,43 +134,6 @@ let test_wire_push_roundtrip () =
     if p <> p' then Alcotest.fail "push did not survive the wire"
   | Error e -> Alcotest.failf "decode_push: %s" (Errno.to_string e)
 
-let test_wire_batch_roundtrip () =
-  let entries =
-    [
-      (1, 3, "first payload");
-      (2, 4, "");
-      (Wire.push_req_id, 13, String.make 5000 'z');
-    ]
-  in
-  let s = Wire.Batch.encode entries in
-  Alcotest.(check int)
-    "encoded_bytes" (String.length s)
-    (Wire.Batch.encoded_bytes entries);
-  (match Wire.Batch.decode s with
-  | Ok entries' ->
-    if entries <> entries' then Alcotest.fail "batch did not survive the wire"
-  | Error e -> Alcotest.failf "Batch.decode: %s" (Errno.to_string e));
-  match Wire.Batch.decode "" with
-  | Ok [] -> ()
-  | Ok _ | Error _ -> Alcotest.fail "empty batch must decode to no entries"
-
-let test_wire_batch_errors () =
-  let s = Wire.Batch.encode [ (9, 3, "payload") ] in
-  (* truncated entry header *)
-  (match Wire.Batch.decode (String.sub s 0 (Wire.Batch.entry_header - 1)) with
-  | Error Errno.EINVAL -> ()
-  | Ok _ | Error _ -> Alcotest.fail "truncated header must be EINVAL");
-  (* declared payload length runs past the container *)
-  (match Wire.Batch.decode (String.sub s 0 (String.length s - 2)) with
-  | Error Errno.EINVAL -> ()
-  | Ok _ | Error _ -> Alcotest.fail "overrunning payload must be EINVAL");
-  (* an oversized length field must not be trusted *)
-  let b = Bytes.of_string s in
-  Bytes.set_int32_le b 6 0x7fffffffl;
-  match Wire.Batch.decode (Bytes.to_string b) with
-  | Error Errno.EINVAL -> ()
-  | Ok _ | Error _ -> Alcotest.fail "oversized length must be EINVAL"
-
 let test_wire_decode_errors () =
   (match Wire.decode_request ~opcode:0xFF "" with
   | Error Errno.EINVAL -> ()
@@ -320,25 +283,33 @@ let gen_reply =
       map2 (fun o e -> (o, Wire.Err e)) any_op errno;
     ]
 
-let gen_batch =
-  G.list_size (G.int_bound 6)
-    (G.triple u32 (G.int_bound 0xffff) wire_string)
+(* [payload] at a random offset inside random bytes: the window a
+   socket reader decodes in place *)
+let gen_window payload =
+  G.map2
+    (fun pre post ->
+      (String.length pre, Bytes.of_string (pre ^ payload ^ post)))
+    (G.string_size (G.int_bound 32))
+    (G.string_size (G.int_bound 32))
+
+let decode_window opcode payload (off, buf) =
+  Wire.decode_request_window ~opcode buf ~off ~len:(String.length payload)
 
 let prop_requests_roundtrip =
   QCheck.Test.make ~name:"wire requests round-trip" ~count:300
-    (QCheck.make gen_request) (fun req ->
-      let opcode, payload = Wire.encode_request req in
-      Wire.decode_request ~opcode payload = Ok req)
+    (QCheck.make
+       G.(
+         gen_request >>= fun req ->
+         let opcode, payload = Wire.encode_request req in
+         map (fun w -> (req, opcode, payload, w)) (gen_window payload)))
+    (fun (req, opcode, payload, w) ->
+      Wire.decode_request ~opcode payload = Ok req
+      && decode_window opcode payload w = Ok req)
 
 let prop_replies_roundtrip =
   QCheck.Test.make ~name:"wire replies round-trip under their opcode"
     ~count:300 (QCheck.make gen_reply) (fun (opcode, reply) ->
       Wire.decode_reply ~opcode (Wire.encode_reply reply) = Ok reply)
-
-let prop_batch_roundtrip =
-  QCheck.Test.make ~name:"batch containers round-trip" ~count:200
-    (QCheck.make gen_batch) (fun entries ->
-      Wire.Batch.decode (Wire.Batch.encode entries) = Ok entries)
 
 (* Hostile input: random bytes, and valid encodings with a byte flipped
    or the tail cut off. *)
@@ -363,18 +334,26 @@ let gen_hostile =
       pair (int_bound 24) (string_size (int_bound 64));
       (gen_request >>= fun r -> mangle (Wire.encode_request r));
       (gen_reply >>= fun (o, r) -> mangle (o, Wire.encode_reply r));
-      (gen_batch >>= fun e -> mangle (Wire.Batch.opcode, Wire.Batch.encode e));
     ]
 
 let typed = function Ok _ -> true | Error (_ : Errno.t) -> true
 
+(* A hostile window decodes exactly as the same bytes alone: had the
+   decoder read outside [off, off+len), the random bytes around the
+   window would have changed its answer. *)
 let prop_decoders_total =
   QCheck.Test.make ~name:"hostile bytes decode to Ok or a typed error"
-    ~count:500 (QCheck.make gen_hostile) (fun (opcode, payload) ->
-      typed (Wire.decode_request ~opcode payload)
+    ~count:500
+    (QCheck.make
+       G.(
+         gen_hostile >>= fun (opcode, payload) ->
+         map (fun w -> (opcode, payload, w)) (gen_window payload)))
+    (fun (opcode, payload, w) ->
+      let alone = Wire.decode_request ~opcode payload in
+      typed alone
+      && decode_window opcode payload w = alone
       && typed (Wire.decode_reply ~opcode payload)
-      && typed (Wire.decode_push ~opcode payload)
-      && typed (Wire.Batch.decode payload))
+      && typed (Wire.decode_push ~opcode payload))
 
 (* The splitter over arbitrary chunks of arbitrary bytes, some of them
    valid frames: every pop is a frame, a wait or a typed error. *)
@@ -889,8 +868,6 @@ let suite =
     Alcotest.test_case "wire reply roundtrip" `Quick test_wire_reply_roundtrip;
     Alcotest.test_case "wire decode errors" `Quick test_wire_decode_errors;
     Alcotest.test_case "wire push roundtrip" `Quick test_wire_push_roundtrip;
-    Alcotest.test_case "wire batch roundtrip" `Quick test_wire_batch_roundtrip;
-    Alcotest.test_case "wire batch errors" `Quick test_wire_batch_errors;
     Alcotest.test_case "wire lease milliseconds" `Quick
       test_wire_lease_milliseconds;
     Alcotest.test_case "config of_args roundtrip" `Quick
@@ -924,7 +901,6 @@ let suite =
       [
         prop_requests_roundtrip;
         prop_replies_roundtrip;
-        prop_batch_roundtrip;
         prop_decoders_total;
         prop_splitter_total;
       ]
