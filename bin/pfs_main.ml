@@ -277,48 +277,63 @@ let sample_cdf cdf rng =
 let shared_dir = "/shared"
 let shared_file k = Printf.sprintf "%s/f%d" shared_dir k
 
-let connect_to addr =
-  let fd =
-    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
-  in
+(* A blocking stream socket to the server, retried every 50 ms while it
+   comes up; after [tries] refusals loadgen gives up. *)
+let connect_to ?(tries = 100) addr =
   let rec go tries =
+    let fd =
+      Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr)
+        Unix.SOCK_STREAM 0
+    in
     match Unix.connect fd addr with
-    | () -> ()
-    | exception Unix.Unix_error _ when tries > 0 ->
+    | () -> fd
+    | exception Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      if tries <= 1 then
+        die "pfs loadgen: cannot reach the server (%s)" (Unix.error_message e);
       Unix.sleepf 0.05;
       go (tries - 1)
   in
-  go 100;
-  fd
+  go tries
 
-(* One synchronous call over a blocking connection (setup and the
-   old-vocabulary client; no pipelining, no batching — exactly what a
-   pre-grant client speaks). *)
-let sync_call fd next_id req =
+(* One plain-vocabulary connection. Every request is one blocking
+   [Frame.write] and every reply one blocking [Frame.read]; [who] names
+   the caller in failure messages. *)
+type conn = { fd : Unix.file_descr; who : string; mutable last_id : int }
+
+let conn ~who fd = { fd; who; last_id = 0 }
+
+let send c req =
   let opcode, body = Wire.encode_request req in
-  incr next_id;
-  let req_id = !next_id in
-  (match Frame.write fd { Frame.req_id; opcode; payload = body } with
+  c.last_id <- c.last_id + 1;
+  let req_id = c.last_id in
+  (match Frame.write c.fd { Frame.req_id; opcode; payload = body } with
   | Ok () -> ()
-  | Error e -> die "pfs loadgen: send failed (%s)" (Errno.to_string e));
+  | Error e -> die "%s: send failed (%s)" c.who (Errno.to_string e));
+  req_id
+
+let recv c =
+  match Frame.read c.fd with
+  | Ok (Some { Frame.req_id; opcode; payload }) -> (
+    match Wire.decode_reply ~opcode payload with
+    | Ok r -> (req_id, r)
+    | Error e -> die "%s: bad reply (%s)" c.who (Errno.to_string e))
+  | Ok None -> die "%s: server closed the connection" c.who
+  | Error e -> die "%s: recv failed (%s)" c.who (Errno.to_string e)
+
+(* One synchronous call: send, then wait for the reply with its id. *)
+let call c req =
+  let rid = send c req in
   let rec wait () =
-    match Frame.read fd with
-    | Ok (Some { Frame.req_id = rid; opcode = op; payload }) ->
-      if rid <> req_id then wait ()
-      else (
-        match Wire.decode_reply ~opcode:op payload with
-        | Ok r -> r
-        | Error e -> die "pfs loadgen: bad reply (%s)" (Errno.to_string e))
-    | Ok None -> die "pfs loadgen: server closed the connection"
-    | Error e -> die "pfs loadgen: recv failed (%s)" (Errno.to_string e)
+    let rid', r = recv c in
+    if rid' = rid then r else wait ()
   in
   wait ()
 
 (* Build the shared hot set before any client starts. *)
 let setup_shared addr ~files ~bytes =
-  let fd = connect_to addr in
-  let next_id = ref 0 in
-  let call = sync_call fd next_id in
+  let c = conn ~who:"pfs loadgen" (connect_to addr) in
+  let call = call c in
   (match call (Wire.Mkdir shared_dir) with
   | Wire.Ok_unit | Wire.Err Errno.EEXIST -> ()
   | r -> die "pfs loadgen: mkdir %s: %s" shared_dir
@@ -337,7 +352,7 @@ let setup_shared addr ~files ~bytes =
       (call (Wire.Write { client = 999999; path; offset = 0; data = payload }));
     expect "close" (call (Wire.Close { client = 999999; path }))
   done;
-  Unix.close fd
+  Unix.close c.fd
 
 type client_result = {
   ops : int;
@@ -365,49 +380,12 @@ let report_client ~ops ~eagain ~errors ~secs ~hits ~misses ~hist out_fd =
    client's private files — private directory, so the first path
    component routes all of one client's traffic to one shard. *)
 let run_client ~addr ~id ~depth ~files ~bytes ~seconds out_fd =
-  let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr)
-      Unix.SOCK_STREAM 0
-  in
-  let rec connect tries =
-    match Unix.connect fd addr with
-    | () -> ()
-    | exception Unix.Unix_error _ when tries > 0 ->
-      Unix.sleepf 0.05;
-      connect (tries - 1)
-  in
-  connect 100;
+  let c = conn ~who:(Printf.sprintf "client %d" id) (connect_to addr) in
   let dir = Printf.sprintf "/c%d" id in
   let payload = String.make bytes 'x' in
-  let next_id = ref 0 in
-  let fresh_id () = incr next_id; !next_id in
-  let send req =
-    let opcode, body = Wire.encode_request req in
-    let req_id = fresh_id () in
-    (match Frame.write fd { Frame.req_id; opcode; payload = body } with
-    | Ok () -> ()
-    | Error e -> die "client %d: send failed (%s)" id (Errno.to_string e));
-    req_id
-  in
-  let recv () =
-    match Frame.read fd with
-    | Ok (Some { Frame.req_id; opcode; payload }) -> (
-      match Wire.decode_reply ~opcode payload with
-      | Ok r -> (req_id, r)
-      | Error e -> die "client %d: bad reply (%s)" id (Errno.to_string e))
-    | Ok None -> die "client %d: server closed the connection" id
-    | Error e -> die "client %d: recv failed (%s)" id (Errno.to_string e)
-  in
-  let call req =
-    let rid = send req in
-    let rec wait () =
-      let rid', r = recv () in
-      if rid' = rid then r else wait ()
-    in
-    wait ()
-  in
   (* setup (untimed): the client's private directory *)
   let rec mkdir tries =
-    match call (Wire.Mkdir dir) with
+    match call c (Wire.Mkdir dir) with
     | Wire.Ok_unit -> ()
     | Wire.Err Errno.EEXIST -> ()
     | Wire.Err Errno.EAGAIN when tries > 0 ->
@@ -431,7 +409,7 @@ let run_client ~addr ~id ~depth ~files ~bytes ~seconds out_fd =
   let ops = ref 0 and eagain = ref 0 and errors = ref 0 in
   let in_flight = Hashtbl.create 16 in (* req_id -> (slot, phase, t_sent) *)
   let issue slot phase =
-    let rid = send (phase_req slot phase) in
+    let rid = send c (phase_req slot phase) in
     Hashtbl.replace in_flight rid (slot, phase, Unix.gettimeofday ())
   in
   let slots =
@@ -442,7 +420,7 @@ let run_client ~addr ~id ~depth ~files ~bytes ~seconds out_fd =
   Array.iteri (fun i slot -> ignore i; issue slot 0) slots;
   let live = ref depth in
   while !live > 0 do
-    let rid, reply = recv () in
+    let rid, reply = recv c in
     match Hashtbl.find_opt in_flight rid with
     | None -> die "client %d: reply to unknown request %d" id rid
     | Some (slot, phase, t_sent) ->
@@ -471,11 +449,11 @@ let run_client ~addr ~id ~depth ~files ~bytes ~seconds out_fd =
   done;
   (* drain what is still in flight so close pairs with open *)
   while Hashtbl.length in_flight > 0 do
-    let rid, _ = recv () in
+    let rid, _ = recv c in
     Hashtbl.remove in_flight rid
   done;
   let secs = Unix.gettimeofday () -. t0 in
-  Unix.close fd;
+  Unix.close c.fd;
   report_client ~ops:!ops ~eagain:!eagain ~errors:!errors ~secs ~hits:0
     ~misses:0 ~hist out_fd
 
@@ -547,10 +525,9 @@ let run_client_shared ~addr ~id ~files ~bytes ~seconds ~workload ~cache out_fd
       (h, m)
     end
     else begin
-      let next_id = ref 0 in
-      let call = sync_call fd next_id in
+      let c = conn ~who:(Printf.sprintf "client %d" id) fd in
       let rpc req =
-        match call req with Wire.Err e -> Error e | _ -> Ok ()
+        match call c req with Wire.Err e -> Error e | _ -> Ok ()
       in
       for k = 0 to files - 1 do
         match
@@ -700,19 +677,7 @@ let loadgen_run ~image ~sets ~shards ~clients ~depth ~files ~bytes ~seconds
     | pid -> pid
   in
   (* wait for the socket to accept *)
-  let rec wait_ready tries =
-    if tries = 0 then die "pfs loadgen: server never came up";
-    let fd =
-      Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-    in
-    match Unix.connect fd addr with
-    | () -> Unix.close fd
-    | exception Unix.Unix_error _ ->
-      Unix.close fd;
-      Unix.sleepf 0.05;
-      wait_ready (tries - 1)
-  in
-  wait_ready 200;
+  Unix.close (connect_to ~tries:200 addr);
   if workload <> Seq then setup_shared addr ~files ~bytes;
   (* client children, one pipe each *)
   let kids =
@@ -746,14 +711,9 @@ let loadgen_run ~image ~sets ~shards ~clients ~depth ~files ~bytes ~seconds
     if cache then Some (consistency_probe addr ~bytes) else None
   in
   (* stop the server over the wire: Shutdown gets no reply *)
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd addr;
-  let opcode, body = Wire.encode_request Wire.Shutdown in
-  (match Frame.write fd { Frame.req_id = 0; opcode; payload = body } with
-  | Ok () -> ()
-  | Error e -> die "pfs loadgen: shutdown send failed (%s)"
-                 (Errno.to_string e));
-  Unix.close fd;
+  let c = conn ~who:"pfs loadgen: shutdown" (connect_to addr) in
+  ignore (send c Wire.Shutdown);
+  Unix.close c.fd;
   let _, status = Unix.waitpid [] server_pid in
   if status <> Unix.WEXITED 0 then die "pfs loadgen: unclean server exit";
   unlink_quiet sock_path;

@@ -9,14 +9,12 @@
 module Key : sig
   (** (inode number, block index within the file), packed into one
       immediate [int]: ino in the high bits, index in the low
-      {!index_bits}. Keys built on the read/write hot path therefore
+      25 bits. Keys built on the read/write hot path therefore
       allocate nothing, and hashing them is pure integer arithmetic
       instead of a polymorphic traversal of a boxed pair. *)
   type t = private int
 
-  val index_bits : int
-
-  (** Largest representable block index, [2^index_bits - 1] (a 32 TB
+  (** Largest representable block index, [2^25 - 1] (a 32 TB
       file at 4 KB blocks). *)
   val max_index : int
 

@@ -63,40 +63,12 @@ let relink_front t n =
   t.first <- Some n;
   t.len <- t.len + 1
 
-let relink_back t n =
-  n.prev <- t.last;
-  n.next <- None;
-  n.owner <- t.id;
-  (match t.last with
-  | Some l -> l.next <- Some n
-  | None -> t.first <- Some n);
-  t.last <- Some n;
-  t.len <- t.len + 1
-
 let move_front t n =
   remove t n;
   relink_front t n
 
-let move_back t n =
-  remove t n;
-  relink_back t n
-
 let front t = Option.map (fun n -> n.v) t.first
 let back t = Option.map (fun n -> n.v) t.last
-
-let pop_front t =
-  match t.first with
-  | None -> None
-  | Some n ->
-    remove t n;
-    Some n.v
-
-let pop_back t =
-  match t.last with
-  | None -> None
-  | Some n ->
-    remove t n;
-    Some n.v
 
 let value n = n.v
 

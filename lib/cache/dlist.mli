@@ -21,15 +21,11 @@ val push_back : 'a t -> 'a -> 'a node
     node is not currently linked on [t]. *)
 val remove : 'a t -> 'a node -> unit
 
-(** [move_front t node] / [move_back t node] relink an existing node. *)
+(** [move_front t node] relinks an existing node at the front. *)
 val move_front : 'a t -> 'a node -> unit
-
-val move_back : 'a t -> 'a node -> unit
 
 val front : 'a t -> 'a option
 val back : 'a t -> 'a option
-val pop_front : 'a t -> 'a option
-val pop_back : 'a t -> 'a option
 val value : 'a node -> 'a
 
 (** Front-to-back fold. *)

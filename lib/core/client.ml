@@ -373,7 +373,6 @@ let rename_exn t ~src ~dst = Errno.ok_exn (rename t ~src ~dst)
 let delete_exn t path = Errno.ok_exn (delete t path)
 let readdir_exn t path = Errno.ok_exn (readdir t path)
 let stat_exn t path = Errno.ok_exn (stat t path)
-let ensure_dirs_exn t path = Errno.ok_exn (ensure_dirs t path)
 
 let synthesize_file_exn t ?kind path ~size =
   Errno.ok_exn (synthesize_file t ?kind path ~size)

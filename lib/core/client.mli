@@ -144,7 +144,6 @@ val rename_exn : t -> src:string -> dst:string -> unit
 val delete_exn : t -> string -> unit
 val readdir_exn : t -> string -> Dir.entry list
 val stat_exn : t -> string -> stat
-val ensure_dirs_exn : t -> string -> unit
 
 val synthesize_file_exn :
   t -> ?kind:Capfs_layout.Inode.kind -> string -> size:int -> unit

@@ -38,11 +38,6 @@ let unlink t ino =
     if File.open_count e.file = 0 then free t ino
   | None -> free t ino
 
-let is_unlinked t ino =
-  match Hashtbl.find_opt t.table ino with
-  | Some e -> e.unlinked
-  | None -> false
-
 let maybe_reap t ino =
   match Hashtbl.find_opt t.table ino with
   | Some e when e.unlinked && File.open_count e.file = 0 -> free t ino

@@ -20,8 +20,6 @@ val create_file : t -> kind:Capfs_layout.Inode.kind -> File.t
     count drops to zero (or immediately if it already is). *)
 val unlink : t -> int -> unit
 
-val is_unlinked : t -> int -> bool
-
 (** To be called after every [File.closed]: reaps unlinked files whose
     open count reached zero. *)
 val maybe_reap : t -> int -> unit

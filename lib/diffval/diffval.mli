@@ -29,14 +29,11 @@ type tolerance =
           policy, and virtual vs. wall-clock seconds are
           incommensurable *)
 
-(** Built-in per-counter defaults, keyed by counter suffix
-    (["hits"], ["flushed_blocks"], …). The authoritative, human-readable
-    form of this table lives in VALIDATION.md; CI lints the two against
-    each other. *)
-val default_tolerances : (string * tolerance) list
-
 (** [tolerance_for overrides key] resolves [key]'s tolerance: [overrides]
-    first, then {!default_tolerances}, then a loose gating fallback. *)
+    first, then the built-in per-counter defaults keyed by counter suffix
+    (["hits"], ["flushed_blocks"], …), then a loose gating fallback. The
+    defaults are tabled in VALIDATION.md; CI lints the table against the
+    source. *)
 val tolerance_for : (string * tolerance) list -> string -> tolerance
 
 (** One compared counter. *)
@@ -92,8 +89,8 @@ type config = {
       (** [`Real] (the point of the exercise) by default; tests may pin
           [`Virtual] for determinism *)
   tolerances : (string * tolerance) list;
-      (** per-suffix overrides, consulted before
-          {!default_tolerances} *)
+      (** per-suffix overrides, consulted before the built-in
+          defaults of VALIDATION.md *)
 }
 
 (** Defaults: the given policy ({!Capfs_patsy.Experiment.Nvram_partial}
@@ -114,13 +111,6 @@ val diff_snapshots :
 
 val verdicts_ok : verdict list -> bool
 
-(** The PFS half's snapshot, with the "no data is not equivalence"
-    guard: a volume that yields no statistics snapshot (built without a
-    registry) is a harness error — [Error EINVAL], which the patsy CLI
-    turns into exit 2 — never a silently-empty comparison. *)
-val volume_snapshot :
-  Capfs_pfs.Pfs.t -> (Capfs_stats.Snapshot.t, Capfs_core.Errno.t) result
-
 (** [run ~trace_name source] executes both halves and diffs them. Both
     halves replay the same {!Capfs_trace.Source.t} serially (each makes
     its own passes over it; cursor-backed sources stream). [skew], when
@@ -129,9 +119,10 @@ val volume_snapshot :
     resulting report must have [r_ok = false]).
 
     [Error e] is a harness failure (no outcome produced, unusable
-    backing file); an out-of-tolerance comparison is {e not} an error —
-    it is [Ok report] with [r_ok = false], carrying the per-counter
-    verdicts. *)
+    backing file, or a PFS volume that yields no statistics snapshot —
+    [Error EINVAL], never a silently-empty comparison); an
+    out-of-tolerance comparison is {e not} an error — it is [Ok report]
+    with [r_ok = false], carrying the per-counter verdicts. *)
 val run :
   ?config:config ->
   ?skew:(Capfs_patsy.Experiment.config -> Capfs_patsy.Experiment.config) ->

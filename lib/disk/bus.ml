@@ -53,6 +53,3 @@ let transfer t ~bytes =
   Sync.Mutex.unlock t.owner
 
 let busy_seconds t = t.busy
-
-let utilization t ~elapsed =
-  if elapsed <= 0. then 0. else Stdlib.min 1. (t.busy /. elapsed)

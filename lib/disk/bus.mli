@@ -43,6 +43,3 @@ val transfer : t -> bytes:int -> unit
 
 (** Seconds the bus has spent busy since creation. *)
 val busy_seconds : t -> float
-
-(** Fraction of [elapsed] spent busy; for utilisation reports. *)
-val utilization : t -> elapsed:float -> float

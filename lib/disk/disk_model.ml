@@ -52,17 +52,3 @@ let naive =
     controller_overhead = 0.;
     cache = { cache_bytes = 0; read_ahead_bytes = 0; immediate_report = false };
   }
-
-let tiny_test =
-  {
-    model_name = "tiny-test";
-    geometry =
-      Geometry.v ~cylinders:16 ~heads:2 ~sectors_per_track:32
-        ~sector_bytes:512 ~track_skew:2 ~cylinder_skew:4 ();
-    seek = Seek.linear ~single:0.5e-3 ~max:4.0e-3 ~cylinders:16;
-    rpm = 6000.;
-    head_switch = 0.5e-3;
-    controller_overhead = 0.2e-3;
-    cache =
-      { cache_bytes = 16 * 1024; read_ahead_bytes = 4096; immediate_report = false };
-  }

@@ -35,6 +35,3 @@ val hp97560 : t
     seek and no cache — the kind of "simple disk model" whose results the
     paper calls "completely useless". Used by the validation benches. *)
 val naive : t
-
-(** A small fast drive for quick unit tests (few cylinders, tiny cache). *)
-val tiny_test : t

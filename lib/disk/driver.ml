@@ -334,7 +334,6 @@ let create ?registry ?(name = "driver") ?policy ?(coalesce = false)
 let name t = t.drv_name
 let sector_bytes t = t.transport.sector_bytes
 let total_sectors t = t.transport.total_sectors
-let queue_length t = Iosched.length t.policy
 
 let submit t req =
   Counter.record t.c_queue_len (float_of_int (Iosched.length t.policy));

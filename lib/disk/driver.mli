@@ -96,9 +96,6 @@ val sector_bytes : t -> int
 (** The transport's capacity in sectors. *)
 val total_sectors : t -> int
 
-(** Pending requests (excluding the one in service). *)
-val queue_length : t -> int
-
 (** Asynchronous submission; completion is signalled on the request. *)
 val submit : t -> Iorequest.t -> unit
 

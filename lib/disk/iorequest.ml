@@ -90,7 +90,6 @@ let await_timeout sched t dt =
   if t.completed then true else Sched.await_timeout sched t.done_ev dt
 
 let wait_time t = t.started_at -. t.submitted_at
-let service_time t = t.completed_at -. t.started_at
 let response_time t = t.completed_at -. t.submitted_at
 let last_lba t = t.lba + t.sectors
 

@@ -64,9 +64,6 @@ val await_timeout : Capfs_sched.Sched.t -> t -> float -> bool
 (** Queueing delay: [started_at - submitted_at]. *)
 val wait_time : t -> float
 
-(** Service delay: [completed_at - started_at]. *)
-val service_time : t -> float
-
 (** End-to-end: [completed_at - submitted_at]. *)
 val response_time : t -> float
 

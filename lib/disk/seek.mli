@@ -17,11 +17,6 @@ val constant : float -> t
     seek of [single] seconds and a full-stroke seek of [max] seconds. *)
 val linear : single:float -> max:float -> cylinders:int -> t
 
-(** [piecewise ~knee ~a ~b ~c ~d] is
-    [a +. b *. sqrt dist] when [dist < knee] and [c +. d *. dist]
-    otherwise (times in seconds, distance in cylinders). *)
-val piecewise : knee:int -> a:float -> b:float -> c:float -> d:float -> t
-
 (** The HP97560 curve from Ruemmler & Wilkes (1994):
     3.24 + 0.400·√d ms below 383 cylinders, 8.00 + 0.008·d ms above. *)
 val hp97560 : t

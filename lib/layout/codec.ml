@@ -27,7 +27,6 @@ module Writer = struct
     u32 t (String.length s);
     Buffer.add_string t s
 
-  let bytes_raw t b = Buffer.add_bytes t b
   let contents t = Buffer.contents t
   let length t = Buffer.length t
 end
@@ -75,12 +74,6 @@ module Reader = struct
     let s = String.sub t.src t.pos n in
     t.pos <- t.pos + n;
     s
-
-  let bytes_raw t n =
-    need t n;
-    let b = Bytes.of_string (String.sub t.src t.pos n) in
-    t.pos <- t.pos + n;
-    b
 
   let remaining t = String.length t.src - t.pos
 end

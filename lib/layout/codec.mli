@@ -30,10 +30,6 @@ module Writer : sig
   (** Length-prefixed string. *)
   val string : t -> string -> unit
 
-  (** Raw bytes, {e without} a length prefix — the reader must know the
-      length (fixed-size fields, block payloads). *)
-  val bytes_raw : t -> bytes -> unit
-
   (** Everything written so far. *)
   val contents : t -> string
 
@@ -49,14 +45,13 @@ module Reader : sig
 
   (** Each reader consumes the field its {!Writer} counterpart wrote and
       advances; all raise {!Corrupt} when the input is exhausted
-      mid-field. [bytes_raw t n] reads exactly [n] bytes. *)
+      mid-field. *)
 
   val u8 : t -> int
   val u32 : t -> int
   val u64 : t -> int
   val f64 : t -> float
   val string : t -> string
-  val bytes_raw : t -> int -> bytes
 
   (** Bytes left to read. *)
   val remaining : t -> int

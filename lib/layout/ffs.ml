@@ -369,34 +369,6 @@ let to_layout t =
     | a when a = Inode.addr_none -> Data.sim t.block_bytes
     | addr -> read_block_raw t ~addr
   in
-  (* Vectored read: resolve all addresses first, then fetch each
-     physically consecutive run as one request (holes stay in-core). *)
-  let read_blocks (inode : Inode.t) ~first ~count =
-    let addrs = Array.init count (fun i -> Inode.get_addr inode (first + i)) in
-    let parts = ref [] in
-    let i = ref 0 in
-    while !i < count do
-      if addrs.(!i) = Inode.addr_none then begin
-        parts := Data.sim t.block_bytes :: !parts;
-        incr i
-      end
-      else begin
-        let run = ref 1 in
-        while
-          !i + !run < count && addrs.(!i + !run) = addrs.(!i) + !run
-        do
-          incr run
-        done;
-        parts :=
-          Driver.read_exn t.driver
-            ~lba:(addrs.(!i) * t.spb)
-            ~sectors:(!run * t.spb)
-          :: !parts;
-        i := !i + !run
-      end
-    done;
-    Data.concat (List.rev !parts)
-  in
   (* Vectored write-back: resolve (allocating where needed, so an
      extent of fresh blocks lands contiguously via the rotor), then
      write each physically consecutive run as one gather request. *)
@@ -480,9 +452,6 @@ let to_layout t =
     free_inode = (fun ino -> Errno.catch (fun () -> free_inode ino));
     read_block =
       (fun inode blk -> Errno.catch (fun () -> read_block inode blk));
-    read_blocks =
-      (fun inode ~first ~count ->
-        Errno.catch (fun () -> read_blocks inode ~first ~count));
     write_blocks = (fun ups -> Errno.catch (fun () -> write_blocks ups));
     truncate =
       (fun inode ~blocks -> Errno.catch (fun () -> truncate inode ~blocks));

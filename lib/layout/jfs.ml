@@ -296,32 +296,6 @@ let to_layout t =
     | a when a = Inode.addr_none -> Data.sim t.block_bytes
     | addr -> read_block_raw t ~addr
   in
-  (* Vectored read: physically consecutive runs travel as one request
-     (same clustering as Ffs; holes stay in-core). *)
-  let read_blocks (i : Inode.t) ~first ~count =
-    let addrs = Array.init count (fun k -> Inode.get_addr i (first + k)) in
-    let parts = ref [] in
-    let k = ref 0 in
-    while !k < count do
-      if addrs.(!k) = Inode.addr_none then begin
-        parts := Data.sim t.block_bytes :: !parts;
-        incr k
-      end
-      else begin
-        let run = ref 1 in
-        while !k + !run < count && addrs.(!k + !run) = addrs.(!k) + !run do
-          incr run
-        done;
-        parts :=
-          Driver.read_exn t.driver
-            ~lba:(addrs.(!k) * t.spb)
-            ~sectors:(!run * t.spb)
-          :: !parts;
-        k := !k + !run
-      end
-    done;
-    Data.concat (List.rev !parts)
-  in
   (* Vectored write-back: resolve/allocate every address, then write
      each physically consecutive run as one gather request. *)
   let write_blocks updates =
@@ -399,9 +373,6 @@ let to_layout t =
     free_inode = (fun ino -> Errno.catch (fun () -> free_inode ino));
     read_block =
       (fun inode blk -> Errno.catch (fun () -> read_block inode blk));
-    read_blocks =
-      (fun inode ~first ~count ->
-        Errno.catch (fun () -> read_blocks inode ~first ~count));
     write_blocks = (fun ups -> Errno.catch (fun () -> write_blocks ups));
     truncate =
       (fun inode ~blocks -> Errno.catch (fun () -> truncate inode ~blocks));

@@ -9,8 +9,6 @@ type t = {
   update_inode : Inode.t -> unit;
   free_inode : int -> (unit, Errno.t) result;
   read_block : Inode.t -> int -> (Capfs_disk.Data.t, Errno.t) result;
-  read_blocks :
-    Inode.t -> first:int -> count:int -> (Capfs_disk.Data.t, Errno.t) result;
   write_blocks : (int * int * Capfs_disk.Data.t) list -> (unit, Errno.t) result;
   truncate : Inode.t -> blocks:int -> (unit, Errno.t) result;
   adopt : Inode.t -> blocks:int -> (unit, Errno.t) result;
@@ -18,19 +16,3 @@ type t = {
   free_blocks : unit -> int;
   layout_stats : unit -> (string * float) list;
 }
-
-let read_span t inode ~first ~count =
-  if count = 0 then Ok (Capfs_disk.Data.sim 0)
-  else t.read_blocks inode ~first ~count
-
-(* Fallback vectored read for layouts without a native one: one
-   [read_block] per index, concatenated. *)
-let read_blocks_naive read_block inode ~first ~count =
-  let rec go i acc =
-    if i >= count then Ok (Capfs_disk.Data.concat (List.rev acc))
-    else
-      match read_block inode (first + i) with
-      | Ok d -> go (i + 1) (d :: acc)
-      | Error _ as e -> e
-  in
-  go 0 []

@@ -4,7 +4,8 @@
     implement an algorithm. Specific layouts are implemented through
     derived classes… for all layout and policy decisions, there exists a
     virtual method." A [Layout.t] is that interface as a record of
-    closures; {!Lfs}, {!Ffs} and {!Sim_layout} instantiate it. The
+    closures; {!Lfs}, {!Ffs}, {!Jfs} and {!Sim_layout} instantiate it,
+    and {!Multiplex} routes one namespace over several of them. The
     file-system core is "consulted whenever something needs to be done
     with a raw disk" exclusively through this record.
 
@@ -33,14 +34,6 @@ type t = {
   (* file blocks *)
   read_block : Inode.t -> int -> (Capfs_disk.Data.t, Capfs_core.Errno.t) result;
       (** blocking read of one file block (holes read as zeroes) *)
-  read_blocks :
-    Inode.t ->
-    first:int ->
-    count:int ->
-    (Capfs_disk.Data.t, Capfs_core.Errno.t) result;
-      (** vectored read of [count] consecutive file blocks starting at
-          [first]; physically contiguous runs travel as one disk request.
-          The result is the blocks' concatenation (holes as zeroes). *)
   write_blocks :
     (int * int * Capfs_disk.Data.t) list -> (unit, Capfs_core.Errno.t) result;
       (** write-back of [(ino, file_block, data)] from the cache;
@@ -61,20 +54,3 @@ type t = {
   free_blocks : unit -> int;
   layout_stats : unit -> (string * float) list;
 }
-
-(** [read_span t inode ~first ~count] reads [count] consecutive file
-    blocks via the layout's vectored [read_blocks] — convenience for
-    callers and tests. Stops at the first error. *)
-val read_span :
-  t -> Inode.t -> first:int -> count:int ->
-  (Capfs_disk.Data.t, Capfs_core.Errno.t) result
-
-(** [read_blocks_naive read_block inode ~first ~count] implements the
-    vectored read contract with one [read_block] call per index — the
-    fallback for layouts without native clustering. *)
-val read_blocks_naive :
-  (Inode.t -> int -> (Capfs_disk.Data.t, Capfs_core.Errno.t) result) ->
-  Inode.t ->
-  first:int ->
-  count:int ->
-  (Capfs_disk.Data.t, Capfs_core.Errno.t) result

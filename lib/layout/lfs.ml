@@ -784,41 +784,6 @@ let to_layout t =
       | Some d -> d
       | None -> read_block_raw t ~addr)
   in
-  (* Vectored read: blocks written together sit together in the log, so
-     a file span usually resolves to one log run and one disk request.
-     Blocks still pending in the open segment are served from memory;
-     runs break around them. *)
-  let read_blocks (inode : Inode.t) ~first ~count =
-    let addrs = Array.init count (fun i -> Inode.get_addr inode (first + i)) in
-    let parts = ref [] in
-    let i = ref 0 in
-    while !i < count do
-      let a = addrs.(!i) in
-      if a = Inode.addr_none then begin
-        parts := Data.sim t.block_bytes :: !parts;
-        incr i
-      end
-      else
-        match Hashtbl.find_opt t.pending a with
-        | Some d ->
-          parts := d :: !parts;
-          incr i
-        | None ->
-          let run = ref 1 in
-          while
-            !i + !run < count
-            && addrs.(!i + !run) = a + !run
-            && not (Hashtbl.mem t.pending (a + !run))
-          do
-            incr run
-          done;
-          parts :=
-            Driver.read_exn t.driver ~lba:(a * t.spb) ~sectors:(!run * t.spb)
-            :: !parts;
-          i := !i + !run
-    done;
-    Data.concat (List.rev !parts)
-  in
   let write_blocks updates =
     (* Append data blocks, then the affected inodes, so a summary-driven
        roll-forward sees inodes after their data. *)
@@ -892,9 +857,6 @@ let to_layout t =
     free_inode = (fun ino -> Errno.catch (fun () -> free_inode ino));
     read_block =
       (fun inode blk -> Errno.catch (fun () -> read_block inode blk));
-    read_blocks =
-      (fun inode ~first ~count ->
-        Errno.catch (fun () -> read_blocks inode ~first ~count));
     write_blocks = (fun ups -> Errno.catch (fun () -> write_blocks ups));
     truncate =
       (fun inode ~blocks -> Errno.catch (fun () -> truncate inode ~blocks));

@@ -49,9 +49,6 @@ let layout volumes =
       read_block =
         (fun inode blk ->
           (vol_of_ino inode.Inode.ino).Layout.read_block inode blk);
-      read_blocks =
-        (fun inode ~first ~count ->
-          (vol_of_ino inode.Inode.ino).Layout.read_blocks inode ~first ~count);
       write_blocks;
       truncate =
         (fun inode ~blocks ->

@@ -72,24 +72,6 @@ let create ?registry ?(name = "simlayout") ?(seed = 1996) sched driver
     Driver.read_exn driver ~lba:(addr_of inode.Inode.ino blk * spb)
       ~sectors:spb
   in
-  (* Files are laid out contiguously from their origin, so a span of
-     file blocks is a span of disk blocks — one request per run, split
-     only where the address space wraps. *)
-  let read_blocks (inode : Inode.t) ~first ~count =
-    charge_inode_load inode.Inode.ino;
-    let ino = inode.Inode.ino in
-    let parts = ref [] in
-    let i = ref 0 in
-    while !i < count do
-      let addr = addr_of ino (first + !i) in
-      let run = Stdlib.min (count - !i) (total_blocks - addr) in
-      parts :=
-        Driver.read_exn driver ~lba:(addr * spb) ~sectors:(run * spb)
-        :: !parts;
-      i := !i + run
-    done;
-    Data.concat (List.rev !parts)
-  in
   (* Vectored write-back: physically consecutive updates coalesce into
      one gather request (all-simulated payloads gather for free). *)
   let write_blocks updates =
@@ -137,9 +119,6 @@ let create ?registry ?(name = "simlayout") ?(seed = 1996) sched driver
     free_inode = (fun ino -> Errno.catch (fun () -> free_inode ino));
     read_block =
       (fun inode blk -> Errno.catch (fun () -> read_block inode blk));
-    read_blocks =
-      (fun inode ~first ~count ->
-        Errno.catch (fun () -> read_blocks inode ~first ~count));
     write_blocks = (fun ups -> Errno.catch (fun () -> write_blocks ups));
     truncate =
       (fun inode ~blocks -> Errno.catch (fun () -> truncate inode ~blocks));

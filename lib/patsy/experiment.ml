@@ -123,7 +123,6 @@ type farm = {
   f_client : Client.t;
   f_registry : Stats.Registry.t;
   f_disks : Sim_disk.t array;
-  f_drivers : Driver.t array;
 }
 
 let build_farm ?(backing = false) sched cfg =
@@ -176,8 +175,7 @@ let build_farm ?(backing = false) sched cfg =
     Fsys.create ~registry ~replacement ~cache_config:(cache_config_of cfg)
       ~layout sched
   in
-  { f_client = Client.create fs; f_registry = registry; f_disks = disks;
-    f_drivers = drivers }
+  { f_client = Client.create fs; f_registry = registry; f_disks = disks }
 
 let build_instance sched cfg =
   let f = build_farm sched cfg in

@@ -104,7 +104,6 @@ type farm = {
   f_client : Capfs.Client.t;
   f_registry : Capfs_stats.Registry.t;
   f_disks : Capfs_disk.Sim_disk.t array;
-  f_drivers : Capfs_disk.Driver.t array;
 }
 
 (** [build_farm sched config] is {!build_instance} with the disk farm

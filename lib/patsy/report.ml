@@ -41,16 +41,6 @@ let print_mean_table ?(scale = 1000.) ?(unit = "ms") ppf ~rows =
       rows;
     Format.fprintf ppf "@]"
 
-let print_error_breakdown ppf (r : Replay.result) =
-  if r.Replay.errors > 0 then begin
-    Format.fprintf ppf "@[<v>errors: %d refused operations@," r.Replay.errors;
-    List.iter
-      (fun (kind, n) -> Format.fprintf ppf "  %-16s %6d@," kind n)
-      r.Replay.errors_by_kind;
-    Format.fprintf ppf "@]"
-  end
-  else Format.fprintf ppf "errors: none"
-
 let print_outcome_summary ppf (o : Experiment.outcome) =
   Format.fprintf ppf
     "%-18s mean=%8.3fms p95=%8.3fms ops=%7d hit=%5.1f%% flushed=%7d absorbed=%7d"

@@ -31,10 +31,6 @@ val print_mean_table :
   rows:(string * (string * float) list) list ->
   unit
 
-(** Per-kind breakdown of refused operations ({!Replay.result}
-    [errors_by_kind]); prints ["errors: none"] on a clean replay. *)
-val print_error_breakdown : Format.formatter -> Replay.result -> unit
-
 (** One-line summary of an experiment outcome; appends an
     [errors=N(kind:n,…)] field when any operation was refused. *)
 val print_outcome_summary : Format.formatter -> Experiment.outcome -> unit

@@ -29,7 +29,6 @@ type t = {
 type grant_info = {
   gi_version : int;
   gi_cacheable : bool;
-  gi_renewal : bool;
   gi_invalidate : int list;
 }
 
@@ -63,15 +62,10 @@ let held t ~client ~path =
 let open_grant t ~client ~path ~write =
   locked t (fun () ->
       let st = fstate t path in
-      let renewal =
-        match List.find_opt (fun h -> h.h_client = client) st.holders with
-        | Some h ->
-          h.h_write <- write;
-          true
-        | None ->
-          st.holders <- { h_client = client; h_write = write } :: st.holders;
-          false
-      in
+      (match List.find_opt (fun h -> h.h_client = client) st.holders with
+      | Some h -> h.h_write <- write
+      | None ->
+        st.holders <- { h_client = client; h_write = write } :: st.holders);
       let others =
         List.filter (fun h -> h.h_client <> client) st.holders
       in
@@ -94,7 +88,6 @@ let open_grant t ~client ~path ~write =
       {
         gi_version = st.version;
         gi_cacheable = st.cacheable;
-        gi_renewal = renewal;
         gi_invalidate = invalidate;
       })
 

@@ -21,9 +21,6 @@ type t
 type grant_info = {
   gi_version : int;
   gi_cacheable : bool;
-  gi_renewal : bool;
-      (** the client already held the path — the volume-level open must
-          not run again *)
   gi_invalidate : int list;
       (** client ids owed an [Invalidate {path; version}] push *)
 }

@@ -220,7 +220,6 @@ end
 type t = {
   sched : Sched.t;
   client : Capfs.Client.t;
-  image_path : string;
   registry : Capfs_stats.Registry.t option;
   config : Config.t;
   transport : Driver.transport;
@@ -232,6 +231,17 @@ let lfs_config_of (cfg : Config.t) =
     Lfs.seg_blocks = cfg.Config.seg_blocks;
     cleaner = cfg.Config.cleaner;
   }
+
+(* Only a new or zero-filled image may be formatted: its superblock
+   block is all zero bytes. Any other image that fails to mount holds
+   somebody's data — another layout, a damaged checkpoint — and
+   formatting it would destroy what is left. *)
+let blank_superblock path =
+  In_channel.with_open_bin path (fun ic ->
+      let buf = Bytes.make block_bytes '\000' in
+      (* a short image reads as zeroes past its end *)
+      ignore (In_channel.really_input ic buf 0 block_bytes);
+      Bytes.for_all (fun c -> c = '\000') buf)
 
 let create ?registry ?injector (cfg : Config.t) =
   match Config.validate cfg with
@@ -274,9 +284,15 @@ let create ?registry ?injector (cfg : Config.t) =
                Lfs.mount ?registry ~name:lfs_name ~config:lfs_config sched
                  driver
              with Codec.Corrupt reason ->
+               if not (blank_superblock cfg.Config.image) then begin
+                 Log.err (fun m ->
+                     m "image %s is not a mountable LFS volume (%s): \
+                        refusing to format it"
+                       cfg.Config.image reason);
+                 raise (Errno.Error Errno.EIO)
+               end;
                Log.info (fun m ->
-                   m "image %s not mountable (%s): formatting"
-                     cfg.Config.image reason);
+                   m "image %s is blank: formatting" cfg.Config.image);
                Lfs.format_and_mount ?registry ~name:lfs_name
                  ~config:lfs_config sched driver ~block_bytes
            in
@@ -327,7 +343,6 @@ let create ?registry ?injector (cfg : Config.t) =
           {
             sched;
             client;
-            image_path = cfg.Config.image;
             registry;
             config = cfg;
             transport;

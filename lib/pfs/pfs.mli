@@ -112,7 +112,6 @@ type t = {
       (** the volume's scheduler (real clock in production, virtual in
           tests) *)
   client : Capfs.Client.t;  (** the abstract client interface *)
-  image_path : string;  (** backing image the volume runs on *)
   registry : Capfs_stats.Registry.t option;
       (** the registry passed to {!create}, if any — the handle
           {!snapshot} freezes *)
@@ -121,12 +120,15 @@ type t = {
       (** the Unix-file block device under the driver *)
 }
 
-(** [create cfg] opens (formatting when fresh or invalid) the
-    file-system image at [cfg.image] and assembles one volume: driver,
-    cache, LFS behind a single-way {!Capfs_layout.Multiplex.layout},
-    abstract client interface. Validation failures and typed construction errors
-    come back as [Error]; [injector] threads a fault plan into the
-    scheduler (the differential validator's hook). *)
+(** [create cfg] opens the file-system image at [cfg.image] and
+    assembles one volume: driver, cache, LFS behind a single-way
+    {!Capfs_layout.Multiplex.layout}, abstract client interface. Only a
+    new or zero-filled image (an all-zero superblock block) is
+    formatted. An image that holds data but does not mount as LFS —
+    another layout's image, or one whose checkpoints are both damaged —
+    is [Error EIO] and is not written to. Validation failures and typed
+    construction errors come back as [Error]; [injector] threads a fault
+    plan into the scheduler (the differential validator's hook). *)
 val create :
   ?registry:Capfs_stats.Registry.t ->
   ?injector:Capfs_fault.Injector.t ->

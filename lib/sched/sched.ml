@@ -412,9 +412,6 @@ let wait_readable t fd =
   suspend ~on:"fd" (fun resume ->
       t.fd_waiters <- { fd; fresume = resume } :: t.fd_waiters)
 
-let self_name t = (current_thread t).name
-let live_threads t = Hashtbl.length t.live
-
 let live_names t =
   Hashtbl.fold
     (fun _ th acc ->

@@ -114,14 +114,3 @@ val waiters : t -> event -> int
     managed by the scheduler when it is configured in a real system");
     raises [Invalid_argument] under [`Virtual]. *)
 val wait_readable : t -> Unix.file_descr -> unit
-
-(** {2 Introspection} *)
-
-(** Name of the currently running fibre; ["<main>"] outside [run]. *)
-val self_name : t -> string
-
-(** Live (spawned, not finished) fibre count, daemons included. *)
-val live_threads : t -> int
-
-(** Names of live fibres; daemons are prefixed with ["*"]. *)
-val live_names : t -> string list

@@ -59,13 +59,6 @@ module Semaphore = struct
       acquire t
     end
 
-  let try_acquire t =
-    if t.permits > 0 then begin
-      t.permits <- t.permits - 1;
-      true
-    end
-    else false
-
   let release t =
     t.permits <- t.permits + 1;
     Sched.signal t.sched t.ev

@@ -35,7 +35,6 @@ module Semaphore : sig
   val create : ?name:string -> Sched.t -> capacity:int -> t
 
   val acquire : t -> unit
-  val try_acquire : t -> bool
   val release : t -> unit
 
   (** Currently available permits. *)

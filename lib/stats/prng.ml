@@ -30,11 +30,6 @@ let exponential t ~mean =
   let u = 1. -. float t in
   -.mean *. Stdlib.log u
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then invalid_arg "Prng.pareto";
-  let u = 1. -. float t in
-  scale /. (u ** (1. /. shape))
-
 let lognormal t ~mu ~sigma =
   let u1 = 1. -. float t and u2 = float t in
   let z = sqrt (-2. *. Stdlib.log u1) *. cos (2. *. Float.pi *. u2) in

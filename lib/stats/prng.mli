@@ -30,10 +30,6 @@ val uniform : t -> lo:float -> hi:float -> float
 (** Exponentially distributed with the given [mean]. *)
 val exponential : t -> mean:float -> float
 
-(** [pareto t ~shape ~scale] is Pareto-distributed: heavy-tailed sizes as
-    observed in file-size distributions. [shape > 0], [scale > 0]. *)
-val pareto : t -> shape:float -> scale:float -> float
-
 (** [lognormal t ~mu ~sigma] — log-normal via Box–Muller. *)
 val lognormal : t -> mu:float -> sigma:float -> float
 

@@ -1,18 +1,9 @@
-type t = {
-  name : string;
-  welford : Welford.t;
-  histogram : Histogram.t option;
-  samples : Sample_set.t option;
-}
+type t = { name : string; welford : Welford.t; histogram : Histogram.t option }
 
-let scalar name =
-  { name; welford = Welford.create (); histogram = None; samples = None }
+let scalar name = { name; welford = Welford.create (); histogram = None }
 
 let with_histogram name hist =
-  { name; welford = Welford.create (); histogram = Some hist; samples = None }
-
-let with_samples name samples =
-  { name; welford = Welford.create (); histogram = None; samples = Some samples }
+  { name; welford = Welford.create (); histogram = Some hist }
 
 let name t = t.name
 
@@ -20,19 +11,16 @@ let name t = t.name
    close over [x] on every record *)
 let record t x =
   Welford.add t.welford x;
-  (match t.histogram with Some h -> Histogram.add h x | None -> ());
-  match t.samples with Some s -> Sample_set.add s x | None -> ()
+  match t.histogram with Some h -> Histogram.add h x | None -> ()
 
 let count t = Welford.count t.welford
 let mean t = Welford.mean t.welford
 let welford t = t.welford
 let histogram t = t.histogram
-let samples t = t.samples
 
 let reset t =
   Welford.reset t.welford;
-  Option.iter Histogram.reset t.histogram;
-  Option.iter Sample_set.reset t.samples
+  Option.iter Histogram.reset t.histogram
 
 let report ?(histograms = true) ppf t =
   Format.fprintf ppf "@[<v>%-32s %a@," t.name Welford.pp t.welford;

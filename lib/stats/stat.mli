@@ -16,10 +16,6 @@ val scalar : string -> t
     [hist] and prints it in reports. *)
 val with_histogram : string -> Histogram.t -> t
 
-(** [with_samples name samples] additionally retains samples for exact
-    quantiles/CDFs. *)
-val with_samples : string -> Sample_set.t -> t
-
 val name : t -> string
 val record : t -> float -> unit
 val count : t -> int
@@ -28,9 +24,6 @@ val welford : t -> Welford.t
 
 (** The attached histogram, if any. *)
 val histogram : t -> Histogram.t option
-
-(** The attached sample set, if any. *)
-val samples : t -> Sample_set.t option
 
 val reset : t -> unit
 

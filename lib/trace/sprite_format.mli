@@ -17,8 +17,6 @@ exception Parse_error of int * string
 val parse_line : line:int -> string -> Record.t option
 (** [None] for comments/blank lines. Raises {!Parse_error}. *)
 
-val print_record : Buffer.t -> Record.t -> unit
-
 (** Parse a whole trace body. The returned array is fresh and, like
     every record array in the tree, immutable by convention: consumers
     (replay, diffval, the fleet) share it without copying — including

@@ -41,16 +41,13 @@ type profile = {
   record_io_times : bool;
 }
 
-(** The five trace profiles standing in for the paper's Sprite traces
-    1a, 1b, 2a, 2b and 5 (see DESIGN.md §3 for the calibration
-    rationale). *)
+(** Five trace profiles stand in for the paper's Sprite traces 1a, 1b,
+    2a, 2b and 5 (see DESIGN.md §3 for the calibration rationale); all
+    five are in {!all_profiles}. 1b has "many large and parallel write
+    operations" — the NVRAM bottleneck. *)
 val sprite_1a : profile
 
-(** "many large and parallel write operations" — the NVRAM bottleneck. *)
-val sprite_1b : profile
-
 val sprite_2a : profile
-val sprite_2b : profile
 
 (** "many large writes … while there are also a fair amount of stat and
     read operations" — the cache-cluttering trace. *)

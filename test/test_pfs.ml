@@ -221,6 +221,58 @@ let test_pfs_multiblock_read_races_overwrite () =
             (String.sub got bb bb))
         !reads)
 
+(* An image that holds data but does not mount as LFS is somebody's
+   file system: PFS must answer [Error EIO] and leave every byte as it
+   was, never format over it. *)
+let check_refused ~size_mb path =
+  let before = Digest.to_hex (Digest.file path) in
+  (match
+     Pfs.create (Pfs.Config.make ~image:path ~size_mb ~clock:`Virtual ())
+   with
+  | Ok t ->
+    Pfs.shutdown t;
+    Alcotest.fail "Pfs.create opened the image"
+  | Error e ->
+    Alcotest.(check string) "typed error" "eio" (Capfs_core.Errno.to_string e));
+  Alcotest.(check string) "image bytes unchanged" before
+    (Digest.to_hex (Digest.file path))
+
+let test_pfs_refuses_ffs_image () =
+  with_temp_image (fun path ->
+      let s = Sched.create ~clock:`Virtual () in
+      let tr =
+        File_blockdev.transport s ~path ~size_bytes:(16 * 1024 * 1024) ()
+      in
+      let drv = Driver.create s tr in
+      ignore
+        (Sched.spawn s (fun () ->
+             Capfs_layout.Ffs.format s drv ~block_bytes:Pfs.block_bytes));
+      Sched.run s;
+      File_blockdev.close tr;
+      check_refused ~size_mb:16 path)
+
+let test_pfs_refuses_lost_checkpoints () =
+  with_temp_image (fun path ->
+      let t = start_pfs path in
+      in_fibre t (fun () ->
+          Capfs.Client.mkdir_exn t.Pfs.client "/keep";
+          Capfs.Client.open_exn t.Pfs.client ~client:1 "/keep/f"
+            Capfs.Client.WO;
+          Capfs.Client.write_exn t.Pfs.client ~client:1 "/keep/f" ~offset:0
+            (Data.of_string "survivor");
+          Capfs.Client.close_exn t.Pfs.client ~client:1 "/keep/f");
+      Pfs.shutdown t;
+      (* both checkpoint regions sit right after the superblock block *)
+      let region =
+        Capfs_layout.Lfs.default_config.Capfs_layout.Lfs.checkpoint_blocks
+      in
+      let zeros = Bytes.make (2 * region * Pfs.block_bytes) '\000' in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      ignore (Unix.lseek fd Pfs.block_bytes Unix.SEEK_SET);
+      ignore (Unix.write fd zeros 0 (Bytes.length zeros));
+      Unix.close fd;
+      check_refused ~size_mb:8 path)
+
 (* Replay a short synthesized trace against PFS over a real backing
    file: the workload generator built for the simulator drives the
    on-line server unchanged, and the volume survives a cold restart. *)
@@ -270,6 +322,10 @@ let suite =
       test_blockdev_persists_across_reopen;
     Alcotest.test_case "pfs format + io" `Quick test_pfs_format_and_basic_io;
     Alcotest.test_case "pfs survives restart" `Quick test_pfs_survives_restart;
+    Alcotest.test_case "pfs refuses an ffs image" `Quick
+      test_pfs_refuses_ffs_image;
+    Alcotest.test_case "pfs refuses an image without checkpoints" `Quick
+      test_pfs_refuses_lost_checkpoints;
     Alcotest.test_case "pfs real clock" `Quick test_pfs_real_clock_smoke;
     Alcotest.test_case "multi-block read races overwrite" `Quick
       test_pfs_multiblock_read_races_overwrite;

@@ -6,7 +6,8 @@ policy-visible statistic the differential harness compares. This script
 re-derives that key list from the component sources (the same
 `stat_names` lists the registries are populated from) and fails when the
 two drift: a counter added in code must be triaged into the table (and
-into `Diffval.default_tolerances`), a counter removed must leave it.
+into `default_tolerances` in lib/diffval/diffval.ml), a counter removed
+must leave it.
 
 Run from the repository root:  python3 tools/check_validation_md.py
 """
