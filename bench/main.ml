@@ -392,6 +392,8 @@ let micro () =
            ignore (Capfs_sched.Sched.spawn s (fun () -> ()));
            Capfs_sched.Sched.run s))
   in
+  (* 512 clean blocks, read directly: a hit never suspends, and a
+     clean hit takes the replacement policy's touch *)
   let cache_hit_bench =
     let s = Capfs_sched.Sched.create ~clock:`Virtual () in
     let cache = ref None in
@@ -408,21 +410,20 @@ let micro () =
              Capfs_cache.Cache.write c (Capfs_cache.Block.Key.v 1 i)
                (Capfs_disk.Data.sim 16)
            done;
+           Capfs_cache.Cache.sync c;
            cache := Some c));
     Capfs_sched.Sched.run s;
     let c = Option.get !cache in
+    assert (Capfs_cache.Cache.dirty_count c = 0);
+    let fill _ = Capfs_disk.Data.sim 16 in
     let i = ref 0 in
     Test.make ~name:"cache: hit lookup + LRU touch"
       (Staged.stage (fun () ->
-           let s2 = Capfs_sched.Sched.create ~clock:`Virtual () in
+           incr i;
            ignore
-             (Capfs_sched.Sched.spawn s2 (fun () ->
-                  incr i;
-                  ignore
-                    (Capfs_cache.Cache.read c
-                       (Capfs_cache.Block.Key.v 1 (!i mod 512))
-                       ~fill:(fun _ -> Capfs_disk.Data.sim 16))));
-           Capfs_sched.Sched.run s2))
+             (Capfs_cache.Cache.read c
+                (Capfs_cache.Block.Key.v 1 (!i land 511))
+                ~fill)))
   in
   let lru_bench =
     let p = Capfs_cache.Replacement.lru () in
@@ -544,94 +545,85 @@ let micro () =
    "minor_words_per_op", "promoted_words_per_op",
    "major_collections" } ] } — the GC fields are per-domain
    Gc.quick_stat deltas taken around the experiment (see Fleet);
-   failed jobs carry "ok": false and "error" instead of the figures. *)
+   failed jobs carry "ok": false and "error" instead of the figures.
+   Bench rewrites only these four members: the file's "loadgen" member
+   belongs to pfs loadgen. *)
 
-let json_float f =
-  (* JSON has no inf/nan; clamp to null *)
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+module Json = Stats.Json
 
 let result_json (r : Fleet.job_result) =
   let j = r.Fleet.job in
+  let int n = Json.Num (float_of_int n) in
   let common =
     [
-      ("label", Stats.Json.quote j.Fleet.label);
-      ("trace", Stats.Json.quote j.Fleet.trace);
+      ("label", Json.Str j.Fleet.label);
+      ("trace", Json.Str j.Fleet.trace);
       ( "policy",
-        Stats.Json.quote (Experiment.policy_name j.Fleet.config.Experiment.policy) );
-      ("worker", string_of_int r.Fleet.worker);
-      ("wall_s", json_float r.Fleet.wall_s);
+        Json.Str (Experiment.policy_name j.Fleet.config.Experiment.policy) );
+      ("worker", int r.Fleet.worker);
+      ("wall_s", Json.num r.Fleet.wall_s);
     ]
   in
-  let fields =
-    match r.Fleet.result with
-    | Error e ->
-      common
+  let per_op x ops = if ops > 0 then x /. float_of_int ops else 0. in
+  match r.Fleet.result with
+  | Error e ->
+    Json.Obj
+      (common
       @ [
-          ("ok", "false");
-          ( "error",
-            Stats.Json.quote (Format.asprintf "%a" Fleet.pp_failure e) );
-        ]
-    | Ok o ->
-      let ops = o.Experiment.replay.Replay.operations in
-      common
+          ("ok", Json.Bool false);
+          ("error", Json.Str (Format.asprintf "%a" Fleet.pp_failure e));
+        ])
+  | Ok o ->
+    let replay = o.Experiment.replay in
+    let ops = replay.Replay.operations in
+    Json.Obj
+      (common
       @ [
-          ("ok", "true");
-          ("operations", string_of_int ops);
+          ("ok", Json.Bool true);
+          ("operations", int ops);
           ( "replayed_ops_per_s",
-            json_float
+            Json.num
               (if r.Fleet.wall_s > 0. then float_of_int ops /. r.Fleet.wall_s
                else 0.) );
           ( "mean_latency_ms",
-            json_float
-              (1000. *. Stats.Sample_set.mean o.Experiment.replay.Replay.latency) );
+            Json.num (1000. *. Stats.Sample_set.mean replay.Replay.latency) );
           ( "p95_latency_ms",
-            json_float
+            Json.num
               (1000.
-               *. (try
-                     Stats.Sample_set.quantile o.Experiment.replay.Replay.latency
-                       0.95
-                   with Invalid_argument _ -> 0.)) );
-          ("cache_hit_rate", json_float o.Experiment.cache_hit_rate);
-          ("blocks_flushed", string_of_int o.Experiment.blocks_flushed);
-          ("writes_absorbed", string_of_int o.Experiment.writes_absorbed);
-          ("errors", string_of_int o.Experiment.replay.Replay.errors);
-          ("skipped_ops", string_of_int o.Experiment.replay.Replay.skipped_ops);
+              *. (try Stats.Sample_set.quantile replay.Replay.latency 0.95
+                  with Invalid_argument _ -> 0.)) );
+          ("cache_hit_rate", Json.num o.Experiment.cache_hit_rate);
+          ("blocks_flushed", int o.Experiment.blocks_flushed);
+          ("writes_absorbed", int o.Experiment.writes_absorbed);
+          ("errors", int replay.Replay.errors);
+          ("skipped_ops", int replay.Replay.skipped_ops);
           ( "errors_by_kind",
-            "{"
-            ^ String.concat ", "
-                (List.map
-                   (fun (kind, n) ->
-                     Printf.sprintf "%s: %d" (Stats.Json.quote kind) n)
-                   o.Experiment.replay.Replay.errors_by_kind)
-            ^ "}" );
-          ("sim_elapsed_s", json_float o.Experiment.replay.Replay.elapsed);
-          ( "minor_words_per_op",
-            json_float
-              (if ops > 0 then r.Fleet.minor_words /. float_of_int ops
-               else 0.) );
+            Json.Obj
+              (List.map (fun (kind, n) -> (kind, int n))
+                 replay.Replay.errors_by_kind) );
+          ("sim_elapsed_s", Json.num replay.Replay.elapsed);
+          ("minor_words_per_op", Json.num (per_op r.Fleet.minor_words ops));
           ( "promoted_words_per_op",
-            json_float
-              (if ops > 0 then r.Fleet.promoted_words /. float_of_int ops
-               else 0.) );
-          ("major_collections", string_of_int r.Fleet.major_collections);
-        ]
-  in
-  "    {"
-  ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields)
-  ^ "}"
+            Json.num (per_op r.Fleet.promoted_words ops) );
+          ("major_collections", int r.Fleet.major_collections);
+        ])
 
+(* Bench owns four members of the file; the rest (pfs loadgen's
+   "loadgen") is kept as it is. *)
 let write_results_json ~path ~preset ~jobs ~duration results =
-  let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc (Printf.sprintf "  \"preset\": %s,\n" (Stats.Json.quote preset));
-  output_string oc (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  output_string oc
-    (Printf.sprintf "  \"duration_s\": %s,\n" (json_float duration));
-  output_string oc "  \"results\": [\n";
-  output_string oc (String.concat ",\n" (List.map result_json results));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
-  Format.printf "@.wrote %s (%d experiments)@." path (List.length results)
+  let own doc =
+    doc
+    |> Json.set "preset" (Json.Str preset)
+    |> Json.set "jobs" (Json.Num (float_of_int jobs))
+    |> Json.set "duration_s" (Json.num duration)
+    |> Json.set "results" (Json.Arr (List.map result_json results))
+  in
+  match Json.update_file path own with
+  | Ok () ->
+    Format.printf "@.wrote %s (%d experiments)@." path (List.length results)
+  | Error e ->
+    Format.printf "@.cannot update %s: %s@." path e;
+    exit 1
 
 (* {1 perfsmoke}
 
@@ -698,61 +690,33 @@ let perfsmoke ~jobs ~duration =
    misconfigured gate). The CI smoke job runs
    [figures -j 1 -traces sprite-1a,sprite-1b -baseline BENCH_results.json]. *)
 
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let i = ref from and found = ref (-1) in
-  while !found < 0 && !i + m <= n do
-    if String.sub s !i m = sub then found := !i else incr i
-  done;
-  if !found < 0 then None else Some !found
-
-(* Pull ["name": <scalar>] out of one result line of our own JSON
-   writer. Good enough for the schema we emit; not a JSON parser. *)
-let json_number line name =
-  match find_sub line (Printf.sprintf "\"%s\": " name) 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length name + 4 in
-    let stop = ref start in
-    let n = String.length line in
-    while
-      !stop < n && (match line.[!stop] with ',' | '}' | '\n' -> false | _ -> true)
-    do
-      incr stop
-    done;
-    float_of_string_opt (String.trim (String.sub line start (!stop - start)))
-
-let json_string line name =
-  match find_sub line (Printf.sprintf "\"%s\": \"" name) 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length name + 5 in
-    Option.map
-      (fun stop -> String.sub line start (stop - start))
-      (String.index_from_opt line start '"')
-
 type baseline_row = { b_ops : float; b_wall : float; b_minor : float }
 
+(* label -> row, from the "results" of a committed BENCH_results.json *)
 let read_baseline path =
-  let ic = open_in path in
   let rows = Hashtbl.create 32 in
-  (try
-     while true do
-       let line = input_line ic in
-       match json_string line "label" with
-       | None -> ()
-       | Some label -> (
-         match
-           ( json_number line "operations",
-             json_number line "wall_s",
-             json_number line "minor_words_per_op" )
-         with
-         | Some b_ops, Some b_wall, Some b_minor ->
-           Hashtbl.replace rows label { b_ops; b_wall; b_minor }
-         | _ -> ())
-     done
-   with End_of_file -> ());
-  close_in ic;
+  (match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok doc -> (
+    match Json.member "results" doc with
+    | Some (Json.Arr results) ->
+      List.iter
+        (fun row ->
+          let field k = Json.member k row in
+          match
+            ( field "label",
+              field "operations",
+              field "wall_s",
+              field "minor_words_per_op" )
+          with
+          | ( Some (Json.Str label),
+              Some (Json.Num b_ops),
+              Some (Json.Num b_wall),
+              Some (Json.Num b_minor) ) ->
+            Hashtbl.replace rows label { b_ops; b_wall; b_minor }
+          | _ -> ())
+        results
+    | _ -> ())
+  | Error e -> Format.printf "  %s does not parse: %s@." path e);
   rows
 
 let baseline_gate ~path results =

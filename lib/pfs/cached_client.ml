@@ -516,8 +516,8 @@ let dirty_blocks t =
 
 (* {2 Transports} *)
 
-let socket_transport ?(max_payload = Frame.default_max_payload) fd =
-  let sp = Frame.Splitter.create ~max_payload () in
+let socket_transport fd =
+  let sp = Frame.Splitter.create () in
   let gather = ref (Bytes.create 4096) in
   let readable_now () =
     match Unix.select [ fd ] [] [] 0. with

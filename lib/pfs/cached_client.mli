@@ -124,8 +124,7 @@ val dirty_blocks : t -> int
     reusable gather buffer and leaves in one [write(2)]; receives
     {!Capfs_ccache.Netlink.Frame.Splitter.fill} one [read(2)] straight
     into the splitter's buffer. Closing the transport closes [fd]. *)
-val socket_transport :
-  ?max_payload:int -> Unix.file_descr -> transport
+val socket_transport : Unix.file_descr -> transport
 
 (** [virtual_transport server ~client] — the same client state machine
     against an in-process [`Virtual]-clock {!Server}: sends decode and

@@ -6,12 +6,9 @@ module Data = Capfs_disk.Data
 let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
   if size_bytes < sector_bytes then
     invalid_arg "File_blockdev.transport: size smaller than one sector";
+  (* a short image is not grown: reads past its end are zeroes, and a
+     write past it extends the file *)
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let current = (Unix.fstat fd).Unix.st_size in
-  if current < size_bytes then begin
-    ignore (Unix.lseek fd (size_bytes - 1) Unix.SEEK_SET);
-    ignore (Unix.write fd (Bytes.make 1 '\000') 0 1)
-  end;
   let total_sectors = size_bytes / sector_bytes in
   let pread ~off ~len =
     let buf = Bytes.make len '\000' in

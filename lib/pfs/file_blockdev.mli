@@ -6,10 +6,11 @@
     scheduling) the simulator uses — cut-and-paste: only the transport
     differs between Patsy and PFS. *)
 
-(** [transport sched ~path ~size_bytes ()] opens (creating and extending
-    as needed) [path] and serves sector reads/writes with real pread/
-    pwrite. [sector_bytes] defaults to 512. The file is extended to
-    [size_bytes] on creation. *)
+(** [transport sched ~path ~size_bytes ()] opens (creating as needed)
+    [path] as a device of [size_bytes] and serves sector reads/writes
+    with real pread/pwrite. [sector_bytes] defaults to 512. The file is
+    never grown up front: sectors past its end read as zeroes, and
+    only a write extends it. *)
 val transport :
   ?sector_bytes:int ->
   Capfs_sched.Sched.t ->

@@ -100,6 +100,15 @@ let quantile t q =
   in
   scan 0 (float_of_int t.underflow)
 
+let merge ~into t =
+  if into.scheme <> t.scheme
+     || Array.length into.counts <> Array.length t.counts
+  then invalid_arg "Histogram.merge: different bucket bounds";
+  Array.iteri (fun i n -> into.counts.(i) <- into.counts.(i) + n) t.counts;
+  into.underflow <- into.underflow + t.underflow;
+  into.overflow <- into.overflow + t.overflow;
+  into.total <- into.total + t.total
+
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.underflow <- 0;

@@ -47,6 +47,10 @@ val cdf : t -> (float * float) list
     on an empty histogram or out-of-range [q]. *)
 val quantile : t -> float -> float
 
+(** [merge ~into t] adds every observation of [t] to [into]. Raises
+    [Invalid_argument] unless both have the same bucket bounds. *)
+val merge : into:t -> t -> unit
+
 (** Forget all observations, keeping the bucket structure. *)
 val reset : t -> unit
 

@@ -435,12 +435,7 @@ let with_socket_server ~shards path f =
   in
   Fun.protect
     ~finally:(fun () ->
-      let sfd = connect () in
-      let opcode, body = Wire.encode_request Wire.Shutdown in
-      (match Frame.write sfd { Frame.req_id = 0; opcode; payload = body } with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "shutdown send: %s" (Errno.to_string e));
-      Unix.close sfd;
+      Capfs_pfs.Loadgen.shutdown (CC.socket_transport (connect ()));
       Domain.join server_domain;
       Unix.close lfd)
     (fun () -> f srv connect)
@@ -488,31 +483,22 @@ let reply_to fd req_id =
 
 (* A counter of the Stats reply's [wire] object. *)
 let wire_counter fd req_id key =
-  let json =
-    match raw fd req_id Wire.Stats with
-    | Wire.Ok_stats j -> j
-    | r -> Alcotest.failf "stats: %a" Wire.pp_reply r
-  in
-  let pat = Printf.sprintf "\"wire.%s\": " key in
-  let n = String.length pat in
-  let rec find i =
-    if i + n > String.length json then Alcotest.failf "no %s in %s" key json
-    else if String.sub json i n = pat then i + n
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let stop = ref start in
-  while !stop < String.length json && json.[!stop] >= '0' && json.[!stop] <= '9'
-  do
-    incr stop
-  done;
-  int_of_string (String.sub json start (!stop - start))
+  let module Json = Capfs_stats.Json in
+  match raw fd req_id Wire.Stats with
+  | Wire.Ok_stats j -> (
+    match Result.map (Json.member "wire") (Json.parse j) with
+    | Ok (Some wire) -> (
+      match Json.member ("wire." ^ key) wire with
+      | Some (Json.Num n) -> int_of_float n
+      | _ -> Alcotest.failf "no %s in %s" key j)
+    | _ -> Alcotest.failf "no wire object in %s" j)
+  | r -> Alcotest.failf "stats: %a" Wire.pp_reply r
 
 (* A peer that never sent Open_grant: 32 requests in one write(2) are
    cut out of the server's receive buffer, and every reply comes back
    as a plain frame that the blocking [Frame.read] decodes one at a
-   time — as `pfs loadgen` and the benchmark's control connection read
-   them — matched by req_id. *)
+   time — as the benchmark's control connection reads them — matched
+   by req_id. *)
 let test_burst_plain_peer () =
   with_temp_base 1 (fun path ->
       with_socket_server ~shards:1 path (fun _ connect ->
@@ -845,6 +831,89 @@ let test_two_shards_over_socket () =
           CC.disconnect a;
           Unix.close b))
 
+(* {1 The load generator's virtual twin}
+
+   [Loadgen]'s workloads on [virtual_transport] with a step clock:
+   each reading is 1 ms after the last, so a run of [seconds] is a
+   fixed number of clock readings and its traffic an exact count. *)
+
+module Loadgen = Capfs_pfs.Loadgen
+
+let step_clock () =
+  let t = ref 0. in
+  fun () ->
+    t := !t +. 0.001;
+    !t
+
+let zipf = Loadgen.Zipf 0.99
+
+(* Client [id] of [workload] on a fresh virtual server; a shared
+   workload's files are set up first. The transport's client id is the
+   one a cached session speaks as. *)
+let virtual_run ?(shards = 1) ~id workload ~cache =
+  with_temp_base shards (fun path ->
+      with_virtual_server ~shards path (fun srv ->
+          if workload <> Loadgen.Seq then
+            Loadgen.setup_shared
+              (CC.virtual_transport srv ~client:999999)
+              ~files:8 ~bytes:bb;
+          let now = step_clock () in
+          Loadgen.run
+            (CC.virtual_transport ~now srv ~client:(id + 1))
+            ~id workload ~cache ~depth:4 ~files:8 ~bytes:bb ~seconds:1.0))
+
+let test_loadgen_seq_counts () =
+  let r = virtual_run ~shards:2 ~id:0 Loadgen.Seq ~cache:false in
+  Alcotest.(check bool) "ops moved" true (r.Loadgen.ops > 0);
+  Alcotest.(check int) "no refusals" 0 (r.Loadgen.eagain + r.Loadgen.errors);
+  Alcotest.(check int) "one message per op" r.Loadgen.ops r.Loadgen.msgs;
+  Alcotest.(check int) "every op timed" r.Loadgen.ops
+    (Capfs_stats.Histogram.total r.Loadgen.latency);
+  let again = virtual_run ~shards:2 ~id:0 Loadgen.Seq ~cache:false in
+  Alcotest.(check (list int))
+    "a second run counts the same"
+    [ r.Loadgen.ops; r.Loadgen.msgs ]
+    [ again.Loadgen.ops; again.Loadgen.msgs ]
+
+let test_loadgen_zipf_counts () =
+  let r = virtual_run ~id:0 zipf ~cache:true in
+  Alcotest.(check int) "no refusals" 0 (r.Loadgen.eagain + r.Loadgen.errors);
+  Alcotest.(check int) "one miss per file" 8 r.Loadgen.misses;
+  Alcotest.(check int) "8 grants and 8 fetches" 16 r.Loadgen.msgs;
+  Alcotest.(check int) "every op a hit or a miss" r.Loadgen.ops
+    (r.Loadgen.hits + r.Loadgen.misses);
+  let plain = virtual_run ~id:0 zipf ~cache:false in
+  Alcotest.(check bool) "plain ops moved" true (plain.Loadgen.ops > 0);
+  Alcotest.(check int) "plain: one message per op, 8 opens, 8 closes"
+    (plain.Loadgen.ops + 16) plain.Loadgen.msgs
+
+let test_loadgen_probe_virtual () =
+  with_temp_base 1 (fun path ->
+      with_virtual_server ~shards:1 path (fun srv ->
+          Loadgen.setup_shared
+            (CC.virtual_transport srv ~client:999999)
+            ~files:8 ~bytes:bb;
+          Alcotest.(check bool)
+            "read-your-writes holds" true
+            (Loadgen.consistency_probe
+               (CC.virtual_transport srv ~client:100001)
+               (CC.virtual_transport srv ~client:100002)
+               ~bytes:bb)))
+
+(* The same cached workload over a real socket, on the real clock. *)
+let test_loadgen_socket_parity () =
+  with_temp_base 1 (fun path ->
+      with_socket_server ~shards:1 path (fun _ connect ->
+          Loadgen.setup_shared (CC.socket_transport (connect ())) ~files:8
+            ~bytes:bb;
+          let r =
+            Loadgen.run
+              (CC.socket_transport (connect ()))
+              ~id:0 zipf ~cache:true ~depth:4 ~files:8 ~bytes:bb ~seconds:0.2
+          in
+          Alcotest.(check int) "one miss per file" 8 r.Loadgen.misses;
+          Alcotest.(check int) "8 grants and 8 fetches" 16 r.Loadgen.msgs))
+
 let suite =
   [
     Alcotest.test_case "local hits move no frames" `Quick test_hits_zero_wire;
@@ -879,4 +948,12 @@ let suite =
       test_dribbled_frames;
     Alcotest.test_case "bad header closes one connection" `Quick
       test_bad_header_closes_one;
+    Alcotest.test_case "loadgen seq: one message per op" `Quick
+      test_loadgen_seq_counts;
+    Alcotest.test_case "loadgen zipf: exact misses and messages" `Quick
+      test_loadgen_zipf_counts;
+    Alcotest.test_case "loadgen probe on the virtual server" `Quick
+      test_loadgen_probe_virtual;
+    Alcotest.test_case "loadgen zipf: socket parity" `Quick
+      test_loadgen_socket_parity;
   ]

@@ -124,161 +124,24 @@ let test_layers_covered () =
 
 (* {1 Chrome trace_event JSON}
 
-   The container has no JSON library, so the round-trip check uses the
-   minimal recursive-descent parser below — enough for the subset the
-   exporter emits (objects, arrays, strings with escapes, numbers,
-   booleans). *)
+   The round-trip checks read the export back with
+   {!Capfs_stats.Json}. *)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
+module Json = Capfs_stats.Json
 
-exception Parse_error of string
+let parse_json s =
+  match Json.parse s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "export does not parse: %s" e
 
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let n = String.length s in
-  let peek () = if !pos < n then s.[!pos] else raise (Parse_error "eof") in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then
-      raise (Parse_error (Printf.sprintf "expected %c at %d" c !pos));
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-          pos := !pos + 4;
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_char buf '?'
-        | c -> raise (Parse_error (Printf.sprintf "bad escape %c" c)));
-        advance ();
-        go ()
-      | c ->
-        advance ();
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    J_num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then begin
-        advance ();
-        J_obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | '}' ->
-            advance ();
-            List.rev ((k, v) :: acc)
-          | c -> raise (Parse_error (Printf.sprintf "bad object char %c" c))
-        in
-        J_obj (members [])
-      end
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then begin
-        advance ();
-        J_list []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | ',' ->
-            advance ();
-            elements (v :: acc)
-          | ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | c -> raise (Parse_error (Printf.sprintf "bad array char %c" c))
-        in
-        J_list (elements [])
-      end
-    | '"' -> J_str (parse_string ())
-    | 't' ->
-      pos := !pos + 4;
-      J_bool true
-    | 'f' ->
-      pos := !pos + 5;
-      J_bool false
-    | 'n' ->
-      pos := !pos + 4;
-      J_null
-    | _ -> parse_number ()
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then raise (Parse_error "trailing garbage");
-  v
+let member k v =
+  match Json.member k v with
+  | Some v -> v
+  | None -> Alcotest.failf "missing member %S" k
 
-let member k = function
-  | J_obj fields -> (
-    match List.assoc_opt k fields with
-    | Some v -> v
-    | None -> Alcotest.failf "missing member %S" k)
-  | _ -> Alcotest.failf "not an object looking up %S" k
-
-let as_str = function J_str s -> s | _ -> Alcotest.fail "expected string"
-let as_num = function J_num f -> f | _ -> Alcotest.fail "expected number"
-let as_list = function J_list l -> l | _ -> Alcotest.fail "expected array"
+let as_str = function Json.Str s -> s | _ -> Alcotest.fail "expected string"
+let as_num = function Json.Num f -> f | _ -> Alcotest.fail "expected number"
+let as_list = function Json.Arr l -> l | _ -> Alcotest.fail "expected array"
 
 let test_chrome_json_roundtrip () =
   let events =
@@ -394,11 +257,9 @@ let test_to_file_parses () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Export.to_file path stream;
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let contents = really_input_string ic len in
-      close_in ic;
-      let doc = parse_json contents in
+      let doc =
+        parse_json (In_channel.with_open_bin path In_channel.input_all)
+      in
       let evs =
         List.filter
           (fun ev -> as_str (member "ph" ev) <> "M")

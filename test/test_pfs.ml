@@ -273,6 +273,17 @@ let test_pfs_refuses_lost_checkpoints () =
       Unix.close fd;
       check_refused ~size_mb:8 path)
 
+(* A short image of foreign bytes, opened with a larger size: refused
+   without being grown to that size first. *)
+let test_pfs_refuses_short_image () =
+  with_temp_image (fun path ->
+      let rng = Random.State.make [| 64 |] in
+      let junk =
+        String.init 65536 (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      Out_channel.with_open_bin path (fun oc -> output_string oc junk);
+      check_refused ~size_mb:8 path)
+
 (* Replay a short synthesized trace against PFS over a real backing
    file: the workload generator built for the simulator drives the
    on-line server unchanged, and the volume survives a cold restart. *)
@@ -326,6 +337,8 @@ let suite =
       test_pfs_refuses_ffs_image;
     Alcotest.test_case "pfs refuses an image without checkpoints" `Quick
       test_pfs_refuses_lost_checkpoints;
+    Alcotest.test_case "pfs refuses a short foreign image" `Quick
+      test_pfs_refuses_short_image;
     Alcotest.test_case "pfs real clock" `Quick test_pfs_real_clock_smoke;
     Alcotest.test_case "multi-block read races overwrite" `Quick
       test_pfs_multiblock_read_races_overwrite;

@@ -105,6 +105,92 @@ let test_histogram_quantile () =
   if q50 < 45. || q50 > 55. then
     Alcotest.failf "median %g out of expected band" q50
 
+(* Forked load-generator clients sum their latency histograms. *)
+let test_histogram_merge () =
+  let mk per_decade = Histogram.log ~lo:1e-6 ~hi:1e3 ~per_decade in
+  let a = mk 20 and b = mk 20 in
+  List.iter (Histogram.add a) [ 1e-4; 2e-3; 0. ];
+  List.iter (Histogram.add b) [ 1e-4; 5e4 ];
+  Histogram.merge ~into:a b;
+  Alcotest.(check (list int))
+    "total, underflow, overflow, shared bucket" [ 5; 1; 1; 2 ]
+    Histogram.[ total a; underflow a; overflow a; count a 40 ];
+  match Histogram.merge ~into:a (mk 10) with
+  | () -> Alcotest.fail "merged histograms with different bounds"
+  | exception Invalid_argument _ -> ()
+
+(* Json *)
+
+let parse_ok s =
+  match Json.parse s with Ok v -> v | Error e -> Alcotest.failf "parse: %s" e
+
+let test_json_roundtrip () =
+  let open Json in
+  let doc =
+    Obj
+      [
+        ("s", Str "q\"uote\\ \001 caf\xc3\xa9");
+        ("n", Arr [ Num 0.; Num (-3.); Num 0.243152; Num 1e-7; Num 6.02e23 ]);
+        ( "o",
+          Obj [ ("t", Bool true); ("z", Null); ("e", Obj []); ("a", Arr []) ] );
+      ]
+  in
+  let text = to_string doc in
+  Alcotest.(check bool) "reads back equal" true (parse_ok text = doc);
+  Alcotest.(check string) "layout"
+    "{\n  \"s\": \"q\\\"uote\\\\ \\u0001 caf\xc3\xa9\",\n\
+    \  \"n\": [\n    0,\n    -3,\n    0.243152,\n    1e-07,\n\
+    \    6.02e+23\n  ],\n\
+    \  \"o\": {\"t\": true, \"z\": null, \"e\": {}, \"a\": []}\n}\n"
+    text;
+  Alcotest.(check bool) "\\u escapes decode to UTF-8" true
+    (parse_ok {|"\u00e9\u0041"|} = Str "\xc3\xa9A");
+  Alcotest.(check bool) "num rounds to six digits" true
+    (num Float.pi = Num 3.14159 && num Float.nan = Null);
+  List.iter
+    (fun bad ->
+      if Result.is_ok (parse bad) then Alcotest.failf "parsed %S" bad)
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; "\"\\x\"" ]
+
+(* BENCH_results.json has two writers, bench and pfs loadgen; each
+   replaces only its own members. *)
+let test_json_writers_keep_others () =
+  let open Json in
+  let path = Filename.temp_file "capfs_bench" ".json" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let update f =
+    match update_file path f with
+    | Ok () -> parse_ok (read ())
+    | Error e -> Alcotest.failf "update_file: %s" e
+  in
+  let run ops = Obj [ ("ops_per_sec", Num ops) ] in
+  let loadgen runs speedup =
+    Obj
+      [ ("runs", Arr runs); ("cache_speedup", Num 22.81); ("speedup", speedup) ]
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  (* a missing file starts empty *)
+  Sys.remove path;
+  let committed =
+    Obj [ ("results", Arr []); ("loadgen", loadgen [ run 10. ] Null) ]
+  in
+  Alcotest.(check bool) "written" true
+    (update (fun _ -> committed) = committed);
+  let bench d = d |> set "results" (Arr [ Str "new" ]) |> set "jobs" (Num 2.) in
+  let doc = update bench in
+  Alcotest.(check bool) "bench keeps loadgen" true (doc = bench committed);
+  Alcotest.(check bool) "loadgen keeps the rest" true
+    (update (Capfs_pfs.Loadgen.splice [ run 20.; run 30. ])
+    = set "loadgen" (loadgen [ run 20.; run 30. ] (Num 1.5)) doc);
+  Alcotest.(check bool) "one run has no speedup" true
+    (member "loadgen" (update (Capfs_pfs.Loadgen.splice [ run 40. ]))
+    = Some (loadgen [ run 40. ] Null));
+  (* a file that does not parse is refused and left alone *)
+  Out_channel.with_open_bin path (fun oc -> output_string oc "{\"a\": ");
+  Alcotest.(check bool) "bad file refused" true
+    (Result.is_error (update_file path Fun.id));
+  Alcotest.(check string) "bad file untouched" "{\"a\": " (read ())
+
 let prop_histogram_mass_conserved =
   QCheck.Test.make ~name:"histogram conserves observation mass" ~count:200
     QCheck.(list (float_range (-10.) 110.))
@@ -370,6 +456,10 @@ let suite =
     Alcotest.test_case "histogram weights+cdf" `Quick
       test_histogram_weights_and_cdf;
     Alcotest.test_case "histogram quantile" `Quick test_histogram_quantile;
+    Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
+    Alcotest.test_case "json round-trip and layout" `Quick test_json_roundtrip;
+    Alcotest.test_case "json writers keep others' members" `Quick
+      test_json_writers_keep_others;
     Alcotest.test_case "sample set quantiles" `Quick test_sample_set_quantiles;
     Alcotest.test_case "sample set reservoir" `Quick test_sample_set_reservoir;
     Alcotest.test_case "sample set cdf points" `Quick test_sample_set_cdf_points;
