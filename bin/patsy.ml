@@ -100,27 +100,8 @@ let run_crash ~config ~records plan =
 (* Differential mode (--differential): the same trace through Patsy
    (virtual time, simulated disk) and PFS (real time, real backing file),
    policy-visible statistics diffed within tolerance. *)
-let skew_of_spec spec =
-  let int v = int_of_string v in
-  match String.index_opt spec '=' with
-  | None when spec = "no-coalesce" ->
-    fun c -> { c with Experiment.coalesce = false }
-  | None -> invalid_arg ("--diff-skew: expected KEY=VALUE, got " ^ spec)
-  | Some i -> (
-    let key = String.sub spec 0 i in
-    let v = String.sub spec (i + 1) (String.length spec - i - 1) in
-    match key with
-    | "cache-mb" -> fun c -> { c with Experiment.cache_mb = int v }
-    | "nvram-mb" -> fun c -> { c with Experiment.nvram_mb = int v }
-    | "flush-window" -> fun c -> { c with Experiment.flush_window = int v }
-    | "max-extent" -> fun c -> { c with Experiment.max_extent = int v }
-    | "seg-blocks" -> fun c -> { c with Experiment.seg_blocks = int v }
-    | "replacement" -> fun c -> { c with Experiment.replacement = v }
-    | "iosched" -> fun c -> { c with Experiment.iosched = v }
-    | k -> invalid_arg ("--diff-skew: unknown key " ^ k))
-
 let run_differential ~trace ~source ~config ~image_mb ~speedup ~report_out
-    ~skew_spec =
+    ~skew =
   let dcfg =
     {
       (Diffval.default ()) with
@@ -138,8 +119,10 @@ let run_differential ~trace ~source ~config ~image_mb ~speedup ~report_out
       speedup;
     }
   in
-  let skew = Option.map skew_of_spec skew_spec in
-  match Diffval.run ?skew ~config:dcfg ~trace_name:trace source with
+  match
+    Diffval.run ~skew:(Option.to_list skew) ~config:dcfg ~trace_name:trace
+      source
+  with
   | Error e ->
     Format.eprintf "patsy --differential: harness failure (%a)@."
       Capfs_core.Errno.pp e;
@@ -149,10 +132,9 @@ let run_differential ~trace ~source ~config ~image_mb ~speedup ~report_out
     (match report_out with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Diffval.to_json report);
-      output_char oc '\n';
-      close_out oc;
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            (Capfs_stats.Json.to_string (Diffval.to_json report)));
       Format.printf "# wrote JSON report to %s@." path);
     if report.Diffval.r_ok then 0 else 1
 
@@ -207,7 +189,7 @@ let run_main trace format policy duration seed parallel_jobs disks buses
     run_differential ~trace ~source
       ~config:(config (List.hd policies))
       ~image_mb ~speedup:diff_speedup ~report_out:diff_report
-      ~skew_spec:diff_skew
+      ~skew:diff_skew
   else if plan.Plan.crash_at <> None then
     (* crash replay needs the records in hand (it replays prefixes) *)
     run_crash ~config:(config (List.hd policies))
@@ -388,11 +370,11 @@ let diff_report =
 let diff_skew =
   Arg.(value & opt (some string) None
        & info [ "diff-skew" ] ~docv:"KEY=VALUE"
-           ~doc:"Deliberately skew one policy parameter on the PFS half \
-                 only (cache-mb, nvram-mb, flush-window, max-extent, \
-                 seg-blocks, replacement, iosched, or the bare \
-                 no-coalesce) — a self-test: the differential run must \
-                 then exit non-zero.")
+           ~doc:"Deliberately skew one parameter on the PFS half only, \
+                 in pfs's $(b,--set) vocabulary (e.g. seg-blocks=32, \
+                 cache-mb=8, coalesce=off) — a self-test: the \
+                 differential run must then exit 1. A key or value pfs \
+                 refuses is a harness failure (exit 2).")
 
 let trace_out =
   Arg.(value & opt (some string) None

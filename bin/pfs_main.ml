@@ -160,8 +160,7 @@ let serve_until_shutdown cfg addr ~stats_path =
   Unix.close lfd;
   (match addr with Unix.ADDR_UNIX p -> unlink_quiet p | _ -> ());
   Out_channel.with_open_text stats_path (fun oc ->
-      output_string oc (Server.report_json server);
-      output_char oc '\n');
+      output_string oc (Json.to_string (Server.report_json server)));
   Printf.printf "pfs: server stopped, stats in %s\n%!" stats_path
 
 (* The socket server's configuration: it runs on the real clock. *)

@@ -118,9 +118,6 @@ val write :
 
 val truncate : t -> string -> size:int -> (unit, Capfs_core.Errno.t) result
 
-(** fsync: the file's dirty blocks reach stable storage. *)
-val fsync : t -> string -> (unit, Capfs_core.Errno.t) result
-
 (** Whole-system sync: cache write-back plus layout checkpoint. *)
 val sync : t -> (unit, Capfs_core.Errno.t) result
 

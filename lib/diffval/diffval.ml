@@ -295,14 +295,21 @@ let volume_snapshot t =
            equivalence");
     Error Errno.EINVAL
 
-let run_pfs ~speedup ~image_mb ~clock base source =
+(* [skew] settings apply on top of the translated config; everything
+   below reads the result, so a skewed knob reaches the cold remount
+   too. *)
+let run_pfs ~speedup ~image_mb ~clock ~skew base source =
   let image = Filename.temp_file "capfs_diffval" ".img" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
     (fun () ->
-      let size_bytes = image_mb * 1024 * 1024 in
       let registry = Stats.Registry.create () in
-      let cfg = pfs_config_of ~image ~image_mb ~clock base in
+      let ( let* ) = Result.bind in
+      let* cfg =
+        Pfs.Config.of_args
+          ~base:(pfs_config_of ~image ~image_mb ~clock base)
+          skew
+      in
       match
         Pfs.create ~registry ~injector:(Experiment.injector_of base) cfg
       with
@@ -327,7 +334,9 @@ let run_pfs ~speedup ~image_mb ~clock base source =
              exactly what a PFS restart does *)
           let sched2 = Sched.create ~clock:`Virtual () in
           let tr2 =
-            File_blockdev.transport sched2 ~path:image ~size_bytes ()
+            File_blockdev.transport sched2 ~path:image
+              ~size_bytes:(cfg.Pfs.Config.size_mb * 1024 * 1024)
+              ()
           in
           let flat =
             Geometry.v ~cylinders:tr2.Driver.total_sectors ~heads:1
@@ -335,7 +344,7 @@ let run_pfs ~speedup ~image_mb ~clock base source =
           in
           let drv2 =
             Driver.create ~name:(Names.driver 0)
-              ~policy:(Iosched.by_name flat base.Experiment.iosched)
+              ~policy:(Iosched.by_name flat cfg.Pfs.Config.iosched)
               sched2 tr2
           in
           let fsck = ref [ "recovery did not run" ] and inodes = ref 0 in
@@ -352,7 +361,9 @@ let run_pfs ~speedup ~image_mb ~clock base source =
           Ok
             {
               s_clock =
-                (match clock with `Real -> "real" | `Virtual -> "virtual");
+                (match cfg.Pfs.Config.clock with
+                | `Real -> "real"
+                | `Virtual -> "virtual");
               s_operations = replay.Replay.operations;
               s_errors = replay.Replay.errors;
               s_skipped = replay.Replay.skipped_ops;
@@ -435,101 +446,91 @@ let verdicts_ok verdicts = List.for_all (fun v -> v.v_ok) verdicts
 
 (* {2 The harness} *)
 
-let run ?config ?skew ~trace_name source =
+let run ?config ?(skew = []) ~trace_name source =
   let cfg = match config with Some c -> c | None -> default () in
   let base = sanitize cfg.base in
-  let pfs_base =
-    match skew with None -> base | Some f -> sanitize (f base)
-  in
   if Capfs_trace.Source.length source = 0 then Error Errno.EINVAL
   else
-    match
-      ( run_patsy ~speedup:cfg.speedup base source,
-        run_pfs ~speedup:cfg.speedup ~image_mb:cfg.image_mb
-          ~clock:cfg.pfs_clock pfs_base source )
-    with
-    | Error e, _ | _, Error e -> Error e
-    | Ok patsy, Ok pfs ->
-      let verdicts, only_patsy, only_pfs =
-        diff_snapshots ~tolerances:cfg.tolerances ~patsy:patsy.s_snapshot
-          ~pfs:pfs.s_snapshot ()
-      in
-      let verdicts = replay_verdicts ~patsy ~pfs @ verdicts in
-      let fsck_clean = patsy.s_fsck_errors = [] && pfs.s_fsck_errors = [] in
-      let ok =
-        verdicts_ok verdicts && only_patsy = [] && only_pfs = []
-        && fsck_clean
-      in
-      Log.info (fun m ->
-          m "diffval %s: %d counters compared, %d drifted key(s), ok=%b"
-            trace_name (List.length verdicts)
-            (List.length only_patsy + List.length only_pfs)
-            ok);
-      Ok
-        {
-          r_trace = trace_name;
-          r_policy = Experiment.policy_name base.Experiment.policy;
-          r_plan = Plan.to_string (plan_of base);
-          r_speedup = cfg.speedup;
-          r_skewed = skew <> None;
-          r_patsy = patsy;
-          r_pfs = pfs;
-          r_only_patsy = only_patsy;
-          r_only_pfs = only_pfs;
-          r_verdicts = verdicts;
-          r_ok = ok;
-        }
+    let ( let* ) = Result.bind in
+    (* the PFS half first, so a skew [of_args] refuses costs no replay *)
+    let* pfs =
+      run_pfs ~speedup:cfg.speedup ~image_mb:cfg.image_mb
+        ~clock:cfg.pfs_clock ~skew base source
+    in
+    let* patsy = run_patsy ~speedup:cfg.speedup base source in
+    let verdicts, only_patsy, only_pfs =
+      diff_snapshots ~tolerances:cfg.tolerances ~patsy:patsy.s_snapshot
+        ~pfs:pfs.s_snapshot ()
+    in
+    let verdicts = replay_verdicts ~patsy ~pfs @ verdicts in
+    let fsck_clean = patsy.s_fsck_errors = [] && pfs.s_fsck_errors = [] in
+    let ok =
+      verdicts_ok verdicts && only_patsy = [] && only_pfs = []
+      && fsck_clean
+    in
+    Log.info (fun m ->
+        m "diffval %s: %d counters compared, %d drifted key(s), ok=%b"
+          trace_name (List.length verdicts)
+          (List.length only_patsy + List.length only_pfs)
+          ok);
+    Ok
+      {
+        r_trace = trace_name;
+        r_policy = Experiment.policy_name base.Experiment.policy;
+        r_plan = Plan.to_string (plan_of base);
+        r_speedup = cfg.speedup;
+        r_skewed = skew <> [];
+        r_patsy = patsy;
+        r_pfs = pfs;
+        r_only_patsy = only_patsy;
+        r_only_pfs = only_pfs;
+        r_verdicts = verdicts;
+        r_ok = ok;
+      }
 
 (* {2 Rendering} *)
 
-let add_string_list b l =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Stats.Json.quote s))
-    l;
-  Buffer.add_char b ']'
-
-let add_side b (s : side) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"clock\":\"%s\",\"operations\":%d,\"errors\":%d,\"skipped_ops\":%d,\"elapsed_s\":%.6g,\"recovered_inodes\":%d,\"fsck_errors\":"
-       s.s_clock s.s_operations s.s_errors s.s_skipped s.s_elapsed
-       s.s_recovered_inodes);
-  add_string_list b s.s_fsck_errors;
-  Buffer.add_string b ",\"snapshot\":";
-  Snapshot.add_json b s.s_snapshot;
-  Buffer.add_char b '}'
-
 let to_json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"trace\":\"%s\",\"policy\":\"%s\",\"fault_plan\":\"%s\",\"speedup\":%g,\"skewed\":%b,\"ok\":%b,"
-       (Stats.Json.escape r.r_trace) (Stats.Json.escape r.r_policy)
-       (Stats.Json.escape r.r_plan) r.r_speedup r.r_skewed r.r_ok);
-  Buffer.add_string b "\"patsy\":";
-  add_side b r.r_patsy;
-  Buffer.add_string b ",\"pfs\":";
-  add_side b r.r_pfs;
-  Buffer.add_string b ",\"only_in_patsy\":";
-  add_string_list b r.r_only_patsy;
-  Buffer.add_string b ",\"only_in_pfs\":";
-  add_string_list b r.r_only_pfs;
-  Buffer.add_string b ",\"verdicts\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"key\":\"%s\",\"patsy\":%d,\"pfs\":%d,\"tolerance\":\"%s\",\"ok\":%b}"
-           (Stats.Json.escape v.v_key) v.v_patsy v.v_pfs
-           (tolerance_to_string v.v_tolerance)
-           v.v_ok))
-    r.r_verdicts;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Stats.Json in
+  let int n = Num (float_of_int n) in
+  let strings l = Arr (List.map (fun s -> Str s) l) in
+  let side s =
+    Obj
+      [
+        ("clock", Str s.s_clock);
+        ("operations", int s.s_operations);
+        ("errors", int s.s_errors);
+        ("skipped_ops", int s.s_skipped);
+        ("elapsed_s", num s.s_elapsed);
+        ("recovered_inodes", int s.s_recovered_inodes);
+        ("fsck_errors", strings s.s_fsck_errors);
+        ("snapshot", Snapshot.to_json s.s_snapshot);
+      ]
+  in
+  let verdict v =
+    Obj
+      [
+        ("key", Str v.v_key);
+        ("patsy", int v.v_patsy);
+        ("pfs", int v.v_pfs);
+        ("tolerance", Str (tolerance_to_string v.v_tolerance));
+        ("ok", Bool v.v_ok);
+      ]
+  in
+  Obj
+    [
+      ("trace", Str r.r_trace);
+      ("policy", Str r.r_policy);
+      ("fault_plan", Str r.r_plan);
+      ("speedup", num r.r_speedup);
+      ("skewed", Bool r.r_skewed);
+      ("ok", Bool r.r_ok);
+      ("patsy", side r.r_patsy);
+      ("pfs", side r.r_pfs);
+      ("only_in_patsy", strings r.r_only_patsy);
+      ("only_in_pfs", strings r.r_only_pfs);
+      ("verdicts", Arr (List.map verdict r.r_verdicts));
+    ]
 
 let pp ppf r =
   Format.fprintf ppf

@@ -113,10 +113,13 @@ val verdicts_ok : verdict list -> bool
 
 (** [run ~trace_name source] executes both halves and diffs them. Both
     halves replay the same {!Capfs_trace.Source.t} serially (each makes
-    its own passes over it; cursor-backed sources stream). [skew], when
-    given, rewrites the PFS half's configuration only — deliberately
-    desynchronizing the halves to prove the harness detects it (the
-    resulting report must have [r_ok = false]).
+    its own passes over it; cursor-backed sources stream). [skew]
+    (default none) is a list of [KEY=VALUE] settings in
+    {!Capfs_pfs.Pfs.Config.of_args}' vocabulary, applied to the PFS
+    half's configuration only — deliberately desynchronizing the halves
+    to prove the harness detects it (the resulting report must have
+    [r_ok = false]). A setting [of_args] refuses is a harness failure,
+    [Error EINVAL].
 
     [Error e] is a harness failure (no outcome produced, unusable
     backing file, or a PFS volume that yields no statistics snapshot —
@@ -125,14 +128,15 @@ val verdicts_ok : verdict list -> bool
     with [r_ok = false], carrying the per-counter verdicts. *)
 val run :
   ?config:config ->
-  ?skew:(Capfs_patsy.Experiment.config -> Capfs_patsy.Experiment.config) ->
+  ?skew:string list ->
   trace_name:string ->
   Capfs_trace.Source.t ->
   (report, Capfs_core.Errno.t) result
 
 (** Machine-readable report: one JSON object with both sides' replay
-    totals, fsck findings, full snapshots and per-counter verdicts. *)
-val to_json : report -> string
+    totals, fsck findings, full snapshots and per-counter verdicts.
+    [patsy --diff-report] prints it with {!Capfs_stats.Json.to_string}. *)
+val to_json : report -> Capfs_stats.Json.t
 
 (** Human-readable per-counter report (what [patsy --differential]
     prints). *)

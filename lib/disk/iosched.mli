@@ -60,9 +60,6 @@ val scan : Geometry.t -> t
     disk driver. *)
 val clook : Geometry.t -> t
 
-(** Circular SCAN (same service order as {!clook}). *)
-val cscan : Geometry.t -> t
-
 (** Earliest deadline first, ties broken in C-LOOK order; requests
     without a deadline sort after all deadlined ones. Reddy & Wyllie's
     scan-EDF for continuous-media traffic. *)

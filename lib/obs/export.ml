@@ -1,3 +1,5 @@
+module Json = Capfs_stats.Json
+
 let of_events evs = List.map (fun e -> (0, e)) evs
 
 let pp_text ppf stream =
@@ -7,111 +9,53 @@ let pp_text ppf stream =
 
 (* {2 Chrome trace_event JSON}
 
-   Hand-rolled: the toolchain has no JSON library, and the format is a
-   flat array of small objects. Everything numeric is finite by
-   construction (scheduler times and durations). *)
+   Every record is a {!Capfs_stats.Json.t}, printed on its own line and
+   written straight to the channel, so the trace is never held whole. *)
 
-let add_str buf s =
-  Buffer.add_char buf '"';
-  Capfs_stats.Json.add_escaped buf s;
-  Buffer.add_char buf '"'
+(* scheduler seconds in the format's microseconds, to the nanosecond *)
+let usec s = Json.Num (Float.round (1e9 *. s) /. 1e3)
 
-let add_field buf ~first name value =
-  if not first then Buffer.add_char buf ',';
-  add_str buf name;
-  Buffer.add_char buf ':';
-  value ()
+let int n = Json.Num (float_of_int n)
 
-let usec s = Printf.sprintf "%.3f" (1e6 *. s)
-
-let add_args buf (kind : Event.kind) =
-  let str name v =
-    add_str buf name;
-    Buffer.add_char buf ':';
-    add_str buf v
+let args (kind : Event.kind) =
+  let str v = Json.Str v in
+  let request disk lba sectors write =
+    [
+      ("disk", str disk);
+      ("lba", int lba);
+      ("sectors", int sectors);
+      ("op", str (if write then "write" else "read"));
+    ]
   in
-  let int name v =
-    add_str buf name;
-    Buffer.add_string buf (Printf.sprintf ":%d" v)
-  in
-  let sep () = Buffer.add_char buf ',' in
-  Buffer.add_char buf '{';
-  (match kind with
+  match kind with
   | Event.Dispatch { thread; _ } | Event.Wake { thread; _ } ->
-    str "thread" thread
-  | Event.Block { thread; on; _ } ->
-    str "thread" thread;
-    sep ();
-    str "on" on
+    [ ("thread", str thread) ]
+  | Event.Block { thread; on; _ } -> [ ("thread", str thread); ("on", str on) ]
   | Event.Cache_hit { cache; ino; index }
   | Event.Cache_miss { cache; ino; index }
   | Event.Cache_evict { cache; ino; index } ->
-    str "cache" cache;
-    sep ();
-    int "ino" ino;
-    sep ();
-    int "index" index
+    [ ("cache", str cache); ("ino", int ino); ("index", int index) ]
   | Event.Cache_flush { cache; blocks } ->
-    str "cache" cache;
-    sep ();
-    int "blocks" blocks
-  | Event.Disk_enqueue { disk; lba; sectors; write } ->
-    str "disk" disk;
-    sep ();
-    int "lba" lba;
-    sep ();
-    int "sectors" sectors;
-    sep ();
-    str "op" (if write then "write" else "read")
-  | Event.Disk_seek { disk; cylinder; _ } ->
-    str "disk" disk;
-    sep ();
-    int "cylinder" cylinder
+    [ ("cache", str cache); ("blocks", int blocks) ]
+  | Event.Disk_enqueue { disk; lba; sectors; write }
   | Event.Disk_service { disk; lba; sectors; write; _ } ->
-    str "disk" disk;
-    sep ();
-    int "lba" lba;
-    sep ();
-    int "sectors" sectors;
-    sep ();
-    str "op" (if write then "write" else "read")
+    request disk lba sectors write
+  | Event.Disk_seek { disk; cylinder; _ } ->
+    [ ("disk", str disk); ("cylinder", int cylinder) ]
   | Event.Seg_write { volume; seg; blocks } ->
-    str "volume" volume;
-    sep ();
-    int "segment" seg;
-    sep ();
-    int "blocks" blocks
+    [ ("volume", str volume); ("segment", int seg); ("blocks", int blocks) ]
   | Event.Disk_fault { disk; lba; sectors; write; fault } ->
-    str "disk" disk;
-    sep ();
-    int "lba" lba;
-    sep ();
-    int "sectors" sectors;
-    sep ();
-    str "op" (if write then "write" else "read");
-    sep ();
-    str "fault" fault
+    request disk lba sectors write @ [ ("fault", str fault) ]
   | Event.Disk_retry { disk; attempt; _ } ->
-    str "disk" disk;
-    sep ();
-    int "attempt" attempt
+    [ ("disk", str disk); ("attempt", int attempt) ]
   | Event.Disk_merge { disk; lba; sectors; write; count } ->
-    str "disk" disk;
-    sep ();
-    int "lba" lba;
-    sep ();
-    int "sectors" sectors;
-    sep ();
-    str "op" (if write then "write" else "read");
-    sep ();
-    int "count" count
+    request disk lba sectors write @ [ ("count", int count) ]
   | Event.Recovery { volume; segments; inodes } ->
-    str "volume" volume;
-    sep ();
-    int "segments" segments;
-    sep ();
-    int "inodes" inodes);
-  Buffer.add_char buf '}'
+    [
+      ("volume", str volume);
+      ("segments", int segments);
+      ("inodes", int inodes);
+    ]
 
 (* Non-scheduler events render under a per-component synthetic thread
    id so each cache/disk/volume gets its own viewer track; scheduler
@@ -126,71 +70,66 @@ let tid_of (kind : Event.kind) =
     let h = Hashtbl.hash (Event.source kind) in
     100_000 + (h mod 10_000)
 
-let add_event buf sid (e : Event.t) =
-  let dur = Event.duration e.Event.kind in
-  Buffer.add_char buf '{';
-  add_field buf ~first:true "name" (fun () ->
-      add_str buf (Event.kind_name e.Event.kind));
-  add_field buf ~first:false "cat" (fun () ->
-      add_str buf (Event.layer_name (Event.layer_of e.Event.kind)));
-  if dur > 0. then begin
-    add_field buf ~first:false "ph" (fun () -> add_str buf "X");
-    add_field buf ~first:false "ts" (fun () ->
-        Buffer.add_string buf (usec (e.Event.time -. dur)));
-    add_field buf ~first:false "dur" (fun () ->
-        Buffer.add_string buf (usec dur))
-  end
-  else begin
-    add_field buf ~first:false "ph" (fun () -> add_str buf "i");
-    add_field buf ~first:false "s" (fun () -> add_str buf "t");
-    add_field buf ~first:false "ts" (fun () ->
-        Buffer.add_string buf (usec e.Event.time))
-  end;
-  add_field buf ~first:false "pid" (fun () ->
-      Buffer.add_string buf (string_of_int sid));
-  add_field buf ~first:false "tid" (fun () ->
-      Buffer.add_string buf (string_of_int (tid_of e.Event.kind)));
-  add_field buf ~first:false "args" (fun () -> add_args buf e.Event.kind);
-  Buffer.add_char buf '}'
+let record sid (e : Event.t) =
+  let kind = e.Event.kind in
+  let dur = Event.duration kind in
+  let timing =
+    if dur > 0. then
+      [ ("ph", Json.Str "X"); ("ts", usec (e.Event.time -. dur));
+        ("dur", usec dur) ]
+    else
+      [ ("ph", Json.Str "i"); ("s", Json.Str "t"); ("ts", usec e.Event.time) ]
+  in
+  Json.Obj
+    ([
+       ("name", Json.Str (Event.kind_name kind));
+       ("cat", Json.Str (Event.layer_name (Event.layer_of kind)));
+     ]
+    @ timing
+    @ [
+        ("pid", int sid); ("tid", int (tid_of kind));
+        ("args", Json.Obj (args kind));
+      ])
 
 (* Metadata records (ph "M") name each track: scheduler tids get their
    fibre's thread name, component tids the component name. *)
-let add_thread_names buf stream =
+let thread_name sid tid (kind : Event.kind) =
+  let label =
+    match kind with
+    | Event.Dispatch { thread; _ }
+    | Event.Block { thread; _ }
+    | Event.Wake { thread; _ } ->
+      thread
+    | kind -> Event.source kind
+  in
+  Json.Obj
+    [
+      ("name", Json.Str "thread_name");
+      ("ph", Json.Str "M");
+      ("pid", int sid);
+      ("tid", int tid);
+      ("args", Json.Obj [ ("name", Json.Str label) ]);
+    ]
+
+let chrome_json oc stream =
+  let first = ref true in
+  let line v =
+    if not !first then output_string oc ",\n";
+    first := false;
+    output_string oc (Json.compact v)
+  in
+  output_string oc "{\"traceEvents\": [\n";
   let seen = Hashtbl.create 32 in
   List.iter
     (fun (sid, (e : Event.t)) ->
       let tid = tid_of e.Event.kind in
       if not (Hashtbl.mem seen (sid, tid)) then begin
-        let label =
-          match e.Event.kind with
-          | Event.Dispatch { thread; _ }
-          | Event.Block { thread; _ }
-          | Event.Wake { thread; _ } ->
-            thread
-          | kind -> Event.source kind
-        in
         Hashtbl.replace seen (sid, tid) ();
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":"
-             sid tid);
-        add_str buf label;
-        Buffer.add_string buf "}},\n"
+        line (thread_name sid tid e.Event.kind)
       end)
-    stream
-
-let chrome_json buf stream =
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  add_thread_names buf stream;
-  List.iteri
-    (fun i (sid, e) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      add_event buf sid e)
     stream;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
+  List.iter (fun (sid, e) -> line (record sid e)) stream;
+  output_string oc "\n], \"displayTimeUnit\": \"ms\"}\n"
 
 let to_file path stream =
-  let buf = Buffer.create 65536 in
-  chrome_json buf stream;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> chrome_json oc stream)

@@ -278,13 +278,19 @@ let make_engine ?observe ~speedup ~window ~synthesize_missing ~real_data
     let i = Errno.to_index e in
     error_kinds.(i) <- error_kinds.(i) + 1
   in
-  (* A close/delete/rmdir of a path the trace never created is a trace
-     artifact — the target predates the trace window, and an op that
-     only destroys state has nothing sensible to synthesize. Counted
-     apart from real errors. *)
-  let is_trace_artifact (r : Record.t) =
-    match r.Record.op with
-    | Record.Close _ | Record.Delete _ | Record.Rmdir _ -> true
+  (* Trace artifacts, counted apart from real errors:
+     - a close/delete/rmdir of a path the trace never created — the
+       target predates the trace window, and an op that only destroys
+       state has nothing sensible to synthesize;
+     - a mkdir of a directory that is already there — another client's
+       record under it ran first, and synthesis made it. *)
+  let is_trace_artifact (r : Record.t) (e : Errno.t) =
+    match (r.Record.op, e) with
+    | (Record.Close _ | Record.Delete _ | Record.Rmdir _), Errno.ENOENT -> true
+    | Record.Mkdir { path }, Errno.EEXIST -> (
+      match Client.stat client path with
+      | Ok st -> st.Client.st_kind = Capfs_layout.Inode.Directory
+      | Error _ -> false)
     | _ -> false
   in
   (* [dispatch client r] is called directly rather than through a
@@ -293,8 +299,7 @@ let make_engine ?observe ~speedup ~window ~synthesize_missing ~real_data
     let t0 = Sched.now sched in
     (match dispatch client ~payload r with
     | Ok () -> ( match observe with Some f -> f r | None -> ())
-    | Error Errno.ENOENT when synthesize_missing && is_trace_artifact r ->
-      incr skipped
+    | Error e when synthesize_missing && is_trace_artifact r e -> incr skipped
     | Error e -> fail e);
     let t1 = Sched.now sched in
     incr operations;

@@ -20,11 +20,19 @@ type result = {
   operations : int;
   errors : int;         (** operations refused (ENOENT etc.) *)
   skipped_ops : int;
-      (** trace artifacts, counted apart from errors: a close, delete or
-          rmdir of a path the trace never created (the target predates
-          the trace window, and an operation that only destroys state
-          has nothing sensible to synthesize). Only counted when
-          [synthesize_missing] is on. *)
+      (** trace artifacts, counted apart from errors. Two kinds:
+          - a close, delete or rmdir of a path the trace never created
+            (the target predates the trace window, and an operation
+            that only destroys state has nothing sensible to
+            synthesize);
+          - a mkdir that finds a directory already at its path: another
+            client's record under that directory ran first, at the same
+            or an earlier trace instant, and synthesis made the
+            directory for it.
+
+          Only counted when [synthesize_missing] is on. A mkdir that
+          finds a file at its path, or any [EEXIST] with synthesis off,
+          is an error. *)
   errors_by_kind : (string * int) list;
       (** nonzero error classes only, keyed by
           {!Capfs_core.Errno.to_string} mnemonics, e.g. [("enoent", 33)]

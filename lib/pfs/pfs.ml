@@ -108,31 +108,9 @@ module Config = struct
   (* {2 Shared argument parsing}
 
      One [key=value] vocabulary for every front end: the pfs CLI's
-     repeatable [--set], test fixtures, and the load generator all call
-     [of_args], so a knob is parsed in exactly one place. *)
-
-  let keys =
-    [
-      "size-mb";
-      "cache-mb";
-      "nvram-mb";
-      "trigger";
-      "scope";
-      "iosched";
-      "replacement";
-      "seg-blocks";
-      "cleaner";
-      "async-flush";
-      "mem-copy-rate";
-      "coalesce";
-      "flush-window";
-      "max-extent";
-      "shards";
-      "admission";
-      "lease-s";
-      "clock";
-      "seed";
-    ]
+     repeatable [--set], patsy's [--diff-skew], test fixtures, and the
+     load generator all call [of_args], so a knob is parsed in exactly
+     one place. *)
 
   let arg_doc =
     "KEY=VALUE with KEY one of: size-mb, cache-mb, nvram-mb, trigger \

@@ -90,10 +90,6 @@ module Config : sig
   *)
   val validate : t -> (t, Capfs_core.Errno.t) result
 
-  (** The [KEY=VALUE] strings {!of_args} accepts — one per
-      configuration knob. *)
-  val keys : string list
-
   (** Manpage-style description of the [KEY=VALUE] grammar, for CLI
       [--set] documentation. *)
   val arg_doc : string
@@ -103,7 +99,8 @@ module Config : sig
       override set and set the image on the result) and validates.
       Unknown keys, malformed values and out-of-domain results are all
       [Error EINVAL]. This is the {e single} argument grammar shared by
-      the pfs CLI, the load generator and test fixtures. *)
+      the pfs CLI, patsy's [--diff-skew], the load generator and test
+      fixtures. *)
   val of_args : ?base:t -> string list -> (t, Capfs_core.Errno.t) result
 end
 

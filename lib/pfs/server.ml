@@ -4,6 +4,7 @@ module Frame = Capfs_ccache.Netlink.Frame
 module Counter = Capfs_stats.Counter
 module Registry = Capfs_stats.Registry
 module Snapshot = Capfs_stats.Snapshot
+module Json = Capfs_stats.Json
 module Client = Capfs.Client
 module Data = Capfs_disk.Data
 
@@ -651,39 +652,36 @@ let merged t =
   |> Array.of_list
 
 let report_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"shards\": ";
-  Buffer.add_string b (string_of_int (Array.length t.shards));
-  Buffer.add_string b ",\n  \"per_shard\": [";
-  Array.iteri
-    (fun i snap ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b "{\"index\": ";
-      Buffer.add_string b (string_of_int i);
-      Buffer.add_string b ", \"stats\": ";
-      Snapshot.add_json b snap;
-      Buffer.add_char b '}')
-    (snapshots t);
-  Buffer.add_string b "],\n  \"totals\": ";
-  Snapshot.add_json b (merged t);
-  Buffer.add_string b ",\n  \"wire\": {";
+  let int n = Json.Num (float_of_int n) in
   let sd = t.shared in
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\": %d" (Capfs_stats.Names.wire name)
-           (Atomic.get v)))
+  Json.Obj
     [
-      ("frames_sent", sd.w_frames);
-      ("syscalls", sd.w_syscalls);
-      ("reads", sd.w_reads);
-      ("frames_received", sd.w_received);
-      ("blit_count", sd.w_blit);
-      ("copied_bytes", sd.w_copied);
-    ];
-  Buffer.add_string b "}\n}";
-  Buffer.contents b
+      ("shards", int (Array.length t.shards));
+      ( "per_shard",
+        Json.Arr
+          (Array.to_list
+             (Array.mapi
+                (fun i snap ->
+                  Json.Obj
+                    [ ("index", int i); ("stats", Snapshot.to_json snap) ])
+                (snapshots t))) );
+      ("totals", Snapshot.to_json (merged t));
+      ( "wire",
+        Json.Obj
+          (List.map
+             (fun (name, v) ->
+               (Capfs_stats.Names.wire name, int (Atomic.get v)))
+             [
+               ("frames_sent", sd.w_frames);
+               ("syscalls", sd.w_syscalls);
+               ("reads", sd.w_reads);
+               ("frames_received", sd.w_received);
+               ("blit_count", sd.w_blit);
+               ("copied_bytes", sd.w_copied);
+             ]) );
+    ]
+
+let stats_reply t = Wire.Ok_stats (Json.to_string (report_json t))
 
 (* {2 Shutdown and the blocking call} *)
 
@@ -707,7 +705,7 @@ and shutdown_once t =
 
 let call t req =
   match (req : Wire.request) with
-  | Stats -> Wire.Ok_stats (report_json t)
+  | Stats -> stats_reply t
   | Shutdown -> Wire.Err Errno.EINVAL (* in-process callers use {!shutdown} *)
   | _ -> (
     let cell = ref None in
@@ -850,7 +848,7 @@ let reader t conn ~on_shutdown () =
       on_shutdown ()
     | Ok Wire.Stats ->
       enqueue conn
-        (Reply { req_id; opcode; reply = Wire.Ok_stats (report_json t) })
+        (Reply { req_id; opcode; reply = stats_reply t })
     | Ok req -> (
       (match req with
       | Wire.Open_grant { client; _ } ->

@@ -78,9 +78,9 @@ val unregister_pusher : t -> client:int -> unit
 
 (** [call t req] — submit and wait for the reply (driving the shards
     first under [`Virtual]); admission pushback comes back as
-    [Err EAGAIN]. [Stats] answers immediately with {!report_json};
-    [Shutdown] is refused ([Err EINVAL]) — in-process callers use
-    {!shutdown}. *)
+    [Err EAGAIN]. [Stats] answers immediately with {!report_json},
+    printed by {!Capfs_stats.Json.to_string}; [Shutdown] is refused
+    ([Err EINVAL]) — in-process callers use {!shutdown}. *)
 val call : t -> Wire.request -> Wire.reply
 
 (** Per-shard statistics snapshots, index order. *)
@@ -90,10 +90,12 @@ val snapshots : t -> Capfs_stats.Snapshot.t array
     key, means recomputed. *)
 val merged : t -> Capfs_stats.Snapshot.t
 
-(** JSON report: shard count, per-shard snapshots, merged totals, and
-    the socket counters under ["wire"] (keys from
+(** The statistics report, as the [Stats] reply and [pfs serve]'s
+    stats file print it: [shards], [per_shard] (each [{index, stats}]
+    with that shard's {!Capfs_stats.Snapshot.to_json}), the merged
+    [totals], and the socket counters under [wire] (keys from
     {!Capfs_stats.Names.wire}). *)
-val report_json : t -> string
+val report_json : t -> Capfs_stats.Json.t
 
 (** Stop accepting ([EAGAIN]), drain in-flight requests, sync and close
     every volume, join the domains. Idempotent. *)

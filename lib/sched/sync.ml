@@ -63,8 +63,6 @@ module Semaphore = struct
     t.permits <- t.permits + 1;
     Sched.signal t.sched t.ev
 
-  let available t = t.permits
-
   let with_permit t f =
     acquire t;
     match f () with

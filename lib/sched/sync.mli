@@ -34,11 +34,7 @@ module Semaphore : sig
   (** [create sched ~capacity] has [capacity] initial permits. *)
   val create : ?name:string -> Sched.t -> capacity:int -> t
 
-  val acquire : t -> unit
   val release : t -> unit
-
-  (** Currently available permits. *)
-  val available : t -> int
 
   val with_permit : t -> (unit -> 'a) -> 'a
 end

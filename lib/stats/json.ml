@@ -1,24 +1,3 @@
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  add_escaped b s;
-  Buffer.contents b
-
-let quote s = "\"" ^ escape s ^ "\""
-
 type t =
   | Null
   | Bool of bool
@@ -147,7 +126,8 @@ let set k v = function
    that read back as the same float. *)
 let number f =
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    string_of_int (Float.to_int f)
   else
     let rec shortest p =
       let s = Printf.sprintf "%.*g" p f in
@@ -155,29 +135,66 @@ let number f =
     in
     shortest 15
 
-let member_text text (k, v) = quote k ^ ": " ^ text v
+(* Quote, backslash and every control character are escaped; every
+   other byte is kept as it is. *)
+let add_quoted b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
 
-let rec compact = function
-  | Null -> "null"
-  | Bool v -> string_of_bool v
-  | Num f -> number f
-  | Str s -> quote s
-  | Arr l -> "[" ^ String.concat ", " (List.map compact l) ^ "]"
-  | Obj fields ->
-    "{" ^ String.concat ", " (List.map (member_text compact) fields) ^ "}"
+(* [items] between [first] and [last], [sep] between two of them *)
+let add_seq b first sep last add items =
+  Buffer.add_string b first;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b sep;
+      add x)
+    items;
+  Buffer.add_string b last
+
+let add_member b add (k, v) =
+  add_quoted b k;
+  Buffer.add_string b ": ";
+  add v
+
+let rec add_compact b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num f -> Buffer.add_string b (number f)
+  | Str s -> add_quoted b s
+  | Arr l -> add_seq b "[" ", " "]" (add_compact b) l
+  | Obj fields -> add_seq b "{" ", " "}" (add_member b (add_compact b)) fields
+
+let compact v =
+  let b = Buffer.create 256 in
+  add_compact b v;
+  Buffer.contents b
 
 let to_string v =
+  let b = Buffer.create 4096 in
   (* one member per line; a non-empty array member, one element per line *)
   let top = function
     | Arr (_ :: _ as l) ->
-      "[\n    " ^ String.concat ",\n    " (List.map compact l) ^ "\n  ]"
-    | v -> compact v
+      add_seq b "[\n    " ",\n    " "\n  ]" (add_compact b) l
+    | v -> add_compact b v
   in
   (match v with
   | Obj (_ :: _ as fields) ->
-    "{\n  " ^ String.concat ",\n  " (List.map (member_text top) fields) ^ "\n}"
-  | v -> compact v)
-  ^ "\n"
+    add_seq b "{\n  " ",\n  " "\n}" (add_member b top) fields
+  | v -> add_compact b v);
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 let update_file path f =
   let text =

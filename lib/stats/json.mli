@@ -1,17 +1,9 @@
-(** JSON: string escaping for the hand-rolled writers in the tree
-    (statistics snapshots, the differential report, trace export), and
-    one value type with a reader and a printer for the files more than
-    one tool edits ([BENCH_results.json]). *)
-
-(** [add_escaped b s] appends [s] escaped for the inside of a JSON
-    string literal: quote, backslash and every control character. *)
-val add_escaped : Buffer.t -> string -> unit
-
-(** [escape s] is {!add_escaped} into a fresh string. *)
-val escape : string -> string
-
-(** [quote s] is [escape s] between double quotes. *)
-val quote : string -> string
+(** JSON: one value type with a reader and a printer. Every JSON
+    document the tree writes is built as a {!t} and printed here —
+    [BENCH_results.json], the server's [Stats] reply and stats file,
+    statistics snapshots, the differential report and the records of
+    the Perfetto trace — so escaping, separators and number formatting
+    are decided in this module alone. *)
 
 (** A JSON value. Every number is a float; an object keeps its members
     in order. *)
@@ -40,12 +32,17 @@ val member : string -> t -> t option
     or appends it; any other [v] becomes the object [{k: x}]. *)
 val set : string -> t -> t -> t
 
+(** [compact v] prints [v] on one line, without a final newline:
+    members and elements are separated by [", "], a member's name from
+    its value by [": "]. A string escapes quote, backslash and every
+    control character and keeps every other byte as it is. Integral
+    numbers print without a fraction, others in the fewest digits that
+    read back as the same float; a non-finite number prints [null]. *)
+val compact : t -> string
+
 (** [to_string v] prints [v] with a final newline. An object prints
     one member per line, and a member that is a non-empty array prints
-    one element per line; everything below that is on one line.
-    Integral numbers print without a fraction, others in the fewest
-    digits that read back as the same float; a non-finite number
-    prints [null]. *)
+    one element per line; everything below that is {!compact}. *)
 val to_string : t -> string
 
 (** [update_file path f] rewrites the JSON file [path] as [f] of its

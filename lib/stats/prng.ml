@@ -24,8 +24,6 @@ let float t =
   let bits = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int bits /. 9007199254740992. (* 2^53 *)
 
-let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
-
 let exponential t ~mean =
   let u = 1. -. float t in
   -.mean *. Stdlib.log u

@@ -24,9 +24,6 @@ val int : t -> int -> int
 (** Uniform in [[0, 1)]. *)
 val float : t -> float
 
-(** [uniform t ~lo ~hi] is uniform in [[lo, hi)]. *)
-val uniform : t -> lo:float -> hi:float -> float
-
 (** Exponentially distributed with the given [mean]. *)
 val exponential : t -> mean:float -> float
 

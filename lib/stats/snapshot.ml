@@ -41,27 +41,17 @@ let starts_with ~prefix s =
 let policy_visible key =
   List.exists (fun prefix -> starts_with ~prefix key) policy_prefixes
 
-let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.12g" x
-
-let add_json b t =
-  Buffer.add_char b '[';
-  Array.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"key\":\"%s\",\"count\":%d,\"total\":%s,\"mean\":%s}"
-           (Json.escape e.e_key) e.e_count (json_float e.e_total)
-           (json_float e.e_mean)))
-    t;
-  Buffer.add_char b ']'
-
 let to_json t =
-  let b = Buffer.create 1024 in
-  add_json b t;
-  Buffer.contents b
+  let entry e =
+    Json.Obj
+      [
+        ("key", Json.Str e.e_key);
+        ("count", Json.Num (float_of_int e.e_count));
+        ("total", Json.Num e.e_total);
+        ("mean", Json.Num e.e_mean);
+      ]
+  in
+  Json.Arr (Array.to_list (Array.map entry t))
 
 let pp ppf t =
   Array.iter

@@ -37,12 +37,8 @@ val find : t -> string -> entry option
     The authoritative table lives in VALIDATION.md. *)
 val policy_visible : string -> bool
 
-(** Serialize as a JSON array of
-    [{"key":…,"count":…,"total":…,"mean":…}] objects. *)
-val to_json : t -> string
-
-(** [add_json b t] appends {!to_json} output to [b] (for embedding in a
-    larger report). *)
-val add_json : Buffer.t -> t -> unit
+(** The snapshot as a JSON array of [{key, count, total, mean}]
+    objects, in entry order; reports embed it. *)
+val to_json : t -> Json.t
 
 val pp : Format.formatter -> t -> unit

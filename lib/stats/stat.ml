@@ -16,7 +16,6 @@ let record t x =
 let count t = Welford.count t.welford
 let mean t = Welford.mean t.welford
 let welford t = t.welford
-let histogram t = t.histogram
 
 let reset t =
   Welford.reset t.welford;

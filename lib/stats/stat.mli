@@ -22,9 +22,6 @@ val count : t -> int
 val mean : t -> float
 val welford : t -> Welford.t
 
-(** The attached histogram, if any. *)
-val histogram : t -> Histogram.t option
-
 val reset : t -> unit
 
 (** [report ?histograms ppf t] prints the one-line summary and, when

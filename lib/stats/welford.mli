@@ -20,9 +20,6 @@ val mean : t -> float
 (** Unbiased sample variance; [0.] with fewer than two observations. *)
 val variance : t -> float
 
-(** Standard deviation, [sqrt (variance t)]. *)
-val stddev : t -> float
-
 (** Smallest observation; [infinity] when empty. *)
 val min : t -> float
 

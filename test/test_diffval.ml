@@ -10,10 +10,14 @@ module Synth = Capfs_trace.Synth
 module Experiment = Capfs_patsy.Experiment
 module Diffval = Capfs_diffval.Diffval
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+module Json = Capfs_stats.Json
+
+(* [v] printed and read back: the tests check the document a reader
+   gets, not the value before printing *)
+let reparse v =
+  match Json.parse (Json.to_string v) with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "report does not parse: %s" e
 
 let snap entries =
   Array.of_list
@@ -66,13 +70,15 @@ let test_snapshot_capture_and_json () =
       Alcotest.(check int) "count" 2 e.Snapshot.e_count;
       Alcotest.(check (float 1e-9)) "total" 3. e.Snapshot.e_total;
       Alcotest.(check (float 1e-9)) "mean" 1.5 e.Snapshot.e_mean);
-  let json = Snapshot.to_json vis in
-  Alcotest.(check bool)
-    "json has key" true
-    (contains ~sub:{|"key":"cache.hits"|} json);
-  Alcotest.(check bool)
-    "json has count" true
-    (contains ~sub:{|"count":2|} json)
+  match reparse (Snapshot.to_json vis) with
+  | Json.Arr [ entry ] ->
+    Alcotest.(check bool)
+      "json has key" true
+      (Json.member "key" entry = Some (Json.Str "cache.hits"));
+    Alcotest.(check bool)
+      "json has count" true
+      (Json.member "count" entry = Some (Json.Num 2.))
+  | _ -> Alcotest.fail "expected one snapshot entry"
 
 let test_tolerance_resolution () =
   (match Diffval.tolerance_for [] "cache.hits" with
@@ -144,27 +150,37 @@ let test_end_to_end_equivalent () =
         "pfs fsck clean" [] r.Diffval.r_pfs.Diffval.s_fsck_errors;
       Alcotest.(check bool) "equivalent" true r.Diffval.r_ok;
       (* the JSON report round-trips the verdict *)
-      let json = Diffval.to_json r in
+      let json = reparse (Diffval.to_json r) in
       Alcotest.(check bool)
         "json ok flag" true
-        (contains ~sub:{|"ok":true|} json);
+        (Json.member "ok" json = Some (Json.Bool true));
       Alcotest.(check bool)
         "json has verdicts" true
-        (contains ~sub:{|"verdicts":|} json)
+        (match Json.member "verdicts" json with
+        | Some (Json.Arr l) -> List.length l = List.length r.Diffval.r_verdicts
+        | _ -> false)
 
 (* Deliberately skew one policy parameter in the PFS half only: the
    harness must notice, or it is not validating anything. *)
 let test_end_to_end_skew_detected () =
   let records = Synth.generate ~seed:11 ~duration:60. Synth.sprite_1a in
-  let skew c = { c with Experiment.seg_blocks = 32 } in
-  match
+  let run skew =
     Diffval.run ~config:(test_config ()) ~skew ~trace_name:"unit-skew"
       (Capfs_trace.Source.of_array records)
-  with
-  | Error e -> Alcotest.failf "harness failure: %s" (Capfs_core.Errno.to_string e)
+  in
+  (match run [ "seg-blocks=32" ] with
+  | Error e ->
+      Alcotest.failf "harness failure: %s" (Capfs_core.Errno.to_string e)
   | Ok r ->
       Alcotest.(check bool) "marked skewed" true r.Diffval.r_skewed;
-      Alcotest.(check bool) "drift detected" false r.Diffval.r_ok
+      Alcotest.(check bool) "drift detected" false r.Diffval.r_ok);
+  (* a setting Pfs.Config.of_args refuses is a harness failure *)
+  List.iter
+    (fun bad ->
+      match run [ bad ] with
+      | Error Capfs_core.Errno.EINVAL -> ()
+      | _ -> Alcotest.failf "skew %S should be refused" bad)
+    [ "no-such-knob=1"; "seg-blocks=many"; "no-coalesce" ]
 
 let test_empty_trace_is_einval () =
   match Diffval.run ~trace_name:"empty" (Capfs_trace.Source.of_array [||]) with

@@ -440,29 +440,62 @@ let test_streamed_replay_equals_array () =
   Alcotest.(check string) "identical outcome"
     (outcome_fingerprint arr) (outcome_fingerprint strm)
 
+(* [Replay.run ~serial:true] of [trace] on a fresh UPS instance *)
+let serial_replay ?synthesize_missing trace =
+  let sched = Sched.create ~seed:5 ~clock:`Virtual () in
+  let out = ref None in
+  ignore
+    (Sched.spawn sched (fun () ->
+         let client, _ =
+           Experiment.build_instance sched (test_config Experiment.Ups)
+         in
+         out :=
+           Some (Replay.run ?synthesize_missing ~serial:true client trace)));
+  Sched.run sched;
+  Option.get !out
+
 let test_streamed_serial_replay_equals_array () =
   (* serial mode is what diffval runs: strict trace order either way *)
   let records = small_trace ~duration:120. () in
-  let run trace =
-    let sched = Sched.create ~seed:5 ~clock:`Virtual () in
-    let out = ref None in
-    ignore
-      (Sched.spawn sched (fun () ->
-           let client, _ =
-             Experiment.build_instance sched (test_config Experiment.Ups)
-           in
-           out := Some (Replay.run ~serial:true client trace)));
-    Sched.run sched;
-    Option.get !out
-  in
-  let a = run (Source.of_array records) in
-  let b = run (streamed_of records) in
+  let a = serial_replay (Source.of_array records) in
+  let b = serial_replay (streamed_of records) in
   Alcotest.(check int) "ops" a.Replay.operations b.Replay.operations;
   Alcotest.(check int) "errors" a.Replay.errors b.Replay.errors;
   Alcotest.(check (float 0.)) "elapsed" a.Replay.elapsed b.Replay.elapsed;
   Alcotest.(check (float 0.)) "mean latency"
     (Capfs_stats.Sample_set.mean a.Replay.latency)
     (Capfs_stats.Sample_set.mean b.Replay.latency)
+
+(* The replay create race: client 1's stat of /d/f synthesizes /d/f and
+   its parent /d, so client 0's mkdir /d at the same instant finds the
+   directory there. That is a trace artifact, not an error; a mkdir
+   that finds a file, or any EEXIST with synthesis off, still is. *)
+let test_replay_mkdir_of_synthesized_dir () =
+  let at client op = { Record.time = 0.; client; op } in
+  let check what ?synthesize_missing records ~errors ~skipped =
+    let r = serial_replay ?synthesize_missing (Source.of_array records) in
+    Alcotest.(check int) (what ^ ": errors") errors r.Replay.errors;
+    Alcotest.(check int) (what ^ ": skipped") skipped r.Replay.skipped_ops;
+    Alcotest.(check (list (pair string int)))
+      (what ^ ": error kinds")
+      (if errors = 0 then [] else [ ("eexist", errors) ])
+      r.Replay.errors_by_kind
+  in
+  check "mkdir of a synthesized directory"
+    [|
+      at 1 (Record.Stat { path = "/d/f" }); at 0 (Record.Mkdir { path = "/d" });
+    |]
+    ~errors:0 ~skipped:1;
+  check "mkdir over a synthesized file"
+    [|
+      at 1 (Record.Stat { path = "/f" }); at 0 (Record.Mkdir { path = "/f" });
+    |]
+    ~errors:1 ~skipped:0;
+  check "mkdir twice, synthesis off" ~synthesize_missing:false
+    [|
+      at 1 (Record.Mkdir { path = "/d" }); at 0 (Record.Mkdir { path = "/d" });
+    |]
+    ~errors:1 ~skipped:0
 
 (* File-streaming round trips: save a trace, then replay it three ways —
    materialized load, line-streamed — and demand identical outcomes. *)
@@ -535,6 +568,8 @@ let suite =
       test_streamed_replay_equals_array;
     Alcotest.test_case "streamed serial equals array" `Quick
       test_streamed_serial_replay_equals_array;
+    Alcotest.test_case "replay: mkdir of a synthesized dir" `Quick
+      test_replay_mkdir_of_synthesized_dir;
     Alcotest.test_case "sprite file stream equals load" `Quick
       test_sprite_file_stream_equals_load;
     Alcotest.test_case "coda file stream equals load" `Quick

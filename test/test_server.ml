@@ -680,11 +680,53 @@ let test_server_merged_stats () =
               | Ok doc -> doc
               | Error e -> Alcotest.failf "stats json: %s" e
             in
-            let has k = Json.member k doc <> None in
+            let get k v =
+              match Json.member k v with
+              | Some x -> x
+              | None -> Alcotest.failf "stats json: no %S" k
+            in
+            let list = function
+              | Json.Arr l -> l
+              | _ -> Alcotest.fail "stats json: expected an array"
+            in
+            (* key -> count, over one snapshot array *)
+            let counts snap =
+              List.map
+                (fun e ->
+                  match (get "key" e, get "count" e) with
+                  | Json.Str k, Json.Num n -> (k, n)
+                  | _ -> Alcotest.fail "stats json: bad entry")
+                (list snap)
+            in
             Alcotest.(check bool) "json has shards" true
-              (Json.member "shards" doc = Some (Json.Num 2.));
-            Alcotest.(check bool) "json has per_shard" true (has "per_shard");
-            Alcotest.(check bool) "json has totals" true (has "totals")
+              (get "shards" doc = Json.Num 2.);
+            let shards =
+              List.map
+                (fun s -> counts (get "stats" s))
+                (list (get "per_shard" doc))
+            in
+            Alcotest.(check int) "one per_shard entry per shard" 2
+              (List.length shards);
+            List.iter
+              (fun (k, n) ->
+                let sum =
+                  List.fold_left
+                    (fun acc s ->
+                      acc +. Option.value ~default:0. (List.assoc_opt k s))
+                    0. shards
+                in
+                Alcotest.(check (float 0.)) ("totals " ^ k) sum n)
+              (counts (get "totals" doc));
+            Alcotest.(check (float 0.)) "totals carry the completed requests"
+              6. (List.assoc "server.completed" (counts (get "totals" doc)));
+            (match get "wire" doc with
+            | Json.Obj wire ->
+              Alcotest.(check (list string)) "wire counters"
+                (List.map Capfs_stats.Names.wire
+                   [ "frames_sent"; "syscalls"; "reads"; "frames_received";
+                     "blit_count"; "copied_bytes" ])
+                (List.map fst wire)
+            | _ -> Alcotest.fail "stats json: wire is not an object")
           | r -> Alcotest.failf "stats: %a" Wire.pp_reply r))
 
 (* The namespace over the wire: every request is one abstract-client

@@ -147,10 +147,62 @@ let test_json_roundtrip () =
     (parse_ok {|"\u00e9\u0041"|} = Str "\xc3\xa9A");
   Alcotest.(check bool) "num rounds to six digits" true
     (num Float.pi = Num 3.14159 && num Float.nan = Null);
+  Alcotest.(check string)
+    "a non-finite number prints null" "[null, null, null]"
+    (compact
+       (Arr [ Num Float.nan; Num Float.infinity; Num Float.neg_infinity ]));
+  (* every byte, controls included, in both layouts *)
+  let bytes = Str (String.init 256 Char.chr) in
+  Alcotest.(check bool) "every byte round-trips" true
+    (parse_ok (to_string bytes) = bytes && parse_ok (compact bytes) = bytes);
   List.iter
     (fun bad ->
       if Result.is_ok (parse bad) then Alcotest.failf "parsed %S" bad)
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; "\"\\x\"" ]
+
+(* Nested arrays and objects over strings of any bytes and finite
+   numbers, integral (to 2^62) and fractional. *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let number =
+    oneof
+      [
+        map float_of_int int;
+        map float_of_int small_signed_int;
+        float_range (-1e3) 1e3;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) number;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           let sub g = list_size (int_bound 4) g in
+           frequency
+             [
+               (1, leaf);
+               (2, map (fun l -> Json.Arr l) (sub (self (n / 3))));
+               (2, map (fun l -> Json.Obj l) (sub (pair str (self (n / 3)))));
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"json prints and reads back equal" ~count:500
+    (QCheck.make ~print:Json.compact gen_json)
+    (fun v ->
+      let line = Json.compact v in
+      Json.parse (Json.to_string v) = Ok v
+      && Json.parse line = Ok v
+      && not (String.contains line '\n'))
 
 (* BENCH_results.json has two writers, bench and pfs loadgen; each
    replaces only its own members. *)
@@ -438,6 +490,7 @@ let test_prng_choose_weights () =
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [
       prop_welford_matches_naive;
+      prop_json_round_trip;
       prop_histogram_mass_conserved;
       prop_histogram_cdf_monotone;
       prop_sample_quantile_monotone;

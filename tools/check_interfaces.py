@@ -8,9 +8,13 @@ covers lib, bin, bench, examples, test, perfbench and tools, so tests and
 the benchmark count as users. A value only its own module uses belongs
 out of the interface; a value nothing uses belongs out of the tree.
 
-The match is by name only, over the whole text: a different value with
-the same name, or a mention in a comment, counts as a user. That can
-only over-count users, so the check never flags a value that is in use.
+Names are collected from code only: comments, string literals (quoted
+strings `{|...|}` and `{id|...|id}` included) and character literals
+are blanked first, so a value named only in prose or in a message has
+no user. Type variables (`'a`) and primes in names (`x'`) are code and
+stay. The match is by name only: a different value with the same name
+counts as a user. That can only over-count users, so the check never
+flags a value that is in use.
 
 Run from anywhere:  python3 tools/check_interfaces.py
 """
@@ -27,37 +31,62 @@ SIGNATURE_TOKEN = re.compile(
     r"|(sig|object)|(end)|val\s+([a-z_][A-Za-z0-9_']*))\b"
 )
 
-
-def skip_string(text, i):
-    """Index just past the string literal that starts at text[i] == '"'."""
-    i += 1
-    while i < len(text) and text[i] != '"':
-        i += 2 if text[i] == "\\" else 1
-    return i + 1
+QUOTED_OPEN = re.compile(r"\{([a-z_]*)\|")
+CHAR_LITERAL = re.compile(
+    r"'(?:[^\\'\n]|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-3][0-7]{2}))'"
+)
 
 
-def strip_comments(text):
-    """Blank out (nested) comments, keeping their newlines."""
+def blank(s):
+    """s with every character but newlines turned into a space."""
+    return re.sub(r"[^\n]", " ", s)
+
+
+def literal_end(text, i):
+    """Index just past the string, quoted-string or character literal
+    that starts at text[i], or None if none starts there."""
+    if text[i] == '"':
+        i += 1
+        while i < len(text) and text[i] != '"':
+            i += 2 if text[i] == "\\" else 1
+        return i + 1
+    m = QUOTED_OPEN.match(text, i)
+    if m:
+        end = text.find("|" + m.group(1) + "}", m.end())
+        return len(text) if end < 0 else end + len(m.group(1)) + 2
+    # a quote after a name character is a prime in that name
+    after_name = i and (text[i - 1].isalnum() or text[i - 1] in "_'")
+    if text[i] == "'" and not after_name:
+        m = CHAR_LITERAL.match(text, i)
+        if m:
+            return m.end()
+    return None
+
+
+def code_only(text):
+    """Blank (nested) comments and every literal, keeping newlines.
+    Literals inside a comment are skipped whole, as OCaml's lexer does,
+    so a "*)" in one does not end the comment."""
     out, depth, i = [], 0, 0
     while i < len(text):
         if text.startswith("(*", i):
-            depth, i = depth + 1, i + 2
+            depth, j = depth + 1, i + 2
         elif depth and text.startswith("*)", i):
-            depth, i = depth - 1, i + 2
-        elif text[i] == '"':
-            j = skip_string(text, i)
-            out.append(text[i:j] if depth == 0 else "\n" * text.count("\n", i, j))
-            i = j
+            depth, j = depth - 1, i + 2
         else:
-            if depth == 0 or text[i] == "\n":
-                out.append(text[i])
-            i += 1
+            j = literal_end(text, i)
+            if j is None:
+                out.append(text[i] if depth == 0 else blank(text[i]))
+                i += 1
+                continue
+        out.append(blank(text[i:j]))
+        i = j
     return "".join(out)
 
 
 def declarations(rel, text):
     """(line, qualified name, name) for every `val` in an interface."""
-    code = strip_comments(text)
+    code = code_only(text)
     stack, found = [], []
     for m in SIGNATURE_TOKEN.finditer(code):
         if m.group(1) or m.group(2):
@@ -89,7 +118,7 @@ def main():
     names_by_module = {}
     for rel, text in sources.items():
         names_by_module.setdefault(rel.with_suffix(""), set()).update(
-            IDENT.findall(text)
+            IDENT.findall(code_only(text))
         )
 
     findings, checked = [], 0
