@@ -703,9 +703,6 @@ let invalidate_block t b =
     drop_payload b;
     Counter.incr t.c.absorbed_writes
 
-let invalidate t key =
-  match find t key with Some b -> invalidate_block t b | None -> ()
-
 let truncate t ino ~from =
   blocks_of_ino t ino
   |> List.filter (fun b -> Block.index b >= from)

@@ -128,9 +128,6 @@ val write : t -> Block.Key.t -> Capfs_disk.Data.t -> unit
     block (use {!Capfs_disk.Data.detach} to keep a copy). *)
 val peek : t -> Block.Key.t -> Capfs_disk.Data.t option
 
-(** Drop one block. Dirty contents are discarded (and counted absorbed). *)
-val invalidate : t -> Block.Key.t -> unit
-
 (** [truncate t ino ~from] drops every cached block of [ino] with index
     >= [from]. *)
 val truncate : t -> int -> from:int -> unit

@@ -650,13 +650,19 @@ let parse_superblock s =
 
 (* {2 Geometry derivation} *)
 
+(* The superblock, two checkpoint regions, and segments enough for the
+   cleaner's free target plus two. *)
+let min_blocks cfg =
+  1 + (2 * cfg.checkpoint_blocks)
+  + ((cfg.target_free_segments + 2) * cfg.seg_blocks)
+
 let derive_geometry ~cfg ~total_blocks =
+  if total_blocks < min_blocks cfg then
+    invalid_arg "Lfs: disk too small for this configuration";
   let ckpt_a = 1 in
   let ckpt_b = ckpt_a + cfg.checkpoint_blocks in
   let seg0 = ckpt_b + cfg.checkpoint_blocks in
   let nsegs = (total_blocks - seg0) / cfg.seg_blocks in
-  if nsegs < cfg.target_free_segments + 2 then
-    invalid_arg "Lfs: disk too small for this configuration";
   (ckpt_a, ckpt_b, seg0, nsegs)
 
 (* {2 Public API} *)

@@ -41,6 +41,12 @@ type config = {
 (** 128-block (512 KB) segments, cost-benefit cleaning, ino stride 1. *)
 val default_config : config
 
+(** [min_blocks config] — the smallest disk, in blocks, {!format}
+    accepts under [config]: the superblock, both checkpoint regions and
+    [target_free_segments + 2] segments. A smaller one raises
+    [Invalid_argument]. *)
+val min_blocks : config -> int
+
 (** [format sched driver ~block_bytes ~config] writes a fresh, empty
     file system: superblock, initial checkpoint, all segments free.
     Raises {!Capfs_core.Errno.Error} if the disk fails underneath. *)

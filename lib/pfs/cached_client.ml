@@ -27,6 +27,7 @@ type handle = {
   mutable h_version : int;
   mutable h_cacheable : bool;
   mutable h_size : int;
+  mutable h_sized : bool; (* [h_size] is current: a stale push clears it *)
   mutable h_expires : float;
   mutable h_epoch : int;
   h_blocks : (int, block) Hashtbl.t; (* block index -> cached block *)
@@ -106,23 +107,31 @@ let rec wait_reply t id =
 and handle_push t f =
   match Wire.decode_push ~opcode:f.Frame.opcode f.Frame.payload with
   | Error _ -> ()
-  | Ok (Wire.Invalidate { path; version }) -> invalidate t ~path ~version
+  | Ok (Wire.Invalidate { path; version; cacheable }) -> (
+    match Hashtbl.find_opt t.handles path with
+    | Some h when version >= h.h_version -> apply_push t h ~version ~cacheable
+    | _ -> () (* not open here, or older than what the handle knows *))
 
-and invalidate t ~path ~version =
-  t.invals <- t.invals + 1;
-  match Hashtbl.find_opt t.handles path with
-  | None -> ()
-  | Some h ->
-    (* the epoch bump tells any in-flight fetch not to insert its
-       reply: the caller still gets the data (the read was issued
-       before the invalidation), the cache does not keep it *)
+(* The path's version and cacheability as the lease table has them now.
+   Both are set before anything else, so a push handled while the
+   flush below waits for its reply is judged against them. *)
+and apply_push t h ~version ~cacheable =
+  let stale = version > h.h_version || not cacheable in
+  h.h_version <- version;
+  h.h_cacheable <- cacheable;
+  if stale then begin
+    (* a revocation or a newer version: every cached block is
+       suspect. The epoch bump tells any in-flight fetch not to insert
+       its reply: the caller still gets the data (the read was issued
+       before the push), the cache does not keep it. Our delayed
+       writes are committed before anything is dropped. *)
+    t.invals <- t.invals + 1;
     h.h_epoch <- h.h_epoch + 1;
-    (* commit our delayed writes before dropping anything, then go
-       write-through: concurrent sharing has been detected *)
     ignore (flush_dirty t h ~close:false);
     Hashtbl.reset h.h_blocks;
-    h.h_cacheable <- false;
-    if version > h.h_version then h.h_version <- version
+    (* the size too may have moved; the next read learns it *)
+    h.h_sized <- false
+  end
 
 and rpc t req =
   let id = fresh_id t in
@@ -210,6 +219,7 @@ let apply_grant t h (g : Wire.grant) =
   h.h_version <- g.version;
   h.h_cacheable <- g.cacheable;
   h.h_size <- g.size;
+  h.h_sized <- true;
   h.h_expires <- t.tr.t_now () +. g.lease_s
 
 let renew t h =
@@ -227,8 +237,9 @@ let renew t h =
     | Error e -> Error e)
 
 (* An expired lease stops local service: flush what we owe, renew.
-   Write-through handles renew too — the fresh grant is how they learn
-   that the sharing writer has departed and caching may resume. *)
+   Write-through handles renew too, since the lease bounds them as
+   well; the news that write sharing ended does not wait for it — the
+   server pushes the restoration the moment the last writer goes. *)
 let check_lease t h =
   if t.tr.t_now () >= h.h_expires then renew t h else Ok ()
 
@@ -241,7 +252,18 @@ let handle t path =
 
 let open_ t path mode =
   drain_pushes t;
-  match rpc t (Wire.Open_grant { client = t.client; path; mode }) with
+  (* re-opening a handle commits its delayed writes first, as a renewal
+     does: the grant's size replaces the handle's, and a downgrade to
+     read-only leaves nothing the server would accept them through *)
+  let flushed =
+    match Hashtbl.find_opt t.handles path with
+    | Some h -> flush_dirty t h ~close:false
+    | None -> Ok ()
+  in
+  match
+    Result.bind flushed (fun () ->
+        rpc t (Wire.Open_grant { client = t.client; path; mode }))
+  with
   | Error e -> Error e
   | Ok (Wire.Ok_grant g) ->
     let h =
@@ -257,6 +279,7 @@ let open_ t path mode =
             h_version = g.version;
             h_cacheable = g.cacheable;
             h_size = g.size;
+            h_sized = true;
             h_expires = 0.;
             h_epoch = 0;
             h_blocks = Hashtbl.create 16;
@@ -270,41 +293,62 @@ let open_ t path mode =
   | Ok _ -> Error Errno.EINVAL
 
 (* Fetch the named blocks in one batched send — N Read frames, one
-   write(2) on the socket transport. Replies are collected in request
-   order; each lands in the cache only if no invalidation raced it. *)
+   write(2) on the socket transport — led by a Stat when a push left
+   [h]'s size unknown. Replies are collected in request order; the size
+   and each block land in the cache only if no push raced them, and a
+   block only below the end of the file. *)
 let fetch_blocks t h idxs =
   let epoch = h.h_epoch in
+  let stat = if h.h_sized then [] else [ (fresh_id t, Wire.Stat h.h_path) ] in
   let reqs = List.map (fun idx -> (fresh_id t, idx)) idxs in
   let frames =
-    List.map
-      (fun (id, idx) ->
-        frame_of_request id
-          (Wire.Read
-             { client = t.client; path = h.h_path; offset = idx * bb; count = bb }))
-      reqs
+    List.map (fun (id, req) -> frame_of_request id req) stat
+    @ List.map
+        (fun (id, idx) ->
+          frame_of_request id
+            (Wire.Read
+               { client = t.client; path = h.h_path; offset = idx * bb; count = bb }))
+        reqs
   in
-  match send t frames with
-  | Error e -> Error e
-  | Ok () ->
-    let rec collect acc = function
-      | [] -> Ok (List.rev acc)
-      | (id, idx) :: rest -> (
-        match wait_reply t id with
-        | Error e -> Error e
-        | Ok f -> (
-          match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
-          | Error e -> Error e
-          | Ok (Wire.Err e) -> Error e
-          | Ok (Wire.Ok_data d) ->
-            let s = Data.to_string d in
-            let b = Bytes.make bb '\000' in
-            Bytes.blit_string s 0 b 0 (Stdlib.min bb (String.length s));
-            if h.h_epoch = epoch && h.h_cacheable then
-              Hashtbl.replace h.h_blocks idx { b_data = b; b_dirty = false };
-            collect ((idx, b) :: acc) rest
-          | Ok _ -> Error Errno.EINVAL))
-    in
-    collect [] reqs
+  let reply id =
+    match wait_reply t id with
+    | Error e -> Error e
+    | Ok f -> (
+      match Wire.decode_reply ~opcode:f.Frame.opcode f.Frame.payload with
+      | Ok (Wire.Err e) | Error e -> Error e
+      | Ok r -> Ok r)
+  in
+  let ( let* ) = Result.bind in
+  let* () = send t frames in
+  let* () =
+    match stat with
+    | [] -> Ok ()
+    | (id, _) :: _ -> (
+      match reply id with
+      | Ok (Wire.Ok_stat st) ->
+        if h.h_epoch = epoch then begin
+          h.h_size <- st.Wire.size;
+          h.h_sized <- true
+        end;
+        Ok ()
+      | Ok _ -> Error Errno.EINVAL
+      | Error e -> Error e)
+  in
+  let rec collect acc = function
+    | [] -> Ok (List.rev acc)
+    | (id, idx) :: rest -> (
+      match reply id with
+      | Error e -> Error e
+      | Ok (Wire.Ok_data d) ->
+        let s = Data.to_string d in
+        let b = Bytes.make bb '\000' in
+        Bytes.blit_string s 0 b 0 (Stdlib.min bb (String.length s));
+        if h.h_epoch = epoch && h.h_cacheable && idx * bb < h.h_size then
+          Hashtbl.replace h.h_blocks idx { b_data = b; b_dirty = false };
+        collect ((idx, b) :: acc) rest
+      | Ok _ -> Error Errno.EINVAL)
+  in
+  collect [] reqs
 
 let read t path ~offset ~count =
   if offset < 0 || count < 0 then Error Errno.EINVAL
@@ -324,14 +368,16 @@ let read t path ~offset ~count =
           | Error e -> Error e
         end
         else begin
-          let avail = Stdlib.max 0 (h.h_size - offset) in
-          let len = Stdlib.min count avail in
-          if len = 0 then Ok ""
+          (* an unknown size spans the whole request; the fetch's Stat
+             says where the file ends *)
+          let span () = Stdlib.min count (Stdlib.max 0 (h.h_size - offset)) in
+          let want = if h.h_sized then span () else count in
+          if want = 0 then Ok ""
           else begin
-            let first = offset / bb and last = (offset + len - 1) / bb in
-            (* snapshot present blocks before fetching: an invalidation
-               racing the fetch may reset the table, but this read was
-               issued first and is served from what it saw *)
+            let first = offset / bb and last = (offset + want - 1) / bb in
+            (* snapshot present blocks before fetching: a push racing
+               the fetch may reset the table, but this read was issued
+               first and is served from what it saw *)
             let have = ref [] and missing = ref [] in
             for idx = last downto first do
               match Hashtbl.find_opt h.h_blocks idx with
@@ -341,17 +387,20 @@ let read t path ~offset ~count =
             t.hits <- t.hits + List.length !have;
             t.misses <- t.misses + List.length !missing;
             let fetched =
-              if !missing = [] then Ok [] else fetch_blocks t h !missing
+              if !missing = [] && h.h_sized then Ok []
+              else fetch_blocks t h !missing
             in
             match fetched with
             | Error e -> Error e
             | Ok fetched ->
+              let len = Stdlib.min want (span ()) in
               let out = Bytes.create len in
               List.iter
                 (fun (idx, data) ->
                   let lo = Stdlib.max offset (idx * bb) in
                   let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
-                  Bytes.blit data (lo - (idx * bb)) out (lo - offset) (hi - lo))
+                  if hi > lo then
+                    Bytes.blit data (lo - (idx * bb)) out (lo - offset) (hi - lo))
                 (!have @ fetched);
               Ok (Bytes.unsafe_to_string out)
           end
@@ -372,8 +421,10 @@ let write t path ~offset ~data =
         | Error e -> Error e
         | Ok () ->
           if len = 0 then Ok ()
-          else if not h.h_cacheable then begin
-            (* write-through: concurrent write sharing *)
+          else if not (h.h_cacheable && h.h_sized) then begin
+            (* write-through: concurrent write sharing, or a size a
+               push left unknown — a delayed write merges against it,
+               so it waits for the next read or renewal to learn it *)
             match
               rpc t (Wire.Write { client = t.client; path; offset; data })
             with
@@ -597,7 +648,7 @@ let virtual_transport ?now server ~client =
     t_send;
     t_recv;
     t_now = (match now with Some f -> f | None -> fun () -> 0.);
-    t_close = (fun () -> Server.unregister_pusher server ~client);
+    t_close = (fun () -> Server.drop_client server ~client);
   }
 
 let over_link net tr =

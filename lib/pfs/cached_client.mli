@@ -12,10 +12,18 @@
     Consistency contract (close-to-open, Sprite's rules):
     - An {!open_} asks for a grant; a version newer than the cached one
       drops every stale block.
-    - A pushed [Invalidate] flushes delayed writes, drops the cache for
-      that path and turns the handle write-through. Pushes are acted on
-      before every operation ({!transport.t_recv} [~block:false] drain)
-      and whenever one surfaces while waiting for a reply.
+    - A pushed [Invalidate] carries the path's version and
+      cacheability as the server has them now. One that revokes
+      caching flushes delayed writes, drops the cache for that path and
+      turns the handle write-through; one with a newer version drops
+      the stale blocks the same way; one that restores caching turns
+      the handle cacheable again on the spot. After a drop, the next
+      read learns the file's size with a [Stat] in the same send as its
+      block fetches; until then writes go through. A push older than
+      the handle's version is ignored.
+      Pushes are acted on before every operation
+      ({!transport.t_recv} [~block:false] drain) and whenever one
+      surfaces while waiting for a reply.
     - An in-flight fetch that races an invalidation is {e served} to
       the caller (the read was issued first) but {e not cached} — the
       per-handle epoch guard.
@@ -29,9 +37,10 @@
       blocks, so a re-open starts cold.
     - Leases are enforced here, not at the server: when the grant's
       [lease_s] lapses, local service stops until a flush + renewal
-      round trip succeeds. A write-through handle renews too — the
-      fresh grant is how it learns the sharing writer departed and
-      caching may resume.
+      round trip succeeds. A write-through handle renews too, but it
+      does not wait for that to cache again: the server pushes the
+      restoration the moment write sharing ends (the last writer
+      closes, downgrades to read-only or hangs up).
 
     The client is single-threaded: one fibre (or the test harness)
     drives it. It runs unchanged over a real socket
@@ -63,7 +72,9 @@ type transport = {
 val create : client:int -> transport -> t
 
 (** [open_ t path mode] sends {!Wire.request.Open_grant} and installs
-    (or refreshes) the handle from the reply's grant. *)
+    (or refreshes) the handle from the reply's grant. Re-opening an
+    open handle (a renewal or a mode change) first sends its delayed
+    writes home. *)
 val open_ :
   t -> string -> Capfs.Client.open_mode -> (unit, Capfs_core.Errno.t) result
 
@@ -105,7 +116,8 @@ val remote_misses : t -> int
 (** block reads (or uncacheable passthroughs) that went to the server *)
 
 val invalidations : t -> int
-(** pushed [Invalidate] frames acted on *)
+(** pushed [Invalidate] frames that revoked caching or dropped blocks
+    (a restoration alone does not count) *)
 
 val msgs_sent : t -> int
 (** wire messages issued *)
@@ -131,8 +143,9 @@ val socket_transport : Unix.file_descr -> transport
     {!Server.submit}; receives {!Server.drive} the shards and drain
     completions; pushes arrive via {!Server.register_pusher}. [now]
     (default: constant 0, leases never lapse) lets a test drive lease
-    expiry deterministically. Closing the transport unregisters the
-    pusher. *)
+    expiry deterministically. Closing the transport is a hang-up:
+    {!Server.drop_client} forgets the pusher and releases every grant
+    the client still held. *)
 val virtual_transport :
   ?now:(unit -> float) -> Server.t -> client:int -> transport
 

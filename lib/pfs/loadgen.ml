@@ -170,8 +170,9 @@ let seq tr ~id ~depth ~files ~bytes ~seconds =
 
    Every client holds the same [files] files under /shared open and
    reads them: Zipf-skewed ([zipf:<theta>], pure reads) or uniform
-   with a write mix ([readmostly:<ratio>]: [1-ratio] of the ops cycle
-   a handle RO→WO→write→RO, so the grant machinery sees real sharing).
+   with a write mix ([readmostly:<ratio>]: [1-ratio] of the ops
+   rewrite a file — close, open WO, write, close, open RO — so the
+   grant machinery sees real sharing).
    One loop runs over a four-call session, built from {!Cached_client}
    or from plain requests; [finish] ends it and counts
    (hits, misses, messages). *)

@@ -17,7 +17,7 @@
       each slot cycling open→write→close→open→read→close.
     - [Zipf theta]: Zipf-skewed reads of shared files.
     - [Readmostly ratio]: uniform reads of shared files; [1-ratio] of
-      the ops cycle a handle RO→WO→write→RO. *)
+      the ops rewrite one: close, open WO, write, close, open RO. *)
 type workload = Seq | Zipf of float | Readmostly of float
 
 (** [parse_workload s] reads [seq], [zipf:<theta>] ([theta ≥ 0]) or

@@ -72,6 +72,11 @@ module Config = struct
 
   let default = make ~image:"" ()
 
+  let mb = 1024 * 1024
+
+  let lfs_config t =
+    { Lfs.default_config with Lfs.seg_blocks = t.seg_blocks; cleaner = t.cleaner }
+
   let validate t =
     let bad = ref [] in
     let check ok what = if not ok then bad := what :: !bad in
@@ -98,6 +103,15 @@ module Config = struct
     check (t.shards >= 1) "shards < 1";
     check (t.admission >= 0) "admission < 0";
     check (t.lease_s > 0.) "lease-s <= 0";
+    (* the volume must hold the LFS layout these knobs ask for: refuse
+       here, not in the boot fibre that formats it *)
+    (if t.seg_blocks >= 8 && t.size_mb >= 1 then
+       let blocks = Lfs.min_blocks (lfs_config t) in
+       let min_mb = ((blocks * block_bytes) + mb - 1) / mb in
+       check (t.size_mb >= min_mb)
+         (Printf.sprintf "size-mb %d: the volume needs at least %d MB \
+                          (seg-blocks %d)"
+            t.size_mb min_mb t.seg_blocks));
     match !bad with
     | [] -> Ok t
     | problems ->
@@ -203,13 +217,6 @@ type t = {
   transport : Driver.transport;
 }
 
-let lfs_config_of (cfg : Config.t) =
-  {
-    Lfs.default_config with
-    Lfs.seg_blocks = cfg.Config.seg_blocks;
-    cleaner = cfg.Config.cleaner;
-  }
-
 (* Only a new or zero-filled image may be formatted: its superblock
    block is all zero bytes. Any other image that fails to mount holds
    somebody's data — another layout, a damaged checkpoint — and
@@ -256,7 +263,7 @@ let create ?registry ?injector (cfg : Config.t) =
     ignore
       (Sched.spawn sched ~name:"pfs.boot" (fun () ->
            let lfs_name = Capfs_stats.Names.lfs 0 in
-           let lfs_config = lfs_config_of cfg in
+           let lfs_config = Config.lfs_config cfg in
            let volume =
              try
                Lfs.mount ?registry ~name:lfs_name ~config:lfs_config sched

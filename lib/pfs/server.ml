@@ -83,23 +83,32 @@ let register_pusher t ~client sink =
   Hashtbl.replace t.shared.pushers client sink;
   Mutex.unlock t.shared.pushers_lock
 
-let unregister_pusher t ~client =
+(* Fan a lease notice out to the connections of the clients it names:
+   one [Invalidate] with the path's version and cacheability now. Runs
+   on a shard domain mid-[exec], or at a hang-up; connection sinks only
+   enqueue (here or on the connection's domain), so no I/O happens
+   under the lock. *)
+let deliver_invalidations sd ~path (n : Lease.notice) =
+  if n.Lease.n_notify <> [] then begin
+    Mutex.lock sd.pushers_lock;
+    let sinks = List.filter_map (Hashtbl.find_opt sd.pushers) n.n_notify in
+    Mutex.unlock sd.pushers_lock;
+    let push =
+      Wire.Invalidate
+        { path; version = n.n_version; cacheable = n.n_cacheable }
+    in
+    List.iter (fun sink -> sink push) sinks
+  end
+
+(* A client is gone: forget its push channel and release every hold it
+   had, pushing the restorations that owes the holders left. *)
+let drop_client t ~client =
   Mutex.lock t.shared.pushers_lock;
   Hashtbl.remove t.shared.pushers client;
-  Mutex.unlock t.shared.pushers_lock
-
-(* Fan an [Invalidate] out to the named clients' connections. Runs on a
-   shard domain mid-[exec]; connection sinks only enqueue (here or on
-   the connection's domain), so no I/O happens under the lock. *)
-let deliver_invalidations sd ~path ~version clients =
-  if clients <> [] then begin
-    Mutex.lock sd.pushers_lock;
-    let sinks = List.filter_map (Hashtbl.find_opt sd.pushers) clients in
-    Mutex.unlock sd.pushers_lock;
-    List.iter
-      (fun sink -> sink (Wire.Invalidate { path; version }))
-      sinks
-  end
+  Mutex.unlock t.shared.pushers_lock;
+  List.iter
+    (fun (path, n) -> deliver_invalidations t.shared ~path n)
+    (Lease.drop_client t.shared.lease ~client)
 
 (* {2 Routing} *)
 
@@ -131,13 +140,18 @@ let route t path = fnv1a (first_component path) mod shards t
 (* {2 Request execution — inside a fibre on the shard's scheduler} *)
 
 (* A mutation through the old, grant-free vocabulary must still keep
-   granted caches honest: bump the path's version and invalidate every
-   holder (minus the mutator). No-op for never-granted paths. *)
+   granted caches honest: bump the path's version and push it to every
+   holder (minus the mutator), with the path's cacheability. No-op for
+   never-granted paths. *)
 let note_mutation sd ~client ~path =
-  match Lease.note_write sd.lease ~client ~path with
-  | None -> ()
-  | Some (version, holders) ->
-    deliver_invalidations sd ~path ~version holders
+  Option.iter (deliver_invalidations sd ~path)
+    (Lease.note_write sd.lease ~client ~path)
+
+(* Release a grant; a close that ends write sharing pushes the
+   restoration to the holders left. *)
+let release_grant sd ~client ~path =
+  Option.iter (deliver_invalidations sd ~path)
+    (Lease.close_ sd.lease ~client ~path)
 
 let unit_reply = function Ok () -> Wire.Ok_unit | Error e -> Wire.Err e
 
@@ -155,7 +169,7 @@ let exec sh req =
   | Open { client; path; mode } ->
     unit_reply (Client.open_ c ~client path mode)
   | Close { client; path } -> (
-    Lease.close_ sd.lease ~client ~path;
+    release_grant sd ~client ~path;
     match Client.close_ c ~client path with
     | Ok () -> Wire.Ok_unit
     | Error e -> Wire.Err e)
@@ -195,13 +209,12 @@ let exec sh req =
       match Client.stat c path with
       | Error e -> Wire.Err e
       | Ok st ->
-        let gi = Lease.open_grant sd.lease ~client ~path ~write in
-        deliver_invalidations sd ~path ~version:gi.Lease.gi_version
-          gi.Lease.gi_invalidate;
+        let n = Lease.open_grant sd.lease ~client ~path ~write in
+        deliver_invalidations sd ~path n;
         Wire.Ok_grant
           {
-            Wire.version = gi.Lease.gi_version;
-            cacheable = gi.Lease.gi_cacheable;
+            Wire.version = n.Lease.n_version;
+            cacheable = n.Lease.n_cacheable;
             lease_s = Lease.lease_s sd.lease;
             size = st.Client.st_size;
           }))
@@ -231,7 +244,7 @@ let exec sh req =
     | Error e -> Wire.Err e
     | Ok () ->
       if close then begin
-        Lease.close_ sd.lease ~client ~path;
+        release_grant sd ~client ~path;
         match Client.close_ c ~client path with
         | Ok () -> Wire.Ok_unit
         | Error e -> Wire.Err e
@@ -879,11 +892,7 @@ let reader t conn ~on_shutdown () =
     conn.closed <- true;
     (* a dead connection stops caching: drop its push channels and
        every lease its clients held *)
-    List.iter
-      (fun cid ->
-        unregister_pusher t ~client:cid;
-        ignore (Lease.drop_client sd.lease ~client:cid))
-      conn.pusher_ids;
+    List.iter (fun cid -> drop_client t ~client:cid) conn.pusher_ids;
     conn.pusher_ids <- [];
     Sched.signal sched conn.out_ev
   in

@@ -74,7 +74,12 @@ val drive : t -> unit
     {!Cached_client}). *)
 val register_pusher : t -> client:int -> (Wire.push -> unit) -> unit
 
-val unregister_pusher : t -> client:int -> unit
+(** [drop_client t ~client] — client [client] is gone: its push channel
+    is forgotten and every grant it held released, and where that ends
+    write sharing the holders left are pushed the restoration. {!serve}
+    does this when a connection hangs up, for every client that
+    registered on it; in-process transports call it at close. *)
+val drop_client : t -> client:int -> unit
 
 (** [call t req] — submit and wait for the reply (driving the shards
     first under [`Virtual]); admission pushback comes back as

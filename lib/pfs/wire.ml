@@ -44,7 +44,7 @@ type reply =
   | Ok_link of string
   | Err of Errno.t
 
-type push = Invalidate of { path : string; version : int }
+type push = Invalidate of { path : string; version : int; cacheable : bool }
 
 let op_open = 1
 let op_close = 2
@@ -410,9 +410,10 @@ let decode_reply ~opcode payload =
    An [Invalidate] is a server-initiated frame: same header, the
    reserved {!push_req_id}, its own opcode. *)
 
-let encode_push (Invalidate { path; version }) =
+let encode_push (Invalidate { path; version; cacheable }) =
   let b = Buffer.create 32 in
   add_u32 b version;
+  add_u8 b (if cacheable then 1 else 0);
   add_str b path;
   (op_invalidate, Buffer.contents b)
 
@@ -422,8 +423,9 @@ let decode_push ~opcode payload =
     let c = cursor_of_string payload in
     match
       let version = get_u32 c in
+      let cacheable = get_u8 c = 1 in
       let path = get_str c in
-      Invalidate { path; version }
+      Invalidate { path; version; cacheable }
     with
     | p -> Ok p
     | exception Short -> Error Errno.EINVAL

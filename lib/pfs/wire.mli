@@ -91,8 +91,16 @@ type reply =
   | Err of Capfs_core.Errno.t
 
 (** A server-initiated frame, delivered on the reply path under
-    {!push_req_id}. *)
-type push = Invalidate of { path : string; version : int }
+    {!push_req_id}. An [Invalidate] tells a holder the path's version
+    and cacheability as the lease table has them now, and the server
+    sends one whenever either changes for that holder: a write-open or
+    a mutation by someone else (a newer version: cached blocks are
+    stale), the start of concurrent write sharing ([cacheable = false]:
+    flush and go write-through), and its end ([cacheable = true] at the
+    current version: cache again, straight away). A holder ignores a
+    push older than the version it already has. *)
+type push =
+  | Invalidate of { path : string; version : int; cacheable : bool }
 
 (** The reserved request id push frames travel under; clients never
     issue ids at or above it. *)

@@ -1,8 +1,10 @@
 (* The leased client cache over the wire: local hits with zero wire
    traffic, push-driven invalidation (including one racing an in-flight
    read), lease expiry forcing a write-back + renewal, read-your-writes
-   across two clients, sequential and concurrent write sharing, delete
-   of an open file, incremental frame reassembly, and virtual-vs-real
+   across two clients, sequential and concurrent write sharing, caching
+   resumed by push when sharing ends (a close, a hang-up, a WO→RO
+   downgrade; and a lease-visibility property over random schedules),
+   delete of an open file, incremental frame reassembly, and virtual-vs-real
    parity — the same client state machine over Server.drive and over
    an actual Unix socket served by Server.serve. Server.serve itself is
    held to surviving a client that hangs up mid-reply, closing a
@@ -207,7 +209,8 @@ let test_invalidation_races_inflight_read () =
           let armed = ref false in
           let inject : Frame.t Queue.t = Queue.create () in
           let inv_opcode, inv_payload =
-            Wire.encode_push (Wire.Invalidate { path = "/d/f"; version = 99 })
+            Wire.encode_push
+              (Wire.Invalidate { path = "/d/f"; version = 99; cacheable = false })
           in
           let tr =
             {
@@ -290,17 +293,15 @@ let test_lease_expiry_flushes () =
           ok "close" (CC.close_ a "/d/f");
           CC.disconnect a))
 
-(* Once the sharing writer departs, a write-through reader recovers
-   cacheability at its next lease renewal. *)
+(* Once the sharing writer departs, a write-through reader caches
+   again straight away: the writer's close pushes the restoration, so
+   the reader's next read is one batched fetch and the read after it is
+   local, with no lease lapse. *)
 let test_caching_resumes () =
   with_temp_base 2 (fun path ->
-      with_virtual_server ~lease_s:5.0 path (fun srv ->
-          let now = ref 0.0 in
+      with_virtual_server path (fun srv ->
           let a = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
-          let b =
-            CC.create ~client:2
-              (CC.virtual_transport ~now:(fun () -> !now) srv ~client:2)
-          in
+          let b = CC.create ~client:2 (CC.virtual_transport srv ~client:2) in
           ok "mkdir" (CC.mkdir a "/d");
           ok "a open wo" (CC.open_ a "/d/f" Capfs.Client.WO);
           ok "a write" (CC.write a "/d/f" ~offset:0 ~data:(block 'a'));
@@ -310,19 +311,222 @@ let test_caching_resumes () =
           (* a writes while b holds: b is pushed write-through *)
           ok "a reopen wo" (CC.open_ a "/d/f" Capfs.Client.WO);
           ok "a write 2" (CC.write a "/d/f" ~offset:0 ~data:(block 'b'));
-          ok "a close 2" (CC.close_ a "/d/f");
           ignore (ok "b read through" (CC.read b "/d/f" ~offset:0 ~count:bb));
           Alcotest.(check int) "b write-through" 0 (CC.cached_blocks b);
-          (* the writer is gone; b's lease lapses; renewal re-grants *)
-          now := 10.0;
-          let r = ok "b read renew" (CC.read b "/d/f" ~offset:0 ~count:bb) in
+          (* the writer's close ends the sharing; the clock never moves *)
+          ok "a close 2" (CC.close_ a "/d/f");
+          let sends = CC.wire_sends b in
+          let r = ok "b read fetch" (CC.read b "/d/f" ~offset:0 ~count:bb) in
           Alcotest.(check string) "current data" (block 'b') r;
+          Alcotest.(check int) "one batched fetch" (sends + 1) (CC.wire_sends b);
           Alcotest.(check bool) "b caches again" true (CC.cached_blocks b > 0);
           let msgs = CC.msgs_sent b in
           ignore (ok "b read local" (CC.read b "/d/f" ~offset:0 ~count:bb));
           Alcotest.(check int) "local again" msgs (CC.msgs_sent b);
           CC.disconnect a;
           CC.disconnect b))
+
+(* [b]'s next two reads of [path]: the first is one batched fetch that
+   returns [want], the second is served locally. *)
+let check_caches_again b path want =
+  let sends = CC.wire_sends b in
+  let r = ok "fetch" (CC.read b path ~offset:0 ~count:bb) in
+  Alcotest.(check string) "current data" want r;
+  Alcotest.(check int) "one batched fetch" (sends + 1) (CC.wire_sends b);
+  let msgs = CC.msgs_sent b in
+  ignore (ok "local" (CC.read b path ~offset:0 ~count:bb));
+  Alcotest.(check int) "served locally" msgs (CC.msgs_sent b);
+  Alcotest.(check bool) "blocks cached" true (CC.cached_blocks b > 0)
+
+(* A writer whose connection hangs up while it shares a file with
+   readers: the hang-up releases its grant, and the readers are pushed
+   the restoration. *)
+let test_hangup_restores_caching () =
+  with_temp_base 1 (fun path ->
+      with_virtual_server ~shards:1 path (fun srv ->
+          let wtr = CC.virtual_transport srv ~client:1 in
+          let w = CC.create ~client:1 wtr in
+          let readers =
+            List.map
+              (fun id -> CC.create ~client:id (CC.virtual_transport srv ~client:id))
+              [ 2; 3 ]
+          in
+          ok "mkdir" (CC.mkdir w "/d");
+          ok "w open wo" (CC.open_ w "/d/f" Capfs.Client.WO);
+          List.iter (fun r -> ok "r open ro" (CC.open_ r "/d/f" Capfs.Client.RO)) readers;
+          ok "w write" (CC.write w "/d/f" ~offset:0 ~data:(block 'h'));
+          List.iter
+            (fun r ->
+              ignore (ok "r read through" (CC.read r "/d/f" ~offset:0 ~count:bb));
+              Alcotest.(check int) "write-through while shared" 0 (CC.cached_blocks r))
+            readers;
+          (* the writer vanishes without closing *)
+          wtr.CC.t_close ();
+          List.iter (fun r -> check_caches_again r "/d/f" (block 'h')) readers;
+          List.iter CC.disconnect readers))
+
+(* A writer that downgrades WO→RO with a fresh grant, without closing,
+   ends the write sharing as a close would: the other holder is pushed
+   the restoration, and its own next grant keeps what it cached. *)
+let test_downgrade_restores_caching () =
+  with_temp_base 1 (fun path ->
+      with_virtual_server ~shards:1 path (fun srv ->
+          let w = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
+          let r = CC.create ~client:2 (CC.virtual_transport srv ~client:2) in
+          ok "mkdir" (CC.mkdir w "/d");
+          ok "w open wo" (CC.open_ w "/d/f" Capfs.Client.WO);
+          ok "r open ro" (CC.open_ r "/d/f" Capfs.Client.RO);
+          ok "w write" (CC.write w "/d/f" ~offset:0 ~data:(block 'g'));
+          ignore (ok "r read through" (CC.read r "/d/f" ~offset:0 ~count:bb));
+          Alcotest.(check int) "write-through while shared" 0 (CC.cached_blocks r);
+          ok "w downgrade" (CC.open_ w "/d/f" Capfs.Client.RO);
+          check_caches_again r "/d/f" (block 'g');
+          ok "r re-grant" (CC.open_ r "/d/f" Capfs.Client.RO);
+          let msgs = CC.msgs_sent r in
+          ignore (ok "r read" (CC.read r "/d/f" ~offset:0 ~count:bb));
+          ignore (ok "r reread" (CC.read r "/d/f" ~offset:0 ~count:bb));
+          Alcotest.(check int) "the re-grant kept the blocks" msgs (CC.msgs_sent r);
+          CC.disconnect w;
+          CC.disconnect r))
+
+(* A sole writer's delayed writes survive a WO→RO downgrade: the
+   re-open commits them before the grant replaces the handle's size. *)
+let test_downgrade_keeps_delayed_writes () =
+  with_temp_base 1 (fun path ->
+      with_virtual_server ~shards:1 path (fun srv ->
+          let w = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
+          ok "mkdir" (CC.mkdir w "/d");
+          ok "w open wo" (CC.open_ w "/d/f" Capfs.Client.WO);
+          ok "w write" (CC.write w "/d/f" ~offset:0 ~data:(block 'z'));
+          Alcotest.(check int) "delayed" 1 (CC.dirty_blocks w);
+          ok "w downgrade" (CC.open_ w "/d/f" Capfs.Client.RO);
+          Alcotest.(check int) "committed" 0 (CC.dirty_blocks w);
+          let got = ok "w read" (CC.read w "/d/f" ~offset:0 ~count:bb) in
+          Alcotest.(check string) "writer's bytes" (block 'z') got;
+          ok "w close" (CC.close_ w "/d/f");
+          let r = CC.create ~client:2 (CC.virtual_transport srv ~client:2) in
+          ok "r open" (CC.open_ r "/d/f" Capfs.Client.RO);
+          let got = ok "r read" (CC.read r "/d/f" ~offset:0 ~count:bb) in
+          Alcotest.(check string) "reader sees them" (block 'z') got;
+          CC.disconnect w;
+          CC.disconnect r))
+
+(* {1 Lease visibility, as a property}
+
+   The model, in the style of a formal VFS specification: per file, the
+   bytes of its last completed rewrite; per client and file, whether the
+   client has fetched the file since that rewrite. A schedule is a list
+   of [(client, file, rewrite)] steps over 2–3 clients that all hold
+   every file read-only, on a clock that never reaches lease expiry. A
+   rewrite is serve-shared's sequence: close, open WO, write, close,
+   open RO. Every read must return the last rewrite's bytes, and must
+   put frames on the wire if and only if its client has not fetched the
+   file since that rewrite. *)
+
+let vis_files = 3
+let vis_bytes = 2 * bb
+let vis_file k = Printf.sprintf "/v/f%d" k
+
+(* The first step of [steps] that breaks the model, or [None]. *)
+let lease_visibility ~clients steps =
+  with_temp_base 1 (fun path ->
+      with_virtual_server ~shards:1 path (fun srv ->
+          let ccs =
+            Array.init clients (fun i ->
+                CC.create ~client:(i + 1)
+                  (CC.virtual_transport srv ~client:(i + 1)))
+          in
+          let version n k =
+            let tag = Printf.sprintf "v%d.f%d;" n k in
+            String.init vis_bytes (fun i -> tag.[i mod String.length tag])
+          in
+          let bytes = Array.init vis_files (version 0) in
+          let fetched = Array.make_matrix clients vis_files false in
+          let rewrite cc k data =
+            let ( let* ) = Result.bind in
+            let* () = CC.close_ cc (vis_file k) in
+            let* () = CC.open_ cc (vis_file k) Capfs.Client.WO in
+            let* () = CC.write cc (vis_file k) ~offset:0 ~data in
+            let* () = CC.close_ cc (vis_file k) in
+            CC.open_ cc (vis_file k) Capfs.Client.RO
+          in
+          ok "mkdir" (CC.mkdir ccs.(0) "/v");
+          for k = 0 to vis_files - 1 do
+            ok "create" (CC.open_ ccs.(0) (vis_file k) Capfs.Client.WO);
+            ok "write v0" (CC.write ccs.(0) (vis_file k) ~offset:0 ~data:bytes.(k));
+            ok "close" (CC.close_ ccs.(0) (vis_file k));
+            Array.iter
+              (fun cc -> ok "open ro" (CC.open_ cc (vis_file k) Capfs.Client.RO))
+              ccs
+          done;
+          let rec run n = function
+            | [] -> None
+            | (c, k, is_rewrite) :: rest ->
+              let cc = ccs.(c) in
+              if is_rewrite then begin
+                bytes.(k) <- version (n + 1) k;
+                ok "rewrite" (rewrite cc k bytes.(k));
+                Array.iter (fun row -> row.(k) <- false) fetched;
+                run (n + 1) rest
+              end
+              else begin
+                let msgs = CC.msgs_sent cc in
+                let got =
+                  ok "read" (CC.read cc (vis_file k) ~offset:0 ~count:vis_bytes)
+                in
+                let remote = CC.msgs_sent cc > msgs in
+                if got <> bytes.(k) then
+                  Some (Printf.sprintf "step %d: client %d read stale bytes of f%d" n c k)
+                else if remote = fetched.(c).(k) then
+                  Some
+                    (Printf.sprintf "step %d: client %d read f%d %s" n c k
+                       (if remote then "remotely, though it had fetched it"
+                        else "locally, though it had not fetched it"))
+                else begin
+                  fetched.(c).(k) <- true;
+                  run (n + 1) rest
+                end
+              end
+          in
+          let verdict = run 0 steps in
+          Array.iter CC.disconnect ccs;
+          verdict))
+
+let vis_steps =
+  let open QCheck in
+  let step =
+    triple (int_range 0 2) (int_range 0 (vis_files - 1))
+      (make ~print:string_of_bool ~shrink:Shrink.bool
+         Gen.(frequency [ (3, return false); (1, return true) ]))
+  in
+  pair (int_range 2 3) (list_of_size Gen.(int_range 1 30) step)
+
+(* Client indices are drawn from 0..2 and folded onto the clients. *)
+let check_visibility (clients, steps) =
+  lease_visibility ~clients
+    (List.map (fun (c, k, w) -> (c mod clients, k, w)) steps)
+
+let prop_lease_visibility =
+  QCheck.Test.make ~name:"leased reads see the last rewrite, fetching once"
+    ~count:40 vis_steps (fun case ->
+      match check_visibility case with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
+(* The property's shrunk counterexamples, as qcheck printed them. Each
+   breaks a server that restores caching only at lease renewal, and one
+   that pushes no restoration when the writer closes. *)
+let test_visibility_corpus () =
+  List.iter
+    (fun case ->
+      match check_visibility case with
+      | None -> ()
+      | Some why -> Alcotest.fail why)
+    [
+      (2, [ (1, 2, true); (0, 2, false); (2, 2, false) ]);
+      (2, [ (2, 2, true); (1, 2, false); (1, 2, false) ]);
+      (2, [ (1, 2, true); (0, 2, false); (0, 0, false); (2, 2, false) ]);
+    ]
 
 (* Namespace mutations by another client keep a granted cache honest:
    a Truncate and then a Rename of the held path each push an
@@ -741,6 +945,44 @@ let test_closed_connections_release_fds () =
               Alcotest.failf "50 closed connections left %d descriptors open"
                 (after - before)))
 
+(* The same hang-up over a real socket: the server's reader sees EOF,
+   releases the writer's grant and pushes the reader the restoration.
+   The reader polls, since pushes arrive when the server sends them. *)
+let test_socket_hangup_restores_caching () =
+  with_temp_base 1 (fun path ->
+      with_socket_server ~shards:1 path (fun _ connect ->
+          let wtr = CC.socket_transport (connect ()) in
+          let w = CC.create ~client:1 wtr in
+          let r = CC.create ~client:2 (CC.socket_transport (connect ())) in
+          ok "mkdir" (CC.mkdir w "/d");
+          ok "w create" (CC.open_ w "/d/f" Capfs.Client.WO);
+          ok "w close" (CC.close_ w "/d/f");
+          ok "r open ro" (CC.open_ r "/d/f" Capfs.Client.RO);
+          (* r holds the file, so w's grant is write-through *)
+          ok "w open wo" (CC.open_ w "/d/f" Capfs.Client.WO);
+          ok "w write" (CC.write w "/d/f" ~offset:0 ~data:(block 'k'));
+          let deadline = Unix.gettimeofday () +. 3. in
+          let rec until what cond =
+            if not (cond ()) then
+              if Unix.gettimeofday () > deadline then
+                Alcotest.failf "%s within 3 s" what
+              else begin
+                Unix.sleepf 0.01;
+                until what cond
+              end
+          in
+          until "r revoked" (fun () ->
+              ignore (ok "r stat" (CC.stat r "/d"));
+              CC.invalidations r > 0);
+          wtr.CC.t_close ();
+          until "r caching again" (fun () ->
+              let got = ok "r read" (CC.read r "/d/f" ~offset:0 ~count:bb) in
+              Alcotest.(check string) "current data" (block 'k') got;
+              let msgs = CC.msgs_sent r in
+              ignore (ok "r reread" (CC.read r "/d/f" ~offset:0 ~count:bb));
+              CC.msgs_sent r = msgs);
+          CC.disconnect r))
+
 (* Two shards on two domains behind one socket. Each of two connections
    works on files of both shards, so requests, replies and pushed
    invalidations cross domains whichever domain hosts the connection. *)
@@ -927,6 +1169,17 @@ let suite =
       test_lease_expiry_flushes;
     Alcotest.test_case "caching resumes after writer departs" `Quick
       test_caching_resumes;
+    Alcotest.test_case "writer hang-up restores caching" `Quick
+      test_hangup_restores_caching;
+    Alcotest.test_case "writer hang-up over a socket restores caching" `Quick
+      test_socket_hangup_restores_caching;
+    Alcotest.test_case "WO to RO downgrade restores caching" `Quick
+      test_downgrade_restores_caching;
+    Alcotest.test_case "WO to RO downgrade keeps delayed writes" `Quick
+      test_downgrade_keeps_delayed_writes;
+    QCheck_alcotest.to_alcotest prop_lease_visibility;
+    Alcotest.test_case "lease visibility: shrunk counterexamples" `Quick
+      test_visibility_corpus;
     Alcotest.test_case "truncate and rename invalidate" `Quick
       test_truncate_and_rename_invalidate;
     Alcotest.test_case "concurrent write sharing" `Quick

@@ -237,6 +237,29 @@ let check_refused ~size_mb path =
   Alcotest.(check string) "image bytes unchanged" before
     (Digest.to_hex (Digest.file path))
 
+(* A volume too small for the LFS its knobs describe is refused by
+   validation, with a typed EINVAL, before anything is formatted; the
+   limit follows the segment size. *)
+let test_pfs_refuses_tiny_volume () =
+  with_temp_image (fun path ->
+      let cfg args = Pfs.Config.of_args ~base:(Pfs.Config.make ~image:path ()) args in
+      let einval what = function
+        | Error Capfs_core.Errno.EINVAL -> ()
+        | Ok _ -> Alcotest.failf "%s: accepted" what
+        | Error e ->
+          Alcotest.failf "%s: %s" what (Capfs_core.Errno.to_string e)
+      in
+      einval "size-mb=4" (cfg [ "size-mb=4" ]);
+      einval "size-mb=7" (cfg [ "size-mb=7" ]);
+      (match cfg [ "size-mb=8" ] with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "8 MB holds the default layout");
+      (match cfg [ "size-mb=4"; "seg-blocks=8" ] with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "4 MB holds 8-block segments");
+      einval "create"
+        (Pfs.create (Pfs.Config.make ~image:path ~size_mb:4 ~clock:`Virtual ())))
+
 let test_pfs_refuses_ffs_image () =
   with_temp_image (fun path ->
       let s = Sched.create ~clock:`Virtual () in
@@ -333,6 +356,8 @@ let suite =
       test_blockdev_persists_across_reopen;
     Alcotest.test_case "pfs format + io" `Quick test_pfs_format_and_basic_io;
     Alcotest.test_case "pfs survives restart" `Quick test_pfs_survives_restart;
+    Alcotest.test_case "pfs refuses a volume too small for its LFS" `Quick
+      test_pfs_refuses_tiny_volume;
     Alcotest.test_case "pfs refuses an ffs image" `Quick
       test_pfs_refuses_ffs_image;
     Alcotest.test_case "pfs refuses an image without checkpoints" `Quick

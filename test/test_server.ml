@@ -126,13 +126,18 @@ let test_wire_reply_roundtrip () =
   roundtrip_reply ~opcode:(op (Wire.Rename { src = "/a"; dst = "/b" }))
     (Wire.Err Errno.EXDEV)
 
+(* Both kinds of push: a revocation and a restoration. *)
 let test_wire_push_roundtrip () =
-  let p = Wire.Invalidate { path = "/shared/doc"; version = 42 } in
-  let opcode, payload = Wire.encode_push p in
-  match Wire.decode_push ~opcode payload with
-  | Ok p' ->
-    if p <> p' then Alcotest.fail "push did not survive the wire"
-  | Error e -> Alcotest.failf "decode_push: %s" (Errno.to_string e)
+  List.iter
+    (fun cacheable ->
+      let p = Wire.Invalidate { path = "/shared/doc"; version = 42; cacheable } in
+      let opcode, payload = Wire.encode_push p in
+      match Wire.decode_push ~opcode payload with
+      | Ok p' ->
+        if p <> p' then
+          Alcotest.failf "push (cacheable %b) did not survive the wire" cacheable
+      | Error e -> Alcotest.failf "decode_push: %s" (Errno.to_string e))
+    [ false; true ]
 
 let test_wire_decode_errors () =
   (match Wire.decode_request ~opcode:0xFF "" with
