@@ -1169,17 +1169,6 @@ let suite =
       test_lease_expiry_flushes;
     Alcotest.test_case "caching resumes after writer departs" `Quick
       test_caching_resumes;
-    Alcotest.test_case "writer hang-up restores caching" `Quick
-      test_hangup_restores_caching;
-    Alcotest.test_case "writer hang-up over a socket restores caching" `Quick
-      test_socket_hangup_restores_caching;
-    Alcotest.test_case "WO to RO downgrade restores caching" `Quick
-      test_downgrade_restores_caching;
-    Alcotest.test_case "WO to RO downgrade keeps delayed writes" `Quick
-      test_downgrade_keeps_delayed_writes;
-    QCheck_alcotest.to_alcotest prop_lease_visibility;
-    Alcotest.test_case "lease visibility: shrunk counterexamples" `Quick
-      test_visibility_corpus;
     Alcotest.test_case "truncate and rename invalidate" `Quick
       test_truncate_and_rename_invalidate;
     Alcotest.test_case "concurrent write sharing" `Quick
@@ -1209,4 +1198,15 @@ let suite =
       test_loadgen_probe_virtual;
     Alcotest.test_case "loadgen zipf: socket parity" `Quick
       test_loadgen_socket_parity;
+    Alcotest.test_case "writer hang-up restores caching" `Quick
+      test_hangup_restores_caching;
+    Alcotest.test_case "writer hang-up over a socket restores caching" `Quick
+      test_socket_hangup_restores_caching;
+    Alcotest.test_case "WO to RO downgrade restores caching" `Quick
+      test_downgrade_restores_caching;
+    Alcotest.test_case "WO to RO downgrade keeps delayed writes" `Quick
+      test_downgrade_keeps_delayed_writes;
+    QCheck_alcotest.to_alcotest prop_lease_visibility;
+    Alcotest.test_case "lease visibility: shrunk counterexamples" `Quick
+      test_visibility_corpus;
   ]
