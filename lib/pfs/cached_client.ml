@@ -27,7 +27,7 @@ type handle = {
   mutable h_version : int;
   mutable h_cacheable : bool;
   mutable h_size : int;
-  mutable h_sized : bool; (* [h_size] is current: a stale push clears it *)
+  mutable h_sized : bool; (* [h_size] is current: see [apply_push] *)
   mutable h_expires : float;
   mutable h_epoch : int;
   h_blocks : (int, block) Hashtbl.t; (* block index -> cached block *)
@@ -117,6 +117,11 @@ and handle_push t f =
    flush below waits for its reply is judged against them. *)
 and apply_push t h ~version ~cacheable =
   let stale = version > h.h_version || not cacheable in
+  (* the size may have moved: with the data on a stale push, and under
+     a write-through handle with no newer version at all — a revoked
+     writer commits its delayed writes in a Writeback, which moves
+     none. The next read learns it. *)
+  if stale || not h.h_cacheable then h.h_sized <- false;
   h.h_version <- version;
   h.h_cacheable <- cacheable;
   if stale then begin
@@ -128,9 +133,7 @@ and apply_push t h ~version ~cacheable =
     t.invals <- t.invals + 1;
     h.h_epoch <- h.h_epoch + 1;
     ignore (flush_dirty t h ~close:false);
-    Hashtbl.reset h.h_blocks;
-    (* the size too may have moved; the next read learns it *)
-    h.h_sized <- false
+    Hashtbl.reset h.h_blocks
   end
 
 and rpc t req =
@@ -222,15 +225,17 @@ let apply_grant t h (g : Wire.grant) =
   h.h_sized <- true;
   h.h_expires <- t.tr.t_now () +. g.lease_s
 
-let renew t h =
+(* A fresh grant for an open handle, in [mode]. Delayed writes are
+   committed first: the grant's size replaces the handle's, and a
+   downgrade to read-only leaves nothing the server would accept them
+   through. *)
+let renew t h ~mode =
   match flush_dirty t h ~close:false with
   | Error e -> Error e
   | Ok () -> (
-    match
-      rpc t
-        (Wire.Open_grant { client = t.client; path = h.h_path; mode = h.h_mode })
-    with
+    match rpc t (Wire.Open_grant { client = t.client; path = h.h_path; mode }) with
     | Ok (Wire.Ok_grant g) ->
+      h.h_mode <- mode;
       apply_grant t h g;
       Ok ()
     | Ok _ -> Error Errno.EINVAL
@@ -241,7 +246,7 @@ let renew t h =
    well; the news that write sharing ended does not wait for it — the
    server pushes the restoration the moment the last writer goes. *)
 let check_lease t h =
-  if t.tr.t_now () >= h.h_expires then renew t h else Ok ()
+  if t.tr.t_now () >= h.h_expires then renew t h ~mode:h.h_mode else Ok ()
 
 (* {2 The file interface} *)
 
@@ -252,53 +257,38 @@ let handle t path =
 
 let open_ t path mode =
   drain_pushes t;
-  (* re-opening a handle commits its delayed writes first, as a renewal
-     does: the grant's size replaces the handle's, and a downgrade to
-     read-only leaves nothing the server would accept them through *)
-  let flushed =
-    match Hashtbl.find_opt t.handles path with
-    | Some h -> flush_dirty t h ~close:false
-    | None -> Ok ()
-  in
-  match
-    Result.bind flushed (fun () ->
-        rpc t (Wire.Open_grant { client = t.client; path; mode }))
-  with
-  | Error e -> Error e
-  | Ok (Wire.Ok_grant g) ->
-    let h =
-      match Hashtbl.find_opt t.handles path with
-      | Some h ->
-        h.h_mode <- mode;
-        h
-      | None ->
-        let h =
-          {
-            h_path = path;
-            h_mode = mode;
-            h_version = g.version;
-            h_cacheable = g.cacheable;
-            h_size = g.size;
-            h_sized = true;
-            h_expires = 0.;
-            h_epoch = 0;
-            h_blocks = Hashtbl.create 16;
-          }
-        in
-        Hashtbl.replace t.handles path h;
-        h
-    in
-    apply_grant t h g;
-    Ok ()
-  | Ok _ -> Error Errno.EINVAL
+  match Hashtbl.find_opt t.handles path with
+  | Some h -> renew t h ~mode
+  | None -> (
+    match rpc t (Wire.Open_grant { client = t.client; path; mode }) with
+    | Error e -> Error e
+    | Ok (Wire.Ok_grant g) ->
+      let h =
+        {
+          h_path = path;
+          h_mode = mode;
+          h_version = g.version;
+          h_cacheable = g.cacheable;
+          h_size = g.size;
+          h_sized = true;
+          h_expires = 0.;
+          h_epoch = 0;
+          h_blocks = Hashtbl.create 16;
+        }
+      in
+      Hashtbl.replace t.handles path h;
+      apply_grant t h g;
+      Ok ()
+    | Ok _ -> Error Errno.EINVAL)
 
 (* Fetch the named blocks in one batched send — N Read frames, one
    write(2) on the socket transport — led by a Stat when a push left
    [h]'s size unknown. Replies are collected in request order; the size
    and each block land in the cache only if no push raced them, and a
-   block only below the end of the file. *)
+   block only below the end of the file. Returns the file size the
+   fetch saw — the Stat's, else the handle's — with the blocks. *)
 let fetch_blocks t h idxs =
-  let epoch = h.h_epoch in
+  let epoch = h.h_epoch and size = ref h.h_size in
   let stat = if h.h_sized then [] else [ (fresh_id t, Wire.Stat h.h_path) ] in
   let reqs = List.map (fun idx -> (fresh_id t, idx)) idxs in
   let frames =
@@ -326,6 +316,7 @@ let fetch_blocks t h idxs =
     | (id, _) :: _ -> (
       match reply id with
       | Ok (Wire.Ok_stat st) ->
+        size := st.Wire.size;
         if h.h_epoch = epoch then begin
           h.h_size <- st.Wire.size;
           h.h_sized <- true
@@ -335,7 +326,7 @@ let fetch_blocks t h idxs =
       | Error e -> Error e)
   in
   let rec collect acc = function
-    | [] -> Ok (List.rev acc)
+    | [] -> Ok (!size, List.rev acc)
     | (id, idx) :: rest -> (
       match reply id with
       | Error e -> Error e
@@ -367,43 +358,58 @@ let read t path ~offset ~count =
           | Ok _ -> Error Errno.EINVAL
           | Error e -> Error e
         end
+        else if count = 0 then Ok ""
         else begin
-          (* an unknown size spans the whole request; the fetch's Stat
-             says where the file ends *)
-          let span () = Stdlib.min count (Stdlib.max 0 (h.h_size - offset)) in
-          let want = if h.h_sized then span () else count in
-          if want = 0 then Ok ""
-          else begin
-            let first = offset / bb and last = (offset + want - 1) / bb in
-            (* snapshot present blocks before fetching: a push racing
-               the fetch may reset the table, but this read was issued
-               first and is served from what it saw *)
+          (* no file reaches past [max_int]: [offset + count] stays exact *)
+          let count = Stdlib.min count (max_int - offset) in
+          let first = offset / bb in
+          (* the bytes a file of [size] bytes puts under this read, and
+             the last block they reach ([first - 1] for none) *)
+          let span size = Stdlib.min count (Stdlib.max 0 (size - offset)) in
+          let last size =
+            let n = span size in
+            if n = 0 then first - 1 else (offset + n - 1) / bb
+          in
+          (* blocks [lo..hi], with the file size they were read at. The
+             present ones are snapshotted before the rest are fetched: a
+             push racing the fetch may reset the table, but this read
+             was issued first and is served from what it saw. *)
+          let get lo hi =
             let have = ref [] and missing = ref [] in
-            for idx = last downto first do
+            for idx = hi downto lo do
               match Hashtbl.find_opt h.h_blocks idx with
               | Some b -> have := (idx, b.b_data) :: !have
               | None -> missing := idx :: !missing
             done;
             t.hits <- t.hits + List.length !have;
             t.misses <- t.misses + List.length !missing;
-            let fetched =
-              if !missing = [] && h.h_sized then Ok []
-              else fetch_blocks t h !missing
-            in
-            match fetched with
-            | Error e -> Error e
-            | Ok fetched ->
-              let len = Stdlib.min want (span ()) in
-              let out = Bytes.create len in
-              List.iter
-                (fun (idx, data) ->
-                  let lo = Stdlib.max offset (idx * bb) in
-                  let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
-                  if hi > lo then
-                    Bytes.blit data (lo - (idx * bb)) out (lo - offset) (hi - lo))
-                (!have @ fetched);
-              Ok (Bytes.unsafe_to_string out)
-          end
+            if !missing = [] && h.h_sized then Ok (h.h_size, !have)
+            else
+              Result.map
+                (fun (size, fetched) -> (size, !have @ fetched))
+                (fetch_blocks t h !missing)
+          in
+          (* an unknown size is guessed unchanged, but reaching the
+             first block: the fetch's Stat says where the file ends, and
+             a second fetch brings any blocks past the guess *)
+          let guess =
+            if h.h_sized then last h.h_size else Stdlib.max first (last h.h_size)
+          in
+          let ( let* ) = Result.bind in
+          let* size, blocks = get first guess in
+          let* _, more =
+            if last size > guess then get (guess + 1) (last size) else Ok (size, [])
+          in
+          let len = span size in
+          let out = Bytes.create len in
+          List.iter
+            (fun (idx, data) ->
+              let lo = Stdlib.max offset (idx * bb) in
+              let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
+              if hi > lo then
+                Bytes.blit data (lo - (idx * bb)) out (lo - offset) (hi - lo))
+            (blocks @ more);
+          Ok (Bytes.unsafe_to_string out)
         end)
   end
 
@@ -458,7 +464,7 @@ let write t path ~offset ~data =
                          read-modify-write *)
                       match fetch_blocks t h [ idx ] with
                       | Error e -> Error e
-                      | Ok fetched -> (
+                      | Ok (_, fetched) -> (
                         match Hashtbl.find_opt h.h_blocks idx with
                         | Some b -> Ok b
                         | None ->

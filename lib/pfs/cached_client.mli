@@ -17,10 +17,12 @@
       caching flushes delayed writes, drops the cache for that path and
       turns the handle write-through; one with a newer version drops
       the stale blocks the same way; one that restores caching turns
-      the handle cacheable again on the spot. After a drop, the next
-      read learns the file's size with a [Stat] in the same send as its
-      block fetches; until then writes go through. A push older than
-      the handle's version is ignored.
+      the handle cacheable again on the spot. After a drop or a
+      restoration the handle's size is unknown (a revoked writer's
+      Writeback commits data without a newer version), and the next
+      read learns it with a [Stat] in the same send as its block
+      fetches; until then writes go through. A push older than the
+      handle's version is ignored.
       Pushes are acted on before every operation
       ({!transport.t_recv} [~block:false] drain) and whenever one
       surfaces while waiting for a reply.
@@ -80,7 +82,10 @@ val open_ :
 
 (** [read t path ~offset ~count] — cached, short at EOF. Present blocks
     are served locally (zero wire traffic); missing blocks are fetched
-    in one batched send. Uncacheable handles pass straight through. *)
+    in one batched send. When the size is unknown, that send fetches
+    the blocks the last known size puts under the read (at least the
+    first), and a second send any the [Stat]'s size adds. Uncacheable
+    handles pass straight through. *)
 val read :
   t -> string -> offset:int -> count:int -> (string, Capfs_core.Errno.t) result
 

@@ -411,6 +411,63 @@ let test_downgrade_keeps_delayed_writes () =
           CC.disconnect w;
           CC.disconnect r))
 
+(* A reader that opens while the sole writer holds delayed writes gets
+   a write-through grant whose size predates them. The revoked writer
+   commits them in a Writeback, which moves no version; the restoration
+   its close pushes still sends the reader to learn the size, so its
+   next read returns the writer's block. *)
+let test_restoration_relearns_size () =
+  with_temp_base 1 (fun path ->
+      with_virtual_server ~shards:1 path (fun srv ->
+          let w = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
+          let r = CC.create ~client:2 (CC.virtual_transport srv ~client:2) in
+          ok "mkdir" (CC.mkdir w "/d");
+          ok "w open wo" (CC.open_ w "/d/f" Capfs.Client.WO);
+          ok "w write" (CC.write w "/d/f" ~offset:0 ~data:(block 'd'));
+          Alcotest.(check int) "delayed" 1 (CC.dirty_blocks w);
+          ok "r open ro" (CC.open_ r "/d/f" Capfs.Client.RO);
+          ok "w close" (CC.close_ w "/d/f");
+          check_caches_again r "/d/f" (block 'd');
+          CC.disconnect w;
+          CC.disconnect r))
+
+(* A read whose count runs far past the end of a file whose size a
+   push left unknown fetches only the blocks the file has: the last
+   known size is the guess, the Stat's reply the answer, and blocks
+   past the guess come in a second fetch. A count that would overflow
+   [offset + count] reads to the end of the file. *)
+let test_unknown_size_read_bounded () =
+  with_temp_base 1 (fun path ->
+      with_virtual_server ~shards:1 path (fun srv ->
+          let a = CC.create ~client:1 (CC.virtual_transport srv ~client:1) in
+          let b = CC.create ~client:2 (CC.virtual_transport srv ~client:2) in
+          let rewrite data =
+            ok "a open wo" (CC.open_ a "/d/f" Capfs.Client.WO);
+            ok "a write" (CC.write a "/d/f" ~offset:0 ~data);
+            ok "a close" (CC.close_ a "/d/f")
+          in
+          ok "mkdir" (CC.mkdir a "/d");
+          rewrite (block 'a');
+          ok "b open ro" (CC.open_ b "/d/f" Capfs.Client.RO);
+          ignore (ok "b warm" (CC.read b "/d/f" ~offset:0 ~count:bb));
+          (* the file grows to two blocks under b's handle *)
+          rewrite (block 'b' ^ block 'c');
+          let msgs = CC.msgs_sent b and sends = CC.wire_sends b in
+          let got =
+            ok "b read 64 MiB" (CC.read b "/d/f" ~offset:0 ~count:(64 lsl 20))
+          in
+          Alcotest.(check string) "the whole file" (block 'b' ^ block 'c') got;
+          Alcotest.(check int) "a Stat and two Reads" (msgs + 3) (CC.msgs_sent b);
+          Alcotest.(check int) "the guess, then the growth" (sends + 2)
+            (CC.wire_sends b);
+          rewrite (block 'd');
+          let got = ok "b read to max_int" (CC.read b "/d/f" ~offset:2 ~count:max_int) in
+          Alcotest.(check string) "from byte 2 to the end"
+            (String.sub (block 'd' ^ block 'c') 2 ((2 * bb) - 2))
+            got;
+          CC.disconnect a;
+          CC.disconnect b))
+
 (* {1 Lease visibility, as a property}
 
    The model, in the style of a formal VFS specification: per file, the
@@ -1209,4 +1266,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lease_visibility;
     Alcotest.test_case "lease visibility: shrunk counterexamples" `Quick
       test_visibility_corpus;
+    Alcotest.test_case "restoration after a revoked writer's flush" `Quick
+      test_restoration_relearns_size;
+    Alcotest.test_case "unknown-size read past the end is bounded" `Quick
+      test_unknown_size_read_bounded;
   ]
