@@ -461,7 +461,9 @@ let test_unknown_size_read_bounded () =
           Alcotest.(check int) "the guess, then the growth" (sends + 2)
             (CC.wire_sends b);
           rewrite (block 'd');
-          let got = ok "b read to max_int" (CC.read b "/d/f" ~offset:2 ~count:max_int) in
+          let got =
+            ok "b read to max_int" (CC.read b "/d/f" ~offset:2 ~count:max_int)
+          in
           Alcotest.(check string) "from byte 2 to the end"
             (String.sub (block 'd' ^ block 'c') 2 ((2 * bb) - 2))
             got;
