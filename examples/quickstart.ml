@@ -1,11 +1,11 @@
 (* Quickstart: assemble a complete file system from the cut-and-paste
    components and use it through the abstract client interface.
 
-   The same five lines of wiring serve both worlds: swap the mem
-   transport for `Driver.sim_transport (Sim_disk.create ...)` to get a
-   simulated HP97560 under virtual time, or for
-   `Capfs_pfs.File_blockdev.transport` + a `Real clock to get an
-   on-line server over an image file.
+   Patsy and PFS assemble their instances with this same recipe,
+   `Capfs.Stack`: swap the mem transport for
+   `Driver.sim_transport (Sim_disk.create ...)` to get a simulated
+   HP97560 under virtual time, or for `Capfs_pfs.File_blockdev.transport`
+   + a `Real clock to get an on-line server over an image file.
 
    Run: dune exec examples/quickstart.exe *)
 
@@ -14,34 +14,33 @@ module Driver = Capfs_disk.Driver
 module Data = Capfs_disk.Data
 module Cache = Capfs_cache.Cache
 module Lfs = Capfs_layout.Lfs
+module Stack = Capfs.Stack
 module Client = Capfs.Client
 
 let () =
   (* 1. a scheduler: virtual time, so this whole program runs instantly *)
   let sched = Sched.create ~clock:`Virtual () in
+  (* 2. the knobs: a 256-block cache with the 30-second update, and a
+     segmented LFS with small segments *)
+  let config =
+    {
+      Stack.cache = Cache.default_config ~capacity_blocks:256;
+      lfs = { Lfs.default_config with Lfs.seg_blocks = 32; checkpoint_blocks = 16 };
+      iosched = "clook";
+      replacement = "lru";
+      seed = 1;
+    }
+  in
+  (* 3. a block device and its driver: an 8 MB RAM disk holding real bytes *)
+  let stack =
+    Stack.create sched config
+      [| Driver.mem_transport ~sector_bytes:512 ~total_sectors:16384 sched () |]
+  in
   ignore
     (Sched.spawn sched (fun () ->
-         (* 2. a block device: an 8 MB RAM disk holding real bytes *)
-         let driver =
-           Driver.create sched
-             (Driver.mem_transport ~sector_bytes:512 ~total_sectors:16384
-                sched ())
-         in
-         (* 3. a storage layout: fresh segmented LFS on that device *)
-         let layout =
-           Lfs.format_and_mount
-             ~config:
-               { Lfs.default_config with Lfs.seg_blocks = 32;
-                 checkpoint_blocks = 16 }
-             sched driver ~block_bytes:4096
-         in
-         (* 4. cache + file system + client interface *)
-         let fs =
-           Capfs.Fsys.create
-             ~cache_config:(Cache.default_config ~capacity_blocks:256)
-             ~layout sched
-         in
-         let client = Client.create fs in
+         (* 4. format the LFS volume; cache, file system and client on top *)
+         let client = Stack.mount stack Stack.Format in
+         let fs = Client.fsys client in
          (* 5. use it *)
          Client.mkdir_exn client "/home";
          Client.mkdir_exn client "/home/alice";

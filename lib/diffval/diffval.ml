@@ -1,20 +1,13 @@
 module Sched = Capfs_sched.Sched
 module Stats = Capfs_stats
 module Snapshot = Capfs_stats.Snapshot
-module Names = Capfs_stats.Names
-module Driver = Capfs_disk.Driver
-module Iosched = Capfs_disk.Iosched
-module Geometry = Capfs_disk.Geometry
 module Sim_disk = Capfs_disk.Sim_disk
-module Bus = Capfs_disk.Bus
 module Lfs = Capfs_layout.Lfs
-module Replacement = Capfs_cache.Replacement
-module Fsys = Capfs.Fsys
+module Stack = Capfs.Stack
 module Client = Capfs.Client
 module Errno = Capfs_core.Errno
 module Plan = Capfs_fault.Plan
 module Experiment = Capfs_patsy.Experiment
-module Multiplex = Capfs_layout.Multiplex
 module Replay = Capfs_patsy.Replay
 module File_blockdev = Capfs_pfs.File_blockdev
 module Pfs = Capfs_pfs.Pfs
@@ -55,9 +48,6 @@ let default_tolerances =
     (* layout: policy-visible event counts *)
     ("segment_sealed", Within { rel = 0.05; abs = 4. });
     ("checkpoint", Within { rel = 0.; abs = 2. });
-    ("alloc", Within { rel = 0.05; abs = 8. });
-    ("commits", Within { rel = 0.05; abs = 8. });
-    ("guesses", Within { rel = 0.05; abs = 8. });
     (* fault machinery: same order of degradation, not same placement *)
     ("retries", Within { rel = 0.75; abs = 64. });
     ("io_errors", Within { rel = 0.75; abs = 64. });
@@ -176,6 +166,24 @@ let plan_of base =
 let sanitize base = { base with Experiment.fault_plan =
     (let p = plan_of base in if Plan.is_empty p then None else Some p) }
 
+(* The crash-free close check both halves end with: recover the volume
+   cold on a fresh scheduler, as a server restart does, and report its
+   fsck findings and live inodes. *)
+let fsck ~name sched stack =
+  let errors = ref [ "recovery did not run" ] and inodes = ref 0 in
+  let record _ = function
+    | Ok rep ->
+      errors := rep.Lfs.r_fsck_errors;
+      inodes := rep.Lfs.r_recovered_inodes
+    | Error e -> errors := [ "recovery failed: " ^ Errno.to_string e ]
+  in
+  ignore
+    (Sched.spawn sched ~name (fun () ->
+         try ignore (Stack.mount stack (Stack.Recover record))
+         with Errno.Error _ -> ()));
+  Sched.run sched;
+  (!errors, !inodes)
+
 (* {2 The Patsy half: virtual time, simulated disk} *)
 
 let run_patsy ~speedup base source =
@@ -189,13 +197,13 @@ let run_patsy ~speedup base source =
          (* backing stores: the Patsy half must leave real bytes behind
             so its volume can be remounted and fsck'd like PFS's image *)
          let farm = Experiment.build_farm ~backing:true sched base in
+         let client = Stack.mount farm.Experiment.f_stack Stack.Format in
          let replay =
-           Replay.run ~speedup ~serial:true ~real_data:true
-             farm.Experiment.f_client source
+           Replay.run ~speedup ~serial:true ~real_data:true client source
          in
          (* equivalent sync point: drain all outstanding writes before
             the snapshot, so flush counters are complete on both halves *)
-         (match Client.sync farm.Experiment.f_client with
+         (match Client.sync client with
          | Ok () | (exception Errno.Error _) -> ()
          | Error _ -> ());
          let snap =
@@ -207,8 +215,6 @@ let run_patsy ~speedup base source =
   match !out with
   | None -> Error Errno.EIO
   | Some (farm, replay, snap) ->
-    (* crash-free close check: the surviving bytes must recover to a
-       clean fsck on a fresh scheduler, mirroring a server restart *)
     let stores =
       Array.map
         (fun d ->
@@ -216,32 +222,10 @@ let run_patsy ~speedup base source =
         farm.Experiment.f_disks
     in
     let sched2 = Sched.create ~seed:base.Experiment.seed ~clock:`Virtual () in
-    let r2 = Stats.Registry.create () in
-    let bus = Bus.scsi2 ~registry:r2 ~name:(Names.bus 0) sched2 in
-    let fsck = ref [ "recovery did not run" ] and inodes = ref 0 in
-    let disk =
-      Sim_disk.create ~registry:r2 ~name:(Names.disk 0) ~backing:true sched2
-        base.Experiment.disk_model bus
+    let farm2 = Experiment.build_farm ~restore:stores sched2 base in
+    let fsck, inodes =
+      fsck ~name:"diffval.patsy.fsck" sched2 farm2.Experiment.f_stack
     in
-    Sim_disk.store_restore disk stores.(0);
-    let driver =
-      Driver.create ~registry:r2 ~name:(Names.driver 0)
-        ~policy:
-          (Iosched.by_name base.Experiment.disk_model.Capfs_disk.Disk_model.geometry
-             base.Experiment.iosched)
-        sched2 (Driver.sim_transport disk)
-    in
-    ignore
-      (Sched.spawn sched2 ~name:"diffval.patsy.fsck" (fun () ->
-           match
-             Lfs.recover ~registry:r2 ~name:(Names.lfs 0)
-               ~config:(Experiment.lfs_config_of base 0) sched2 driver
-           with
-           | Ok (_, rep) ->
-             fsck := rep.Lfs.r_fsck_errors;
-             inodes := rep.Lfs.r_recovered_inodes
-           | Error e -> fsck := [ "recovery failed: " ^ Errno.to_string e ]));
-    Sched.run sched2;
     Ok
       {
         s_clock = "virtual";
@@ -249,8 +233,8 @@ let run_patsy ~speedup base source =
         s_errors = replay.Replay.errors;
         s_skipped = replay.Replay.skipped_ops;
         s_elapsed = replay.Replay.elapsed;
-        s_fsck_errors = !fsck;
-        s_recovered_inodes = !inodes;
+        s_fsck_errors = fsck;
+        s_recovered_inodes = inodes;
         s_snapshot = snap;
       }
 
@@ -264,14 +248,15 @@ let run_patsy ~speedup base source =
 
 (* Translate an experiment config into the [Pfs.Config] of the
    equivalent single-volume server. The cache knobs go through
-   [Experiment.cache_config_of] so policy → trigger/scope/nvram mapping
+   [Experiment.stack_config] so policy → trigger/scope/nvram mapping
    stays in one place. *)
-let pfs_config_of ~image ~image_mb ~clock base =
-  let cc = Experiment.cache_config_of base in
-  let block = Experiment.block_bytes in
-  Pfs.Config.make ~image ~size_mb:image_mb
-    ~cache_mb:(cc.Cache.capacity_blocks * block / (1024 * 1024))
-    ~nvram_mb:(cc.Cache.nvram_blocks * block / (1024 * 1024))
+let pfs_config cfg ~image =
+  let base = cfg.base in
+  let cc = (Experiment.stack_config base).Stack.cache in
+  let mb blocks = blocks * cc.Cache.block_bytes / (1024 * 1024) in
+  Pfs.Config.make ~image ~size_mb:cfg.image_mb
+    ~cache_mb:(mb cc.Cache.capacity_blocks)
+    ~nvram_mb:(mb cc.Cache.nvram_blocks)
     ~trigger:cc.Cache.trigger ~scope:cc.Cache.scope
     ~iosched:base.Experiment.iosched
     ~replacement:base.Experiment.replacement
@@ -280,7 +265,7 @@ let pfs_config_of ~image ~image_mb ~clock base =
     ~mem_copy_rate:cc.Cache.mem_copy_rate
     ~coalesce:cc.Cache.coalesce
     ~flush_window:cc.Cache.flush_window
-    ~max_extent:cc.Cache.max_extent_blocks ~clock
+    ~max_extent:cc.Cache.max_extent_blocks ~clock:cfg.pfs_clock
     ~seed:base.Experiment.seed ()
 
 (* The differential harness must never mistake "no data" for "no
@@ -298,20 +283,16 @@ let volume_snapshot t =
 (* [skew] settings apply on top of the translated config; everything
    below reads the result, so a skewed knob reaches the cold remount
    too. *)
-let run_pfs ~speedup ~image_mb ~clock ~skew base source =
+let run_pfs ~skew cfg source =
   let image = Filename.temp_file "capfs_diffval" ".img" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
     (fun () ->
       let registry = Stats.Registry.create () in
       let ( let* ) = Result.bind in
-      let* cfg =
-        Pfs.Config.of_args
-          ~base:(pfs_config_of ~image ~image_mb ~clock base)
-          skew
-      in
+      let* pcfg = Pfs.Config.of_args ~base:(pfs_config cfg ~image) skew in
       match
-        Pfs.create ~registry ~injector:(Experiment.injector_of base) cfg
+        Pfs.create ~registry ~injector:(Experiment.injector_of cfg.base) pcfg
       with
       | Error _ as e -> e
       | Ok t -> (
@@ -320,8 +301,8 @@ let run_pfs ~speedup ~image_mb ~clock ~skew base source =
           (Sched.spawn t.Pfs.sched ~name:"diffval.pfs" (fun () ->
                out :=
                  Some
-                   (Replay.run ~speedup ~serial:true ~real_data:true
-                      t.Pfs.client source)));
+                   (Replay.run ~speedup:cfg.speedup ~serial:true
+                      ~real_data:true t.Pfs.client source)));
         Sched.run t.Pfs.sched;
         (* equivalent sync point: [Pfs.shutdown] syncs and closes, so
            flush counters are complete before the capture *)
@@ -330,46 +311,29 @@ let run_pfs ~speedup ~image_mb ~clock ~skew base source =
         | None, _ -> Error Errno.EIO
         | _, (Error _ as e) -> e
         | Some replay, Ok snap ->
-          (* crash-free close check: reopen the image cold and fsck it,
-             exactly what a PFS restart does *)
           let sched2 = Sched.create ~clock:`Virtual () in
           let tr2 =
             File_blockdev.transport sched2 ~path:image
-              ~size_bytes:(cfg.Pfs.Config.size_mb * 1024 * 1024)
+              ~size_bytes:(pcfg.Pfs.Config.size_mb * 1024 * 1024)
               ()
           in
-          let flat =
-            Geometry.v ~cylinders:tr2.Driver.total_sectors ~heads:1
-              ~sectors_per_track:1 ~sector_bytes:tr2.Driver.sector_bytes ()
+          let fsck, inodes =
+            fsck ~name:"diffval.pfs.fsck" sched2
+              (Stack.create sched2 (Pfs.Config.stack_config pcfg) [| tr2 |])
           in
-          let drv2 =
-            Driver.create ~name:(Names.driver 0)
-              ~policy:(Iosched.by_name flat cfg.Pfs.Config.iosched)
-              sched2 tr2
-          in
-          let fsck = ref [ "recovery did not run" ] and inodes = ref 0 in
-          ignore
-            (Sched.spawn sched2 ~name:"diffval.pfs.fsck" (fun () ->
-                 match Lfs.recover ~name:(Names.lfs 0) sched2 drv2 with
-                 | Ok (_, rep) ->
-                   fsck := rep.Lfs.r_fsck_errors;
-                   inodes := rep.Lfs.r_recovered_inodes
-                 | Error e ->
-                   fsck := [ "recovery failed: " ^ Errno.to_string e ]));
-          Sched.run sched2;
           File_blockdev.close tr2;
           Ok
             {
               s_clock =
-                (match cfg.Pfs.Config.clock with
+                (match pcfg.Pfs.Config.clock with
                 | `Real -> "real"
                 | `Virtual -> "virtual");
               s_operations = replay.Replay.operations;
               s_errors = replay.Replay.errors;
               s_skipped = replay.Replay.skipped_ops;
               s_elapsed = replay.Replay.elapsed;
-              s_fsck_errors = !fsck;
-              s_recovered_inodes = !inodes;
+              s_fsck_errors = fsck;
+              s_recovered_inodes = inodes;
               s_snapshot = snap;
             }))
 
@@ -453,10 +417,7 @@ let run ?config ?(skew = []) ~trace_name source =
   else
     let ( let* ) = Result.bind in
     (* the PFS half first, so a skew [of_args] refuses costs no replay *)
-    let* pfs =
-      run_pfs ~speedup:cfg.speedup ~image_mb:cfg.image_mb
-        ~clock:cfg.pfs_clock ~skew base source
-    in
+    let* pfs = run_pfs ~skew { cfg with base } source in
     let* patsy = run_patsy ~speedup:cfg.speedup base source in
     let verdicts, only_patsy, only_pfs =
       diff_snapshots ~tolerances:cfg.tolerances ~patsy:patsy.s_snapshot

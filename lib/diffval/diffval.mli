@@ -98,6 +98,11 @@ type config = {
     100 000x speedup, real clock for PFS, built-in tolerances. *)
 val default : ?policy:Capfs_patsy.Experiment.policy -> unit -> config
 
+(** [pfs_config config ~image] is the PFS half's configuration: the
+    single-volume server equivalent to [config.base], on an [image] of
+    [config.image_mb] MB, under [config.pfs_clock]. *)
+val pfs_config : config -> image:string -> Capfs_pfs.Pfs.Config.t
+
 (** [diff_snapshots ~patsy ~pfs ()] is the pure core: per-counter
     verdicts for every key present in both snapshots, plus the keys
     present in only one half (stat-name drift — a contract violation

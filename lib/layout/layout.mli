@@ -4,8 +4,8 @@
     implement an algorithm. Specific layouts are implemented through
     derived classes… for all layout and policy decisions, there exists a
     virtual method." A [Layout.t] is that interface as a record of
-    closures; {!Lfs}, {!Ffs}, {!Jfs} and {!Sim_layout} instantiate it,
-    and {!Multiplex} routes one namespace over several of them. The
+    closures; {!Lfs} instantiates it, and {!Multiplex} routes one
+    namespace over several LFS volumes. The
     file-system core is "consulted whenever something needs to be done
     with a raw disk" exclusively through this record.
 

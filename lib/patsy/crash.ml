@@ -1,18 +1,12 @@
 module Sched = Capfs_sched.Sched
 module Record = Capfs_trace.Record
 module Sim_disk = Capfs_disk.Sim_disk
-module Driver = Capfs_disk.Driver
-module Iosched = Capfs_disk.Iosched
-module Bus = Capfs_disk.Bus
-module Disk_model = Capfs_disk.Disk_model
 module Lfs = Capfs_layout.Lfs
-module Multiplex = Capfs_layout.Multiplex
 module Inode = Capfs_layout.Inode
-module Fsys = Capfs.Fsys
+module Stack = Capfs.Stack
 module Client = Capfs.Client
 module Namespace = Capfs.Namespace
 module Errno = Capfs_core.Errno
-module Stats = Capfs_stats
 
 let src = Logs.Src.create "capfs.crash" ~doc:"crash-recovery experiment"
 
@@ -86,6 +80,29 @@ let kind_name = function
   | Inode.Symlink -> "symlink"
   | Inode.Multimedia -> "multimedia"
 
+(* Every floor entry the replay left untouched must have survived the
+   crash: same kind and, for a regular file, same size. *)
+let check_floor client ~touched floor =
+  let check fl =
+    let violation expected found =
+      Some { v_path = fl.fl_path; v_expected = expected; v_found = found }
+    in
+    let expected = kind_name fl.fl_kind in
+    match Client.stat client fl.fl_path with
+    | Error e -> violation expected ("error " ^ Errno.to_string e)
+    | Ok st when st.Client.st_kind <> fl.fl_kind ->
+      violation expected (kind_name st.Client.st_kind)
+    | Ok st when fl.fl_kind = Inode.Regular && st.Client.st_size <> fl.fl_size
+      ->
+      violation
+        (Printf.sprintf "size %d" fl.fl_size)
+        (Printf.sprintf "size %d" st.Client.st_size)
+    | Ok _ -> None
+  in
+  List.filter_map
+    (fun fl -> if Hashtbl.mem touched fl.fl_path then None else check fl)
+    floor
+
 (* {2 The experiment} *)
 
 let run ?(config = Experiment.default Experiment.Write_delay) ?sync_at ~trace
@@ -116,21 +133,22 @@ let run ?(config = Experiment.default Experiment.Write_delay) ?sync_at ~trace
   let floor = ref [] and floor_synced = ref false in
   ignore
     (Sched.spawn sched ~name:"crash.workload" (fun () ->
-         (* formatting the volumes performs driver I/O, so the farm must
-            be assembled inside a fibre *)
+         (* formatting the volumes performs driver I/O, so the stack
+            must be mounted inside a fibre *)
          let f = Experiment.build_farm ~backing:true sched cfg in
-         farm := Some f;
+         let client = Stack.mount f.Experiment.f_stack Stack.Format in
+         farm := Some (f, client);
          (* crash experiments need real payloads: summaries and file
             contents must actually reach the backing stores *)
          ignore
-           (Replay.run ~real_data:true ~observe f.Experiment.f_client
+           (Replay.run ~real_data:true ~observe client
               (Capfs_trace.Source.of_array trace))));
   ignore
     (Sched.spawn sched ~name:"crash.floor" (fun () ->
          Sched.sleep sched sync_at;
          let client =
            match !farm with
-           | Some f -> f.Experiment.f_client
+           | Some (_, client) -> client
            | None -> failwith "Crash.run: farm not built by sync_at"
          in
          (* mutations from here on are not part of the floor *)
@@ -147,7 +165,7 @@ let run ?(config = Experiment.default Experiment.Write_delay) ?sync_at ~trace
   let snapshots =
     match !farm with
     | None -> failwith "Crash.run: the workload never started"
-    | Some farm ->
+    | Some (farm, _) ->
       Array.map
         (fun d ->
           match Sim_disk.store_snapshot d with
@@ -160,95 +178,24 @@ let run ?(config = Experiment.default Experiment.Write_delay) ?sync_at ~trace
         crash_at !applied (List.length !floor) !floor_synced);
   (* {3 Phase 2: recover on a fresh scheduler from the surviving bytes} *)
   let sched2 = Sched.create ~seed:cfg.Experiment.seed ~clock:`Virtual () in
-  let registry = Stats.Registry.create () in
-  let buses =
-    Array.init cfg.Experiment.nbuses (fun b ->
-        Bus.scsi2 ~registry ~name:(Stats.Names.bus b) sched2)
-  in
-  let ndisks = cfg.Experiment.ndisks in
-  let disks =
-    Array.init ndisks (fun d ->
-        let disk =
-          Sim_disk.create ~registry
-            ~name:(Stats.Names.disk d)
-            ~backing:true sched2 cfg.Experiment.disk_model
-            buses.(d mod cfg.Experiment.nbuses)
-        in
-        Sim_disk.store_restore disk snapshots.(d);
-        disk)
-  in
-  let geometry = cfg.Experiment.disk_model.Disk_model.geometry in
-  let drivers =
-    Array.init ndisks (fun d ->
-        Driver.create ~registry
-          ~name:(Stats.Names.driver d)
-          ~policy:(Iosched.by_name geometry cfg.Experiment.iosched)
-          sched2
-          (Driver.sim_transport disks.(d)))
-  in
+  let farm2 = Experiment.build_farm ~restore:snapshots sched2 cfg in
   let out = ref None in
   ignore
     (Sched.spawn sched2 ~name:"crash.recover" (fun () ->
          let recoveries = ref [] and failed = ref [] in
-         let volumes = ref [] in
-         for d = 0 to ndisks - 1 do
-           let name = Stats.Names.lfs d in
-           match
-             Lfs.recover ~registry ~name
-               ~config:(Experiment.lfs_config_of cfg d)
-               sched2 drivers.(d)
-           with
-           | Ok (layout, rep) ->
-             recoveries := (name, rep) :: !recoveries;
-             volumes := layout :: !volumes
+         let record name = function
+           | Ok rep -> recoveries := (name, rep) :: !recoveries
            | Error e -> failed := (name, e) :: !failed
-         done;
+         in
+         let violations =
+           match
+             Stack.mount farm2.Experiment.f_stack (Stack.Recover record)
+           with
+           | client when !floor_synced -> check_floor client ~touched !floor
+           | _ | (exception Errno.Error _) -> []
+         in
          let recoveries = List.rev !recoveries in
          let failed = List.rev !failed in
-         let violations =
-           if failed <> [] || not !floor_synced then []
-           else begin
-             let layout = Multiplex.layout (Array.of_list (List.rev !volumes)) in
-             let fs =
-               Fsys.create ~registry
-                 ~cache_config:(Experiment.cache_config_of cfg)
-                 ~layout sched2
-             in
-             let client2 = Client.create fs in
-             List.filter_map
-               (fun fl ->
-                 if Hashtbl.mem touched fl.fl_path then None
-                 else
-                   match Client.stat client2 fl.fl_path with
-                   | Error e ->
-                     Some
-                       {
-                         v_path = fl.fl_path;
-                         v_expected = kind_name fl.fl_kind;
-                         v_found = "error " ^ Errno.to_string e;
-                       }
-                   | Ok st ->
-                     if st.Client.st_kind <> fl.fl_kind then
-                       Some
-                         {
-                           v_path = fl.fl_path;
-                           v_expected = kind_name fl.fl_kind;
-                           v_found = kind_name st.Client.st_kind;
-                         }
-                     else if
-                       fl.fl_kind = Inode.Regular
-                       && st.Client.st_size <> fl.fl_size
-                     then
-                       Some
-                         {
-                           v_path = fl.fl_path;
-                           v_expected = Printf.sprintf "size %d" fl.fl_size;
-                           v_found = Printf.sprintf "size %d" st.Client.st_size;
-                         }
-                     else None)
-               !floor
-           end
-         in
          let checked = List.length !floor in
          let clean_fsck =
            List.for_all

@@ -4,12 +4,9 @@ module Disk_model = Capfs_disk.Disk_model
 module Bus = Capfs_disk.Bus
 module Sim_disk = Capfs_disk.Sim_disk
 module Driver = Capfs_disk.Driver
-module Iosched = Capfs_disk.Iosched
-module Geometry = Capfs_disk.Geometry
 module Cache = Capfs_cache.Cache
-module Replacement = Capfs_cache.Replacement
 module Lfs = Capfs_layout.Lfs
-module Multiplex = Capfs_layout.Multiplex
+module Stack = Capfs.Stack
 module Fsys = Capfs.Fsys
 module Client = Capfs.Client
 
@@ -83,49 +80,44 @@ type outcome = {
 
 let block_bytes = 4096
 
-let cache_config_of cfg =
-  let capacity_blocks = cfg.cache_mb * 1024 * 1024 / block_bytes in
-  let nvram_blocks = cfg.nvram_mb * 1024 * 1024 / block_bytes in
-  let base =
-    {
-      Cache.block_bytes;
-      capacity_blocks;
-      nvram_blocks = 0;
-      trigger = Cache.Demand;
-      scope = `Whole_file;
-      async_flush = cfg.async_flush;
-      mem_copy_rate = cfg.mem_copy_rate;
-      coalesce = cfg.coalesce;
-      flush_window = cfg.flush_window;
-      max_extent_blocks = cfg.max_extent;
-    }
+let stack_config cfg =
+  let blocks mb = mb * 1024 * 1024 / block_bytes in
+  let trigger, scope, nvram_mb =
+    match cfg.policy with
+    | Write_delay ->
+      (Cache.Periodic { max_age = 30.; scan_interval = 5. }, `Whole_file, 0)
+    | Ups -> (Cache.Demand, `Whole_file, 0)
+    | Nvram_whole -> (Cache.Demand, `Whole_file, cfg.nvram_mb)
+    | Nvram_partial -> (Cache.Demand, `Single_block, cfg.nvram_mb)
   in
-  match cfg.policy with
-  | Write_delay ->
-    {
-      base with
-      Cache.trigger = Cache.Periodic { max_age = 30.; scan_interval = 5. };
-    }
-  | Ups -> base
-  | Nvram_whole -> { base with Cache.nvram_blocks }
-  | Nvram_partial -> { base with Cache.nvram_blocks; scope = `Single_block }
-
-let lfs_config_of cfg d =
   {
-    Lfs.default_config with
-    Lfs.seg_blocks = cfg.seg_blocks;
-    cleaner = cfg.cleaner;
-    first_ino = d + 1;
-    ino_stride = cfg.ndisks;
+    Stack.cache =
+      {
+        Cache.block_bytes;
+        capacity_blocks = blocks cfg.cache_mb;
+        nvram_blocks = blocks nvram_mb;
+        trigger;
+        scope;
+        async_flush = cfg.async_flush;
+        mem_copy_rate = cfg.mem_copy_rate;
+        coalesce = cfg.coalesce;
+        flush_window = cfg.flush_window;
+        max_extent_blocks = cfg.max_extent;
+      };
+    lfs =
+      { Lfs.default_config with Lfs.seg_blocks = cfg.seg_blocks; cleaner = cfg.cleaner };
+    iosched = cfg.iosched;
+    replacement = cfg.replacement;
+    seed = cfg.seed;
   }
 
 type farm = {
-  f_client : Client.t;
+  f_stack : Stack.t;
   f_registry : Stats.Registry.t;
   f_disks : Sim_disk.t array;
 }
 
-let build_farm ?(backing = false) sched cfg =
+let build_farm ?(backing = false) ?restore sched cfg =
   if cfg.ndisks < 1 || cfg.nbuses < 1 then
     invalid_arg "Experiment: need at least one disk and one bus";
   let registry = Stats.Registry.create () in
@@ -142,44 +134,22 @@ let build_farm ?(backing = false) sched cfg =
   in
   let disks =
     Array.init cfg.ndisks (fun d ->
-        Sim_disk.create ~registry
-          ~name:(Stats.Names.disk d)
-          ~backing sched disk_model
-          buses.(d mod cfg.nbuses))
+        let disk =
+          Sim_disk.create ~registry
+            ~name:(Stats.Names.disk d)
+            ~backing:(backing || restore <> None)
+            sched disk_model
+            buses.(d mod cfg.nbuses)
+        in
+        Option.iter (fun s -> Sim_disk.store_restore disk s.(d)) restore;
+        disk)
   in
-  let geometry = disk_model.Disk_model.geometry in
-  let spb = block_bytes / geometry.Geometry.sector_bytes in
-  let drivers =
-    Array.init cfg.ndisks (fun d ->
-        Driver.create ~registry
-          ~name:(Stats.Names.driver d)
-          ~policy:(Iosched.by_name geometry cfg.iosched)
-          ~coalesce:cfg.coalesce
-          ~max_merge_sectors:(cfg.max_extent * spb)
-          sched
-          (Driver.sim_transport disks.(d)))
+  let stack =
+    Stack.create ~registry ~geometry:disk_model.Disk_model.geometry sched
+      (stack_config cfg)
+      (Array.map Driver.sim_transport disks)
   in
-  let volumes =
-    Array.init cfg.ndisks (fun d ->
-        Lfs.format_and_mount ~registry
-          ~name:(Stats.Names.lfs d)
-          ~config:(lfs_config_of cfg d) sched drivers.(d) ~block_bytes)
-  in
-  let layout = Multiplex.layout volumes in
-  let replacement =
-    Replacement.by_name ~seed:cfg.seed
-      ~capacity:(cfg.cache_mb * 1024 * 1024 / block_bytes)
-      cfg.replacement
-  in
-  let fs =
-    Fsys.create ~registry ~replacement ~cache_config:(cache_config_of cfg)
-      ~layout sched
-  in
-  { f_client = Client.create fs; f_registry = registry; f_disks = disks }
-
-let build_instance sched cfg =
-  let f = build_farm sched cfg in
-  (f.f_client, f.f_registry)
+  { f_stack = stack; f_registry = registry; f_disks = disks }
 
 let injector_of cfg =
   match cfg.fault_plan with
@@ -208,7 +178,8 @@ let run cfg ~trace =
   let out = ref None in
   ignore
     (Sched.spawn sched ~name:"experiment" (fun () ->
-         let client, registry = build_instance sched cfg in
+         let { f_stack; f_registry = registry; _ } = build_farm sched cfg in
+         let client = Stack.mount f_stack Stack.Format in
          let replay = Replay.run client trace in
          (* drain outstanding writes so flush counters are complete; a
             fault plan can legitimately fail this final sync — the

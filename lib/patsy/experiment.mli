@@ -70,11 +70,6 @@ type outcome = {
           [config.trace_buffer] > 0 *)
 }
 
-(** The file block size every instantiation uses (4096 bytes). Exposed
-    so other front ends (diffval's PFS half, tests) assemble stacks with
-    the very same geometry. *)
-val block_bytes : int
-
 (** [snapshot outcome] freezes the outcome's registry restricted to the
     policy-visible keys ({!Capfs_stats.Snapshot.policy_visible}) — the
     simulator half of a differential sim-vs-real comparison. The replay
@@ -92,33 +87,30 @@ val snapshot : outcome -> Capfs_stats.Snapshot.t
     (see {!Replay.run_source}). *)
 val run : config -> trace:Capfs_trace.Source.t -> outcome
 
-(** [build_instance sched config] assembles the simulator stack (for
-    callers that want to drive it themselves, e.g. the bin/patsy CLI and
-    the examples): returns the client interface and the registry. *)
-val build_instance :
-  Capfs_sched.Sched.t -> config -> Capfs.Client.t * Capfs_stats.Registry.t
-
-(** The assembled simulator stack with its internals exposed — what the
-    crash-recovery runner needs to snapshot disks and remount volumes. *)
+(** The simulator's devices: one driver per disk, no volume mounted. *)
 type farm = {
-  f_client : Capfs.Client.t;
+  f_stack : Capfs.Stack.t;
   f_registry : Capfs_stats.Registry.t;
   f_disks : Capfs_disk.Sim_disk.t array;
 }
 
-(** [build_farm sched config] is {!build_instance} with the disk farm
-    exposed. [backing:true] (default false) gives every simulated disk a
-    real in-memory sector store, so its contents survive a simulated
-    crash and can seed a recovery mount. *)
-val build_farm : ?backing:bool -> Capfs_sched.Sched.t -> config -> farm
+(** [build_farm sched config] builds the buses, the disks and their
+    drivers; [Stack.mount farm.f_stack Format] builds the rest of the
+    stack [run] replays against. [backing:true] (default false) gives
+    every disk an in-memory sector store, so its contents survive a
+    simulated crash. [restore] (one {!Capfs_disk.Sim_disk.store_snapshot}
+    per disk) implies [backing] and seeds each disk from its snapshot. *)
+val build_farm :
+  ?backing:bool ->
+  ?restore:(int * bytes) array array ->
+  Capfs_sched.Sched.t ->
+  config ->
+  farm
 
 (** The injector [run] wires into the scheduler: built from
     [config.fault_plan] (the null injector when [None]). *)
 val injector_of : config -> Capfs_fault.Injector.t
 
-(** Per-volume LFS geometry/cleaning config for volume [d] of
-    [config.ndisks] (inode space striped across volumes). *)
-val lfs_config_of : config -> int -> Capfs_layout.Lfs.config
-
-(** The cache configuration [config.policy] implies. *)
-val cache_config_of : config -> Capfs_cache.Cache.config
+(** The stack knobs [config] implies: the cache configuration of
+    [config.policy], and each volume's LFS geometry and cleaner. *)
+val stack_config : config -> Capfs.Stack.config

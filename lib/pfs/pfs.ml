@@ -3,10 +3,8 @@ module Cache = Capfs_cache.Cache
 module Replacement = Capfs_cache.Replacement
 module Driver = Capfs_disk.Driver
 module Iosched = Capfs_disk.Iosched
-module Geometry = Capfs_disk.Geometry
 module Lfs = Capfs_layout.Lfs
-module Codec = Capfs_layout.Codec
-module Multiplex = Capfs_layout.Multiplex
+module Stack = Capfs.Stack
 module Errno = Capfs_core.Errno
 
 let src = Logs.Src.create "capfs.pfs" ~doc:"on-line PFS instantiation"
@@ -74,8 +72,28 @@ module Config = struct
 
   let mb = 1024 * 1024
 
-  let lfs_config t =
-    { Lfs.default_config with Lfs.seg_blocks = t.seg_blocks; cleaner = t.cleaner }
+  let stack_config t =
+    let blocks n = n * mb / block_bytes in
+    {
+      Stack.cache =
+        {
+          Cache.block_bytes;
+          capacity_blocks = blocks t.cache_mb;
+          nvram_blocks = blocks t.nvram_mb;
+          trigger = t.trigger;
+          scope = t.scope;
+          async_flush = t.async_flush;
+          mem_copy_rate = t.mem_copy_rate;
+          coalesce = t.coalesce;
+          flush_window = t.flush_window;
+          max_extent_blocks = t.max_extent;
+        };
+      lfs =
+        { Lfs.default_config with Lfs.seg_blocks = t.seg_blocks; cleaner = t.cleaner };
+      iosched = t.iosched;
+      replacement = t.replacement;
+      seed = t.seed;
+    }
 
   let validate t =
     let bad = ref [] in
@@ -97,7 +115,13 @@ module Config = struct
       (List.mem t.iosched Iosched.known_policies)
       ("iosched: unknown policy " ^ t.iosched);
     check (t.seg_blocks >= 8) "seg-blocks < 8";
-    check (t.mem_copy_rate >= 0.) "mem-copy-rate < 0";
+    (* bytes per second: a positive rate under one block a second is
+       most likely a seconds-per-byte figure, and asks the real clock for
+       sleeps [select] refuses *)
+    check
+      (t.mem_copy_rate = 0. || t.mem_copy_rate >= float_of_int block_bytes)
+      (Printf.sprintf "mem-copy-rate %g: 0 (free) or at least %d bytes/s"
+         t.mem_copy_rate block_bytes);
     check (t.flush_window >= 1) "flush-window < 1";
     check (t.max_extent >= 1) "max-extent < 1";
     check (t.shards >= 1) "shards < 1";
@@ -106,7 +130,7 @@ module Config = struct
     (* the volume must hold the LFS layout these knobs ask for: refuse
        here, not in the boot fibre that formats it *)
     (if t.seg_blocks >= 8 && t.size_mb >= 1 then
-       let blocks = Lfs.min_blocks (lfs_config t) in
+       let blocks = Lfs.min_blocks (stack_config t).Stack.lfs in
        let min_mb = ((blocks * block_bytes) + mb - 1) / mb in
        check (t.size_mb >= min_mb)
          (Printf.sprintf "size-mb %d: the volume needs at least %d MB \
@@ -240,21 +264,22 @@ let create ?registry ?injector (cfg : Config.t) =
         ~size_bytes:(cfg.Config.size_mb * 1024 * 1024)
         ()
     in
-    let flat_geometry =
-      Geometry.v ~cylinders:transport.Driver.total_sectors ~heads:1
-        ~sectors_per_track:1 ~sector_bytes:transport.Driver.sector_bytes ()
+    (* instance names and coalescing knobs come from the recipe Patsy's
+       farm uses, so the two halves register identical counter keys and
+       batch I/O identically (the diffval contract; VALIDATION.md) *)
+    let stack =
+      Stack.create ?registry sched (Config.stack_config cfg) [| transport |]
     in
-    (* instance names and coalescing knobs deliberately match Patsy's
-       single-disk farm, so the two halves register identical counter
-       keys and batch I/O identically (the diffval contract;
-       VALIDATION.md) *)
-    let spb = block_bytes / transport.Driver.sector_bytes in
-    let driver =
-      Driver.create ?registry ~name:(Capfs_stats.Names.driver 0)
-        ~policy:(Iosched.by_name flat_geometry cfg.Config.iosched)
-        ~coalesce:cfg.Config.coalesce
-        ~max_merge_sectors:(cfg.Config.max_extent * spb)
-        sched transport
+    let may_format reason =
+      let blank = blank_superblock cfg.Config.image in
+      if blank then
+        Log.info (fun m -> m "image %s is blank: formatting" cfg.Config.image)
+      else
+        Log.err (fun m ->
+            m "image %s is not a mountable LFS volume (%s): refusing to \
+               format it"
+              cfg.Config.image reason);
+      blank
     in
     (* [create] runs outside the scheduler, but mounting needs fibre
        context (driver I/O blocks): do the assembly in a bootstrap
@@ -262,76 +287,14 @@ let create ?registry ?injector (cfg : Config.t) =
     let assembled = ref None in
     ignore
       (Sched.spawn sched ~name:"pfs.boot" (fun () ->
-           let lfs_name = Capfs_stats.Names.lfs 0 in
-           let lfs_config = Config.lfs_config cfg in
-           let volume =
-             try
-               Lfs.mount ?registry ~name:lfs_name ~config:lfs_config sched
-                 driver
-             with Codec.Corrupt reason ->
-               if not (blank_superblock cfg.Config.image) then begin
-                 Log.err (fun m ->
-                     m "image %s is not a mountable LFS volume (%s): \
-                        refusing to format it"
-                       cfg.Config.image reason);
-                 raise (Errno.Error Errno.EIO)
-               end;
-               Log.info (fun m ->
-                   m "image %s is blank: formatting" cfg.Config.image);
-               Lfs.format_and_mount ?registry ~name:lfs_name
-                 ~config:lfs_config sched driver ~block_bytes
-           in
-           (* one volume behind the same multiplexer the simulator and
-              the sharded server use: identical ino routing everywhere *)
-           let layout = Multiplex.layout [| volume |] in
-           let cache_config =
-             {
-               Cache.block_bytes;
-               capacity_blocks =
-                 cfg.Config.cache_mb * 1024 * 1024 / block_bytes;
-               nvram_blocks = cfg.Config.nvram_mb * 1024 * 1024 / block_bytes;
-               trigger = cfg.Config.trigger;
-               scope = cfg.Config.scope;
-               async_flush = cfg.Config.async_flush;
-               mem_copy_rate = cfg.Config.mem_copy_rate;
-               coalesce = cfg.Config.coalesce;
-               flush_window = cfg.Config.flush_window;
-               max_extent_blocks = cfg.Config.max_extent;
-             }
-           in
-           (* PFS payloads are always real bytes: give the cache a slab
-              arena sized for every frame plus the flush pipeline's
-              in-flight extents (overflow falls back to heap buffers) *)
-           let arena =
-             Capfs_disk.Arena.create ~cell_bytes:block_bytes
-               ~cells:
-                 (cache_config.Cache.capacity_blocks
-                 + cache_config.Cache.nvram_blocks
-                 + (cache_config.Cache.flush_window * cfg.Config.max_extent))
-               ()
-           in
-           let replacement =
-             Replacement.by_name ~seed:cfg.Config.seed
-               ~capacity:cache_config.Cache.capacity_blocks
-               cfg.Config.replacement
-           in
-           let fs =
-             Capfs.Fsys.create ?registry ~replacement ~arena ~cache_config
-               ~layout sched
-           in
-           assembled := Some (Capfs.Client.create fs)));
+           assembled :=
+             Some
+               (Stack.mount ~arena:true stack
+                  (Stack.Mount_or_format may_format))));
     match Sched.run sched with
     | () -> (
       match !assembled with
-      | Some client ->
-        Ok
-          {
-            sched;
-            client;
-            registry;
-            config = cfg;
-            transport;
-          }
+      | Some client -> Ok { sched; client; registry; config = cfg; transport }
       | None ->
         File_blockdev.close transport;
         Error Errno.EIO)

@@ -37,7 +37,9 @@ module Config : sig
     seg_blocks : int;  (** LFS segment size, blocks *)
     cleaner : Capfs_layout.Lfs.cleaner_policy;
     async_flush : bool;
-    mem_copy_rate : float;  (** simulated copy cost, s/byte (0 = free) *)
+    mem_copy_rate : float;
+        (** simulated memcpy speed, bytes/s (0 = free copies); a
+            positive rate must copy at least one block a second *)
     coalesce : bool;  (** merge adjacent I/O in cache and driver *)
     flush_window : int;  (** concurrent flush extents *)
     max_extent : int;  (** largest coalesced extent, blocks *)
@@ -89,6 +91,9 @@ module Config : sig
       in OCaml may skip this; front ends parsing user input should not.
   *)
   val validate : t -> (t, Capfs_core.Errno.t) result
+
+  (** The knobs {!create} assembles the volume's {!Capfs.Stack} from. *)
+  val stack_config : t -> Capfs.Stack.config
 
   (** Manpage-style description of the [KEY=VALUE] grammar, for CLI
       [--set] documentation. *)

@@ -1,7 +1,7 @@
 (** Deterministic pseudo-random number generator (splitmix64).
 
     Every stochastic decision in the framework — random thread dispatch,
-    the simulator layout's "educated guesses", synthetic workload
+    fault injection, random cache replacement, synthetic workload
     generation, reservoir sampling — draws from an explicit [Prng.t]
     rather than [Stdlib.Random], so a simulation run is a pure function of
     its seed. This is what lets "a work load repeatedly be replayed on the

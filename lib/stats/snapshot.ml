@@ -32,7 +32,7 @@ let find t key =
 (* The instance-name prefixes of the components shared verbatim between
    Patsy and PFS (see VALIDATION.md). Device models (diskN, busN) and
    the client-caching server are engine- or experiment-specific. *)
-let policy_prefixes = [ "cache."; "driver"; "lfs"; "ffs"; "jfs"; "simlayout" ]
+let policy_prefixes = [ "cache."; "driver"; "lfs" ]
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix

@@ -31,9 +31,9 @@ val find : t -> string -> entry option
 
 (** The cut-and-paste contract filter: [true] for keys of components
     shared verbatim between Patsy and PFS — the block cache ([cache.*]),
-    the disk driver ([driverN.*]) and the storage layouts ([lfsN.*],
-    [ffs*], [jfs*], [simlayout*]). Device-model internals ([diskN.*],
-    [busN.*]) and everything else are engine-specific and excluded.
+    the disk driver ([driverN.*]) and the LFS volumes ([lfsN.*]).
+    Device-model internals ([diskN.*], [busN.*]) and everything else
+    are engine-specific and excluded.
     The authoritative table lives in VALIDATION.md. *)
 val policy_visible : string -> bool
 

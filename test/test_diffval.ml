@@ -9,6 +9,8 @@ module Stat = Capfs_stats.Stat
 module Synth = Capfs_trace.Synth
 module Experiment = Capfs_patsy.Experiment
 module Diffval = Capfs_diffval.Diffval
+module Pfs = Capfs_pfs.Pfs
+module Stack = Capfs.Stack
 
 module Json = Capfs_stats.Json
 
@@ -44,7 +46,7 @@ let test_policy_visible () =
   List.iter
     (fun k ->
       Alcotest.(check bool) (k ^ " visible") true (Snapshot.policy_visible k))
-    [ "cache.hits"; "driver0.merged"; "lfs0.checkpoint"; "ffs.alloc" ];
+    [ "cache.hits"; "driver0.merged"; "lfs0.checkpoint" ];
   List.iter
     (fun k ->
       Alcotest.(check bool) (k ^ " hidden") false (Snapshot.policy_visible k))
@@ -189,6 +191,28 @@ let test_empty_trace_is_einval () =
       Alcotest.failf "expected EINVAL, got %s" (Capfs_core.Errno.to_string e)
   | Ok _ -> Alcotest.fail "empty trace must be refused"
 
+(* One stack recipe, two config records: under every policy, the knobs
+   the Patsy half projects from diffval's base config are the knobs the
+   PFS half projects from the config diffval translates it into. *)
+let test_halves_project_one_stack () =
+  List.iter
+    (fun policy ->
+      let cfg = Diffval.default ~policy () in
+      let patsy = Experiment.stack_config cfg.Diffval.base in
+      let pfs =
+        Pfs.Config.stack_config (Diffval.pfs_config cfg ~image:"unused.img")
+      in
+      let check what same =
+        Alcotest.(check bool)
+          (Experiment.policy_name policy ^ ": " ^ what) true same
+      in
+      check "cache" (patsy.Stack.cache = pfs.Stack.cache);
+      check "lfs" (patsy.Stack.lfs = pfs.Stack.lfs);
+      check "iosched" (patsy.Stack.iosched = pfs.Stack.iosched);
+      check "replacement" (patsy.Stack.replacement = pfs.Stack.replacement);
+      check "seed" (patsy.Stack.seed = pfs.Stack.seed))
+    Experiment.all_policies
+
 let suite =
   [
     Alcotest.test_case "canonical instance names" `Quick test_names;
@@ -205,4 +229,6 @@ let suite =
     Alcotest.test_case "end-to-end skew detected" `Slow
       test_end_to_end_skew_detected;
     Alcotest.test_case "empty trace refused" `Quick test_empty_trace_is_einval;
+    Alcotest.test_case "both halves project one stack" `Quick
+      test_halves_project_one_stack;
   ]

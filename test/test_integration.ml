@@ -1,15 +1,13 @@
 (* Cross-cutting integration tests: the same framework code over
-   different substrates (FFS layout, pure-simulation layout, Coda
-   traces, NVRAM stacks), plus whole-stack invariant properties. *)
+   different substrates (Coda traces, NVRAM stacks, both engines), plus
+   whole-stack invariant properties. *)
 
 open Capfs
 module Sched = Capfs_sched.Sched
 module Data = Capfs_disk.Data
 module Driver = Capfs_disk.Driver
 module Cache = Capfs_cache.Cache
-module Ffs = Capfs_layout.Ffs
 module Lfs = Capfs_layout.Lfs
-module Sim_layout = Capfs_layout.Sim_layout
 module Inode = Capfs_layout.Inode
 module Record = Capfs_trace.Record
 module Experiment = Capfs_patsy.Experiment
@@ -33,62 +31,6 @@ let cache_config capacity =
     flush_window = 4;
     max_extent_blocks = 64;
   }
-
-(* The client stack over the FFS baseline layout: cut-and-paste means
-   the whole upper half works unchanged. *)
-let test_client_over_ffs () =
-  run_fs (fun s ->
-      let drv =
-        Driver.create s
-          (Driver.mem_transport ~sector_bytes:512 ~total_sectors:16384 s ())
-      in
-      let layout =
-        Ffs.format_and_mount
-          ~config:{ Ffs.group_blocks = 256; inodes_per_group = 32 }
-          s drv ~block_bytes:4096
-      in
-      let fs = Fsys.create ~cache_config:(cache_config 64) ~layout s in
-      let c = Client.create fs in
-      Client.mkdir_exn c "/ffs";
-      Client.open_exn c ~client:1 "/ffs/file" Client.WO;
-      Client.write_exn c ~client:1 "/ffs/file" ~offset:0
-        (Data.of_string (String.make 10000 'F'));
-      Client.fsync_exn c "/ffs/file";
-      let d = Client.read_exn c ~client:1 "/ffs/file" ~offset:0 ~bytes:10000 in
-      Alcotest.(check string) "ffs roundtrip" (String.make 10000 'F')
-        (Data.to_string d);
-      Client.sync_exn c;
-      (* remount from the image *)
-      let layout2 = Ffs.mount s drv in
-      let fs2 = Fsys.create ~cache_config:(cache_config 64) ~layout:layout2 s in
-      let c2 = Client.create fs2 in
-      let d2 = Client.read_exn c2 ~client:1 "/ffs/file" ~offset:0 ~bytes:10000 in
-      Alcotest.(check string) "ffs remount" (String.make 10000 'F')
-        (Data.to_string d2))
-
-(* The client stack over the pure-simulation layout and a simulated
-   HP97560 with no backing bytes: exactly Patsy's original mode, where
-   only timing matters. *)
-let test_client_over_sim_layout () =
-  run_fs (fun s ->
-      let bus = Capfs_disk.Bus.scsi2 s in
-      let disk = Capfs_disk.Sim_disk.create s Capfs_disk.Disk_model.hp97560 bus in
-      let drv = Driver.create s (Driver.sim_transport disk) in
-      let layout = Sim_layout.create ~seed:3 s drv ~block_bytes:4096 in
-      let fs = Fsys.create ~cache_config:(cache_config 32) ~layout s in
-      let c = Client.create fs in
-      Client.mkdir_exn c "/sim";
-      Client.open_exn c ~client:1 "/sim/f" Client.WO;
-      let t0 = Sched.now s in
-      Client.write_exn c ~client:1 "/sim/f" ~offset:0 (Data.sim 65536);
-      Client.fsync_exn c "/sim/f";
-      let flush_time = Sched.now s -. t0 in
-      if flush_time <= 0. then
-        Alcotest.fail "simulated flush must cost simulated time";
-      (* read back: contents are simulated, length is what matters *)
-      let d = Client.read_exn c ~client:1 "/sim/f" ~offset:0 ~bytes:65536 in
-      Alcotest.(check int) "length" 65536 (Data.length d);
-      Alcotest.(check int) "size" 65536 (Client.stat_exn c "/sim/f").Client.st_size)
 
 (* NVRAM-equipped full stack: dirty data bounded while ordinary I/O
    proceeds. *)
@@ -265,9 +207,6 @@ let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_stack_invariants ]
 
 let suite =
   [
-    Alcotest.test_case "client over ffs" `Quick test_client_over_ffs;
-    Alcotest.test_case "client over sim layout" `Quick
-      test_client_over_sim_layout;
     Alcotest.test_case "client with nvram stack" `Quick
       test_client_with_nvram_stack;
     Alcotest.test_case "coda trace replay" `Quick test_coda_trace_replay;

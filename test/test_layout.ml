@@ -1,5 +1,5 @@
-(* Tests for the storage layouts: codec, inodes, segmented LFS (log,
-   cleaner, checkpoints, roll-forward), FFS baseline, simulator layout. *)
+(* Tests for the storage layout: codec, inodes, segmented LFS (log,
+   cleaner, checkpoints, roll-forward). *)
 
 open Capfs_layout
 module Sched = Capfs_sched.Sched
@@ -379,18 +379,6 @@ let test_lfs_torn_checkpoint_falls_back () =
         Alcotest.(check string) "block 0 intact" (String.make 4096 'c')
           (Data.to_string (read_block l2 f 0)))
 
-let test_ffs_corrupt_superblock_detected () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Ffs.format_and_mount
-          ~config:{ Ffs.group_blocks = 128; inodes_per_group = 16 }
-          s drv ~block_bytes:4096 in
-      sync_l l;
-      corrupt_sector drv ~lba:0;
-      match Ffs.mount s drv with
-      | _ -> Alcotest.fail "corrupt ffs superblock must be rejected"
-      | exception Codec.Corrupt _ -> ())
-
 let test_lfs_adopted_blocks_survive_cleaning_pressure () =
   run_fs (fun s ->
       let drv = mem_driver ~sectors:4096 s in
@@ -412,242 +400,10 @@ let test_lfs_adopted_blocks_survive_cleaning_pressure () =
           Alcotest.failf "adopted block %d lost its address" i
       done)
 
-(* FFS *)
-
-let small_ffs_config = { Ffs.group_blocks = 128; inodes_per_group = 16 }
-
-let test_ffs_write_read_roundtrip () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Ffs.format_and_mount ~config:small_ffs_config s drv
-          ~block_bytes:4096 in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      write_blocks l
-        [ (f.Inode.ino, 0, block_of_char 'm'); (f.Inode.ino, 1, block_of_char 'n') ];
-      Alcotest.(check string) "block 0" (String.make 4096 'm')
-        (Data.to_string (read_block l f 0));
-      Alcotest.(check string) "block 1" (String.make 4096 'n')
-        (Data.to_string (read_block l f 1)))
-
-let test_ffs_persists_across_remount () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let ino =
-        let l = Ffs.format_and_mount ~config:small_ffs_config s drv
-            ~block_bytes:4096 in
-        let f = alloc_inode l ~kind:Inode.Regular in
-        f.Inode.size <- 4096;
-        l.Layout.update_inode f;
-        write_blocks l [ (f.Inode.ino, 0, block_of_char 'p') ];
-        sync_l l;
-        f.Inode.ino
-      in
-      let l2 = Ffs.mount s drv in
-      match get_inode l2 ino with
-      | None -> Alcotest.fail "ffs inode lost"
-      | Some f ->
-        Alcotest.(check int) "size" 4096 f.Inode.size;
-        Alcotest.(check string) "data" (String.make 4096 'p')
-          (Data.to_string (read_block l2 f 0)))
-
-let test_ffs_blocks_stay_put_on_overwrite () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Ffs.format_and_mount ~config:small_ffs_config s drv
-          ~block_bytes:4096 in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      write_blocks l [ (f.Inode.ino, 0, block_of_char '1') ];
-      let a1 = Inode.get_addr f 0 in
-      write_blocks l [ (f.Inode.ino, 0, block_of_char '2') ];
-      Alcotest.(check int) "update in place" a1 (Inode.get_addr f 0);
-      Alcotest.(check string) "new data" (String.make 4096 '2')
-        (Data.to_string (read_block l f 0)))
-
-let test_ffs_free_reuses_blocks () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Ffs.format_and_mount ~config:small_ffs_config s drv
-          ~block_bytes:4096 in
-      let free0 = l.Layout.free_blocks () in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      write_blocks l
-        (List.init 10 (fun i -> (f.Inode.ino, i, block_of_char 'r')));
-      Alcotest.(check int) "10 used" (free0 - 10) (l.Layout.free_blocks ());
-      truncate_l l f ~blocks:0;
-      Alcotest.(check int) "freed" free0 (l.Layout.free_blocks ())
-
-)
-
-let test_ffs_inode_numbers_unique () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Ffs.format_and_mount ~config:small_ffs_config s drv
-          ~block_bytes:4096 in
-      let seen = Hashtbl.create 64 in
-      for _ = 1 to 40 do
-        let f = alloc_inode l ~kind:Inode.Regular in
-        if Hashtbl.mem seen f.Inode.ino then
-          Alcotest.failf "duplicate ino %d" f.Inode.ino;
-        Hashtbl.replace seen f.Inode.ino ()
-      done)
-
-(* JFS — the metadata-journaling layout *)
-
-let jfs_config = { Jfs.journal_blocks = 8 }
-
-let test_jfs_write_read_roundtrip () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Jfs.format_and_mount ~config:jfs_config s drv ~block_bytes:4096 in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      write_blocks l
-        [ (f.Inode.ino, 0, block_of_char 'j'); (f.Inode.ino, 1, block_of_char 'k') ];
-      Alcotest.(check string) "block 0" (String.make 4096 'j')
-        (Data.to_string (read_block l f 0));
-      Alcotest.(check string) "block 1" (String.make 4096 'k')
-        (Data.to_string (read_block l f 1)))
-
-let test_jfs_journal_replay_on_mount () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let ino =
-        let l = Jfs.format_and_mount ~config:jfs_config s drv
-            ~block_bytes:4096 in
-        let f = alloc_inode l ~kind:Inode.Regular in
-        f.Inode.size <- 8192;
-        l.Layout.update_inode f;
-        write_blocks l
-          [ (f.Inode.ino, 0, block_of_char 'p');
-            (f.Inode.ino, 1, block_of_char 'q') ];
-        sync_l l;
-        (* a deletion in a later commit must also replay *)
-        let victim = alloc_inode l ~kind:Inode.Regular in
-        write_blocks l [ (victim.Inode.ino, 0, block_of_char 'v') ];
-        sync_l l;
-        free_inode l victim.Inode.ino;
-        sync_l l;
-        f.Inode.ino
-      in
-      let l2 = Jfs.mount s drv in
-      (match get_inode l2 ino with
-      | None -> Alcotest.fail "journal replay lost the inode"
-      | Some f ->
-        Alcotest.(check int) "size" 8192 f.Inode.size;
-        Alcotest.(check string) "data" (String.make 4096 'p')
-          (Data.to_string (read_block l2 f 0)));
-      Alcotest.(check bool) "deleted inode stays deleted" true
-        (get_inode l2 (ino + 1) = None))
-
-let test_jfs_uncommitted_changes_lost_on_crash () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let committed, uncommitted =
-        let l = Jfs.format_and_mount ~config:jfs_config s drv
-            ~block_bytes:4096 in
-        let a = alloc_inode l ~kind:Inode.Regular in
-        write_blocks l [ (a.Inode.ino, 0, block_of_char 'a') ];
-        sync_l l;
-        (* no sync after this one: a crash forgets it *)
-        let b = alloc_inode l ~kind:Inode.Regular in
-        write_blocks l [ (b.Inode.ino, 0, block_of_char 'b') ];
-        (a.Inode.ino, b.Inode.ino)
-      in
-      let l2 = Jfs.mount s drv in
-      Alcotest.(check bool) "committed survives" true
-        (get_inode l2 committed <> None);
-      Alcotest.(check bool) "uncommitted is gone" true
-        (get_inode l2 uncommitted = None))
-
-let test_jfs_compaction_keeps_state () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Jfs.format_and_mount ~config:jfs_config s drv ~block_bytes:4096 in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      (* many small commits overflow an 8-block journal repeatedly *)
-      for round = 0 to 59 do
-        write_blocks l
-          [ (f.Inode.ino, round mod 4,
-             block_of_char (Char.chr (97 + (round mod 26)))) ];
-        sync_l l
-      done;
-      let compactions = List.assoc "compactions" (l.Layout.layout_stats ()) in
-      if compactions < 1. then Alcotest.fail "journal never compacted";
-      let l2 = Jfs.mount s drv in
-      match get_inode l2 f.Inode.ino with
-      | None -> Alcotest.fail "inode lost across compactions"
-      | Some f' ->
-        Alcotest.(check string) "latest committed data"
-          (String.make 4096 (Char.chr (97 + (56 mod 26))))
-          (Data.to_string (read_block l2 f' 0)))
-
-let test_jfs_free_blocks_accounting () =
-  run_fs (fun s ->
-      let drv = mem_driver s in
-      let l = Jfs.format_and_mount ~config:jfs_config s drv ~block_bytes:4096 in
-      let free0 = l.Layout.free_blocks () in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      write_blocks l
-        (List.init 10 (fun i -> (f.Inode.ino, i, block_of_char 'z')));
-      Alcotest.(check int) "allocated" (free0 - 10) (l.Layout.free_blocks ());
-      truncate_l l f ~blocks:0;
-      Alcotest.(check int) "freed" free0 (l.Layout.free_blocks ()))
-
-(* Simulator layout *)
-
-let test_sim_layout_sticky_addresses () =
-  run_fs (fun s ->
-      let bus = Capfs_disk.Bus.scsi2 s in
-      let disk = Capfs_disk.Sim_disk.create s Capfs_disk.Disk_model.hp97560 bus in
-      let drv = Driver.create s (Driver.sim_transport disk) in
-      let l = Sim_layout.create ~seed:7 s drv ~block_bytes:4096 in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      (* reading the same block twice must hit the same disk address:
-         timing of the second read shows the on-disk cache hit *)
-      let t0 = Sched.now s in
-      ignore (read_block l f 0);
-      let first = Sched.now s -. t0 in
-      let t1 = Sched.now s in
-      ignore (read_block l f 0);
-      let second = Sched.now s -. t1 in
-      if second >= first then
-        Alcotest.failf
-          "sticky address should re-hit the disk cache (%.5f vs %.5f)" second
-          first)
-
-let test_sim_layout_deterministic_by_seed () =
-  let run seed =
-    let order = ref [] in
-    run_fs (fun s ->
-        let mem = Driver.mem_transport ~sector_bytes:512 ~total_sectors:8192 s () in
-        let drv = Driver.create s mem in
-        let l = Sim_layout.create ~seed s drv ~block_bytes:4096 in
-        let f = alloc_inode l ~kind:Inode.Regular in
-        write_blocks l [ (f.Inode.ino, 0, block_of_char 'w') ];
-        order := l.Layout.layout_stats ());
-    !order
-  in
-  Alcotest.(check bool) "same seed same placement" true (run 3 = run 3)
-
-let test_sim_layout_charges_first_touch () =
-  run_fs (fun s ->
-      let reg = Capfs_stats.Registry.create () in
-      let mem = Driver.mem_transport ~sector_bytes:512 ~total_sectors:8192 s () in
-      let drv = Driver.create s mem in
-      let l = Sim_layout.create ~registry:reg ~seed:5 s drv ~block_bytes:4096 in
-      let f = alloc_inode l ~kind:Inode.Regular in
-      ignore (read_block l f 0);
-      ignore (read_block l f 1);
-      match Capfs_stats.Registry.find reg "simlayout.guesses" with
-      | Some st ->
-        Alcotest.(check int) "one placement guess" 1
-          (Capfs_stats.Stat.count st)
-      | None -> Alcotest.fail "guesses stat missing")
-
-(* Cross-layout property: random write/read sequences always read back
-   the last write, on both LFS and FFS. *)
-let prop_layout_read_after_write layout_name make_layout =
+(* Random write/read sequences always read back the last write. *)
+let prop_lfs_read_after_write =
   QCheck.Test.make
-    ~name:(layout_name ^ " reads back the last write")
+    ~name:"lfs reads back the last write"
     ~count:30
     QCheck.(
       list_of_size Gen.(int_range 1 40)
@@ -656,7 +412,10 @@ let prop_layout_read_after_write layout_name make_layout =
       let ok = ref true in
       run_fs (fun s ->
           let drv = mem_driver ~sectors:16384 s in
-          let l = make_layout s drv in
+          let l =
+            Lfs.format_and_mount ~config:small_lfs_config s drv
+              ~block_bytes:4096
+          in
           let files = Array.init 3 (fun _ -> alloc_inode l ~kind:Inode.Regular) in
           let model : (int * int, char) Hashtbl.t = Hashtbl.create 64 in
           List.iteri
@@ -672,26 +431,12 @@ let prop_layout_read_after_write layout_name make_layout =
             model);
       !ok)
 
-let prop_lfs_read_after_write =
-  prop_layout_read_after_write "lfs" (fun s drv ->
-      Lfs.format_and_mount ~config:small_lfs_config s drv ~block_bytes:4096)
-
-let prop_ffs_read_after_write =
-  prop_layout_read_after_write "ffs" (fun s drv ->
-      Ffs.format_and_mount ~config:small_ffs_config s drv ~block_bytes:4096)
-
-let prop_jfs_read_after_write =
-  prop_layout_read_after_write "jfs" (fun s drv ->
-      Jfs.format_and_mount ~config:jfs_config s drv ~block_bytes:4096)
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_codec_f64_roundtrip;
       prop_inode_roundtrip;
       prop_lfs_read_after_write;
-      prop_ffs_read_after_write;
-      prop_jfs_read_after_write;
     ]
 
 let suite =
@@ -724,32 +469,7 @@ let suite =
       test_lfs_corrupt_superblock_detected;
     Alcotest.test_case "lfs torn checkpoint fallback" `Quick
       test_lfs_torn_checkpoint_falls_back;
-    Alcotest.test_case "ffs corrupt superblock" `Quick
-      test_ffs_corrupt_superblock_detected;
     Alcotest.test_case "adopted blocks survive churn" `Quick
       test_lfs_adopted_blocks_survive_cleaning_pressure;
-    Alcotest.test_case "ffs write/read roundtrip" `Quick
-      test_ffs_write_read_roundtrip;
-    Alcotest.test_case "ffs persists across remount" `Quick
-      test_ffs_persists_across_remount;
-    Alcotest.test_case "ffs update in place" `Quick
-      test_ffs_blocks_stay_put_on_overwrite;
-    Alcotest.test_case "ffs free reuses blocks" `Quick
-      test_ffs_free_reuses_blocks;
-    Alcotest.test_case "ffs unique inos" `Quick test_ffs_inode_numbers_unique;
-    Alcotest.test_case "jfs write/read" `Quick test_jfs_write_read_roundtrip;
-    Alcotest.test_case "jfs journal replay" `Quick
-      test_jfs_journal_replay_on_mount;
-    Alcotest.test_case "jfs crash loses uncommitted only" `Quick
-      test_jfs_uncommitted_changes_lost_on_crash;
-    Alcotest.test_case "jfs compaction" `Quick test_jfs_compaction_keeps_state;
-    Alcotest.test_case "jfs free accounting" `Quick
-      test_jfs_free_blocks_accounting;
-    Alcotest.test_case "sim layout sticky" `Quick
-      test_sim_layout_sticky_addresses;
-    Alcotest.test_case "sim layout deterministic" `Quick
-      test_sim_layout_deterministic_by_seed;
-    Alcotest.test_case "sim layout first-touch charge" `Quick
-      test_sim_layout_charges_first_touch;
   ]
   @ qsuite

@@ -446,8 +446,9 @@ let serial_replay ?synthesize_missing trace =
   let out = ref None in
   ignore
     (Sched.spawn sched (fun () ->
-         let client, _ =
-           Experiment.build_instance sched (test_config Experiment.Ups)
+         let farm = Experiment.build_farm sched (test_config Experiment.Ups) in
+         let client =
+           Capfs.Stack.mount farm.Experiment.f_stack Capfs.Stack.Format
          in
          out :=
            Some (Replay.run ?synthesize_missing ~serial:true client trace)));

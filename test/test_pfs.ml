@@ -260,18 +260,22 @@ let test_pfs_refuses_tiny_volume () =
       einval "create"
         (Pfs.create (Pfs.Config.make ~image:path ~size_mb:4 ~clock:`Virtual ())))
 
+(* Another file system's image, as large as the size pfs is asked to
+   open: an LFS image whose superblock magic (after its 4-byte length)
+   is overwritten, grown to that size, stands in for one. *)
 let test_pfs_refuses_ffs_image () =
   with_temp_image (fun path ->
-      let s = Sched.create ~clock:`Virtual () in
-      let tr =
-        File_blockdev.transport s ~path ~size_bytes:(16 * 1024 * 1024) ()
-      in
-      let drv = Driver.create s tr in
-      ignore
-        (Sched.spawn s (fun () ->
-             Capfs_layout.Ffs.format s drv ~block_bytes:Pfs.block_bytes));
-      Sched.run s;
-      File_blockdev.close tr;
+      let size = 16 * 1024 * 1024 in
+      Pfs.shutdown (start_pfs ~size_mb:16 path);
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+      let head = Bytes.create 12 in
+      Alcotest.(check int) "superblock read" 12 (Unix.read fd head 0 12);
+      Alcotest.(check string) "LFS magic" "CAPLFS01" (Bytes.sub_string head 4 8);
+      ignore (Unix.lseek fd 4 Unix.SEEK_SET);
+      ignore (Unix.write_substring fd "UFS2MAGC" 0 8);
+      Unix.ftruncate fd size;
+      Unix.close fd;
+      Alcotest.(check int) "full size" size (Unix.stat path).Unix.st_size;
       check_refused ~size_mb:16 path)
 
 let test_pfs_refuses_lost_checkpoints () =

@@ -462,6 +462,8 @@ let test_config_rejects_nonsense () =
   expect_einval "unknown iosched"
     (Pfs.Config.of_args ~base [ "iosched=quantum" ]);
   expect_einval "zero shards" (Pfs.Config.of_args ~base [ "shards=0" ]);
+  expect_einval "copy slower than a block a second"
+    (Pfs.Config.of_args ~base [ "mem-copy-rate=1e-8" ]);
   expect_einval "removed key" (Pfs.Config.of_args ~base [ "workers=4" ]);
   expect_einval "empty image"
     (Pfs.Config.validate (Pfs.Config.make ~image:"" ()));

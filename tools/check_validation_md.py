@@ -45,17 +45,6 @@ def source_keys():
     for name in ocaml_string_list(lfs, "let stat_names"):
         keys.append(("lfsN." + name, "lib/layout/lfs.ml"))
 
-    # single-counter components register `<instance>.<counter>` directly
-    for path, key in [
-        ("lib/layout/ffs.ml", "ffs.alloc"),
-        ("lib/layout/jfs.ml", "jfs.commits"),
-        ("lib/layout/sim_layout.ml", "simlayout.guesses"),
-    ]:
-        suffix = key.split(".", 1)[1]
-        if f'".{suffix}"' not in (ROOT / path).read_text():
-            sys.exit(f"{path}: expected a registration of .{suffix}")
-        keys.append((key, path))
-
     return keys
 
 
