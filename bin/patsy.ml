@@ -17,9 +17,10 @@ let setup_logs level =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level level
 
-(* [-stream] with a file format replays straight off the file: replay
-   memory stays O(active window) however big the trace is. Everything
-   else (synth profiles, array mode) materializes as before. *)
+(* [-stream] with a file format replays straight off the file, so the
+   trace is never in memory whole; without it the file is loaded into
+   an array first. Synth profiles always materialize. Replay runs the
+   same engine over either source. *)
 let source_of_trace ~trace ~format ~seed ~duration ~stream =
   match (format, stream) with
   | "sprite-file", true -> Capfs_trace.Source.sprite_file trace

@@ -81,10 +81,9 @@ val snapshot : outcome -> Capfs_stats.Snapshot.t
     scheduler and returns the measurements. Every run builds a private
     scheduler, disk farm, cache and statistics registry, so concurrent
     runs in different domains share no mutable state; the trace records
-    are read, never written. Array-backed sources replay from the array
-    (the historical path, bit for bit); cursor-backed sources stream,
-    keeping replay memory O(active window) however long the trace is
-    (see {!Replay.run_source}). *)
+    are read, never written. Every source streams through the one
+    replay engine, keeping replay memory O(active window) however long
+    the trace is (see {!Replay.run}). *)
 val run : config -> trace:Capfs_trace.Source.t -> outcome
 
 (** The simulator's devices: one driver per disk, no volume mounted. *)

@@ -21,152 +21,188 @@ type result = {
   windows : Stats.Interval.t;
 }
 
-(* {2 Missing-parameter synthesis} *)
+(* {2 Time synthesis}
 
-let synthesize_times records =
-  (* Work on a copy: the input array may be shared across concurrently
-     running experiment domains, so it is never mutated. Synthesized
-     times are patched straight into the copy — no list round-trips. *)
-  let arr = Array.copy records in
-  let times = Array.map (fun r -> r.Record.time) arr in
-  (* per (client, path): open time and pending untimed I/O indices *)
-  let sessions : (int * string, float * int list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iteri
-    (fun i r ->
-      let key = (r.Record.client, Record.path r) in
-      match r.Record.op with
-      | Record.Open _ when Record.has_time r ->
-        Hashtbl.replace sessions key (r.Record.time, [])
-      | (Record.Read _ | Record.Write _ | Record.Truncate _)
-        when not (Record.has_time r) -> (
-        match Hashtbl.find_opt sessions key with
-        | Some (t_open, pending) ->
-          Hashtbl.replace sessions key (t_open, i :: pending)
-        | None -> ())
-      | Record.Close _ when Record.has_time r -> (
-        match Hashtbl.find_opt sessions key with
-        | Some (t_open, pending) ->
-          let pending = List.rev pending in
-          let n = List.length pending in
-          List.iteri
-            (fun j idx ->
-              times.(idx) <-
-                t_open
-                +. ((r.Record.time -. t_open) *. float_of_int (j + 1)
-                    /. float_of_int (n + 1)))
-            pending;
-          Hashtbl.remove sessions key
-        | None -> ())
-      | _ -> ())
-    arr;
-  (* leftovers inherit the previous record's (possibly synthesized) time *)
-  let last = ref 0. in
-  Array.iteri
-    (fun i _ ->
-      if times.(i) < 0. then times.(i) <- !last else last := times.(i))
-    arr;
-  Array.iteri
-    (fun i r ->
-      if times.(i) <> r.Record.time then arr.(i) <- { r with Record.time = times.(i) })
-    arr;
-  arr
+   The one synthesizer: it pulls records from a cursor and hands them
+   back in the same order, with the missing times filled in. An untimed
+   read, write or truncate inside a (client, path) session is placed
+   equidistantly between the session's open and close; every other
+   untimed record inherits the time of the record handed out before it.
+   A record is held back only while a later record can still time it —
+   an untimed I/O record of an open session waits for its close — so
+   memory is O(longest open-session span), not O(trace).
 
-(* The streaming equivalent: a cursor over the input records that emits
-   them in the same order with the same synthesized times as
-   [synthesize_times], holding back only as many records as the time
-   synthesis needs (an open session's untimed I/O cannot be timed until
-   its close arrives). Memory is O(longest open-session span), not
-   O(trace).
+   Held records sit in a ring by sequence number, at slot
+   [seq land (capacity - 1)], with their times in a float array and a
+   pending flag per slot in [Bytes]. A popped slot is cleared, so a
+   replayed record can be collected at once. *)
 
-   A pulled record parks in [q] until its time is known. [h_pending]
-   marks an untimed I/O record attached to an open session — the only
-   state that may still be patched by a later Close. Everything else is
-   emittable as soon as it reaches the queue front: timed records
-   as-is, the rest by the leftover rule (inherit the previous emitted
-   record's time), which is exactly what the array algorithm's final
-   pass computes for records no Close ever patches. *)
-type held = {
-  h_rec : Record.t;
-  mutable h_time : float;
-  mutable h_pending : bool;
+(* what a cleared slot holds *)
+let vacant =
+  { Record.time = Record.no_time; client = -1; op = Record.Stat { path = "" } }
+
+(* A FIFO of records by sequence number: [first] is the oldest held,
+   [stop] the one the next push gets. The capacity is a power of two. *)
+type ring = {
+  mutable buf : Record.t array;
+  mutable first : int;
+  mutable stop : int;
 }
 
-let synthesizing_cursor (next : Source.cursor) : Source.cursor =
-  let q : held Queue.t = Queue.create () in
-  let sessions : (int * string, float * held list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let eof = ref false in
-  let last = ref 0. in
-  let abandon cells = List.iter (fun h -> h.h_pending <- false) cells in
-  let pull () =
-    match next () with
-    | None ->
-      eof := true;
-      (* nothing left can patch a parked record: all become leftovers *)
-      Hashtbl.iter (fun _ (_, cells) -> abandon cells) sessions;
-      Hashtbl.reset sessions
-    | Some r ->
-      let h = { h_rec = r; h_time = r.Record.time; h_pending = false } in
+let ring () = { buf = Array.make 64 vacant; first = 0; stop = 0 }
+let slot q seq = seq land (Array.length q.buf - 1)
+
+(* doubles a full ring's capacity, each held record at its new slot *)
+let grow q =
+  let old = q.buf in
+  q.buf <- Array.make (2 * Array.length old) vacant;
+  for seq = q.first to q.stop - 1 do
+    q.buf.(slot q seq) <- old.(seq land (Array.length old - 1))
+  done
+
+let push q r =
+  if q.stop - q.first = Array.length q.buf then grow q;
+  q.buf.(slot q q.stop) <- r;
+  q.stop <- q.stop + 1
+
+let pop q =
+  let i = slot q q.first in
+  let r = q.buf.(i) in
+  q.buf.(i) <- vacant;
+  q.first <- q.first + 1;
+  r
+
+(* an open session: its open's time and its held untimed I/O, by
+   sequence number, newest first *)
+type session = { t_open : float; mutable held : int list }
+
+(* all-float, so stored unboxed: setting it allocates nothing *)
+type clock = { mutable last : float }
+
+type synth = {
+  next : Source.cursor;
+  q : ring;
+  mutable times : float array;  (* per slot of [q] *)
+  mutable pending : Bytes.t;  (* per slot: '\001' while a close may time it *)
+  sessions : (int * string, session) Hashtbl.t;
+  mutable eof : bool;
+  prev : clock;  (* time of the record handed out last *)
+}
+
+let synthesizer next =
+  let q = ring () in
+  let cap = Array.length q.buf in
+  {
+    next;
+    q;
+    times = Array.make cap 0.;
+    pending = Bytes.make cap '\000';
+    sessions = Hashtbl.create 64;
+    eof = false;
+    prev = { last = 0. };
+  }
+
+let set_pending s seq flag = Bytes.unsafe_set s.pending (slot s.q seq) flag
+
+(* puts [r] at the back of the ring, untimed I/O not yet pending, and
+   returns its sequence number *)
+let hold s r =
+  let q = s.q in
+  let cap = Array.length q.buf in
+  if q.stop - q.first = cap then begin
+    (* [push] below doubles the ring: double the per-slot arrays too *)
+    let times = Array.make (2 * cap) 0. and pending = Bytes.make (2 * cap) '\000' in
+    for seq = q.first to q.stop - 1 do
+      let i = seq land (cap - 1) and j = seq land ((2 * cap) - 1) in
+      times.(j) <- s.times.(i);
+      Bytes.unsafe_set pending j (Bytes.unsafe_get s.pending i)
+    done;
+    s.times <- times;
+    s.pending <- pending
+  end;
+  let seq = q.stop in
+  push q r;
+  let i = slot q seq in
+  s.times.(i) <- r.Record.time;
+  Bytes.unsafe_set s.pending i '\000';
+  seq
+
+(* Held records no close will time any more become leftovers. *)
+let abandon s held = List.iter (fun seq -> set_pending s seq '\000') held
+
+(* times a closed session's held records: [held] is newest first, so its
+   [k]-th record is the [(n - k)]-th of [n] between open and close *)
+let rec place s ~t_open ~span ~n k = function
+  | [] -> ()
+  | seq :: rest ->
+    let i = slot s.q seq in
+    s.times.(i) <-
+      t_open +. (span *. float_of_int (n - k) /. float_of_int (n + 1));
+    Bytes.unsafe_set s.pending i '\000';
+    place s ~t_open ~span ~n (k + 1) rest
+
+let pull s =
+  match s.next () with
+  | None ->
+    s.eof <- true;
+    (* nothing left can time a held record *)
+    Hashtbl.iter (fun _ ss -> abandon s ss.held) s.sessions;
+    Hashtbl.reset s.sessions
+  | Some r -> (
+    let seq = hold s r in
+    match r.Record.op with
+    | Record.Open _ when Record.has_time r ->
       let key = (r.Record.client, Record.path r) in
-      (match r.Record.op with
-      | Record.Open _ when Record.has_time r ->
-        (* a re-open drops the previous session's pending records —
-           they are leftovers now, same as the array algorithm *)
-        (match Hashtbl.find_opt sessions key with
-        | Some (_, cells) -> abandon cells
-        | None -> ());
-        Hashtbl.replace sessions key (r.Record.time, [])
-      | (Record.Read _ | Record.Write _ | Record.Truncate _)
-        when not (Record.has_time r) -> (
-        match Hashtbl.find_opt sessions key with
-        | Some (t_open, cells) ->
-          h.h_pending <- true;
-          Hashtbl.replace sessions key (t_open, h :: cells)
-        | None -> ())
-      | Record.Close _ when Record.has_time r -> (
-        match Hashtbl.find_opt sessions key with
-        | Some (t_open, cells) ->
-          let cells = List.rev cells in
-          let n = List.length cells in
-          List.iteri
-            (fun j c ->
-              c.h_time <-
-                t_open
-                +. ((r.Record.time -. t_open) *. float_of_int (j + 1)
-                    /. float_of_int (n + 1));
-              c.h_pending <- false)
-            cells;
-          Hashtbl.remove sessions key
-        | None -> ())
-      | _ -> ());
-      Queue.push h q
-  in
-  let rec emit () =
-    match Queue.peek_opt q with
-    | Some h when not h.h_pending ->
-      ignore (Queue.pop q);
-      if h.h_time < 0. then h.h_time <- !last else last := h.h_time;
-      let r = h.h_rec in
-      Some
-        (if h.h_time <> r.Record.time then { r with Record.time = h.h_time }
-         else r)
-    | Some _ when !eof ->
-      (* EOF abandons every pending record *)
-      assert false
-    | Some _ ->
-      pull ();
-      emit ()
-    | None ->
-      if !eof then None
-      else begin
-        pull ();
-        emit ()
-      end
-  in
-  emit
+      (* a re-open leaves the previous session's held records untimed *)
+      (match Hashtbl.find s.sessions key with
+      | ss -> abandon s ss.held
+      | exception Not_found -> ());
+      Hashtbl.replace s.sessions key { t_open = r.Record.time; held = [] }
+    | (Record.Read _ | Record.Write _ | Record.Truncate _)
+      when not (Record.has_time r) -> (
+      match Hashtbl.find s.sessions (r.Record.client, Record.path r) with
+      | ss ->
+        set_pending s seq '\001';
+        ss.held <- seq :: ss.held
+      | exception Not_found -> ())
+    | Record.Close _ when Record.has_time r -> (
+      let key = (r.Record.client, Record.path r) in
+      match Hashtbl.find s.sessions key with
+      | ss ->
+        Hashtbl.remove s.sessions key;
+        place s ~t_open:ss.t_open ~span:(r.Record.time -. ss.t_open)
+          ~n:(List.length ss.held) 0 ss.held
+      | exception Not_found -> ())
+    | _ -> ())
+
+(* [ready s] pulls until the oldest held record's time is known: true
+   when there is one to [take], false at the end of the trace (which
+   leaves nothing pending, so nothing held). *)
+let rec ready s =
+  let q = s.q in
+  if q.stop > q.first && Bytes.unsafe_get s.pending (slot q q.first) = '\000'
+  then true
+  else if s.eof then false
+  else begin
+    pull s;
+    ready s
+  end
+
+(* the oldest held record, with its synthesized time; call after [ready] *)
+let take s =
+  let q = s.q in
+  let t = s.times.(slot q q.first) in
+  let r = pop q in
+  let t = if t < 0. then s.prev.last else (s.prev.last <- t; t) in
+  if t <> r.Record.time then { r with Record.time = t } else r
+
+let synthesize_times records =
+  let s = synthesizer (Source.cursor (Source.of_array records)) in
+  let out = ref [] in
+  while ready s do
+    out := take s :: !out
+  done;
+  Array.of_list (List.rev !out)
 
 (* {2 Dispatch} *)
 
@@ -249,22 +285,34 @@ let dispatch_synthesizing client ~payload (r : Record.t) =
       Error Errno.ENOENT)
   | r -> r
 
-(* Everything the replay measures, shared by the array and the
-   streaming drivers: per-op latency bookkeeping, the pacing clock, and
-   final result assembly. *)
-type engine = {
-  e_sched : Sched.t;
-  e_base : float;
-  e_speedup : float;
-  e_measure : Record.t -> unit;
-  e_finish : unit -> result;
-}
+(* Results are reported in 15-minute windows of simulated time. *)
+let window = 900.
 
-let make_engine ?observe ~speedup ~window ~synthesize_missing ~real_data
-    client =
+(* The first pass: each trace client with its record count, in the
+   order the client fibres are spawned. That order fixes the
+   deterministic interleaving every recorded figure depends on, so it
+   is the fold order of a table built exactly this way. *)
+let clients_of source =
+  let counts : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
+  let next = Source.cursor source in
+  let rec count_pass () =
+    match next () with
+    | None -> ()
+    | Some r ->
+      (match Hashtbl.find counts r.Record.client with
+      | n -> incr n
+      | exception Not_found -> Hashtbl.replace counts r.Record.client (ref 1));
+      count_pass ()
+  in
+  count_pass ();
+  let slots : (int, int) Hashtbl.t = Hashtbl.create (Hashtbl.length counts) in
+  Hashtbl.iter (fun c n -> Hashtbl.replace slots c !n) counts;
+  Hashtbl.fold (fun c n acc -> (c, n) :: acc) slots []
+
+let run ?(speedup = 1.0) ?(real_data = false) ?(serial = false) ?observe
+    client source =
   if speedup <= 0. then invalid_arg "Replay.run: speedup <= 0";
   let payload = if real_data then Data.real else Data.sim in
-  let dispatch = if synthesize_missing then dispatch_synthesizing else dispatch in
   let sched = (Client.fsys client).Capfs.Fsys.sched in
   let latency = Stats.Sample_set.create ~cap:200_000 () in
   let by_op = Array.init op_count (fun _ -> Stats.Welford.create ()) in
@@ -293,13 +341,17 @@ let make_engine ?observe ~speedup ~window ~synthesize_missing ~real_data
       | Error _ -> false)
     | _ -> false
   in
-  (* [dispatch client r] is called directly rather than through a
-     per-op closure: this runs once per trace record. *)
-  let measure (r : Record.t) =
+  let pace (r : Record.t) =
+    let target = base +. (r.Record.time /. speedup) in
+    let now = Sched.now sched in
+    if target > now then Sched.sleep sched (target -. now)
+  in
+  let replay_one (r : Record.t) =
+    pace r;
     let t0 = Sched.now sched in
-    (match dispatch client ~payload r with
+    (match dispatch_synthesizing client ~payload r with
     | Ok () -> ( match observe with Some f -> f r | None -> ())
-    | Error e when synthesize_missing && is_trace_artifact r e -> incr skipped
+    | Error e when is_trace_artifact r e -> incr skipped
     | Error e -> fail e);
     let t1 = Sched.now sched in
     incr operations;
@@ -310,84 +362,14 @@ let make_engine ?observe ~speedup ~window ~synthesize_missing ~real_data
     t_last := Stdlib.max !t_last t1;
     Stats.Welford.add by_op.(op_index r) dt
   in
-  let finish () =
-    Stats.Interval.flush windows;
-    Log.info (fun m ->
-        m "replay: %d ops, %d errors, %d skipped, %.1f simulated seconds"
-          !operations !errors !skipped (!t_last -. !t_first));
-    let errors_by_kind =
-      List.filteri (fun _ (_, n) -> n > 0)
-        (Array.to_list
-           (Array.mapi
-              (fun i n -> (Errno.to_string Errno.all.(i), n))
-              error_kinds))
-    in
-    {
-      operations = !operations;
-      errors = !errors;
-      skipped_ops = !skipped;
-      errors_by_kind;
-      elapsed = (if !operations = 0 then 0. else !t_last -. !t_first);
-      latency;
-      latency_by_op =
-        Array.to_list (Array.mapi (fun i w -> (op_index_names.(i), w)) by_op)
-        |> List.filter (fun (_, w) -> Stats.Welford.count w > 0)
-        |> List.sort (fun (a, _) (b, _) -> compare a b);
-      windows;
-    }
-  in
-  {
-    e_sched = sched;
-    e_base = base;
-    e_speedup = speedup;
-    e_measure = measure;
-    e_finish = finish;
-  }
-
-let pace e (r : Record.t) =
-  let target = e.e_base +. (r.Record.time /. e.e_speedup) in
-  let now = Sched.now e.e_sched in
-  if target > now then Sched.sleep e.e_sched (target -. now)
-
-let run_array ?observe ~speedup ~window ~synthesize_missing ~real_data
-    ~serial client records =
-  let e =
-    make_engine ?observe ~speedup ~window ~synthesize_missing ~real_data client
-  in
-  let records = synthesize_times records in
-  let sched = e.e_sched in
-  (* group records per client, preserving order: one index array per
-     client, so the fibres walk the shared record array directly *)
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun r ->
-      let c = r.Record.client in
-      Hashtbl.replace counts c
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-    records;
-  let slots : (int, int array * int ref) Hashtbl.t =
-    Hashtbl.create (Hashtbl.length counts)
-  in
-  Hashtbl.iter
-    (fun c n -> Hashtbl.replace slots c (Array.make n 0, ref 0))
-    counts;
-  Array.iteri
-    (fun i r ->
-      let a, fill = Hashtbl.find slots r.Record.client in
-      a.(!fill) <- i;
-      incr fill)
-    records;
-  let clients = Hashtbl.fold (fun c (a, _) acc -> (c, a) :: acc) slots [] in
+  let clients = clients_of source in
+  let s = synthesizer (Source.cursor source) in
   let remaining = ref (List.length clients) in
   let all_done = Sched.new_event ~name:"replay.done" sched in
-  let client_fibre (cid, indices) () =
-    Array.iter
-      (fun i ->
-        let r = records.(i) in
-        pace e r;
-        e.e_measure r)
-      indices;
-    (match Client.close_all client ~client:cid with Ok () | Error _ -> ());
+  let close_all cid =
+    match Client.close_all client ~client:cid with Ok () | Error _ -> ()
+  in
+  let fibre_done () =
     decr remaining;
     if !remaining = 0 then Sched.broadcast sched all_done
   in
@@ -400,139 +382,73 @@ let run_array ?observe ~speedup ~window ~synthesize_missing ~real_data
     remaining := 1;
     ignore
       (Sched.spawn sched ~name:"replay.serial" (fun () ->
-           Array.iter
-             (fun r ->
-               pace e r;
-               e.e_measure r)
-             records;
-           List.iter
-             (fun (cid, _) ->
-               match Client.close_all client ~client:cid with
-               | Ok () | Error _ -> ())
-             clients;
-           decr remaining;
-           Sched.broadcast sched all_done))
+           while ready s do
+             replay_one (take s)
+           done;
+           List.iter (fun (cid, _) -> close_all cid) clients;
+           fibre_done ()))
   end
-  else
-    List.iter
-      (fun ((cid, _) as work) ->
-        ignore
-          (Sched.spawn sched
-             ~name:(Printf.sprintf "replay.c%d" cid)
-             (client_fibre work)))
-      clients;
-  if !remaining > 0 then Sched.await sched all_done;
-  e.e_finish ()
-
-(* {2 Streaming replay} *)
-
-let run_streamed ?observe ~speedup ~window ~synthesize_missing ~real_data
-    ~serial client source =
-  let e =
-    make_engine ?observe ~speedup ~window ~synthesize_missing ~real_data client
-  in
-  let sched = e.e_sched in
-  (* Pass 1: count records per client. The hashtable is built by the
-     same [replace] sequence as the array path's, so its fold order —
-     and with it the fibre spawn order the deterministic interleaving
-     hangs off — is identical. *)
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let next = Source.cursor source in
-  let rec count_pass () =
-    match next () with
-    | None -> ()
-    | Some r ->
-      let c = r.Record.client in
-      Hashtbl.replace counts c
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts c));
-      count_pass ()
-  in
-  count_pass ();
-  let slots : (int, int) Hashtbl.t = Hashtbl.create (Hashtbl.length counts) in
-  Hashtbl.iter (fun c n -> Hashtbl.replace slots c n) counts;
-  let clients = Hashtbl.fold (fun c n acc -> (c, n) :: acc) slots [] in
-  let remaining = ref (List.length clients) in
-  let all_done = Sched.new_event ~name:"replay.done" sched in
-  (* Pass 2: one shared synthesizing cursor feeds per-client queues. A
-     fibre needing its next record drains the cursor until one of its
-     own appears, parking records for the other clients on their
-     queues. Fibre steps are cooperative (no yield inside [next_for]),
-     so the shared cursor needs no locking. Memory is bounded by the
-     inter-client skew of the active window, not the trace length. *)
-  let synth = synthesizing_cursor (Source.cursor source) in
-  let queues : (int, Record.t Queue.t) Hashtbl.t =
-    Hashtbl.create (List.length clients)
-  in
-  List.iter (fun (c, _) -> Hashtbl.replace queues c (Queue.create ())) clients;
-  let next_for cid =
-    let q = Hashtbl.find queues cid in
-    let rec go () =
-      match Queue.take_opt q with
-      | Some r -> r
-      | None -> (
-        match synth () with
-        | None ->
-          (* pass 1 counted exactly this many records for [cid] *)
-          assert false
-        | Some r ->
-          if r.Record.client = cid then r
-          else begin
-            Queue.push r (Hashtbl.find queues r.Record.client);
-            go ()
-          end)
+  else begin
+    (* One fibre per client. A fibre needing its next record takes
+       records from the synthesizer until one of its own appears,
+       parking the other clients' records on their rings. Nothing here
+       yields, so the shared synthesizer needs no lock, and memory is
+       bounded by the inter-client skew of the active window. *)
+    let rings : (int, ring) Hashtbl.t = Hashtbl.create (List.length clients) in
+    List.iter (fun (c, _) -> Hashtbl.replace rings c (ring ())) clients;
+    let rec next_for cid own =
+      if own.stop > own.first then pop own
+      else if not (ready s) then
+        (* [clients_of] counted exactly this many records for [cid] *)
+        assert false
+      else
+        let r = take s in
+        if r.Record.client = cid then r
+        else begin
+          push (Hashtbl.find rings r.Record.client) r;
+          next_for cid own
+        end
     in
-    go ()
-  in
-  let client_fibre (cid, n) () =
-    for _ = 1 to n do
-      let r = next_for cid in
-      pace e r;
-      e.e_measure r
-    done;
-    (match Client.close_all client ~client:cid with Ok () | Error _ -> ());
-    decr remaining;
-    if !remaining = 0 then Sched.broadcast sched all_done
-  in
-  if serial then begin
-    remaining := 1;
-    ignore
-      (Sched.spawn sched ~name:"replay.serial" (fun () ->
-           let rec go () =
-             match synth () with
-             | None -> ()
-             | Some r ->
-               pace e r;
-               e.e_measure r;
-               go ()
-           in
-           go ();
-           List.iter
-             (fun (cid, _) ->
-               match Client.close_all client ~client:cid with
-               | Ok () | Error _ -> ())
-             clients;
-           decr remaining;
-           Sched.broadcast sched all_done))
-  end
-  else
     List.iter
-      (fun ((cid, _) as work) ->
+      (fun (cid, n) ->
+        let own = Hashtbl.find rings cid in
         ignore
           (Sched.spawn sched
              ~name:(Printf.sprintf "replay.c%d" cid)
-             (client_fibre work)))
-      clients;
+             (fun () ->
+               for _ = 1 to n do
+                 replay_one (next_for cid own)
+               done;
+               close_all cid;
+               fibre_done ())))
+      clients
+  end;
   if !remaining > 0 then Sched.await sched all_done;
-  e.e_finish ()
-
-let run ?(speedup = 1.0) ?(window = 900.) ?(synthesize_missing = true)
-    ?(real_data = false) ?(serial = false) ?observe client source =
-  match Source.as_array source with
-  | Some records ->
-    (* array-backed: the exact historical replay path, bit for bit (and
-       the lean one — no per-client queues, no synthesizing cursor) *)
-    run_array ?observe ~speedup ~window ~synthesize_missing ~real_data
-      ~serial client records
-  | None ->
-    run_streamed ?observe ~speedup ~window ~synthesize_missing ~real_data
-      ~serial client source
+  (* The client fibres stop after their counted records, short of the
+     cursor's end: pull it there, which closes a file cursor. *)
+  let more = ready s in
+  assert (not more);
+  Stats.Interval.flush windows;
+  Log.info (fun m ->
+      m "replay: %d ops, %d errors, %d skipped, %.1f simulated seconds"
+        !operations !errors !skipped (!t_last -. !t_first));
+  let errors_by_kind =
+    List.filteri (fun _ (_, n) -> n > 0)
+      (Array.to_list
+         (Array.mapi
+            (fun i n -> (Errno.to_string Errno.all.(i), n))
+            error_kinds))
+  in
+  {
+    operations = !operations;
+    errors = !errors;
+    skipped_ops = !skipped;
+    errors_by_kind;
+    elapsed = (if !operations = 0 then 0. else !t_last -. !t_first);
+    latency;
+    latency_by_op =
+      Array.to_list (Array.mapi (fun i w -> (op_index_names.(i), w)) by_op)
+      |> List.filter (fun (_, w) -> Stats.Welford.count w > 0)
+      |> List.sort (fun (a, _) (b, _) -> compare a b);
+    windows;
+  }

@@ -30,9 +30,7 @@ type result = {
             or an earlier trace instant, and synthesis made the
             directory for it.
 
-          Only counted when [synthesize_missing] is on. A mkdir that
-          finds a file at its path, or any [EEXIST] with synthesis off,
-          is an error. *)
+          A mkdir that finds a file at its path is an error. *)
   errors_by_kind : (string * int) list;
       (** nonzero error classes only, keyed by
           {!Capfs_core.Errno.to_string} mnemonics, e.g. [("enoent", 33)]
@@ -43,36 +41,34 @@ type result = {
   windows : Capfs_stats.Interval.t;     (** 15-minute interval summaries *)
 }
 
-(** [synthesize_times records] fills in missing read/write times
-    equidistantly between the enclosing open and close of the same
-    (client, path) session; other untimed records inherit the previous
-    record's time. Input order is preserved. The synthesized times are
-    patched directly into a copy of the array (no list round-trips);
-    the input — possibly shared across experiment domains — is never
+(** [synthesize_times records] is [records] in the order replay
+    dispatches them — input order — with the missing times filled in:
+    an untimed read, write or truncate inside a (client, path) session,
+    from a timed open to a timed close, is placed equidistantly between
+    the two; every other untimed record (a re-open ends a session
+    untimed) inherits the previous record's time. It drains
+    the synthesizer {!run} replays through into a fresh array; the
+    input, possibly shared across experiment domains, is never
     mutated. *)
 val synthesize_times : Capfs_trace.Record.t array -> Capfs_trace.Record.t array
 
 (** [run client source] spawns one fibre per trace client, replays to
     completion (all fibres joined), then closes leftover descriptors.
     [speedup] divides every inter-operation delay (default 1.0 = trace
-    time); [window] is the report interval (default 900 s). When
-    [synthesize_missing] is true (default), a reference to a file the
-    trace assumes pre-exists creates it on the fly with adopted
-    ("already on disk") blocks — the paper's synthesis of the initial
-    file-system layout.
+    time). Results are reported in 15-minute (900 s) windows. A
+    reference to a file the trace assumes pre-exists creates it on the
+    fly with adopted ("already on disk") blocks — the paper's synthesis
+    of the initial file-system layout.
 
-    The one entry point takes a {!Capfs_trace.Source.t}; wrap a record
-    array with {!Capfs_trace.Source.of_array}. Array-backed sources take
-    the exact in-memory replay path (bit-for-bit identical results, no
-    cursor machinery on the hot loop). Cursor-backed sources {e stream}:
-    replay memory is O(active window) — the longest open-session span
-    (untimed I/O cannot be timed until its close arrives) plus the
-    inter-client dispatch skew — instead of O(trace length). Streamed
-    results are equal to array results on the same records: the
-    time-synthesis cursor computes the same synthesized times in the
-    same order, and the per-client fibre spawn order is replicated
-    exactly. A cursor-backed source is traversed twice (a counting pass,
-    then the replay pass).
+    Every source, array-backed or cursor-backed, replays through one
+    engine: the records stream through the time synthesizer of
+    {!synthesize_times}, which holds back only what synthesis still
+    needs, so replay memory is O(active window) — the longest
+    open-session span (untimed I/O cannot be timed until its close
+    arrives) plus the inter-client dispatch skew — instead of
+    O(trace length). The source is traversed twice, a counting pass and
+    then the replay pass, and both reach the end of the trace, so a file
+    source has closed its descriptor when [run] returns.
 
     [real_data] (default false) makes writes carry {!Capfs_disk.Data}
     [real] payloads instead of byte-count-only [sim] ones — required by
@@ -94,8 +90,6 @@ val synthesize_times : Capfs_trace.Record.t array -> Capfs_trace.Record.t array
     checking); refused operations are not observed. *)
 val run :
   ?speedup:float ->
-  ?window:float ->
-  ?synthesize_missing:bool ->
   ?real_data:bool ->
   ?serial:bool ->
   ?observe:(Capfs_trace.Record.t -> unit) ->

@@ -15,9 +15,9 @@ let of_lazy ?(name = "lazy") l = { src_name = name; inner = Arr l }
 let of_fn ?(name = "cursor") f = { src_name = name; inner = Gen f }
 
 (* Line-by-line file cursor: one open channel, one line and one record
-   in memory at a time. The channel closes at EOF; abandoning a cursor
-   mid-pass leaks the descriptor until GC finalizes it, which replay
-   never does (it always drains). *)
+   in memory at a time. The channel closes at EOF. A cursor abandoned
+   mid-pass leaks its descriptor, since the GC does not close channels;
+   replay pulls both of its passes to the end. *)
 let file_cursor parse_line path () =
   let ic = open_in path in
   let lineno = ref 0 in

@@ -1,12 +1,11 @@
 (** A trace source: where replay gets its records.
 
-    The replay engine used to take a [Record.t array], which forces the
-    whole trace into memory before the first operation dispatches. A
-    [Source.t] abstracts that: it is either {e array-backed} (the array
-    is available, possibly lazily — replay takes its exact historical
-    array path, bit-for-bit) or {e cursor-backed} (records are pulled
-    one at a time from a restartable cursor — replay streams, holding
-    O(active window) records rather than O(trace)).
+    A [Source.t] is either {e array-backed} (the records are in memory,
+    possibly materialized lazily) or {e cursor-backed} (records are
+    pulled one at a time from a restartable cursor, e.g. straight off a
+    trace file). Replay treats both alike: it streams every source
+    through one cursor pass, holding O(active window) records, so a
+    cursor-backed source never needs the whole trace in memory.
 
     {2 Ownership}
 
@@ -14,8 +13,8 @@
     the {e shared} underlying array. Record arrays are immutable by
     convention throughout the tree — producers ({!Synth.generate}, the
     format [load]ers) return arrays the consumer must not mutate, and
-    replay copies before patching synthesized times — so one source
-    (and one array) can safely feed many experiments, including
+    replay builds a new record wherever it fills in a time — so one
+    source (and one array) can safely feed many experiments, including
     experiments running in parallel domains. *)
 
 type cursor = unit -> Record.t option
@@ -29,8 +28,7 @@ val name : t -> string
 (** {2 Constructors} *)
 
 val of_array : ?name:string -> Record.t array -> t
-(** Array-backed: replay uses the array directly (zero copies, exact
-    pre-streaming behaviour). *)
+(** Array-backed: cursors walk the array itself, no copy. *)
 
 val of_lazy : ?name:string -> Record.t array Lazy.t -> t
 (** Array-backed, materialized on first use. The lazy cell is forced by
@@ -39,13 +37,13 @@ val of_lazy : ?name:string -> Record.t array Lazy.t -> t
 
 val of_fn : ?name:string -> (unit -> cursor) -> t
 (** Cursor-backed: [f ()] must start a fresh pass over the same records
-    each time it is called (replay makes two passes). *)
+    each time it is called (replay makes two passes, each to the end). *)
 
 val sprite_file : string -> t
 (** Stream a {!Sprite_format} trace file line by line. Each pass
-    reopens the file; memory is one line plus one record regardless of
-    trace size. Parse errors raise {!Sprite_format.Parse_error} at pull
-    time. *)
+    reopens the file and closes it when the pass reaches the end of the
+    file; memory is one line plus one record regardless of trace size.
+    Parse errors raise {!Sprite_format.Parse_error} at pull time. *)
 
 val coda_file : string -> t
 (** Same, for {!Coda_format} files. *)
@@ -54,7 +52,7 @@ val coda_file : string -> t
 
 val as_array : t -> Record.t array option
 (** The underlying array of an array-backed source ([None] for
-    cursor-backed ones) — the replay fast path. Forces a lazy source. *)
+    cursor-backed ones). Forces a lazy source. *)
 
 val cursor : t -> cursor
 (** A fresh pass over the records. Works on every source (array-backed

@@ -65,11 +65,10 @@ val generate : seed:int -> ?duration:float -> profile -> Record.t array
 
 (** [source ~seed ?duration profile] is {!generate} wrapped as a lazy
     array-backed {!Source.t} named after the profile: nothing is
-    generated until the first consumer pulls, and replay takes the exact
-    array fast path. (The generator's final global time-sort requires
-    materializing the records, so a synthetic source is never
-    cursor-backed; to stream a large synthetic trace, [save] it and use
-    {!Source.sprite_file}.) Do not share one source value across
-    domains — the lazy cell is not thread-safe; give each domain its own
-    (as {!Fleet}'s per-worker [gen] memo does). *)
+    generated until the first consumer pulls. (The generator's final
+    global time-sort requires materializing the records, so a synthetic
+    source is never cursor-backed; to stream a large synthetic trace,
+    [save] it and use {!Source.sprite_file}.) Do not share one source
+    value across domains — the lazy cell is not thread-safe; give each
+    domain its own (as {!Fleet}'s per-worker [gen] memo does). *)
 val source : seed:int -> ?duration:float -> profile -> Source.t

@@ -397,13 +397,13 @@ let test_fleet_gen_failure_is_an_error () =
     Alcotest.failf "good job failed: %s"
       (Format.asprintf "%a" Fleet.pp_failure e)
 
-(* {2 Streamed replay: byte-identical to the array path}
+(* {2 One engine, two sources}
 
-   [Replay.run] over a cursor-backed source must produce the
-   same result as the array path on the same records — same synthesized
+   [Replay.run] over a cursor-backed source must produce the same
+   result as over an array of the same records — same synthesized
    times, same fibre spawn order, same interleaving, same stats. The
    synthetic profiles leave I/O times unrecorded, so these traces
-   exercise the streaming holdback time synthesis, not just pass-through. *)
+   exercise the synthesizer's holdback, not just pass-through. *)
 
 module Source = Capfs_trace.Source
 
@@ -441,7 +441,7 @@ let test_streamed_replay_equals_array () =
     (outcome_fingerprint arr) (outcome_fingerprint strm)
 
 (* [Replay.run ~serial:true] of [trace] on a fresh UPS instance *)
-let serial_replay ?synthesize_missing trace =
+let serial_replay trace =
   let sched = Sched.create ~seed:5 ~clock:`Virtual () in
   let out = ref None in
   ignore
@@ -451,7 +451,7 @@ let serial_replay ?synthesize_missing trace =
            Capfs.Stack.mount farm.Experiment.f_stack Capfs.Stack.Format
          in
          out :=
-           Some (Replay.run ?synthesize_missing ~serial:true client trace)));
+           Some (Replay.run ~serial:true client trace)));
   Sched.run sched;
   Option.get !out
 
@@ -470,11 +470,11 @@ let test_streamed_serial_replay_equals_array () =
 (* The replay create race: client 1's stat of /d/f synthesizes /d/f and
    its parent /d, so client 0's mkdir /d at the same instant finds the
    directory there. That is a trace artifact, not an error; a mkdir
-   that finds a file, or any EEXIST with synthesis off, still is. *)
+   that finds a file still is. *)
 let test_replay_mkdir_of_synthesized_dir () =
   let at client op = { Record.time = 0.; client; op } in
-  let check what ?synthesize_missing records ~errors ~skipped =
-    let r = serial_replay ?synthesize_missing (Source.of_array records) in
+  let check what records ~errors ~skipped =
+    let r = serial_replay (Source.of_array records) in
     Alcotest.(check int) (what ^ ": errors") errors r.Replay.errors;
     Alcotest.(check int) (what ^ ": skipped") skipped r.Replay.skipped_ops;
     Alcotest.(check (list (pair string int)))
@@ -490,11 +490,6 @@ let test_replay_mkdir_of_synthesized_dir () =
   check "mkdir over a synthesized file"
     [|
       at 1 (Record.Stat { path = "/f" }); at 0 (Record.Mkdir { path = "/f" });
-    |]
-    ~errors:1 ~skipped:0;
-  check "mkdir twice, synthesis off" ~synthesize_missing:false
-    [|
-      at 1 (Record.Mkdir { path = "/d" }); at 0 (Record.Mkdir { path = "/d" });
     |]
     ~errors:1 ~skipped:0
 
@@ -552,6 +547,132 @@ let test_source_helpers () =
   ignore (Source.as_array ls);
   Alcotest.(check bool) "as_array forces" true !lazy_forced
 
+(* {2 The time synthesizer against a reference model}
+
+   Time synthesis as a whole-array computation, kept as an executable
+   specification. One pass notes each (client, path) session's open
+   time and its untimed reads, writes and truncates; a timed close
+   spreads those equidistantly between open and close, and a re-open
+   forgets them. A last pass gives every record still untimed the time
+   of the record before it. *)
+let reference_synthesize_times records =
+  let times = Array.map (fun r -> r.Record.time) records in
+  let sessions : (int * string, float * int list) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  Array.iteri
+    (fun i r ->
+      let key = (r.Record.client, Record.path r) in
+      match r.Record.op with
+      | Record.Open _ when Record.has_time r ->
+        Hashtbl.replace sessions key (r.Record.time, [])
+      | (Record.Read _ | Record.Write _ | Record.Truncate _)
+        when not (Record.has_time r) -> (
+        match Hashtbl.find_opt sessions key with
+        | Some (t_open, pending) ->
+          Hashtbl.replace sessions key (t_open, i :: pending)
+        | None -> ())
+      | Record.Close _ when Record.has_time r -> (
+        match Hashtbl.find_opt sessions key with
+        | Some (t_open, pending) ->
+          let pending = List.rev pending in
+          let n = List.length pending in
+          List.iteri
+            (fun j idx ->
+              times.(idx) <-
+                t_open
+                +. ((r.Record.time -. t_open) *. float_of_int (j + 1)
+                    /. float_of_int (n + 1)))
+            pending;
+          Hashtbl.remove sessions key
+        | None -> ())
+      | _ -> ())
+    records;
+  let last = ref 0. in
+  Array.iteri
+    (fun i t -> if t < 0. then times.(i) <- !last else last := t)
+    times;
+  Array.mapi (fun i r -> { r with Record.time = times.(i) }) records
+
+(* Random multi-client traces over a few paths: opens, reads, writes,
+   truncates and closes, each timed or not, so they hold re-opens of an
+   open session, untimed I/O outside any session, closes with no open
+   and leading untimed records. Timed records advance a clock by random
+   gaps. Up to 300 records, so sessions outlast the synthesizer's
+   initial ring. *)
+let gen_trace =
+  let open QCheck.Gen in
+  let op =
+    let* path = map (Printf.sprintf "/f%d") (int_range 0 2) in
+    let* offset = int_range 0 4 in
+    frequencyl
+      [
+        (3, Record.Open { path; mode = Record.Read_write });
+        (4, Record.Read { path; offset; bytes = 512 });
+        (4, Record.Write { path; offset; bytes = 512 });
+        (1, Record.Truncate { path; size = offset });
+        (3, Record.Close { path });
+        (1, Record.Stat { path });
+      ]
+  in
+  let step =
+    triple (int_range 0 2) op
+      (frequency [ (1, return None); (1, map Option.some (float_range 0. 3.)) ])
+  in
+  let+ steps = list_size (int_range 0 300) step in
+  let clock = ref 0. in
+  Array.of_list
+    (List.map
+       (fun (client, op, gap) ->
+         let time =
+           match gap with
+           | None -> Record.no_time
+           | Some g ->
+             clock := !clock +. g;
+             !clock
+         in
+         { Record.time; client; op })
+       steps)
+
+let print_trace records =
+  String.concat "\n"
+    (Array.to_list (Array.map (Format.asprintf "%a" Record.pp) records))
+
+let same_record a b =
+  a.Record.client = b.Record.client
+  && a.Record.op = b.Record.op
+  && Int64.equal
+       (Int64.bits_of_float a.Record.time)
+       (Int64.bits_of_float b.Record.time)
+
+let prop_synthesizer_matches_reference =
+  QCheck.Test.make ~name:"synthesizer matches oracle" ~count:300
+    (QCheck.make ~print:print_trace gen_trace)
+    (fun records ->
+      let got = Replay.synthesize_times records in
+      let want = reference_synthesize_times records in
+      Array.length got = Array.length want && Array.for_all2 same_record got want)
+
+(* A replay of a trace file leaves no descriptor open: the counting pass
+   and the replay pass both reach the end of the file, where its cursor
+   closes it. The concurrent fibres stop after their counted records,
+   short of that end, so the engine must pull on to it. *)
+let test_file_replay_closes_descriptors () =
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then begin
+    let open_fds () = Array.length (Sys.readdir fd_dir) in
+    let records = small_trace ~duration:60. () in
+    with_temp_trace Capfs_trace.Sprite_format.save records (fun path ->
+        let before = open_fds () in
+        for _ = 1 to 3 do
+          ignore
+            (Experiment.run (test_config Experiment.Ups)
+               ~trace:(Source.sprite_file path))
+        done;
+        Alcotest.(check int) "descriptors after three replays" before
+          (open_fds ()))
+  end
+
 let suite =
   [
     Alcotest.test_case "synthesize equidistant" `Quick
@@ -597,4 +718,7 @@ let suite =
       test_fleet_crash_does_not_wedge_pool;
     Alcotest.test_case "fleet gen failure is Error" `Quick
       test_fleet_gen_failure_is_an_error;
+    Alcotest.test_case "file replay closes its descriptors" `Quick
+      test_file_replay_closes_descriptors;
+    QCheck_alcotest.to_alcotest prop_synthesizer_matches_reference;
   ]
