@@ -23,9 +23,10 @@ let format_image image size_mb seg_blocks =
     let driver = Driver.create sched transport in
     ignore
       (Sched.spawn sched (fun () ->
-           Capfs_layout.Lfs.format
-             ~config:(Pfs.Config.stack_config cfg).Capfs.Stack.lfs sched driver
-             ~block_bytes:Pfs.block_bytes;
+           ignore
+             (Capfs_layout.Lfs.format_and_mount
+                ~config:(Pfs.Config.stack_config cfg).Capfs.Stack.lfs sched
+                driver ~block_bytes:Pfs.block_bytes);
            Printf.printf "%s: %d MB segmented LFS (%d-block segments)\n" image
              size_mb seg_blocks));
     Sched.run sched;

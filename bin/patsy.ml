@@ -23,27 +23,15 @@ let setup_logs level =
    same engine over either source. *)
 let source_of_trace ~trace ~format ~seed ~duration ~stream =
   match (format, stream) with
-  | "sprite-file", true -> Capfs_trace.Source.sprite_file trace
-  | "coda-file", true -> Capfs_trace.Source.coda_file trace
-  | "sprite-file", false ->
+  | `Sprite_file, true -> Capfs_trace.Source.sprite_file trace
+  | `Coda_file, true -> Capfs_trace.Source.coda_file trace
+  | `Sprite_file, false ->
     Capfs_trace.Source.of_array ~name:trace (Capfs_trace.Sprite_format.load trace)
-  | "coda-file", false ->
+  | `Coda_file, false ->
     Capfs_trace.Source.of_array ~name:trace (Capfs_trace.Coda_format.load trace)
-  | "synth", _ ->
+  | `Synth, _ ->
     let profile = Capfs_trace.Synth.profile_by_name trace in
     Capfs_trace.Synth.source ~seed ?duration profile
-  | f, _ -> invalid_arg ("unknown trace format: " ^ f)
-
-let policy_of_name = function
-  | "write-delay" | "write-delay-30s" -> Experiment.Write_delay
-  | "ups" -> Experiment.Ups
-  | "nvram-whole" -> Experiment.Nvram_whole
-  | "nvram-partial" -> Experiment.Nvram_partial
-  | p -> invalid_arg ("unknown policy: " ^ p)
-
-let policies_of_arg arg =
-  if arg = "all" then Experiment.all_policies
-  else String.split_on_char ',' arg |> List.map policy_of_name
 
 let print_one ~trace ~show_cdf ~show_windows ~show_stats outcome =
   Format.printf "%a@." Report.print_outcome_summary outcome;
@@ -139,21 +127,12 @@ let run_differential ~trace ~source ~config ~image_mb ~speedup ~report_out
       Format.printf "# wrote JSON report to %s@." path);
     if report.Diffval.r_ok then 0 else 1
 
-let run_main trace format policy duration seed parallel_jobs disks buses
+let run_main (format, trace) policies duration seed parallel_jobs disks buses
     cache_mb nvram_mb iosched replacement cleaner sync_flush no_coalesce
-    flush_window max_extent request_overhead fault_plan crash_at
+    flush_window max_extent request_overhead plan crash_at
     differential image_mb diff_speedup diff_report diff_skew stream
     trace_out trace_buffer show_cdf show_windows show_stats log_level =
   setup_logs log_level;
-  let policies = policies_of_arg policy in
-  let plan =
-    match fault_plan with
-    | None -> Plan.empty
-    | Some spec -> (
-      match Plan.of_string spec with
-      | Ok p -> p
-      | Error msg -> invalid_arg ("--fault-plan: " ^ msg))
-  in
   let plan =
     match crash_at with
     | None -> plan
@@ -168,11 +147,7 @@ let run_main trace format policy duration seed parallel_jobs disks buses
       nvram_mb;
       iosched;
       replacement;
-      cleaner =
-        (match cleaner with
-        | "greedy" -> Capfs_layout.Lfs.Greedy
-        | "cost-benefit" -> Capfs_layout.Lfs.Cost_benefit
-        | c -> invalid_arg ("unknown cleaner: " ^ c));
+      cleaner;
       async_flush = not sync_flush;
       coalesce = not no_coalesce;
       flush_window;
@@ -230,6 +205,12 @@ let run_main trace format policy duration seed parallel_jobs disks buses
 
 open Cmdliner
 
+(* Every value with a fixed vocabulary is parsed here, through the
+   library's own name lists, so a bad one is a command-line error that
+   names it, before anything is printed or run. *)
+
+let names l = String.concat ", " l
+
 let trace =
   Arg.(value & opt string "sprite-1a"
        & info [ "t"; "trace" ] ~docv:"TRACE"
@@ -237,12 +218,69 @@ let trace =
                  sprite-2b, sprite-5) or a trace file path.")
 
 let format =
-  Arg.(value & opt string "synth"
+  Arg.(value
+       & opt
+           (enum
+              [ ("synth", `Synth); ("sprite-file", `Sprite_file);
+                ("coda-file", `Coda_file) ])
+           `Synth
        & info [ "f"; "format" ] ~docv:"FMT"
            ~doc:"Trace source: synth, sprite-file or coda-file.")
 
+(* A synth trace must name a profile, a file trace a file that exists. *)
+let trace_source =
+  let check format trace =
+    let profiles =
+      List.map (fun p -> p.Capfs_trace.Synth.profile_name)
+        Capfs_trace.Synth.all_profiles
+    in
+    match format with
+    | `Synth when not (List.mem trace profiles) ->
+      `Error
+        (false,
+         Printf.sprintf "unknown trace profile %S (know: %s)" trace
+           (names profiles))
+    | (`Sprite_file | `Coda_file) when not (Sys.file_exists trace) ->
+      `Error (false, Printf.sprintf "no such trace file %S" trace)
+    | _ -> `Ok (format, trace)
+  in
+  Term.(ret (const check $ format $ trace))
+
+(* each policy by its report name, and the short names the flag has
+   always taken *)
+let policy_names =
+  List.map (fun p -> (Experiment.policy_name p, p)) Experiment.all_policies
+  @ [ ("write-delay", Experiment.Write_delay);
+      ("nvram-whole", Experiment.Nvram_whole) ]
+
+let policies_conv =
+  let one name =
+    match List.assoc_opt name policy_names with
+    | Some p -> Ok p
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown policy %S (know: all, %s)" name
+              (names (List.map fst policy_names))))
+  in
+  let parse = function
+    | "all" -> Ok Experiment.all_policies
+    | arg ->
+      List.fold_right
+        (fun name acc ->
+          Result.bind (one name) (fun p -> Result.map (List.cons p) acc))
+        (String.split_on_char ',' arg) (Ok [])
+  in
+  let print ppf ps =
+    Format.pp_print_string ppf
+      (String.concat "," (List.map Experiment.policy_name ps))
+  in
+  Arg.conv (parse, print)
+
+let name_enum l = Arg.enum (List.map (fun s -> (s, s)) l)
+
 let policy =
-  Arg.(value & opt string "ups"
+  Arg.(value & opt policies_conv [ Experiment.Ups ]
        & info [ "p"; "policy" ] ~docv:"POLICY"
            ~doc:"Flush policy: write-delay, ups, nvram-whole, nvram-partial; \
                  a comma-separated list, or 'all', replays the trace under \
@@ -269,18 +307,21 @@ let cache_mb = Arg.(value & opt int 128 & info [ "cache-mb" ] ~docv:"MB")
 let nvram_mb = Arg.(value & opt int 4 & info [ "nvram-mb" ] ~docv:"MB")
 
 let iosched =
-  Arg.(value & opt string "clook"
+  Arg.(value & opt (name_enum Capfs_disk.Iosched.known_policies) "clook"
        & info [ "iosched" ] ~docv:"POLICY"
            ~doc:"Disk queue policy: fcfs, sstf, scan, look, cscan, clook, \
                  scan-edf.")
 
 let replacement =
-  Arg.(value & opt string "lru"
+  Arg.(value & opt (name_enum Capfs_cache.Replacement.known_policies) "lru"
        & info [ "replacement" ] ~docv:"POLICY"
            ~doc:"Cache replacement: lru, random, lfu, slru, lru-2.")
 
 let cleaner =
-  Arg.(value & opt string "cost-benefit"
+  Arg.(value
+       & opt
+           (enum [ ("greedy", Lfs.Greedy); ("cost-benefit", Lfs.Cost_benefit) ])
+           Lfs.Cost_benefit
        & info [ "cleaner" ] ~doc:"LFS cleaner: greedy or cost-benefit.")
 
 let sync_flush =
@@ -317,8 +358,13 @@ let request_overhead =
                  size — the term coalescing amortises. Default: the disk \
                  model's own figure (2 ms for the HP97560).")
 
+let plan_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Plan.of_string s)),
+      fun ppf p -> Format.pp_print_string ppf (Plan.to_string p) )
+
 let fault_plan =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt plan_conv Plan.empty
        & info [ "fault-plan" ] ~docv:"PLAN"
            ~doc:"Deterministic disk-fault schedule, as comma-separated \
                  key=value pairs: read_error=P and write_error=P \
@@ -421,7 +467,7 @@ let cmd =
   Cmd.v
     (Cmd.info "patsy" ~doc)
     Term.(
-      const run_main $ trace $ format $ policy $ duration $ seed
+      const run_main $ trace_source $ policy $ duration $ seed
       $ parallel_jobs $ disks $ buses $ cache_mb $ nvram_mb $ iosched
       $ replacement $ cleaner $ sync_flush $ no_coalesce $ flush_window
       $ max_extent $ request_overhead $ fault_plan $ crash_at

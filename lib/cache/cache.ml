@@ -44,16 +44,8 @@ let default_config ~capacity_blocks =
     max_extent_blocks = 64;
   }
 
-(* A flush job: blocks with the version and payload each had when
-   snapshotted. The payload snapshot is retained ([Data.retain]) so an
-   arena cell stays live while the flusher holds it, even if the block
-   is re-dirtied or invalidated in flight; it is released exactly once
-   in [complete_flushed]. *)
-type flush_job = {
-  job_blocks : Block.t array;
-  job_versions : int array;
-  job_data : Data.t array;
-}
+(* A flush job: blocks with the version each had when snapshotted. *)
+type flush_job = { job_blocks : Block.t array; job_versions : int array }
 
 (* Stat handles, resolved once at [create] so the hot paths never
    concatenate or hash a stat name (see {!Stats.Counter}). *)
@@ -68,8 +60,6 @@ type counters = {
   write_stall : Counter.t;
   dirty_blocks : Counter.t;
   nvram_used : Counter.t;
-  blit_count : Counter.t;
-  copied_bytes : Counter.t;
 }
 
 type t = {
@@ -77,7 +67,6 @@ type t = {
   cfg : config;
   cname : string;
   c : counters;
-  arena : Capfs_disk.Arena.t option;
   (* [copy_seconds] of one block at [mem_copy_rate], fixed at create so
      the hot paths never redo the division (or box its result) *)
   block_copy_s : float;
@@ -101,7 +90,6 @@ let stat_names =
   [
     "hits"; "misses"; "evictions"; "flushed_blocks"; "absorbed_writes";
     "overwrites"; "read_stall"; "write_stall"; "dirty_blocks"; "nvram_used";
-    "blit_count"; "copied_bytes";
   ]
 
 let null_counters =
@@ -116,8 +104,6 @@ let null_counters =
     write_stall = Counter.null;
     dirty_blocks = Counter.null;
     nvram_used = Counter.null;
-    blit_count = Counter.null;
-    copied_bytes = Counter.null;
   }
 
 let resolve_counters r name =
@@ -133,8 +119,6 @@ let resolve_counters r name =
     write_stall = c "write_stall";
     dirty_blocks = c "dirty_blocks";
     nvram_used = c "nvram_used";
-    blit_count = c "blit_count";
-    copied_bytes = c "copied_bytes";
   }
 
 let config t = t.cfg
@@ -152,31 +136,6 @@ let find t key = Ktbl.find_opt t.table key
 
 let copy_delay t =
   if t.cfg.mem_copy_rate > 0. then Sched.sleep t.sched t.block_copy_s
-
-(* Take ownership of an incoming payload. With an arena, real heap
-   bytes are copied into a slab cell — the one memcpy of the write
-   path, the same copy the simulator already charges as [copy_delay] —
-   and slab slices arriving from elsewhere (e.g. a layout read served
-   from the LFS append buffer) are retained so the cache co-owns the
-   cell. Simulated payloads carry no bytes and pass through. *)
-let adopt t data =
-  match t.arena with
-  | None -> data
-  | Some a -> (
-    match data with
-    | Data.Real _ | Data.Gather _ ->
-      Counter.incr t.c.blit_count;
-      Counter.record t.c.copied_bytes (float_of_int (Data.length data));
-      Capfs_disk.Arena.copy_in a data
-    | Data.Slice _ ->
-      Data.retain data;
-      data
-    | Data.Sim _ -> data)
-
-(* The cache owns one reference to every payload it stores; drop it
-   when the payload leaves the table (eviction, invalidation,
-   overwrite). A no-op for heap and simulated payloads. *)
-let drop_payload (b : Block.t) = Data.release b.Block.data
 
 let touch t b =
   b.Block.last_access <- now t;
@@ -260,7 +219,6 @@ let snapshot_for_flush t (blocks : Block.t array) =
   else begin
     let job_blocks = Array.make n blocks.(0) in
     let job_versions = Array.make n 0 in
-    let job_data = Array.make n (Data.sim 0) in
     let j = ref 0 in
     Array.iter
       (fun b ->
@@ -270,12 +228,10 @@ let snapshot_for_flush t (blocks : Block.t array) =
           t.flushing_count <- t.flushing_count + 1;
           job_blocks.(!j) <- b;
           job_versions.(!j) <- b.Block.version;
-          job_data.(!j) <- b.Block.data;
-          Data.retain b.Block.data;
           incr j
         end)
       blocks;
-    Some { job_blocks; job_versions; job_data }
+    Some { job_blocks; job_versions }
   end
 
 (* Re-house a block that just came clean out of NVRAM: it needs a
@@ -290,21 +246,17 @@ let rehouse_from_nvram t b =
     match Replacement.victim t.policy with
     | Some victim ->
       table_remove t victim;
-      drop_payload victim;
       Counter.incr t.c.evictions;
       trace_evict t victim;
       (* victim frees a frame; [b] takes it: volatile_used unchanged *)
       Replacement.insert t.policy b
-    | None ->
-      table_remove t b;
-      drop_payload b
+    | None -> table_remove t b
 
 (* Completion bookkeeping for one written-back block: release the frame
    of a zombie, otherwise come clean — unless it was re-dirtied while in
    flight (version moved on), in which case it is back on the dirty list
    and stays there. *)
-let complete_flushed t b version snap =
-  Data.release snap;
+let complete_flushed t b version =
   t.flushing_count <- t.flushing_count - 1;
   Counter.incr t.c.flushed_blocks;
   if b.Block.zombie then release_frame t b
@@ -342,7 +294,6 @@ let do_writeback t (job : flush_job) =
       t.writeback !payload;
       for i = !pos to !pos + len - 1 do
         complete_flushed t job.job_blocks.(i) job.job_versions.(i)
-          job.job_data.(i)
       done;
       space_freed t;
       pos := !pos + len
@@ -414,7 +365,6 @@ let do_writeback_clustered t (job : flush_job) =
                for k = off to off + len - 1 do
                  complete_flushed t job.job_blocks.(order.(k))
                    job.job_versions.(order.(k))
-                   job.job_data.(order.(k))
                done;
                space_freed t;
                t.inflight_extents <- t.inflight_extents - 1;
@@ -507,7 +457,6 @@ let rec reserve_volatile t ~stall =
     match Replacement.victim t.policy with
     | Some victim ->
       table_remove t victim;
-      drop_payload victim;
       Counter.incr t.c.evictions;
       trace_evict t victim
     | None ->
@@ -575,7 +524,6 @@ let rec read t key ~fill =
         copy_delay t;
         b.Block.data
       | None ->
-        let data = adopt t data in
         let b = Block.make ~key ~data ~now:(now t) in
         table_add t b;
         Replacement.insert t.policy b;
@@ -588,8 +536,6 @@ let peek t key = Option.map (fun b -> b.Block.data) (find t key)
 (* {2 Writes} *)
 
 let mark_dirty t b data =
-  let old = b.Block.data in
-  if old != data then Data.release old;
   b.Block.data <- data;
   b.Block.version <- b.Block.version + 1;
   b.Block.state <- Block.Dirty;
@@ -597,12 +543,10 @@ let mark_dirty t b data =
   dirty_push t b;
   touch t b
 
-let rec write_adopted t key data =
+let rec write t key data =
   (match Ktbl.find t.table key with
   | b when b.Block.state = Block.Dirty ->
     (* overwrite in memory: one disk write saved *)
-    let old = b.Block.data in
-    if old != data then Data.release old;
     b.Block.data <- data;
     b.Block.version <- b.Block.version + 1;
     touch t b;
@@ -636,7 +580,7 @@ let rec write_adopted t key data =
         (* invalidated while we stalled: release and retry *)
         t.nvram_count <- t.nvram_count - 1;
         space_freed t;
-        write_adopted t key data
+        write t key data
       end
     end
     else begin
@@ -651,7 +595,7 @@ let rec write_adopted t key data =
         (* another writer beat us to the insert *)
         t.nvram_count <- t.nvram_count - 1;
         space_freed t;
-        write_adopted t key data
+        write t key data
       | None ->
         let b = Block.make ~key ~data ~now:(now t) in
         b.Block.in_nvram <- true;
@@ -664,7 +608,7 @@ let rec write_adopted t key data =
       | Some _ ->
         t.volatile_used <- t.volatile_used - 1;
         space_freed t;
-        write_adopted t key data
+        write t key data
       | None ->
         let b = Block.make ~key ~data ~now:(now t) in
         table_add t b;
@@ -674,10 +618,6 @@ let rec write_adopted t key data =
   Counter.record t.c.dirty_blocks (float_of_int (Dlist.length t.dirty));
   Counter.record t.c.nvram_used (float_of_int t.nvram_count)
 
-(* Adoption happens once, outside the stall-and-retry recursion: the
-   retries reuse the already-owned payload. *)
-let write t key data = write_adopted t key (adopt t data)
-
 (* {2 Invalidation} *)
 
 let invalidate_block t b =
@@ -685,22 +625,19 @@ let invalidate_block t b =
   | Block.Clean ->
     Replacement.forget t.policy b;
     table_remove t b;
-    drop_payload b;
     t.volatile_used <- t.volatile_used - 1;
     space_freed t
   | Block.Dirty ->
     dirty_remove t b;
     table_remove t b;
-    drop_payload b;
     release_frame t b;
     Counter.incr t.c.absorbed_writes;
     space_freed t
   | Block.Flushing ->
-    (* the flusher holds a snapshot (and its own payload reference); it
-       releases the frame on completion *)
+    (* the flusher holds a snapshot; it releases the frame on
+       completion *)
     b.Block.zombie <- true;
     table_remove t b;
-    drop_payload b;
     Counter.incr t.c.absorbed_writes
 
 let truncate t ino ~from =
@@ -743,7 +680,6 @@ let merge_jobs jobs =
     {
       job_blocks = Array.concat (List.map (fun j -> j.job_blocks) jobs);
       job_versions = Array.concat (List.map (fun j -> j.job_versions) jobs);
-      job_data = Array.concat (List.map (fun j -> j.job_data) jobs);
     }
 
 let flusher_loop t () =
@@ -781,8 +717,7 @@ let periodic_loop t ~max_age ~scan_interval () =
 
 (* {2 Construction} *)
 
-let create ?registry ?(name = "cache") ?replacement ?arena ~writeback sched cfg
-    =
+let create ?registry ?(name = "cache") ?replacement ~writeback sched cfg =
   if cfg.capacity_blocks < 1 then invalid_arg "Cache.create: no capacity";
   if cfg.block_bytes < 1 then invalid_arg "Cache.create: bad block size";
   if cfg.nvram_blocks < 0 then invalid_arg "Cache.create: negative nvram";
@@ -808,7 +743,6 @@ let create ?registry ?(name = "cache") ?replacement ?arena ~writeback sched cfg
       cfg;
       cname = name;
       c;
-      arena;
       block_copy_s =
         (if cfg.mem_copy_rate > 0. then
            Data.copy_seconds ~rate_bytes_per_sec:cfg.mem_copy_rate

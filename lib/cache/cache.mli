@@ -82,23 +82,16 @@ type t
     scan daemon if configured). [replacement] defaults to LRU.
     Statistics are registered under [name] (default "cache"):
     hits, misses, evictions, flushed_blocks, absorbed_writes, overwrites,
-    read_stall, write_stall, dirty_blocks, nvram_used, blit_count,
-    copied_bytes.
+    read_stall, write_stall, dirty_blocks, nvram_used.
 
-    With [arena] set, the cache owns its payloads zero-copy: real heap
-    payloads arriving at {!write} (or a miss {!read}'s fill) are copied
-    once into a slab cell — counted as one [blit_count] event recording
-    [copied_bytes] — and from then on the payload travels by reference
-    (flush snapshot, vectored write-back, scatter-gather request) until
-    the device boundary. The cell is released when the block leaves the
-    table and recycled once the last holder (e.g. an in-flight flush or
-    the LFS append buffer) drops its reference. Without [arena] every
-    payload is a heap value and behaviour is unchanged. *)
+    The cache keeps every payload it is given ({!write}, or a miss
+    {!read}'s fill) by reference and never writes into it; the payload
+    travels on by reference (vectored write-back, scatter-gather
+    request) to the device boundary. *)
 val create :
   ?registry:Capfs_stats.Registry.t ->
   ?name:string ->
   ?replacement:Replacement.t ->
-  ?arena:Capfs_disk.Arena.t ->
   writeback:((int * int * Capfs_disk.Data.t) list -> unit) ->
   Capfs_sched.Sched.t ->
   config ->
@@ -117,15 +110,14 @@ val read :
   fill:(Block.Key.t -> Capfs_disk.Data.t) ->
   Capfs_disk.Data.t
 
-(** [write t key data] buffers [data] as the block's new contents. May
-    stall for NVRAM space or a clean frame; returns once buffered
-    (write-back). *)
+(** [write t key data] buffers [data] as the block's new contents; the
+    cache owns it from then on, and nobody may write into its bytes
+    again ({!Capfs_disk.Data}'s ownership rule). May stall for NVRAM
+    space or a clean frame; returns once buffered (write-back). *)
 val write : t -> Block.Key.t -> Capfs_disk.Data.t -> unit
 
 (** [peek t key] is the cached data without side effects (no policy
-    update, no fill). The result is borrowed from the cache: with an
-    arena it must not be stashed across operations that could evict the
-    block (use {!Capfs_disk.Data.detach} to keep a copy). *)
+    update, no fill). *)
 val peek : t -> Block.Key.t -> Capfs_disk.Data.t option
 
 (** [truncate t ino ~from] drops every cached block of [ino] with index

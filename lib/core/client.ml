@@ -229,7 +229,7 @@ let synthesize_file_x t ?(kind = Inode.Regular) path ~size =
   let file = file_of_path t path in
   let inode = File.inode file in
   if inode.Inode.size < size then begin
-    let bb = t.fs.Fsys.config.Fsys.block_bytes in
+    let bb = Fsys.block_bytes t.fs in
     let blocks = (size + bb - 1) / bb in
     Errno.ok_exn (t.fs.Fsys.layout.Capfs_layout.Layout.adopt inode ~blocks);
     inode.Inode.size <- size;
@@ -297,11 +297,6 @@ let read_x t ~client path ~offset ~bytes =
   let file = lookup_file t ~client path ~create_if_missing:false in
   File.read file ~offset ~bytes
 
-let read_into_x t ~client path arena ~offset ~bytes =
-  let path = Namespace.normalize path in
-  let file = lookup_file t ~client path ~create_if_missing:false in
-  File.read_into file arena ~offset ~bytes
-
 let write_x t ~client path ~offset data =
   let path = Namespace.normalize path in
   let file = lookup_file t ~client path ~create_if_missing:true in
@@ -349,10 +344,6 @@ let close_ t ~client path =
 
 let read t ~client path ~offset ~bytes =
   try Ok (read_x t ~client path ~offset ~bytes) with e -> errno_or_reraise e
-
-let read_into t ~client path arena ~offset ~bytes =
-  try Ok (read_into_x t ~client path arena ~offset ~bytes)
-  with e -> errno_or_reraise e
 
 let write t ~client path ~offset data =
   try Ok (write_x t ~client path ~offset data) with e -> errno_or_reraise e

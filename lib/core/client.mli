@@ -95,23 +95,16 @@ val open_ :
 val close_ : t -> client:int -> string -> (unit, Capfs_core.Errno.t) result
 
 (** [read t ~client path ~offset ~bytes] returns the data read (short
-    at EOF). *)
+    at EOF). It may share bytes with the cache ({!File.read}); the
+    caller must not write into it. *)
 val read :
   t -> client:int -> string -> offset:int -> bytes:int ->
   (Capfs_disk.Data.t, Capfs_core.Errno.t) result
 
-(** [read_into t ~client path arena ~offset ~bytes] is {!read} with each
-    block's piece copied into its own [arena] cell as it is fetched
-    ({!File.read_into}); the caller owns the result and releases it. *)
-val read_into :
-  t -> client:int -> string -> Capfs_disk.Arena.t -> offset:int ->
-  bytes:int -> (Capfs_disk.Data.t, Capfs_core.Errno.t) result
-
 (** [write t ~client path ~offset data] takes ownership of a [Real]
-    [data]: a block-sized or smaller payload may become the cached
-    block itself (without an arena the cache keeps it as it came), so
-    the caller must not write into it afterwards. Nothing here writes
-    into a payload it was handed. *)
+    [data]: a block-sized or smaller payload becomes the cached block
+    itself, so the caller must not write into it afterwards. Nothing
+    here writes into a payload it was handed. *)
 val write :
   t -> client:int -> string -> offset:int -> Capfs_disk.Data.t ->
   (unit, Capfs_core.Errno.t) result

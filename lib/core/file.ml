@@ -28,7 +28,7 @@ let ino t = t.inode.Inode.ino
 let kind t = t.inode.Inode.kind
 let size t = t.inode.Inode.size
 
-let block_bytes t = t.fsys.Fsys.config.Fsys.block_bytes
+let block_bytes t = Fsys.block_bytes t.fsys
 
 let read_cached_block t idx =
   Cache.read t.fsys.Fsys.cache (Key.v (ino t) idx) ~fill:t.fill
@@ -84,76 +84,35 @@ let clip_read t ~offset ~bytes =
       Stdlib.max t.mm_high_water ((offset + len - 1) / block_bytes t);
   len
 
-let note_access t =
-  if t.fsys.Fsys.config.Fsys.track_atime then begin
-    t.inode.Inode.atime <- Fsys.now t.fsys;
-    t.fsys.Fsys.layout.Layout.update_inode t.inode
-  end
-
-(* Fetch each block of [offset, offset + len) in order and pass its
-   piece to [own] at once. A piece is a borrowed [Data.sub] view of the
-   cached block, valid only until this fibre next yields — and the next
-   block's fetch may yield on a disk fill, during which a writer can
-   replace an earlier block and the fill can reuse its slab cell. So
-   [own] must retain or copy the piece before returning. The owned
-   pieces come back in order; if a later fetch raises, each is
-   released on the way out. *)
-let read_pieces t ~offset ~len ~own =
+(* The piece of [offset, offset + len) that block [idx] holds: the
+   cached payload itself when the range covers the block, a copy of its
+   part otherwise. *)
+let piece t ~offset ~len idx =
   let bb = block_bytes t in
-  let last = (offset + len - 1) / bb in
-  let rec go idx =
-    if idx > last then []
-    else begin
-      let block = read_cached_block t idx in
-      let lo = Stdlib.max offset (idx * bb) in
-      let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
-      let piece =
-        own (Data.sub block ~pos:(lo - (idx * bb)) ~len:(hi - lo))
-      in
-      match go (idx + 1) with
-      | rest -> piece :: rest
-      | exception e ->
-        Data.release piece;
-        raise e
-    end
-  in
-  go (offset / bb)
+  let lo = Stdlib.max offset (idx * bb) in
+  let hi = Stdlib.min (offset + len) ((idx + 1) * bb) in
+  Data.sub (read_cached_block t idx) ~pos:(lo - (idx * bb)) ~len:(hi - lo)
 
-let retained piece =
-  Data.retain piece;
-  piece
-
+(* A range of several blocks gathers their pieces in order. A later
+   fetch may yield on a disk fill while a writer replaces an earlier
+   block, but the writer installs a new payload and never writes into
+   the old one, so every piece keeps the bytes it was read with. *)
 let read t ~offset ~bytes =
   let len = clip_read t ~offset ~bytes in
   if len = 0 then Data.sim 0
   else begin
     let bb = block_bytes t in
-    let first = offset / bb in
-    let result =
-      if (offset + len - 1) / bb = first then
-        (* common case: the range lives in one block — no part list,
-           no concat *)
-        Data.sub (read_cached_block t first) ~pos:(offset - (first * bb)) ~len
-      else begin
-        let pieces = read_pieces t ~offset ~len ~own:retained in
-        let out = Data.concat pieces in
-        List.iter Data.release pieces;
-        out
-      end
-    in
-    note_access t;
-    result
-  end
-
-let read_into t arena ~offset ~bytes =
-  let len = clip_read t ~offset ~bytes in
-  if len = 0 then Data.sim 0
-  else begin
-    let pieces =
-      read_pieces t ~offset ~len ~own:(Capfs_disk.Arena.copy_in arena)
-    in
-    note_access t;
-    Data.gather pieces
+    let first = offset / bb and last = (offset + len - 1) / bb in
+    if first = last then piece t ~offset ~len first
+    else begin
+      let rec pieces idx =
+        if idx > last then []
+        else
+          let p = piece t ~offset ~len idx in
+          p :: pieces (idx + 1)
+      in
+      Data.gather (pieces first)
+    end
   end
 
 (* {2 Writes} *)
@@ -162,7 +121,7 @@ let read_into t arena ~offset ~bytes =
    simulated stays simulated (there are no bytes to preserve). *)
 let merge_block ~block_bytes ~old ~at src =
   match old with
-  | Data.Real _ | Data.Gather _ | Data.Slice _ ->
+  | Data.Real _ | Data.Gather _ ->
     let merged = Bytes.make block_bytes '\000' in
     Bytes.blit_string (Data.to_string old) 0 merged 0
       (Stdlib.min block_bytes (Data.length old));

@@ -24,20 +24,12 @@ val size : t -> int
 val block_bytes : t -> int
 
 (** [read t ~offset ~bytes] returns the data actually read (short at
-    EOF; empty beyond it). Holes read as zeroes. A range inside one
-    block comes back as a borrowed view of the cached block, valid only
-    until the caller next yields; a longer range is copied into one
-    fresh buffer. *)
+    EOF; empty beyond it). Holes read as zeroes. A whole block comes
+    back as the cached payload itself, and a range of several blocks as
+    a {!Capfs_disk.Data.gather} of each block's piece; either keeps the
+    bytes it was read with, however long it is held, because a cached
+    payload is never written into. *)
 val read : t -> offset:int -> bytes:int -> Capfs_disk.Data.t
-
-(** [read_into t arena ~offset ~bytes] reads like {!read}, but copies
-    each block's piece into its own cell of [arena] as soon as that
-    block is fetched, and returns them as one {!Capfs_disk.Data.gather}.
-    The caller owns every cell and releases the result with
-    {!Capfs_disk.Data.release}. A piece falls back to a heap buffer
-    when [arena] has no free cell. *)
-val read_into :
-  t -> Capfs_disk.Arena.t -> offset:int -> bytes:int -> Capfs_disk.Data.t
 
 (** [write t ~offset data] buffers the write in the cache (write-back)
     and grows the file as needed. A payload within one block reaches the

@@ -7,41 +7,32 @@
     is identical between PFS and Patsy; only the scheduler's clock and
     the driver's transport differ. *)
 
-type config = {
-  block_bytes : int;
-  track_atime : bool;
-      (** update (and dirty) inode atimes on reads; off by default, as
-          almost every trace study configures *)
-  root_ino : int;  (** inode number of the root directory (1) *)
-}
-
-val default_config : config
-
 type t = {
   sched : Capfs_sched.Sched.t;
   registry : Capfs_stats.Registry.t;
   cache : Capfs_cache.Cache.t;
   layout : Capfs_layout.Layout.t;
-  config : config;
 }
+
+(** The root directory's inode number (1). *)
+val root_ino : int
 
 (** [create sched ~layout ~cache_config ()] builds the instance:
     allocates the cache with its write-back wired to
     [layout.write_blocks], and creates the root directory if the layout
-    does not know it yet (fresh file system). [replacement] picks the
-    cache replacement policy (default LRU). [arena] enables the
-    zero-copy data plane: block payloads live in the slab arena and
-    travel by reference down to the device boundary (see
-    {!Capfs_cache.Cache.create}). *)
+    does not know it yet (fresh file system). The cache must use the
+    layout's block size. [replacement] picks the cache replacement
+    policy (default LRU). *)
 val create :
   ?registry:Capfs_stats.Registry.t ->
-  ?config:config ->
   ?replacement:Capfs_cache.Replacement.t ->
-  ?arena:Capfs_disk.Arena.t ->
   cache_config:Capfs_cache.Cache.config ->
   layout:Capfs_layout.Layout.t ->
   Capfs_sched.Sched.t ->
   t
+
+(** The layout's block size, which the cache shares. *)
+val block_bytes : t -> int
 
 val now : t -> float
 

@@ -123,7 +123,7 @@ let symlink_target t ino =
 let max_symlink_depth = 8
 
 let resolve_uncached t path =
-  let root = t.fsys.Fsys.config.Fsys.root_ino in
+  let root = Fsys.root_ino in
   let rec walk dir_ino comps depth ~orig =
     match comps with
     | [] -> dir_ino

@@ -44,7 +44,7 @@ type mount =
   | Mount_or_format of (string -> bool)
   | Recover of (string -> (Lfs.recovery_report, Errno.t) result -> unit)
 
-let mount ?(arena = false) t mode =
+let mount t mode =
   let { sched; registry; config; drivers } = t in
   let cache = config.cache in
   let block_bytes = cache.Cache.block_bytes in
@@ -69,18 +69,9 @@ let mount ?(arena = false) t mode =
   in
   let volumes = Array.map Errno.ok_exn (Array.mapi volume drivers) in
   let layout = Capfs_layout.Multiplex.layout volumes in
-  let cells =
-    cache.Cache.capacity_blocks + cache.Cache.nvram_blocks
-    + (cache.Cache.flush_window * cache.Cache.max_extent_blocks)
-  in
-  let arena =
-    if arena then Some (Capfs_disk.Arena.create ~cell_bytes:block_bytes ~cells ())
-    else None
-  in
   let replacement =
     Capfs_cache.Replacement.by_name ~seed:config.seed
       ~capacity:cache.Cache.capacity_blocks config.replacement
   in
   Client.create
-    (Fsys.create ?registry ~replacement ?arena ~cache_config:cache ~layout
-       sched)
+    (Fsys.create ?registry ~replacement ~cache_config:cache ~layout sched)

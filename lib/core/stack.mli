@@ -53,6 +53,5 @@ type mount =
 (** [mount t mode] mounts the volumes and returns the assembled
     instance's client. It raises {!Capfs_core.Errno.Error} when a
     volume does not mount (under [Recover], once every volume was
-    tried). [arena] (default false) gives the cache a slab arena with a
-    cell per cache and NVRAM frame and per in-flight extent block. *)
-val mount : ?arena:bool -> t -> mount -> Client.t
+    tried). *)
+val mount : t -> mount -> Client.t

@@ -62,10 +62,9 @@ let default_tolerances =
     ("free_segments", Informational);
     ("merged", Informational);
     ("merge_span", Informational);
-    (* zero-copy accounting: where payload bytes are physically copied
-       is an engine property (the PFS half blits at the real device
-       boundary, the sim half charges the cache-adopt copy), never a
-       policy outcome *)
+    (* the driver's merge flatten: how often overlapping merged writes
+       are copied depends on request timing, an engine property, never
+       a policy outcome *)
     ("blit_count", Informational);
     ("copied_bytes", Informational);
   ]

@@ -55,9 +55,7 @@ let mem_transport ?(latency = 0.) ~sector_bytes ~total_sectors sched () =
           match Data.sub d ~pos:(i * sector_bytes) ~len:sector_bytes with
           | Data.Real b -> Hashtbl.replace store (req.Iorequest.lba + i) b
           | Data.Sim _ -> Hashtbl.remove store (req.Iorequest.lba + i)
-          | (Data.Gather _ | Data.Slice _) as g ->
-            (* device boundary: the store outlives the request, so a
-               slab slice is copied off its (recyclable) arena cell *)
+          | Data.Gather _ as g ->
             Hashtbl.replace store
               (req.Iorequest.lba + i)
               (Bytes.of_string (Data.to_string g))

@@ -180,9 +180,7 @@ let store_write t ~lba (data : Data.t) =
       match Data.sub data ~pos:(i * sb) ~len:sb with
       | Data.Real b -> Hashtbl.replace store (lba + i) b
       | Data.Sim _ -> Hashtbl.remove store (lba + i)
-      | (Data.Gather _ | Data.Slice _) as g ->
-        (* device boundary: the store outlives the request, so slab
-           slices must be copied off the (recyclable) arena cell *)
+      | Data.Gather _ as g ->
         Hashtbl.replace store (lba + i) (Bytes.of_string (Data.to_string g))
     done
 

@@ -271,12 +271,9 @@ let rec seal_segment t =
           t.inflight_seals <- t.inflight_seals - 1;
           Sched.broadcast t.sched t.seal_done)
         (fun () -> write_block_raw t ~addr:(seg_base t seg) payload);
-      (* buffered blocks are now on disk: drop them from the read path
-         and release the append buffer's payload references *)
+      (* buffered blocks are now on disk: drop them from the read path *)
       List.iteri
-        (fun i d ->
-          Hashtbl.remove t.pending (seg_base t seg + 1 + i);
-          Data.release d)
+        (fun i _ -> Hashtbl.remove t.pending (seg_base t seg + 1 + i))
         blocks;
       maybe_clean t
     end
@@ -289,10 +286,6 @@ and append_block t entry data =
     seal_segment t
   done;
   let addr = seg_base t t.cur_seg + t.cur_pos in
-  (* the append buffer holds this payload until its seal is durable:
-     co-own it so a slab cell cannot be recycled out from under the
-     open segment (released in [seal_segment]/[checkpoint]) *)
-  Data.retain data;
   t.cur_entries <- entry :: t.cur_entries;
   t.cur_data <- data :: t.cur_data;
   Hashtbl.replace t.pending addr data;
@@ -509,9 +502,7 @@ and checkpoint t =
     (fun (seg, blocks, payload) ->
       write_block_raw t ~addr:(seg_base t seg) payload;
       List.iteri
-        (fun i d ->
-          Hashtbl.remove t.pending (seg_base t seg + 1 + i);
-          Data.release d)
+        (fun i _ -> Hashtbl.remove t.pending (seg_base t seg + 1 + i))
         blocks)
     seals;
   while t.inflight_seals > 0 do
@@ -730,25 +721,6 @@ let make_t ?registry ?(name = "lfs") ~cfg sched driver ~block_bytes
 
 let total_blocks_of driver ~block_bytes =
   Driver.total_sectors driver * Driver.sector_bytes driver / block_bytes
-
-let format ?(config = default_config) sched driver ~block_bytes =
-  let total_blocks = total_blocks_of driver ~block_bytes in
-  let ckpt_a, ckpt_b, seg0, nsegs =
-    derive_geometry ~cfg:config ~total_blocks
-  in
-  let t =
-    make_t ~cfg:config sched driver ~block_bytes ~total_blocks ~ckpt_a ~ckpt_b
-      ~seg0 ~nsegs ()
-  in
-  let sb =
-    serialize_superblock ~block_bytes ~total_blocks
-      ~seg_blocks:config.seg_blocks ~nsegs ~seg0 ~ckpt_a ~ckpt_b
-      ~checkpoint_blocks:config.checkpoint_blocks
-  in
-  write_block_raw t ~addr:0 (pad_to_blocks t sb);
-  open_segment t 0;
-  t.segs.(0).free <- false;
-  checkpoint t
 
 (* Build the Layout.t interface over an initialised t. *)
 let to_layout t =

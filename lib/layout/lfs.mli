@@ -41,21 +41,11 @@ type config = {
 (** 128-block (512 KB) segments, cost-benefit cleaning, ino stride 1. *)
 val default_config : config
 
-(** [min_blocks config] — the smallest disk, in blocks, {!format}
-    accepts under [config]: the superblock, both checkpoint regions and
+(** [min_blocks config] — the smallest disk, in blocks,
+    {!format_and_mount} accepts under [config]: the superblock, both checkpoint regions and
     [target_free_segments + 2] segments. A smaller one raises
     [Invalid_argument]. *)
 val min_blocks : config -> int
-
-(** [format sched driver ~block_bytes ~config] writes a fresh, empty
-    file system: superblock, initial checkpoint, all segments free.
-    Raises {!Capfs_core.Errno.Error} if the disk fails underneath. *)
-val format :
-  ?config:config ->
-  Capfs_sched.Sched.t ->
-  Capfs_disk.Driver.t ->
-  block_bytes:int ->
-  unit
 
 (** [mount sched driver ~block_bytes] reads the superblock and newer
     checkpoint, rolls the log forward, and returns the layout interface.
@@ -95,9 +85,11 @@ val recover :
   Capfs_disk.Driver.t ->
   (Layout.t * recovery_report, Capfs_core.Errno.t) result
 
-(** [format_and_mount] is the common test/simulator path: format a fresh
-    image and mount it without re-reading metadata from disk (so it also
-    works on simulated disks that store no real bytes). *)
+(** [format_and_mount sched driver ~block_bytes] writes a fresh, empty
+    file system (superblock, initial checkpoint, all segments free) and
+    mounts it without re-reading metadata from disk, so it also works on
+    simulated disks that store no real bytes. Raises
+    {!Capfs_core.Errno.Error} if the disk fails underneath. *)
 val format_and_mount :
   ?registry:Capfs_stats.Registry.t ->
   ?name:string ->

@@ -626,7 +626,6 @@ let virtual_transport ?now server ~client =
       Queue.push { Frame.req_id = Wire.push_req_id; opcode; payload } inq);
   let complete_into req_id opcode r =
     let payload = Wire.encode_reply r in
-    Wire.release_reply r;
     Queue.push { Frame.req_id; opcode; payload } inq
   in
   let t_send frames =

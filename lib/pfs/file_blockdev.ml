@@ -25,9 +25,8 @@ let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
   in
   (* pwritev-style vectored write: one seek, then each segment of the
      payload written in sequence — a merged scatter-gather request never
-     flattens into one contiguous heap buffer. Slab slices and simulated
-     segments stage through a reused scratch buffer (the only copy on
-     the whole write path, at the real device boundary). *)
+     flattens into one contiguous heap buffer. A simulated segment has
+     no bytes: its zeroes stage through a reused scratch buffer. *)
   let scratch = ref Bytes.empty in
   let scratch_for len =
     if Bytes.length !scratch < len then scratch := Bytes.create len;
@@ -45,11 +44,6 @@ let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
   let rec write_segment (d : Data.t) =
     match d with
     | Data.Real b -> write_seq b 0 (Bytes.length b)
-    | Data.Slice _ ->
-      let len = Data.length d in
-      let buf = scratch_for len in
-      Data.blit ~src:d ~src_pos:0 ~dst:(Data.Real buf) ~dst_pos:0 ~len;
-      write_seq buf 0 len
     | Data.Sim n ->
       (* simulated payloads have no bytes; persist zeroes *)
       let buf = scratch_for n in

@@ -289,7 +289,7 @@ let create ?registry ?injector (cfg : Config.t) =
       (Sched.spawn sched ~name:"pfs.boot" (fun () ->
            assembled :=
              Some
-               (Stack.mount ~arena:true stack
+               (Stack.mount stack
                   (Stack.Mount_or_format may_format))));
     match Sched.run sched with
     | () -> (

@@ -15,7 +15,7 @@
     configuration knob exists in exactly one place. *)
 
 (** The fixed PFS block size (4096 bytes) — the unit the cache, the
-    layouts, the reply arena and the cached client all agree on. *)
+    layouts and the cached client all agree on. *)
 val block_bytes : int
 
 (** A full description of one PFS volume: backing image, cache policy

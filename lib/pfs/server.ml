@@ -12,27 +12,23 @@ let src = Logs.Src.create "capfs.server" ~doc:"sharded PFS server"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Consistency and data-plane state common to every shard: the lease
-   table (any shard may grant or invalidate), the push sinks (client id
-   -> how to reach its connection), the shared reply arena (read
-   payloads filled on the serving shard's domain, blitted and freed by
-   the connection's writer, which may live on another — hence
-   [~shared]), and the wire counters. *)
+(* Consistency state common to every shard: the lease table (any shard
+   may grant or invalidate), the push sinks (client id -> how to reach
+   its connection), and the wire counters. *)
 type shared = {
   lease : Lease.t;
   pushers : (int, Wire.push -> unit) Hashtbl.t;
   pushers_lock : Mutex.t;
-  reply_arena : Capfs_disk.Arena.t;
-  w_blit : int Atomic.t; (* server-path payload blits *)
-  w_copied : int Atomic.t; (* bytes those blits moved *)
   w_frames : int Atomic.t; (* frames put on the wire *)
   w_syscalls : int Atomic.t; (* write(2) calls that carried them *)
   w_reads : int Atomic.t; (* read(2) calls that returned bytes *)
   w_received : int Atomic.t; (* frames cut out of those reads *)
 }
 
-(* One outbound message: a typed reply still owning its (possibly
-   arena-backed) payload, or a pre-encoded frame body (server pushes). *)
+(* One outbound message: a typed reply, whose read payload may share
+   the serving shard's cached bytes (never written again, so the writer
+   on another domain may copy them at leisure), or a pre-encoded frame
+   body (server pushes). *)
 type out_msg =
   | Reply of { req_id : int; opcode : int; reply : Wire.reply }
   | Raw of { req_id : int; opcode : int; payload : string }
@@ -157,7 +153,7 @@ let unit_reply = function Ok () -> Wire.Ok_unit | Error e -> Wire.Err e
 
 (* A request's data, handed over without a copy: the decoder made the
    string for this request alone, and [Client.write] takes ownership
-   (the cache copies it once, into its slab). *)
+   (the cache keeps it as it came). *)
 let request_data data = Data.Real (Bytes.unsafe_of_string data)
 
 (* Each request is one abstract-client call; the wire adds no
@@ -174,16 +170,10 @@ let exec sh req =
     | Ok () -> Wire.Ok_unit
     | Error e -> Wire.Err e)
   | Read { client; path; offset; count } -> (
-    (* one copy, cache slab -> reply arena, block by block as each is
-       fetched: the reply is a gather of owned cells that rides to the
-       writer fibre's buffer with no intermediate heap copy *)
-    match
-      Client.read_into c ~client path sd.reply_arena ~offset ~bytes:count
-    with
-    | Ok d ->
-      Atomic.incr sd.w_blit;
-      ignore (Atomic.fetch_and_add sd.w_copied (Data.length d));
-      Wire.Ok_data d
+    (* the cached blocks themselves, gathered: the writer fibre copies
+       them straight into its buffer *)
+    match Client.read c ~client path ~offset ~bytes:count with
+    | Ok d -> Wire.Ok_data d
     | Error e -> Wire.Err e)
   | Write { client; path; offset; data } -> (
     match Client.write c ~client path ~offset (request_data data) with
@@ -541,19 +531,6 @@ let create ?injector (cfg : Pfs.Config.t) =
         lease = Lease.create ~lease_s:cfg.Pfs.Config.lease_s ();
         pushers = Hashtbl.create 64;
         pushers_lock = Mutex.create ();
-        (* read replies, one cell per block: bounded by in-flight
-           admission; a block that finds no free cell falls back to a
-           heap buffer *)
-        reply_arena =
-          Capfs_disk.Arena.create ~shared:true ~cell_bytes:Pfs.block_bytes
-            ~cells:
-              (max 64
-                 (min 1024
-                    (if cfg.Pfs.Config.admission = 0 then 1024
-                     else cfg.Pfs.Config.admission * n)))
-            ();
-        w_blit = Atomic.make 0;
-        w_copied = Atomic.make 0;
         w_frames = Atomic.make 0;
         w_syscalls = Atomic.make 0;
         w_reads = Atomic.make 0;
@@ -689,8 +666,6 @@ let report_json t =
                ("syscalls", sd.w_syscalls);
                ("reads", sd.w_reads);
                ("frames_received", sd.w_received);
-               ("blit_count", sd.w_blit);
-               ("copied_bytes", sd.w_copied);
              ]) );
     ]
 
@@ -741,12 +716,7 @@ let call t req =
         Mutex.unlock m
       end
       else drive t;
-      match !cell with
-      (* read payloads live in the shared reply arena; the in-process
-         boundary hands the caller a private heap copy instead of a
-         slice whose cell is about to recycle *)
-      | Some r -> Wire.detach_reply r
-      | None -> Wire.Err Errno.EIO))
+      match !cell with Some r -> r | None -> Wire.Err Errno.EIO))
 
 (* {2 The socket front door}
 
@@ -763,14 +733,10 @@ let max_gather_msgs = 64
 
 let sched_of conn = conn.home.volume.Pfs.sched
 
-(* On the connection's domain: queue for its writer, or drop (but never
-   leak a reply's arena cell) once the connection is gone. *)
+(* On the connection's domain: queue for its writer, or drop once the
+   connection is gone. *)
 let enqueue conn msg =
-  if conn.closed then
-    match msg with
-    | Reply { reply; _ } -> Wire.release_reply reply
-    | Raw _ -> ()
-  else begin
+  if not conn.closed then begin
     Queue.push msg conn.outbox;
     Sched.signal (sched_of conn) conn.out_ev
   end
@@ -812,8 +778,8 @@ let writer sd conn () =
       end
     else begin
       (* lay whatever is pending — up to [max_gather_msgs] frames or
-         1 MiB — back to back, each reply straight from its arena slice,
-         and hand the lot to one write(2) *)
+         1 MiB — back to back, each read reply straight from its cached
+         bytes, and hand the lot to one write(2) *)
       let len = ref 0 and count = ref 0 in
       while
         !count < max_gather_msgs
@@ -829,8 +795,7 @@ let writer sd conn () =
         (match m with
         | Reply { req_id; opcode; reply } ->
           Frame.blit_header conn.gather !len ~req_id ~opcode ~payload_len:plen;
-          Wire.blit_reply reply conn.gather body;
-          Wire.release_reply reply
+          Wire.blit_reply reply conn.gather body
         | Raw { req_id; opcode; payload } ->
           Frame.blit_header conn.gather !len ~req_id ~opcode ~payload_len:plen;
           Bytes.blit_string payload 0 conn.gather body plen);

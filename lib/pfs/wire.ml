@@ -302,8 +302,8 @@ let decode_request ~opcode payload =
    failure — the same closed errno vocabulary on the wire as in the
    API. The reply codec is blit-based: the writer fibre lays replies
    straight into its gather buffer ([blit_reply]), so an [Ok_data]
-   payload moves arena slab -> socket buffer with no intermediate
-   string. [encode_reply] is the same codec run against a fresh
+   payload moves from the cached blocks to the socket buffer with no
+   intermediate string. [encode_reply] is the same codec run against a fresh
    buffer. *)
 
 let reply_bytes = function
@@ -357,15 +357,6 @@ let encode_reply r =
   let b = Bytes.create n in
   blit_reply r b 0;
   Bytes.unsafe_to_string b
-
-let release_reply = function Ok_data d -> Data.release d | _ -> ()
-
-let detach_reply = function
-  | Ok_data d ->
-    let d' = Data.detach d in
-    Data.release d;
-    Ok_data d'
-  | r -> r
 
 let decode_reply ~opcode payload =
   let c = cursor_of_string payload in

@@ -79,10 +79,8 @@ type request =
 type reply =
   | Ok_unit
   | Ok_data of Capfs_disk.Data.t
-      (** read payload, possibly short at EOF. Server-side this is an
-          arena slice released by the writer fibre after
-          {!blit_reply}; {!Server.call} hands callers a detached
-          GC-heap copy. *)
+      (** read payload, possibly short at EOF. Server-side it may share
+          bytes with the cache, so nobody writes into it. *)
   | Ok_stat of stat
   | Ok_stats of string  (** the merged JSON report *)
   | Ok_grant of grant  (** reply to [Open_grant] *)
@@ -143,19 +141,9 @@ val encode_reply : reply -> string
 val reply_bytes : reply -> int
 
 (** [blit_reply r b off] lays the encoded reply at [b.(off)]; with
-    [Ok_data] the payload moves arena slab -> [b] in one copy, no
-    intermediate string. [b] must have {!reply_bytes}[ r] bytes free at
-    [off]. *)
+    [Ok_data] the payload moves to [b] in one copy, no intermediate
+    string. [b] must have {!reply_bytes}[ r] bytes free at [off]. *)
 val blit_reply : reply -> Bytes.t -> int -> unit
-
-(** Drop the writer's reference on an [Ok_data] arena slice (no-op for
-    every other shape). *)
-val release_reply : reply -> unit
-
-(** Deep-copy an [Ok_data] payload off the arena (releasing the slice)
-    so the reply can outlive the reply arena — the in-process
-    {!Server.call} boundary. *)
-val detach_reply : reply -> reply
 
 (** Replies are decoded under the request's echoed [opcode] — the
     status byte says whether it's an error, the opcode says which

@@ -29,7 +29,7 @@ val bus : int -> string
 (** [wire c] is a socket data-plane counter: ["wire.frames_sent"] and
     the ["wire.syscalls"] ([write(2)] calls) that carried them,
     ["wire.reads"] ([read(2)] calls that returned bytes) and the
-    ["wire.frames_received"] cut out of them, ["wire.blit_count"],
-    ["wire.copied_bytes"] (socket server; never part of the diffval
-    contract — wall-clock wire traffic has no simulated twin). *)
+    ["wire.frames_received"] cut out of them (socket server; never part
+    of the diffval contract — wall-clock wire traffic has no simulated
+    twin). *)
 val wire : string -> string

@@ -15,9 +15,10 @@ let of_lazy ?(name = "lazy") l = { src_name = name; inner = Arr l }
 let of_fn ?(name = "cursor") f = { src_name = name; inner = Gen f }
 
 (* Line-by-line file cursor: one open channel, one line and one record
-   in memory at a time. The channel closes at EOF. A cursor abandoned
-   mid-pass leaks its descriptor, since the GC does not close channels;
-   replay pulls both of its passes to the end. *)
+   in memory at a time. The channel closes at EOF, or when a line fails
+   to parse. A cursor abandoned mid-pass leaks its descriptor, since the
+   GC does not close channels; replay pulls both of its passes to the
+   end. *)
 let file_cursor parse_line path () =
   let ic = open_in path in
   let lineno = ref 0 in
@@ -34,7 +35,12 @@ let file_cursor parse_line path () =
         incr lineno;
         match parse_line ~line:!lineno line with
         | Some r -> Some r
-        | None -> next () (* comment / blank *))
+        | None -> next () (* comment / blank *)
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          close_in_noerr ic;
+          closed := true;
+          Printexc.raise_with_backtrace e bt)
   in
   next
 

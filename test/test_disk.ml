@@ -21,7 +21,9 @@ let test_data_real_roundtrip () =
   Alcotest.(check int) "length" 11 (Data.length d);
   Alcotest.(check string) "contents" "hello world" (Data.to_string d);
   let s = Data.sub d ~pos:6 ~len:5 in
-  Alcotest.(check string) "sub" "world" (Data.to_string s)
+  Alcotest.(check string) "sub" "world" (Data.to_string s);
+  Alcotest.(check bool) "a full-range sub is the payload itself" true
+    (Data.sub d ~pos:0 ~len:11 == d)
 
 let test_data_sim_behaves () =
   let d = Data.sim 4096 in
@@ -552,146 +554,10 @@ let test_driver_no_merge_when_disabled () =
   Sched.run s;
   Alcotest.(check int) "no merges by default" 0 (Driver.merges drv)
 
-(* {2 Arena slices and the zero-copy Data plane}
-
-   Property: a [Slice] (and any [Gather] of slices) is observationally
-   a [Real] — sub, blit, to_string, concat and gather agree with a
-   plain-bytes reference model byte for byte. Plus the refcount
-   lifecycle: recycle-after-free with 0xDE poisoning, fallback when
-   full, retain keeping a cell alive across a release. *)
-
-let arena_cell = 64
-
-let string_of_len rng n =
-  String.init n (fun _ -> Char.chr (32 + Stdlib.Random.State.int rng 95))
-
-let prop_slice_matches_real_model =
-  QCheck.Test.make ~name:"arena slices behave like real bytes" ~count:200
-    QCheck.(triple small_nat small_nat (int_bound 0x3FFFFFFF))
-    (fun (a, b, seed) ->
-      let rng = Stdlib.Random.State.make [| seed |] in
-      let arena = Arena.create ~cell_bytes:arena_cell ~cells:8 () in
-      let mk n =
-        let s = string_of_len rng n in
-        let slice = Arena.copy_in arena (Data.of_string s) in
-        (s, slice)
-      in
-      let la = 1 + (a mod arena_cell) and lb = 1 + (b mod arena_cell) in
-      let sa, da = mk la and sb, db = mk lb in
-      (* to_string round-trips *)
-      assert (Data.to_string da = sa);
-      (* sub agrees with String.sub *)
-      let pos = Stdlib.Random.State.int rng la in
-      let len = Stdlib.Random.State.int rng (la - pos + 1) in
-      assert (Data.to_string (Data.sub da ~pos ~len) = String.sub sa pos len);
-      (* gather preserves the pieces without flattening *)
-      let g = Data.gather [ da; db ] in
-      assert (Data.length g = la + lb);
-      assert (Data.to_string g = sa ^ sb);
-      (* concat over slices agrees with string concat *)
-      assert (Data.to_string (Data.concat [ da; db ]) = sa ^ sb);
-      (* blit out of a slice into a real buffer *)
-      let dst = Data.real la in
-      Data.blit ~src:da ~src_pos:0 ~dst ~dst_pos:0 ~len:la;
-      assert (Data.to_string dst = sa);
-      (* blit into a slice, then read it back *)
-      let db' = Arena.copy_in arena (Data.of_string sb) in
-      let n = Stdlib.min la lb in
-      Data.blit ~src:da ~src_pos:0 ~dst:db' ~dst_pos:0 ~len:n;
-      assert (Data.to_string db'
-              = String.sub sa 0 n ^ String.sub sb n (lb - n));
-      Data.release da;
-      Data.release db;
-      Data.release db';
-      (* the word-wide copies, in all three directions (bytes->slab,
-         slab->bytes, slab->slab): unaligned offsets on both sides, and
-         lengths from under one word to several words plus a tail *)
-      let blit_agrees ~src_slab ~dst_slab =
-        let len = Stdlib.Random.State.int rng (arena_cell - 4) in
-        let soff = Stdlib.Random.State.int rng (arena_cell - len + 1)
-        and doff = Stdlib.Random.State.int rng (arena_cell - len + 1) in
-        let ss = string_of_len rng arena_cell
-        and ds = string_of_len rng arena_cell in
-        let mk slab s =
-          if slab then Arena.copy_in arena (Data.of_string s)
-          else Data.of_string s
-        in
-        let src = mk src_slab ss and dst = mk dst_slab ds in
-        Data.blit ~src ~src_pos:soff ~dst ~dst_pos:doff ~len;
-        let want =
-          String.sub ds 0 doff ^ String.sub ss soff len
-          ^ String.sub ds (doff + len) (arena_cell - doff - len)
-        in
-        let ok = Data.to_string dst = want in
-        Data.release src;
-        Data.release dst;
-        ok
-      in
-      let copies_agree =
-        List.for_all
-          (fun (src_slab, dst_slab) ->
-            List.for_all
-              (fun () -> blit_agrees ~src_slab ~dst_slab)
-              [ (); (); (); () ])
-          [ (false, true); (true, false); (true, true) ]
-      in
-      copies_agree && Arena.fallbacks arena = 0)
-
-let test_arena_recycles_after_free () =
-  let a = Arena.create ~cell_bytes:16 ~cells:2 () in
-  let d1 = Arena.alloc a and d2 = Arena.alloc a in
-  Alcotest.(check int) "both cells live" 2 (Arena.live a);
-  (* full: the next allocation falls back to the heap, never blocks *)
-  let d3 = Arena.alloc a in
-  Alcotest.(check int) "fallback allocation" 1 (Arena.fallbacks a);
-  Alcotest.(check bool) "fallback is plain real" true (Data.is_real d3);
-  Data.release d1;
-  Alcotest.(check int) "cell recycled" 1 (Arena.recycled a);
-  Alcotest.(check int) "one live" 1 (Arena.live a);
-  let d4 = Arena.alloc a in
-  Alcotest.(check int) "recycled cell reused, no fallback" 1
-    (Arena.fallbacks a);
-  Data.release d2;
-  Data.release d3;
-  Data.release d4
-
-let test_arena_poisons_freed_cells () =
-  let a = Arena.create ~poison:true ~cell_bytes:8 ~cells:1 () in
-  let d = Arena.copy_in a (Data.of_string "AAAAAAAA") in
-  Alcotest.(check string) "contents before free" "AAAAAAAA"
-    (Data.to_string d);
-  Data.release d;
-  (* the freed cell was poisoned; the recycled allocation sees 0xDE
-     until overwritten — catching anyone who kept reading [d] *)
-  let d2 = Arena.alloc a in
-  Alcotest.(check string) "poisoned on free"
-    (String.make 8 '\xDE') (Data.to_string d2);
-  Data.release d2
-
-let test_arena_retain_keeps_cell_alive () =
-  let a = Arena.create ~cell_bytes:8 ~cells:1 () in
-  let d = Arena.copy_in a (Data.of_string "snapshot") in
-  Data.retain d;
-  (* first release: the flush snapshot still holds its reference *)
-  Data.release d;
-  Alcotest.(check int) "not recycled yet" 0 (Arena.recycled a);
-  Alcotest.(check string) "bytes intact" "snapshot" (Data.to_string d);
-  Data.release d;
-  Alcotest.(check int) "now recycled" 1 (Arena.recycled a)
-
-let test_arena_detach_survives_free () =
-  let a = Arena.create ~cell_bytes:8 ~cells:1 () in
-  let d = Arena.copy_in a (Data.of_string "keepsake") in
-  let kept = Data.detach d in
-  Data.release d;
-  ignore (Arena.alloc a);
-  Alcotest.(check string) "detached copy unaffected by recycle" "keepsake"
-    (Data.to_string kept)
-
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_geometry_bijective; prop_geometry_hp97560_bijective;
-      prop_seek_monotone; prop_slice_matches_real_model ]
+      prop_seek_monotone ]
 
 let suite =
   [
@@ -700,14 +566,6 @@ let suite =
     Alcotest.test_case "data blit mixed" `Quick test_data_blit_mixed;
     Alcotest.test_case "data concat" `Quick test_data_concat;
     Alcotest.test_case "data bounds checked" `Quick test_data_bounds_checked;
-    Alcotest.test_case "arena recycles after free" `Quick
-      test_arena_recycles_after_free;
-    Alcotest.test_case "arena poisons freed cells" `Quick
-      test_arena_poisons_freed_cells;
-    Alcotest.test_case "arena retain keeps cell alive" `Quick
-      test_arena_retain_keeps_cell_alive;
-    Alcotest.test_case "arena detach survives free" `Quick
-      test_arena_detach_survives_free;
     Alcotest.test_case "geometry capacity" `Quick test_geometry_capacity;
     Alcotest.test_case "geometry origin" `Quick test_geometry_mapping_origin;
     Alcotest.test_case "geometry track skew" `Quick test_geometry_track_skew;

@@ -673,6 +673,32 @@ let test_file_replay_closes_descriptors () =
           (open_fds ()))
   end
 
+(* A line that fails to parse ends the pass: its error reaches the
+   caller and the file is closed, not left open for the GC. *)
+let test_file_replay_closes_on_parse_error () =
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then begin
+    let open_fds () = Array.length (Sys.readdir fd_dir) in
+    let records = Array.sub (small_trace ~duration:60. ()) 0 2 in
+    let save path records =
+      Capfs_trace.Sprite_format.save path records;
+      Out_channel.with_open_gen [ Open_append; Open_text ] 0o644 path
+        (fun oc -> output_string oc "not a trace record\n")
+    in
+    with_temp_trace save records (fun path ->
+        let before = open_fds () in
+        for _ = 1 to 3 do
+          match
+            Experiment.run (test_config Experiment.Ups)
+              ~trace:(Source.sprite_file path)
+          with
+          | _ -> Alcotest.fail "a malformed line replayed"
+          | exception Capfs_trace.Sprite_format.Parse_error (3, _) -> ()
+        done;
+        Alcotest.(check int) "descriptors after three failed replays" before
+          (open_fds ()))
+  end
+
 let suite =
   [
     Alcotest.test_case "synthesize equidistant" `Quick
@@ -720,5 +746,7 @@ let suite =
       test_fleet_gen_failure_is_an_error;
     Alcotest.test_case "file replay closes its descriptors" `Quick
       test_file_replay_closes_descriptors;
+    Alcotest.test_case "file replay closes on a parse error" `Quick
+      test_file_replay_closes_on_parse_error;
     QCheck_alcotest.to_alcotest prop_synthesizer_matches_reference;
   ]

@@ -161,11 +161,11 @@ let test_pfs_real_clock_smoke () =
       if elapsed > 5. then Alcotest.failf "PFS took %.1fs wall-clock" elapsed)
 
 (* A multi-block read whose later block misses yields on the disk fill.
-   A writer that replaces an earlier block meanwhile releases that
-   block's slab cell, and the fill reuses it. The read must still see
-   block 0 as it was before the write or after it, never block 1's
-   bytes. Each of the eight files is one such race, under its own draw
-   of the random run queue. *)
+   A writer replaces an earlier block meanwhile. The writer installs a
+   new payload and nothing is recycled, so the read must see block 0 as
+   it was before the write or after it, never block 1's bytes. Each of
+   the eight files is one such race, under its own draw of the random
+   run queue. *)
 let test_pfs_multiblock_read_races_overwrite () =
   with_temp_image (fun path ->
       let bb = Pfs.block_bytes in
@@ -220,6 +220,54 @@ let test_pfs_multiblock_read_races_overwrite () =
           Alcotest.(check string) (f ^ " block 1") (String.make bb 'B')
             (String.sub got bb bb))
         !reads)
+
+(* A read of a whole cached block shares the cache's payload, which is
+   never written again: rewriting the block installs a new payload, and
+   the write to another file after it cannot land in the bytes the read
+   holds, however long it keeps them. *)
+let test_pfs_read_keeps_bytes_after_rewrite () =
+  with_temp_image (fun path ->
+      let bb = Pfs.block_bytes in
+      let t = start_pfs path in
+      let c = t.Pfs.client in
+      let write f ch =
+        Capfs.Client.open_exn c ~client:1 f Capfs.Client.WO;
+        Capfs.Client.write_exn c ~client:1 f ~offset:0
+          (Data.of_string (String.make bb ch));
+        Capfs.Client.close_exn c ~client:1 f
+      in
+      in_fibre t (fun () ->
+          write "/kept" 'A';
+          let d =
+            Capfs.Client.read_exn c ~client:1 "/kept" ~offset:0 ~bytes:bb
+          in
+          write "/kept" 'B';
+          write "/other" 'C';
+          Alcotest.(check string) "first read" (String.make bb 'A')
+            (Data.to_string d);
+          Alcotest.(check string) "rewritten block" (String.make bb 'B')
+            (Data.to_string
+               (Capfs.Client.read_exn c ~client:1 "/kept" ~offset:0 ~bytes:bb)));
+      Pfs.shutdown t)
+
+(* A read across a hole and a written block: the hole's piece holds no
+   bytes (a simulated payload reads as zeroes), the written block's
+   piece does, and the read returns both. *)
+let test_pfs_read_across_hole () =
+  with_temp_image (fun path ->
+      let bb = Pfs.block_bytes in
+      let t = start_pfs path in
+      let c = t.Pfs.client in
+      in_fibre t (fun () ->
+          Capfs.Client.open_exn c ~client:1 "/sparse" Capfs.Client.WO;
+          Capfs.Client.write_exn c ~client:1 "/sparse" ~offset:bb
+            (Data.of_string "tail");
+          Alcotest.(check string) "hole, then the written bytes"
+            (String.make bb '\000' ^ "tail")
+            (Data.to_string
+               (Capfs.Client.read_exn c ~client:1 "/sparse" ~offset:0
+                  ~bytes:(bb + 4))));
+      Pfs.shutdown t)
 
 (* An image that holds data but does not mount as LFS is somebody's
    file system: PFS must answer [Error EIO] and leave every byte as it
@@ -371,4 +419,7 @@ let suite =
     Alcotest.test_case "pfs real clock" `Quick test_pfs_real_clock_smoke;
     Alcotest.test_case "multi-block read races overwrite" `Quick
       test_pfs_multiblock_read_races_overwrite;
+    Alcotest.test_case "read keeps its bytes after a rewrite" `Quick
+      test_pfs_read_keeps_bytes_after_rewrite;
+    Alcotest.test_case "read across a hole" `Quick test_pfs_read_across_hole;
   ]
