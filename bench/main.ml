@@ -475,9 +475,11 @@ let micro () =
     done;
     Test.make ~name:"codec: inode serialize+parse"
       (Staged.stage (fun () ->
+           let w = Capfs_layout.Codec.Writer.create ~capacity:4096 in
+           Capfs_layout.Inode.serialize w inode ~indirect:[];
            ignore
              (Capfs_layout.Inode.deserialize
-                (Capfs_layout.Inode.serialize inode ~indirect:[]))))
+                (Capfs_layout.Codec.Writer.contents w))))
   in
   let key_bench =
     let i = ref 0 in
@@ -526,7 +528,7 @@ let micro () =
    "p95_latency_ms", "cache_hit_rate", "blocks_flushed",
    "writes_absorbed", "errors", "skipped_ops", "errors_by_kind",
    "sim_elapsed_s",
-   "minor_words_per_op", "promoted_words_per_op",
+   "minor_words_per_op", "promoted_words_per_op", "major_words_per_op",
    "major_collections" } ] } — the GC fields are per-domain
    Gc.quick_stat deltas taken around the experiment (see Fleet);
    failed jobs carry "ok": false and "error" instead of the figures.
@@ -589,6 +591,7 @@ let result_json (r : Fleet.job_result) =
           ("minor_words_per_op", Json.num (per_op r.Fleet.minor_words ops));
           ( "promoted_words_per_op",
             Json.num (per_op r.Fleet.promoted_words ops) );
+          ("major_words_per_op", Json.num (per_op r.Fleet.major_words ops));
           ("major_collections", int r.Fleet.major_collections);
         ])
 
@@ -659,12 +662,16 @@ let perfsmoke ~jobs ~duration =
 (* {1 Baseline gate (-baseline FILE)}
 
    Compares the run just performed against a committed
-   BENCH_results.json, per experiment label. Two checks:
+   BENCH_results.json, per experiment label. Three checks:
 
    - [minor_words_per_op] is deterministic on a given machine, so any
      per-label growth beyond 10 % means a real allocation slipped into
      the replay path — fail. (The zero-copy data plane roughly halved
      the figure; the gate is tight so it stays down.)
+   - [major_words_per_op] (promoted words plus the major heap's direct
+     allocations) repeats exactly between [-j 1] runs too, and is what
+     drives the major GC and peak RSS; the same 10 % per-label bound
+     applies. A baseline row without the field skips this check.
    - throughput is wall-clock and therefore noisy per cell (the light
      cells finish in ~0.2 s), so [replayed_ops_per_s] is gated in
      aggregate: total replayed operations over total wall seconds across
@@ -674,7 +681,12 @@ let perfsmoke ~jobs ~duration =
    misconfigured gate). The CI smoke job runs
    [figures -j 1 -traces sprite-1a,sprite-1b -baseline BENCH_results.json]. *)
 
-type baseline_row = { b_ops : float; b_wall : float; b_minor : float }
+type baseline_row = {
+  b_ops : float;
+  b_wall : float;
+  b_minor : float;
+  b_major : float option;
+}
 
 (* label -> row, from the "results" of a committed BENCH_results.json *)
 let read_baseline path =
@@ -696,7 +708,12 @@ let read_baseline path =
               Some (Json.Num b_ops),
               Some (Json.Num b_wall),
               Some (Json.Num b_minor) ) ->
-            Hashtbl.replace rows label { b_ops; b_wall; b_minor }
+            let b_major =
+              match field "major_words_per_op" with
+              | Some (Json.Num m) -> Some m
+              | _ -> None
+            in
+            Hashtbl.replace rows label { b_ops; b_wall; b_minor; b_major }
           | _ -> ())
         results
     | _ -> ())
@@ -713,10 +730,13 @@ let baseline_gate ~path results =
         | Error _ -> None
         | Ok o ->
           let ops = float_of_int o.Experiment.replay.Replay.operations in
-          let minor =
-            if ops > 0. then r.Fleet.minor_words /. ops else 0.
-          in
-          Some (r.Fleet.job.Fleet.label, ops, r.Fleet.wall_s, minor))
+          let per_op x = if ops > 0. then x /. ops else 0. in
+          Some
+            ( r.Fleet.job.Fleet.label,
+              ops,
+              r.Fleet.wall_s,
+              per_op r.Fleet.minor_words,
+              per_op r.Fleet.major_words ))
       results
   in
   let failures = ref 0 in
@@ -724,7 +744,7 @@ let baseline_gate ~path results =
   let ops_base = ref 0. and wall_base = ref 0. in
   let matched = ref 0 in
   List.iter
-    (fun (label, ops, wall, minor) ->
+    (fun (label, ops, wall, minor, major) ->
       match Hashtbl.find_opt base label with
       | None -> Format.printf "  %-36s (not in baseline, skipped)@." label
       | Some b ->
@@ -733,14 +753,22 @@ let baseline_gate ~path results =
         wall_new := !wall_new +. wall;
         ops_base := !ops_base +. b.b_ops;
         wall_base := !wall_base +. b.b_wall;
-        let growth =
-          if b.b_minor > 0. then (minor -. b.b_minor) /. b.b_minor else 0.
+        let gate what base fresh =
+          let growth =
+            if base > 0. then (fresh -. base) /. base else 0.
+          in
+          let bad = growth > 0.10 in
+          if bad then incr failures;
+          Format.printf "  %-36s %s/op %8.1f -> %8.1f (%+5.1f%%)%s@." label
+            what base fresh (100. *. growth)
+            (if bad then "  FAIL (> +10%)" else "")
         in
-        let bad = growth > 0.10 in
-        if bad then incr failures;
-        Format.printf "  %-36s minor_words/op %8.1f -> %8.1f (%+5.1f%%)%s@."
-          label b.b_minor minor (100. *. growth)
-          (if bad then "  FAIL (> +10%)" else ""))
+        gate "minor_words" b.b_minor minor;
+        match b.b_major with
+        | Some base -> gate "major_words" base major
+        | None ->
+          Format.printf "  %-36s major_words/op (not in baseline, skipped)@."
+            label)
     fresh;
   if !matched = 0 then begin
     Format.printf "  no overlapping experiments with the baseline — refusing \

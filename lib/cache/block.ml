@@ -30,34 +30,51 @@ end
 
 type state = Clean | Dirty | Flushing
 
+type times = { mutable dirtied_at : float; mutable last_access : float }
+
 type t = {
   key : Key.t;
   mutable data : Capfs_disk.Data.t;
   mutable state : state;
-  mutable dirtied_at : float;
-  mutable last_access : float;
+  times : times;
   mutable access_count : int;
   mutable version : int;
   mutable in_nvram : bool;
   mutable pinned : int;
   mutable policy_slot : int;
   mutable zombie : bool;
+  mutable repl_prev : t;
+  mutable repl_next : t;
+  mutable dirty_prev : t;
+  mutable dirty_next : t;
+  mutable file_prev : t;
+  mutable file_next : t;
 }
 
 let make ~key ~data ~now =
-  {
-    key;
-    data;
-    state = Clean;
-    dirtied_at = now;
-    last_access = now;
-    access_count = 0;
-    version = 0;
-    in_nvram = false;
-    pinned = 0;
-    policy_slot = -1;
-    zombie = false;
-  }
+  let rec b =
+    {
+      key;
+      data;
+      state = Clean;
+      times = { dirtied_at = now; last_access = now };
+      access_count = 0;
+      version = 0;
+      in_nvram = false;
+      pinned = 0;
+      policy_slot = -1;
+      zombie = false;
+      repl_prev = b;
+      repl_next = b;
+      dirty_prev = b;
+      dirty_next = b;
+      file_prev = b;
+      file_next = b;
+    }
+  in
+  b
+
+let sentinel () = make ~key:(Key.v 0 0) ~data:(Capfs_disk.Data.sim 0) ~now:0.
 
 let ino t = Key.ino t.key
 let index t = Key.index t.key

@@ -6,6 +6,7 @@ module Counter = Capfs_stats.Counter
 module Tracer = Capfs_obs.Tracer
 module Ev = Capfs_obs.Event
 module Ktbl = Hashtbl.Make (Block.Key)
+module Itbl = Hashtbl.Make (Int)
 
 let src = Logs.Src.create "capfs.cache" ~doc:"file-system block cache"
 
@@ -73,9 +74,9 @@ type t = {
   writeback : (int * int * Data.t) list -> unit;
   policy : Replacement.t;
   table : Block.t Ktbl.t;
-  by_ino : (int, (int, Block.t) Hashtbl.t) Hashtbl.t;
-  dirty : Block.t Dlist.t; (* state Dirty only; front = oldest *)
-  dirty_nodes : Block.t Dlist.node Ktbl.t;
+  by_ino : Block.t Itbl.t; (* ino -> first block of its file chain *)
+  dirty : Block.t; (* dirty-list sentinel: state Dirty only, front = oldest *)
+  mutable dirty_len : int;
   filling : Sched.event Ktbl.t; (* in-flight read fills *)
   mutable volatile_used : int;
   mutable nvram_count : int;
@@ -138,65 +139,94 @@ let copy_delay t =
   if t.cfg.mem_copy_rate > 0. then Sched.sleep t.sched t.block_copy_s
 
 let touch t b =
-  b.Block.last_access <- now t;
+  b.Block.times.Block.last_access <- now t;
   b.Block.access_count <- b.Block.access_count + 1
 
-(* table / by_ino bookkeeping *)
+(* table / by_ino bookkeeping: each cached block is in [table] and on
+   its file's chain, a circular list through [file_prev]/[file_next]
+   whose first block [by_ino] holds. *)
 
 let table_add t b =
   Ktbl.replace t.table b.Block.key b;
-  let ino = Block.ino b in
-  let file_blocks =
-    match Hashtbl.find_opt t.by_ino ino with
-    | Some fb -> fb
-    | None ->
-      let fb = Hashtbl.create 8 in
-      Hashtbl.replace t.by_ino ino fb;
-      fb
-  in
-  Hashtbl.replace file_blocks (Block.index b) b
+  match Itbl.find t.by_ino (Block.ino b) with
+  | first ->
+    let last = first.Block.file_prev in
+    b.Block.file_prev <- last;
+    b.Block.file_next <- first;
+    last.Block.file_next <- b;
+    first.Block.file_prev <- b
+  | exception Not_found -> Itbl.replace t.by_ino (Block.ino b) b
 
 let table_remove t b =
   Ktbl.remove t.table b.Block.key;
-  match Hashtbl.find_opt t.by_ino (Block.ino b) with
-  | Some fb ->
-    Hashtbl.remove fb (Block.index b);
-    if Hashtbl.length fb = 0 then Hashtbl.remove t.by_ino (Block.ino b)
-  | None -> ()
+  let ino = Block.ino b in
+  match Itbl.find t.by_ino ino with
+  | first ->
+    let next = b.Block.file_next in
+    if first == b then
+      if next == b then Itbl.remove t.by_ino ino
+      else Itbl.replace t.by_ino ino next;
+    b.Block.file_prev.Block.file_next <- next;
+    next.Block.file_prev <- b.Block.file_prev;
+    b.Block.file_prev <- b;
+    b.Block.file_next <- b
+  | exception Not_found -> ()
 
-let blocks_of_ino t ino =
-  match Hashtbl.find_opt t.by_ino ino with
-  | Some fb -> Hashtbl.fold (fun _ b acc -> b :: acc) fb []
-  | None -> []
+(* [f] over the file's chain, first block first; [f] must not unlink. *)
+let fold_file t ino f acc =
+  match Itbl.find t.by_ino ino with
+  | first ->
+    let rec go b acc =
+      let acc = f acc b in
+      if b.Block.file_next == first then acc else go b.Block.file_next acc
+    in
+    go first acc
+  | exception Not_found -> acc
+
+let blocks_of_ino t ino = fold_file t ino (fun acc b -> b :: acc) []
 
 (* The whole-file flush path: every Dirty block of [ino], sorted by
    index, as a fresh array — sorted in place rather than through
    [List.sort]'s merge allocations. *)
 let dirty_blocks_of_ino t ino =
-  match Hashtbl.find_opt t.by_ino ino with
-  | None -> [||]
-  | Some fb ->
-    let dirty =
-      Hashtbl.fold
-        (fun _ b acc -> if b.Block.state = Block.Dirty then b :: acc else acc)
-        fb []
-    in
-    let arr = Array.of_list dirty in
-    Array.sort (fun a b -> compare (Block.index a) (Block.index b)) arr;
-    arr
+  let dirty =
+    fold_file t ino
+      (fun acc b -> if b.Block.state = Block.Dirty then b :: acc else acc)
+      []
+  in
+  let arr = Array.of_list dirty in
+  Array.sort (fun a b -> compare (Block.index a) (Block.index b)) arr;
+  arr
 
 (* dirty-list bookkeeping: the list holds blocks in state Dirty only,
-   ordered by the time they became dirty (front = oldest). *)
+   ordered by the time they became dirty (front = oldest), linked
+   through [dirty_prev]/[dirty_next] around the [dirty] sentinel. *)
 
 let dirty_push t b =
-  Ktbl.replace t.dirty_nodes b.Block.key (Dlist.push_back t.dirty b)
+  let last = t.dirty.Block.dirty_prev in
+  b.Block.dirty_prev <- last;
+  b.Block.dirty_next <- t.dirty;
+  last.Block.dirty_next <- b;
+  t.dirty.Block.dirty_prev <- b;
+  t.dirty_len <- t.dirty_len + 1
 
 let dirty_remove t b =
-  match Ktbl.find_opt t.dirty_nodes b.Block.key with
-  | Some n ->
-    Dlist.remove t.dirty n;
-    Ktbl.remove t.dirty_nodes b.Block.key
-  | None -> ()
+  if b.Block.dirty_next != b then begin
+    b.Block.dirty_prev.Block.dirty_next <- b.Block.dirty_next;
+    b.Block.dirty_next.Block.dirty_prev <- b.Block.dirty_prev;
+    b.Block.dirty_prev <- b;
+    b.Block.dirty_next <- b;
+    t.dirty_len <- t.dirty_len - 1
+  end
+
+(* The oldest dirty block, or the sentinel when none is. *)
+let oldest_dirty t = t.dirty.Block.dirty_next
+
+let dirty_blocks t =
+  let rec go b acc =
+    if b == t.dirty then List.rev acc else go b.Block.dirty_next (b :: acc)
+  in
+  go (oldest_dirty t) []
 
 let release_frame t b =
   if b.Block.in_nvram then begin
@@ -390,41 +420,32 @@ let flush_blocks t blocks =
    they would each force their own demand flush moments later, and as
    one extent they cost one disk request and one metadata update. *)
 let cluster_around_oldest t (oldest : Block.t) =
-  match Hashtbl.find_opt t.by_ino (Block.ino oldest) with
-  | None -> [| oldest |]
-  | Some fb ->
-    let dirty_at i =
-      match Hashtbl.find_opt fb i with
-      | Some b when b.Block.state = Block.Dirty -> Some b
-      | _ -> None
-    in
-    let idx = Block.index oldest in
-    let cap = t.cfg.max_extent_blocks in
-    let lo = ref idx and hi = ref idx and count = ref 1 in
-    let more = ref true in
-    while !more && !count < cap do
-      match dirty_at (!lo - 1) with
-      | Some _ ->
-        decr lo;
-        incr count
-      | None -> more := false
-    done;
-    more := true;
-    while !more && !count < cap do
-      match dirty_at (!hi + 1) with
-      | Some _ ->
-        incr hi;
-        incr count
-      | None -> more := false
-    done;
-    Array.init (!hi - !lo + 1) (fun k -> Option.get (dirty_at (!lo + k)))
+  let ino = Block.ino oldest in
+  let dirty_at i =
+    i >= 0 && i <= Block.Key.max_index
+    &&
+    match Ktbl.find t.table (Block.Key.v ino i) with
+    | b -> b.Block.state = Block.Dirty
+    | exception Not_found -> false
+  in
+  let idx = Block.index oldest in
+  let cap = t.cfg.max_extent_blocks in
+  let lo = ref idx and hi = ref idx in
+  while !hi - !lo + 1 < cap && dirty_at (!lo - 1) do
+    decr lo
+  done;
+  while !hi - !lo + 1 < cap && dirty_at (!hi + 1) do
+    incr hi
+  done;
+  Array.init (!hi - !lo + 1) (fun k ->
+      Ktbl.find t.table (Block.Key.v ino (!lo + k)))
 
 (* Flush "through the oldest dirty block": the whole owning file or just
    the block itself, per the configured scope. *)
 let flush_oldest t =
-  match Dlist.front t.dirty with
-  | None -> false
-  | Some oldest ->
+  let oldest = oldest_dirty t in
+  if oldest == t.dirty then false
+  else begin
     let batch =
       match t.cfg.scope with
       | `Single_block ->
@@ -433,6 +454,7 @@ let flush_oldest t =
     in
     flush_blocks t batch;
     true
+  end
 
 (* Nudge a flush, then block until space may be available. A synchronous
    flush frees frames before returning, so re-check [satisfied] instead of
@@ -539,7 +561,7 @@ let mark_dirty t b data =
   b.Block.data <- data;
   b.Block.version <- b.Block.version + 1;
   b.Block.state <- Block.Dirty;
-  b.Block.dirtied_at <- now t;
+  b.Block.times.Block.dirtied_at <- now t;
   dirty_push t b;
   touch t b
 
@@ -615,7 +637,7 @@ let rec write t key data =
         mark_dirty t b data
     end);
   copy_delay t;
-  Counter.record t.c.dirty_blocks (float_of_int (Dlist.length t.dirty));
+  Counter.record t.c.dirty_blocks (float_of_int t.dirty_len);
   Counter.record t.c.nvram_used (float_of_int t.nvram_count)
 
 (* {2 Invalidation} *)
@@ -650,9 +672,7 @@ let remove_file t ino = List.iter (invalidate_block t) (blocks_of_ino t ino)
 (* {2 Synchronous flushing} *)
 
 let file_has_unstable t ino =
-  match Hashtbl.find_opt t.by_ino ino with
-  | None -> false
-  | Some fb -> Hashtbl.fold (fun _ b acc -> acc || Block.is_dirty b) fb false
+  fold_file t ino (fun acc b -> acc || Block.is_dirty b) false
 
 let flush_file t ino =
   (* Loop: a block re-dirtied while its snapshot was in flight needs
@@ -663,9 +683,8 @@ let flush_file t ino =
   done
 
 let sync t =
-  while Dlist.length t.dirty > 0 || t.flushing_count > 0 do
-    if Dlist.length t.dirty > 0 then
-      flush_blocks t (Dlist.to_array t.dirty)
+  while t.dirty_len > 0 || t.flushing_count > 0 do
+    if t.dirty_len > 0 then flush_blocks t (Array.of_list (dirty_blocks t))
     else Sched.await t.sched t.space_ev
   done
 
@@ -705,14 +724,12 @@ let flusher_loop t () =
 let periodic_loop t ~max_age ~scan_interval () =
   while true do
     Sched.sleep t.sched scan_interval;
-    let rec drain () =
-      match Dlist.front t.dirty with
-      | Some b when now t -. b.Block.dirtied_at >= max_age ->
-        ignore (flush_oldest t);
-        drain ()
-      | Some _ | None -> ()
-    in
-    drain ()
+    while
+      let b = oldest_dirty t in
+      b != t.dirty && now t -. b.Block.times.Block.dirtied_at >= max_age
+    do
+      ignore (flush_oldest t)
+    done
   done
 
 (* {2 Construction} *)
@@ -751,9 +768,9 @@ let create ?registry ?(name = "cache") ?replacement ~writeback sched cfg =
       writeback;
       policy;
       table = Ktbl.create 1024;
-      by_ino = Hashtbl.create 256;
-      dirty = Dlist.create ();
-      dirty_nodes = Ktbl.create 256;
+      by_ino = Itbl.create 256;
+      dirty = Block.sentinel ();
+      dirty_len = 0;
       filling = Ktbl.create 16;
       volatile_used = 0;
       nvram_count = 0;
@@ -779,7 +796,7 @@ let create ?registry ?(name = "cache") ?replacement ~writeback sched cfg =
 (* {2 Introspection} *)
 
 let block_count t = Ktbl.length t.table
-let dirty_count t = Dlist.length t.dirty + t.flushing_count
+let dirty_count t = t.dirty_len + t.flushing_count
 let nvram_used t = t.nvram_count
 let contains t key = Ktbl.mem t.table key
 

@@ -145,3 +145,7 @@ val contains : t -> Block.Key.t -> bool
 
 (** Keys of the file's cached blocks (unordered). *)
 val keys_of_file : t -> int -> Block.Key.t list
+
+(** The dirty list, oldest first: every block in state [Dirty], in the
+    order each last became dirty. *)
+val dirty_blocks : t -> Block.t list

@@ -18,47 +18,63 @@ let count t = t.o_count ()
 
 module Ktbl = Hashtbl.Make (Block.Key)
 
-(* LRU on a doubly-linked list: front = most recent, victims from the
-   back. Pinned blocks at the back are temporarily skipped by relinking
-   them to the front (they are hot by definition: an I/O holds them). *)
-let lru_ops list_name =
-  let list : Block.t Dlist.t = Dlist.create () in
-  let nodes : Block.t Dlist.node Ktbl.t = Ktbl.create 256 in
+(* LRU on the blocks' own replacement links: a circular list through a
+   sentinel, front (the sentinel's [repl_next]) = most recent, victims
+   from the back. A block is on this list iff its [policy_slot] is
+   [tag], so SLRU's two segments share the one pair of links. Pinned
+   blocks at the back are temporarily skipped by relinking them to the
+   front (they are hot by definition: an I/O holds them). *)
+let lru_ops list_name ~tag =
+  let head = Block.sentinel () in
+  let len = ref 0 in
+  let link_front (b : Block.t) =
+    let first = head.Block.repl_next in
+    b.Block.repl_prev <- head;
+    b.Block.repl_next <- first;
+    first.Block.repl_prev <- b;
+    head.Block.repl_next <- b
+  in
+  let unlink (b : Block.t) =
+    b.Block.repl_prev.Block.repl_next <- b.Block.repl_next;
+    b.Block.repl_next.Block.repl_prev <- b.Block.repl_prev;
+    b.Block.repl_prev <- b;
+    b.Block.repl_next <- b
+  in
   let insert b =
-    if not (Ktbl.mem nodes b.Block.key) then
-      Ktbl.replace nodes b.Block.key (Dlist.push_front list b)
+    if b.Block.policy_slot < 0 then begin
+      link_front b;
+      b.Block.policy_slot <- tag;
+      incr len
+    end
   in
   let access b =
-    match Ktbl.find_opt nodes b.Block.key with
-    | Some n -> Dlist.move_front list n
-    | None -> ()
+    if b.Block.policy_slot = tag then begin
+      unlink b;
+      link_front b
+    end
   in
   let forget b =
-    match Ktbl.find_opt nodes b.Block.key with
-    | Some n ->
-      Dlist.remove list n;
-      Ktbl.remove nodes b.Block.key
-    | None -> ()
+    if b.Block.policy_slot = tag then begin
+      unlink b;
+      b.Block.policy_slot <- -1;
+      decr len
+    end
   in
   let victim () =
     let rec go attempts =
-      if attempts = 0 then None
-      else
-        match Dlist.back list with
-        | None -> None
-        | Some b ->
-          if Block.evictable b then begin
-            forget b;
-            Some b
-          end
-          else begin
-            (match Ktbl.find_opt nodes b.Block.key with
-            | Some n -> Dlist.move_front list n
-            | None -> ());
-            go (attempts - 1)
-          end
+      let b = head.Block.repl_prev in
+      if attempts = 0 || b == head then None
+      else if Block.evictable b then begin
+        forget b;
+        Some b
+      end
+      else begin
+        unlink b;
+        link_front b;
+        go (attempts - 1)
+      end
     in
-    go (Dlist.length list)
+    go !len
   in
   {
     o_name = list_name;
@@ -66,10 +82,10 @@ let lru_ops list_name =
     o_access = access;
     o_forget = forget;
     o_victim = victim;
-    o_count = (fun () -> Dlist.length list);
+    o_count = (fun () -> !len);
   }
 
-let lru () = lru_ops "lru"
+let lru () = lru_ops "lru" ~tag:0
 
 (* Array-backed set with O(1) swap-remove through Block.policy_slot. *)
 module Pool = struct
@@ -120,7 +136,7 @@ let random ~seed =
     else begin
       (* a few random probes, then give up and scan *)
       let rec probe n =
-        if n = 0 then Pool.min_by pool (fun b -> b.Block.last_access)
+        if n = 0 then Pool.min_by pool (fun b -> b.Block.times.Block.last_access)
         else begin
           let b = pool.Pool.blocks.(Capfs_stats.Prng.int rng pool.Pool.len) in
           if Block.evictable b then Some b else probe (n - 1)
@@ -163,55 +179,35 @@ let lfu () =
 
 let slru ~protected_capacity =
   if protected_capacity < 1 then invalid_arg "Replacement.slru: capacity < 1";
-  let probation = lru_ops "slru.probation" in
-  let protected_ = lru_ops "slru.protected" in
-  let where : [ `Probation | `Protected ] Ktbl.t = Ktbl.create 256 in
-  let insert b =
-    if not (Ktbl.mem where b.Block.key) then begin
-      probation.o_insert b;
-      Ktbl.replace where b.Block.key `Probation
-    end
-  in
+  let probation = lru_ops "slru.probation" ~tag:0 in
+  let protected_ = lru_ops "slru.protected" ~tag:1 in
+  (* a tracked block's [policy_slot] is its segment's tag *)
   let access b =
-    match Ktbl.find_opt where b.Block.key with
-    | Some `Probation ->
+    match b.Block.policy_slot with
+    | 0 ->
       (* promote; demote the protected tail if over capacity *)
       probation.o_forget b;
       protected_.o_insert b;
-      Ktbl.replace where b.Block.key `Protected;
       if protected_.o_count () > protected_capacity then begin
         match protected_.o_victim () with
-        | Some demoted ->
-          probation.o_insert demoted;
-          Ktbl.replace where demoted.Block.key `Probation
+        | Some demoted -> probation.o_insert demoted
         | None -> ()
       end
-    | Some `Protected -> protected_.o_access b
-    | None -> ()
+    | 1 -> protected_.o_access b
+    | _ -> ()
   in
   let forget b =
-    match Ktbl.find_opt where b.Block.key with
-    | Some `Probation ->
-      probation.o_forget b;
-      Ktbl.remove where b.Block.key
-    | Some `Protected ->
-      protected_.o_forget b;
-      Ktbl.remove where b.Block.key
-    | None -> ()
+    probation.o_forget b;
+    protected_.o_forget b
   in
   let victim () =
-    let take seg =
-      match seg.o_victim () with
-      | Some b ->
-        Ktbl.remove where b.Block.key;
-        Some b
-      | None -> None
-    in
-    match take probation with Some b -> Some b | None -> take protected_
+    match probation.o_victim () with
+    | Some b -> Some b
+    | None -> protected_.o_victim ()
   in
   {
     o_name = "slru";
-    o_insert = insert;
+    o_insert = probation.o_insert;
     o_access = access;
     o_forget = forget;
     o_victim = victim;
@@ -236,7 +232,7 @@ let lru_k ~k =
         h
     in
     h.head <- (h.head + 1) mod k;
-    h.times.(h.head) <- b.Block.last_access;
+    h.times.(h.head) <- b.Block.times.Block.last_access;
     if h.h_n < k then h.h_n <- h.h_n + 1
   in
   let kth_age b =

@@ -4,8 +4,7 @@ module Data = Capfs_disk.Data
 
 type entry = { name : string; entry_ino : int; kind : Inode.kind }
 
-let serialize entries =
-  let w = Codec.Writer.create () in
+let serialize w entries =
   Codec.Writer.string w "DIR1";
   Codec.Writer.u32 w (List.length entries);
   List.iter
@@ -13,8 +12,7 @@ let serialize entries =
       Codec.Writer.string w e.name;
       Codec.Writer.u64 w e.entry_ino;
       Codec.Writer.u8 w (Inode.kind_to_int e.kind))
-    entries;
-  Codec.Writer.contents w
+    entries
 
 let deserialize s =
   let r = Codec.Reader.of_string s in
@@ -50,11 +48,10 @@ let store file entries =
      without unmapping anything; the block-padded payload then replaces
      blocks wholesale, with no read-modify-write. The codec never reads
      the dead tail. *)
-  let s = serialize entries in
-  let bb = File.block_bytes file in
-  let padded = ((String.length s + bb - 1) / bb) * bb in
-  let b = Bytes.make padded '\000' in
-  Bytes.blit_string s 0 b 0 (String.length s);
+  let block_bytes = File.block_bytes file in
+  let w = Codec.Writer.create ~capacity:block_bytes in
+  serialize w entries;
+  let size = Codec.Writer.length w in
   File.drop_cached file;
-  File.write file ~offset:0 (Data.of_string (Bytes.unsafe_to_string b));
-  File.truncate file ~size:(String.length s)
+  File.write file ~offset:0 (Data.Real (Codec.Writer.blocks w ~block_bytes));
+  File.truncate file ~size

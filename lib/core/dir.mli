@@ -13,11 +13,6 @@ type entry = {
   kind : Capfs_layout.Inode.kind;
 }
 
-val serialize : entry list -> string
-
-(** Raises [Capfs_layout.Codec.Corrupt] on malformed input. *)
-val deserialize : string -> entry list
-
 (** [load file] reads and parses the whole directory; an unreadable
     (simulated) payload yields [None] — the caller falls back to its
     in-core mirror. *)

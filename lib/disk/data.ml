@@ -96,21 +96,6 @@ let rec blit ~src ~src_pos ~dst ~dst_pos ~len =
       g.g_segs
   | (Real _ | Sim _), Sim _ -> ()
 
-let concat ts =
-  let total = List.fold_left (fun n t -> n + length t) 0 ts in
-  if List.for_all is_real ts then begin
-    let out = Real (Bytes.create total) in
-    let pos = ref 0 in
-    List.iter
-      (fun t ->
-        let len = length t in
-        blit ~src:t ~src_pos:0 ~dst:out ~dst_pos:!pos ~len;
-        pos := !pos + len)
-      ts;
-    out
-  end
-  else Sim total
-
 let to_string t =
   match t with
   | Real b -> Bytes.to_string b

@@ -65,10 +65,6 @@ val sub : t -> pos:int -> len:int -> t
     segment. *)
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
-(** [concat ts] joins payloads with a copy; the result is [Real] iff all
-    inputs are fully real (use {!gather} to join without copying). *)
-val concat : t list -> t
-
 (** [to_string t] renders real bytes, or zeros for simulated data. *)
 val to_string : t -> string
 

@@ -1,8 +1,9 @@
 (** Little-endian binary encoding helpers for on-disk structures.
 
     Every persistent structure (superblock, checkpoint, inode, segment
-    summary) round-trips through these, so a PFS image written by one
-    process mounts in another. A writer appends into a growing buffer; a
+    summary, directory) round-trips through these, so a PFS image written
+    by one process mounts in another. A writer stores fields into a
+    growable byte buffer and finishes as whole zero-padded blocks; a
     reader walks a string with bounds checking and raises {!Corrupt} on
     malformed input rather than crashing. *)
 
@@ -11,30 +12,44 @@ exception Corrupt of string
 module Writer : sig
   type t
 
-  (** A fresh, empty buffer. *)
-  val create : unit -> t
+  (** A fresh, empty writer whose buffer holds [capacity] bytes before
+      it first grows. A structure that fills one block starts at the
+      block size, so {!blocks} hands that buffer over without a copy. *)
+  val create : capacity:int -> t
 
-  (** One byte; raises [Invalid_argument] outside [0, 255]. *)
+  (** One byte: the low 8 bits of the int (any int is accepted). *)
   val u8 : t -> int -> unit
 
-  (** Four bytes, little-endian; raises [Invalid_argument] outside
-      the unsigned 32-bit range. *)
+  (** Four bytes, little-endian: the low 32 bits of the int (any int is
+      accepted; {!Reader.u32} reads them back as [v land 0xffff_ffff]). *)
   val u32 : t -> int -> unit
 
-  (** 63-bit OCaml ints, stored as 8 bytes. *)
+  (** 63-bit OCaml ints, stored as 8 bytes whose top bit is 0; every
+      int, negative ones included, reads back exactly. *)
   val u64 : t -> int -> unit
 
-  (** IEEE-754 double, 8 bytes. *)
+  (** IEEE-754 double, 8 bytes (the bits as they are: nan payloads,
+      infinities and [-0.] read back bit for bit). *)
   val f64 : t -> float -> unit
 
-  (** Length-prefixed string. *)
+  (** Length-prefixed string ({!u32} of the length, then the bytes). *)
   val string : t -> string -> unit
 
-  (** Everything written so far. *)
+  (** Everything written so far, as a copy. *)
   val contents : t -> string
 
   (** Bytes written so far. *)
   val length : t -> int
+
+  (** {!crc} of everything written so far, computed in place. *)
+  val crc : t -> int
+
+  (** [blocks t ~block_bytes] is everything written so far followed by
+      zeroes up to the next multiple of [block_bytes]. When the buffer
+      already has exactly that length it is returned itself, so the
+      writer is finished: it is left empty, and the caller owns the
+      bytes. *)
+  val blocks : t -> block_bytes:int -> bytes
 end
 
 module Reader : sig
@@ -57,6 +72,6 @@ module Reader : sig
   val remaining : t -> int
 end
 
-(** [crc s] — a simple 32-bit checksum (Adler-32 flavour) used to verify
-    checkpoints and the superblock. *)
+(** [crc s] — Adler-32 of [s]. Checkpoints, segment summaries and the
+    superblock end with it; a mount verifies the checkpoint's. *)
 val crc : string -> int

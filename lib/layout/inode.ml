@@ -76,8 +76,7 @@ let kind_of_int = function
 
 (* On-disk inode: header, ndirect inline addresses (with addr_none for
    holes), then the list of indirect-block addresses holding the rest. *)
-let serialize t ~indirect =
-  let w = Codec.Writer.create () in
+let serialize w t ~indirect =
   Codec.Writer.u64 w t.ino;
   Codec.Writer.u8 w (kind_to_int t.kind);
   Codec.Writer.u64 w t.size;
@@ -93,8 +92,7 @@ let serialize t ~indirect =
     Codec.Writer.u64 w (t.blocks.(i) + 1)
   done;
   Codec.Writer.u32 w (List.length indirect);
-  List.iter (fun a -> Codec.Writer.u64 w a) indirect;
-  Codec.Writer.contents w
+  List.iter (fun a -> Codec.Writer.u64 w a) indirect
 
 let deserialize s =
   let r = Codec.Reader.of_string s in

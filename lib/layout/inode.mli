@@ -50,9 +50,10 @@ val kind_to_int : kind -> int
 
 val kind_of_int : int -> kind
 
-(** Serialize everything except the spilled block map: the caller passes
-    the disk addresses of the indirect blocks it wrote. *)
-val serialize : t -> indirect:int list -> string
+(** [serialize w t ~indirect] writes everything except the spilled block
+    map into [w]: the caller passes the disk addresses of the indirect
+    blocks it wrote. *)
+val serialize : Codec.Writer.t -> t -> indirect:int list -> unit
 
 (** Inverse of {!serialize}: returns the inode (with only direct
     addresses present) and the indirect block addresses to fetch. *)

@@ -127,17 +127,19 @@ let write_block_raw t ~addr data =
 let read_block_raw t ~addr =
   Driver.read_exn t.driver ~lba:(addr * t.spb) ~sectors:t.spb
 
-(* Pad a serialized structure to whole blocks. *)
-let pad_to_blocks t s =
-  let n = ((String.length s + t.block_bytes - 1) / t.block_bytes) * t.block_bytes in
-  let b = Bytes.make n '\000' in
-  Bytes.blit_string s 0 b 0 (String.length s);
-  Data.Real b
+(* Metadata is built in a writer the size of one block and handed to
+   the log as whole zero-padded blocks: one buffer per block, no copy
+   unless a structure outgrows its block. *)
+let block_writer t = Codec.Writer.create ~capacity:t.block_bytes
+let to_blocks t w = Data.Real (Codec.Writer.blocks w ~block_bytes:t.block_bytes)
+
+(* A structure's Adler-32, appended after its body. *)
+let seal_crc w = Codec.Writer.u32 w (Codec.Writer.crc w)
 
 (* {2 Segment summaries} *)
 
 let serialize_summary t entries =
-  let w = Codec.Writer.create () in
+  let w = block_writer t in
   Codec.Writer.string w "SUMM";
   Codec.Writer.u64 w t.seq;
   Codec.Writer.u32 w (List.length entries);
@@ -157,10 +159,8 @@ let serialize_summary t entries =
         Codec.Writer.u64 w ino;
         Codec.Writer.u64 w 0)
     entries;
-  let body = Codec.Writer.contents w in
-  let w2 = Codec.Writer.create () in
-  Codec.Writer.u32 w2 (Codec.crc body);
-  body ^ Codec.Writer.contents w2
+  seal_crc w;
+  to_blocks t w
 
 let deserialize_summary s =
   let r = Codec.Reader.of_string s in
@@ -198,7 +198,7 @@ let find_free_segment t =
   go 0
 
 let serialize_checkpoint t =
-  let w = Codec.Writer.create () in
+  let w = block_writer t in
   Codec.Writer.string w "CKPT";
   Codec.Writer.u64 w t.seq;
   Codec.Writer.u64 w t.next_ino;
@@ -227,10 +227,8 @@ let serialize_checkpoint t =
       Codec.Writer.u32 w (List.length addrs);
       List.iter (fun a -> Codec.Writer.u64 w a) addrs)
     t.indirect_of;
-  let body = Codec.Writer.contents w in
-  let w2 = Codec.Writer.create () in
-  Codec.Writer.u32 w2 (Codec.crc body);
-  body ^ Codec.Writer.contents w2
+  seal_crc w;
+  w
 
 (* Forward declaration for the seal -> clean -> append cycle. *)
 let rec seal_segment t =
@@ -238,7 +236,7 @@ let rec seal_segment t =
     let seg = t.cur_seg in
     let entries = List.rev t.cur_entries in
     let blocks = List.rev t.cur_data in
-    let summary = pad_to_blocks t (serialize_summary t entries) in
+    let summary = serialize_summary t entries in
     (* a scatter-gather payload: the buffered blocks travel to the
        driver by reference — no flattening copy at seal time *)
     let payload = Data.gather (summary :: blocks) in
@@ -314,22 +312,27 @@ and log_inode t (inode : Inode.t) =
   let per = Inode.addrs_per_indirect ~block_bytes:t.block_bytes in
   let spill = Stdlib.max 0 (inode.Inode.nblocks - Inode.ndirect) in
   let n_ind = (spill + per - 1) / per in
+  (* A full indirect block holds a 4-byte count and [per] addresses:
+     4 bytes more than a block, so it pads to two blocks in one log
+     slot and shifts the segment's later blocks. A known defect
+     (ROADMAP); fixing it changes the replay digests perfbench
+     records. *)
   let indirect =
     List.init n_ind (fun k ->
-        let w = Codec.Writer.create () in
+        let w = block_writer t in
         let base = Inode.ndirect + (k * per) in
         let count = Stdlib.min per (inode.Inode.nblocks - base) in
         Codec.Writer.u32 w count;
         for i = base to base + count - 1 do
           Codec.Writer.u64 w (Inode.get_addr inode i + 1)
         done;
-        let data = pad_to_blocks t (Codec.Writer.contents w) in
-        append_block t (E_indirect inode.Inode.ino) data)
+        append_block t (E_indirect inode.Inode.ino) (to_blocks t w))
   in
-  let ser = Inode.serialize inode ~indirect in
-  if String.length ser > t.block_bytes then
+  let w = block_writer t in
+  Inode.serialize w inode ~indirect;
+  if Codec.Writer.length w > t.block_bytes then
     raise (Codec.Corrupt "inode larger than a block");
-  let addr = append_block t (E_inode inode.Inode.ino) (pad_to_blocks t ser) in
+  let addr = append_block t (E_inode inode.Inode.ino) (to_blocks t w) in
   Hashtbl.replace t.imap inode.Inode.ino addr;
   Hashtbl.replace t.indirect_of inode.Inode.ino indirect
 
@@ -477,7 +480,7 @@ and checkpoint t =
      payloads instead of writing, so this whole block runs without
      yielding. *)
   t.capturing <- true;
-  let seals, ser =
+  let seals, w =
     Fun.protect
       ~finally:(fun () -> t.capturing <- false)
       (fun () ->
@@ -488,7 +491,7 @@ and checkpoint t =
         (seals, serialize_checkpoint t))
   in
   let max_bytes = t.cfg.checkpoint_blocks * t.block_bytes in
-  if String.length ser > max_bytes then
+  if Codec.Writer.length w > max_bytes then
     raise
       (Codec.Corrupt
          "checkpoint exceeds its region; reformat with a larger checkpoint_blocks");
@@ -508,7 +511,7 @@ and checkpoint t =
   while t.inflight_seals > 0 do
     Sched.await t.sched t.seal_done
   done;
-  write_block_raw t ~addr:region (pad_to_blocks t ser);
+  write_block_raw t ~addr:region (to_blocks t w);
   t.ckpt_seq <- seq;
   (* the image calling parked victims free is durable: reuse is safe *)
   Array.iter
@@ -607,22 +610,19 @@ let parse_checkpoint s =
 
 (* {2 Superblock} *)
 
-let serialize_superblock ~block_bytes ~total_blocks ~seg_blocks ~nsegs ~seg0
-    ~ckpt_a ~ckpt_b ~checkpoint_blocks =
-  let w = Codec.Writer.create () in
+let serialize_superblock t =
+  let w = block_writer t in
   Codec.Writer.string w magic;
-  Codec.Writer.u32 w block_bytes;
-  Codec.Writer.u64 w total_blocks;
-  Codec.Writer.u32 w seg_blocks;
-  Codec.Writer.u32 w nsegs;
-  Codec.Writer.u64 w seg0;
-  Codec.Writer.u64 w ckpt_a;
-  Codec.Writer.u64 w ckpt_b;
-  Codec.Writer.u32 w checkpoint_blocks;
-  let body = Codec.Writer.contents w in
-  let w2 = Codec.Writer.create () in
-  Codec.Writer.u32 w2 (Codec.crc body);
-  body ^ Codec.Writer.contents w2
+  Codec.Writer.u32 w t.block_bytes;
+  Codec.Writer.u64 w t.total_blocks;
+  Codec.Writer.u32 w t.cfg.seg_blocks;
+  Codec.Writer.u32 w t.nsegs;
+  Codec.Writer.u64 w t.seg0;
+  Codec.Writer.u64 w t.ckpt_a;
+  Codec.Writer.u64 w t.ckpt_b;
+  Codec.Writer.u32 w t.cfg.checkpoint_blocks;
+  seal_crc w;
+  to_blocks t w
 
 let parse_superblock s =
   let r = Codec.Reader.of_string s in
@@ -1050,12 +1050,7 @@ let format_and_mount ?registry ?(name = "lfs") ?(config = default_config)
     make_t ?registry ~name ~cfg:config sched driver ~block_bytes ~total_blocks
       ~ckpt_a ~ckpt_b ~seg0 ~nsegs ()
   in
-  let sb =
-    serialize_superblock ~block_bytes ~total_blocks
-      ~seg_blocks:config.seg_blocks ~nsegs ~seg0 ~ckpt_a ~ckpt_b
-      ~checkpoint_blocks:config.checkpoint_blocks
-  in
-  write_block_raw t ~addr:0 (pad_to_blocks t sb);
+  write_block_raw t ~addr:0 (serialize_superblock t);
   open_segment t 0;
   checkpoint t;
   to_layout t

@@ -29,6 +29,7 @@ type job_result = {
   wall_s : float;
   minor_words : float;
   promoted_words : float;
+  major_words : float;
   major_collections : int;
   worker : int;
 }
@@ -71,7 +72,8 @@ let run_jobs ?(jobs = default_jobs ()) ~gen jl =
            job at a time, so quick_stat deltas around the experiment
            (trace generation excluded: it is memoized, so it would bill
            only the first job to use each trace) are exact. *)
-        let result, minor_words, promoted_words, major_collections =
+        let result, minor_words, promoted_words, major_words,
+            major_collections =
           match trace_of job.trace with
           | trace -> (
             let g0 = Gc.quick_stat () in
@@ -81,9 +83,10 @@ let run_jobs ?(jobs = default_jobs ()) ~gen jl =
               ( Ok o,
                 g1.Gc.minor_words -. g0.Gc.minor_words,
                 g1.Gc.promoted_words -. g0.Gc.promoted_words,
+                g1.Gc.major_words -. g0.Gc.major_words,
                 g1.Gc.major_collections - g0.Gc.major_collections )
-            | exception e -> (Error (failure_of_exn e), 0., 0., 0))
-          | exception e -> (Error (failure_of_exn e), 0., 0., 0)
+            | exception e -> (Error (failure_of_exn e), 0., 0., 0., 0))
+          | exception e -> (Error (failure_of_exn e), 0., 0., 0., 0)
         in
         let wall_s = Unix.gettimeofday () -. t0 in
         (* each slot is written by exactly one worker; Domain.join
@@ -96,6 +99,7 @@ let run_jobs ?(jobs = default_jobs ()) ~gen jl =
               wall_s;
               minor_words;
               promoted_words;
+              major_words;
               major_collections;
               worker = w;
             };

@@ -49,6 +49,10 @@ type job_result = {
           experiment (trace generation excluded) — divide by the
           operation count for the allocation rate of the replay loop *)
   promoted_words : float;     (** of those, words promoted to the major heap *)
+  major_words : float;
+      (** words put into the major heap during the experiment: the
+          promoted ones plus those allocated there directly (blocks
+          larger than 256 words, such as a 4 KiB metadata buffer) *)
   major_collections : int;    (** major GC cycles during the experiment *)
   worker : int;               (** index of the worker domain that ran it *)
 }

@@ -300,7 +300,13 @@ let create ?registry ?injector (cfg : Config.t) =
         Error Errno.EIO)
     | exception Errno.Error e ->
       File_blockdev.close transport;
-      Error e)
+      Error e
+    | exception Capfs_layout.Codec.Corrupt reason ->
+      Log.err (fun m ->
+          m "image %s does not mount: corrupt metadata (%s)" cfg.Config.image
+            reason);
+      File_blockdev.close transport;
+      Error Errno.EIO)
 
 let snapshot t =
   Option.map

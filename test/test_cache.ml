@@ -519,11 +519,11 @@ let test_replacement_slru_promotes () =
 let test_replacement_lru_k_prefers_single_access () =
   let p = Replacement.lru_k ~k:2 in
   let once = mk_block 1 1 and twice = mk_block 1 2 in
-  once.Block.last_access <- 1.;
+  once.Block.times.Block.last_access <- 1.;
   Replacement.insert p once;
-  twice.Block.last_access <- 2.;
+  twice.Block.times.Block.last_access <- 2.;
   Replacement.insert p twice;
-  twice.Block.last_access <- 3.;
+  twice.Block.times.Block.last_access <- 3.;
   Replacement.access p twice;
   (* [once] has no 2nd reference: preferred victim *)
   match Replacement.victim p with
@@ -559,7 +559,7 @@ let test_replacement_lru_k_ring_matches_reference () =
       match Hashtbl.find_opt ref_hist b.Block.key with Some h -> h | None -> []
     in
     let h =
-      b.Block.last_access
+      b.Block.times.Block.last_access
       :: (if List.length past >= k_hist then
             List.filteri (fun i _ -> i < k_hist - 1) past
           else past)
@@ -599,14 +599,14 @@ let test_replacement_lru_k_ring_matches_reference () =
     match rand 3 with
     | 0 ->
       let b = mk_block 1 step in
-      b.Block.last_access <- !clock;
+      b.Block.times.Block.last_access <- !clock;
       Replacement.insert p b;
       ref_insert b;
       ref_note b;
       live := b :: !live
     | 1 when !live <> [] ->
       let b = List.nth !live (rand (List.length !live)) in
-      b.Block.last_access <- !clock;
+      b.Block.times.Block.last_access <- !clock;
       Replacement.access p b;
       ref_note b
     | _ when !live <> [] -> (
@@ -728,11 +728,213 @@ let prop_sync_always_cleans =
       Sched.run s;
       !clean)
 
+(* The replacement chain against a plain-list model: LRU, and SLRU's
+   two segments, driven by random insert/access/forget/pin/unpin/victim
+   sequences over a handful of clean blocks. Each list is front = most
+   recent; a victim scan looks at the back, moving pinned blocks to the
+   front, at most once per tracked block. *)
+type repl_op =
+  | R_insert of int
+  | R_access of int
+  | R_forget of int
+  | R_pin of int
+  | R_unpin of int
+  | R_victim
+
+let repl_blocks = 8
+
+let gen_repl_op =
+  QCheck.Gen.(
+    let blk = int_bound (repl_blocks - 1) in
+    frequency
+      [
+        (4, map (fun i -> R_insert i) blk);
+        (4, map (fun i -> R_access i) blk);
+        (2, map (fun i -> R_forget i) blk);
+        (1, map (fun i -> R_pin i) blk);
+        (2, map (fun i -> R_unpin i) blk);
+        (3, return R_victim);
+      ])
+
+let model_victim ~pinned seg =
+  let rec go attempts =
+    match List.rev !seg with
+    | [] -> None
+    | _ when attempts = 0 -> None
+    | back :: _ ->
+      let rest = List.filter (fun j -> j <> back) !seg in
+      if pinned back then begin
+        seg := back :: rest;
+        go (attempts - 1)
+      end
+      else begin
+        seg := rest;
+        Some back
+      end
+  in
+  go (List.length !seg)
+
+let prop_replacement_matches_model =
+  QCheck.Test.make ~name:"lru and slru match a list model" ~count:300
+    QCheck.(
+      make
+        Gen.(pair (int_bound 4) (list_size (int_bound 200) gen_repl_op)))
+    (fun (cap, ops) ->
+      (* cap = 0: plain LRU; otherwise SLRU with that protected capacity *)
+      let p =
+        if cap = 0 then Replacement.lru ()
+        else Replacement.slru ~protected_capacity:cap
+      in
+      let blocks = Array.init repl_blocks (fun i -> mk_block 1 i) in
+      let pinned i = blocks.(i).Block.pinned > 0 in
+      let prob = ref [] and prot = ref [] in
+      let mem i l = List.mem i !l in
+      let drop i l = l := List.filter (fun j -> j <> i) !l in
+      let step = function
+        | R_insert i ->
+          Replacement.insert p blocks.(i);
+          if not (mem i prob || mem i prot) then prob := i :: !prob;
+          true
+        | R_access i ->
+          Replacement.access p blocks.(i);
+          (if cap = 0 then begin
+             if mem i prob then begin
+               drop i prob;
+               prob := i :: !prob
+             end
+           end
+           else if mem i prob then begin
+             drop i prob;
+             prot := i :: !prot;
+             if List.length !prot > cap then
+               match model_victim ~pinned prot with
+               | Some d -> prob := d :: !prob
+               | None -> ()
+           end
+           else if mem i prot then begin
+             drop i prot;
+             prot := i :: !prot
+           end);
+          true
+        | R_forget i ->
+          Replacement.forget p blocks.(i);
+          drop i prob;
+          drop i prot;
+          true
+        | R_pin i ->
+          Block.pin blocks.(i);
+          true
+        | R_unpin i ->
+          if pinned i then Block.unpin blocks.(i);
+          true
+        | R_victim ->
+          let got =
+            Option.map (fun b -> Block.index b) (Replacement.victim p)
+          in
+          let expect =
+            match model_victim ~pinned prob with
+            | Some v -> Some v
+            | None -> model_victim ~pinned prot
+          in
+          got = expect
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Replacement.count p = List.length !prob + List.length !prot)
+        ops)
+
+(* The dirty list against a model: a cache big enough never to flush
+   on demand, driven through writes, truncates, deletes, syncs and the
+   passing of time. The list holds each dirty block exactly once and
+   nothing else, oldest first (an overwrite keeps its place; a block
+   dirtied again after a sync goes to the back), and each file's chain
+   holds exactly the file's cached blocks. *)
+type cache_op =
+  | C_write of int * int
+  | C_truncate of int * int
+  | C_delete of int
+  | C_sync
+  | C_tick
+
+let gen_cache_op =
+  QCheck.Gen.(
+    let ino = int_range 1 3 and idx = int_bound 5 in
+    frequency
+      [
+        (8, map2 (fun i x -> C_write (i, x)) ino idx);
+        (2, map2 (fun i x -> C_truncate (i, x)) ino idx);
+        (1, map (fun i -> C_delete i) ino);
+        (1, return C_sync);
+        (3, return C_tick);
+      ])
+
+let prop_dirty_list_matches_model =
+  QCheck.Test.make ~name:"dirty list stays oldest-first and exact" ~count:200
+    QCheck.(make Gen.(list_size (int_bound 120) gen_cache_op))
+    (fun ops ->
+      let ok = ref true in
+      run_fs (fun s ->
+          let _, wb = make_sink ~delay:0.01 s in
+          let c = Cache.create ~writeback:wb s (demand_config 64) in
+          let dirty = ref [] and cached = ref [] in
+          let keep p l = l := List.filter p !l in
+          List.iter
+            (fun op ->
+              (match op with
+              | C_write (i, x) ->
+                Cache.write c (k i x) (Data.sim 16);
+                if not (List.mem (i, x) !dirty) then dirty := !dirty @ [ (i, x) ];
+                if not (List.mem (i, x) !cached) then cached := (i, x) :: !cached
+              | C_truncate (i, from) ->
+                Cache.truncate c i ~from;
+                let live (j, x) = j <> i || x < from in
+                keep live dirty;
+                keep live cached
+              | C_delete i ->
+                Cache.remove_file c i;
+                keep (fun (j, _) -> j <> i) dirty;
+                keep (fun (j, _) -> j <> i) cached
+              | C_sync ->
+                Cache.sync c;
+                dirty := []
+              | C_tick -> Sched.sleep s 1.);
+              let listed = Cache.dirty_blocks c in
+              let rec oldest_first = function
+                | a :: (b :: _ as rest) ->
+                  a.Block.times.Block.dirtied_at
+                  <= b.Block.times.Block.dirtied_at
+                  && oldest_first rest
+                | [] | [ _ ] -> true
+              in
+              let file_keys i =
+                List.sort compare
+                  (List.map
+                     (fun key -> (Block.Key.ino key, Block.Key.index key))
+                     (Cache.keys_of_file c i))
+              in
+              let model_keys i =
+                List.sort compare (List.filter (fun (j, _) -> j = i) !cached)
+              in
+              if
+                not
+                  (List.map (fun b -> (Block.ino b, Block.index b)) listed
+                   = !dirty
+                  && List.for_all (fun b -> b.Block.state = Block.Dirty) listed
+                  && oldest_first listed
+                  && Cache.dirty_count c = List.length !dirty
+                  && List.for_all (fun i -> file_keys i = model_keys i) [ 1; 2; 3 ])
+              then ok := false)
+            ops);
+      !ok)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_key_roundtrip;
       prop_key_injective;
+      prop_replacement_matches_model;
+      prop_dirty_list_matches_model;
       prop_cache_capacity_respected;
       prop_sync_always_cleans;
     ]

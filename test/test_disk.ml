@@ -41,13 +41,6 @@ let test_data_blit_mixed () =
   Alcotest.(check string) "sim source zero-fills" "\000\000\000\000\000\000\000\000"
     (Data.to_string dst)
 
-let test_data_concat () =
-  let c = Data.concat [ Data.of_string "ab"; Data.of_string "cd" ] in
-  Alcotest.(check string) "real concat" "abcd" (Data.to_string c);
-  let c2 = Data.concat [ Data.of_string "ab"; Data.sim 2 ] in
-  Alcotest.(check bool) "mixed concat is sim" false (Data.is_real c2);
-  Alcotest.(check int) "mixed length" 4 (Data.length c2)
-
 let test_data_bounds_checked () =
   let d = Data.sim 10 in
   (try
@@ -564,7 +557,6 @@ let suite =
     Alcotest.test_case "data real roundtrip" `Quick test_data_real_roundtrip;
     Alcotest.test_case "data sim behaves" `Quick test_data_sim_behaves;
     Alcotest.test_case "data blit mixed" `Quick test_data_blit_mixed;
-    Alcotest.test_case "data concat" `Quick test_data_concat;
     Alcotest.test_case "data bounds checked" `Quick test_data_bounds_checked;
     Alcotest.test_case "geometry capacity" `Quick test_geometry_capacity;
     Alcotest.test_case "geometry origin" `Quick test_geometry_mapping_origin;

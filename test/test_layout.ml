@@ -43,7 +43,7 @@ let sync_l l = ok (l.Layout.sync ())
 (* Codec *)
 
 let test_codec_roundtrip () =
-  let w = Codec.Writer.create () in
+  let w = Codec.Writer.create ~capacity:64 in
   Codec.Writer.u8 w 200;
   Codec.Writer.u32 w 123456;
   Codec.Writer.u64 w 987654321012;
@@ -58,7 +58,7 @@ let test_codec_roundtrip () =
   Alcotest.(check int) "drained" 0 (Codec.Reader.remaining r)
 
 let test_codec_truncation_detected () =
-  let w = Codec.Writer.create () in
+  let w = Codec.Writer.create ~capacity:64 in
   Codec.Writer.u64 w 42;
   let s = String.sub (Codec.Writer.contents w) 0 3 in
   let r = Codec.Reader.of_string s in
@@ -71,10 +71,134 @@ let prop_codec_f64_roundtrip =
   QCheck.Test.make ~name:"codec f64 roundtrip" ~count:300
     QCheck.(float_range (-1e12) 1e12)
     (fun x ->
-      let w = Codec.Writer.create () in
+      let w = Codec.Writer.create ~capacity:64 in
       Codec.Writer.f64 w x;
       let r = Codec.Reader.of_string (Codec.Writer.contents w) in
       Codec.Reader.f64 r = x)
+
+(* The codec over its whole value range, against a per-byte reference
+   encoder: the writer's algorithm before it stored words, kept here as
+   the oracle. Every int is a legal [u8]/[u32]/[u64] argument (the
+   first two keep the low 8/32 bits), and every float an [f64]. *)
+module Ref_codec = struct
+  let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+
+  let u32 b v =
+    for i = 0 to 3 do
+      u8 b ((v lsr (8 * i)) land 0xff)
+    done
+
+  let u64 b v =
+    for i = 0 to 7 do
+      u8 b ((v lsr (8 * i)) land 0xff)
+    done
+
+  let f64 b v =
+    let bits = Int64.bits_of_float v in
+    for i = 0 to 7 do
+      u8 b (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff)
+    done
+
+  let string b s =
+    u32 b (String.length s);
+    Buffer.add_string b s
+
+  let pad s ~block_bytes =
+    let n = (String.length s + block_bytes - 1) / block_bytes * block_bytes in
+    s ^ String.make (n - String.length s) '\000'
+
+  let adler32 s =
+    let a = ref 1 and b = ref 0 in
+    String.iter
+      (fun c ->
+        a := (!a + Char.code c) mod 65521;
+        b := (!b + !a) mod 65521)
+      s;
+    (!b lsl 16) lor !a
+end
+
+type field = U8 of int | U32 of int | U64 of int | F64 of float | Str of string
+
+let gen_field =
+  let open QCheck.Gen in
+  let any_int =
+    oneof
+      [
+        int;
+        small_signed_int;
+        oneofl
+          [ 0; 1; -1; 255; 256; (1 lsl 32) - 1; 1 lsl 32; -(1 lsl 32);
+            max_int; min_int ];
+      ]
+  in
+  let any_float =
+    oneof
+      [
+        float;
+        map Int64.float_of_bits ui64;
+        oneofl [ nan; Float.neg nan; infinity; neg_infinity; -0.; 0. ];
+      ]
+  in
+  oneof
+    [
+      map (fun v -> U8 v) any_int;
+      map (fun v -> U32 v) any_int;
+      map (fun v -> U64 v) any_int;
+      map (fun v -> F64 v) any_float;
+      map (fun s -> Str s) (string_size (int_bound 300));
+    ]
+
+let prop_codec_matches_reference =
+  QCheck.Test.make ~name:"codec matches the per-byte reference" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          triple (list_size (int_bound 60) gen_field) (int_bound 300)
+            (oneofl [ 1; 7; 64; 512; 4096 ])))
+    (fun (fields, capacity, block_bytes) ->
+      let w = Codec.Writer.create ~capacity in
+      let b = Buffer.create 64 in
+      List.iter
+        (function
+          | U8 v -> Codec.Writer.u8 w v; Ref_codec.u8 b v
+          | U32 v -> Codec.Writer.u32 w v; Ref_codec.u32 b v
+          | U64 v -> Codec.Writer.u64 w v; Ref_codec.u64 b v
+          | F64 v -> Codec.Writer.f64 w v; Ref_codec.f64 b v
+          | Str v -> Codec.Writer.string w v; Ref_codec.string b v)
+        fields;
+      let expect = Buffer.contents b in
+      let got = Codec.Writer.contents w in
+      let r = Codec.Reader.of_string got in
+      let reads_back = function
+        | U8 v -> Codec.Reader.u8 r = v land 0xff
+        | U32 v -> Codec.Reader.u32 r = v land 0xffff_ffff
+        | U64 v -> Codec.Reader.u64 r = v
+        | F64 v ->
+          Int64.equal
+            (Int64.bits_of_float (Codec.Reader.f64 r))
+            (Int64.bits_of_float v)
+        | Str v -> String.equal (Codec.Reader.string r) v
+      in
+      got = expect
+      && Codec.Writer.length w = String.length expect
+      && List.for_all reads_back fields
+      && Codec.Reader.remaining r = 0
+      && Codec.Writer.crc w = Ref_codec.adler32 expect
+      && Bytes.to_string (Codec.Writer.blocks w ~block_bytes)
+         = Ref_codec.pad expect ~block_bytes)
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc matches per-byte adler-32" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          oneof
+            [
+              string_size (int_bound 65536);
+              map (fun n -> String.make n '\xff') (int_bound 65536);
+              map (fun n -> String.make n '\xff') (int_range 5550 5560);
+            ]))
+    (fun s -> Codec.crc s = Ref_codec.adler32 s)
 
 let test_crc_detects_flip () =
   let s = "the quick brown fox" in
@@ -110,7 +234,9 @@ let prop_inode_roundtrip =
       let i = Inode.make ~ino:42 ~kind:Inode.Directory ~now:1.5 in
       List.iteri (fun k a -> Inode.set_addr i k a) addrs;
       i.Inode.size <- List.length addrs * 4096;
-      let i', indirect = Inode.deserialize (Inode.serialize i ~indirect:[]) in
+      let w = Codec.Writer.create ~capacity:64 in
+      Inode.serialize w i ~indirect:[];
+      let i', indirect = Inode.deserialize (Codec.Writer.contents w) in
       indirect = []
       && i'.Inode.ino = 42
       && i'.Inode.size = i.Inode.size
@@ -435,6 +561,8 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_codec_f64_roundtrip;
+      prop_codec_matches_reference;
+      prop_crc_matches_reference;
       prop_inode_roundtrip;
       prop_lfs_read_after_write;
     ]

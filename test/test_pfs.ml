@@ -348,6 +348,29 @@ let test_pfs_refuses_lost_checkpoints () =
       Unix.close fd;
       check_refused ~size_mb:8 path)
 
+(* An image whose checkpoints are intact but whose metadata blocks are
+   not: blocks 514-640 are the first segment (after the superblock and
+   both checkpoint regions) but for its summary, and overwriting them
+   corrupts the inodes the mount loads. Refused with EIO, not an
+   uncaught [Codec.Corrupt]. *)
+let test_pfs_refuses_corrupt_inodes () =
+  with_temp_image (fun path ->
+      let t = start_pfs ~size_mb:16 path in
+      in_fibre t (fun () ->
+          Capfs.Client.mkdir_exn t.Pfs.client "/keep";
+          Capfs.Client.open_exn t.Pfs.client ~client:1 "/keep/f"
+            Capfs.Client.WO;
+          Capfs.Client.write_exn t.Pfs.client ~client:1 "/keep/f" ~offset:0
+            (Data.of_string "survivor");
+          Capfs.Client.close_exn t.Pfs.client ~client:1 "/keep/f");
+      Pfs.shutdown t;
+      let junk = Bytes.make ((640 - 514 + 1) * Pfs.block_bytes) '\xab' in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      ignore (Unix.lseek fd (514 * Pfs.block_bytes) Unix.SEEK_SET);
+      ignore (Unix.write fd junk 0 (Bytes.length junk));
+      Unix.close fd;
+      check_refused ~size_mb:16 path)
+
 (* A short image of foreign bytes, opened with a larger size: refused
    without being grown to that size first. *)
 let test_pfs_refuses_short_image () =
@@ -416,6 +439,8 @@ let suite =
       test_pfs_refuses_lost_checkpoints;
     Alcotest.test_case "pfs refuses a short foreign image" `Quick
       test_pfs_refuses_short_image;
+    Alcotest.test_case "pfs refuses corrupt inodes" `Quick
+      test_pfs_refuses_corrupt_inodes;
     Alcotest.test_case "pfs real clock" `Quick test_pfs_real_clock_smoke;
     Alcotest.test_case "multi-block read races overwrite" `Quick
       test_pfs_multiblock_read_races_overwrite;
