@@ -442,12 +442,14 @@ let micro () =
   let heap_bench =
     Test.make ~name:"heap: push+pop 64 timers"
       (Staged.stage (fun () ->
-           let h = Capfs_sched.Heap.create ~cmp:compare in
+           let q = Capfs_sched.Heap.create () in
            for i = 0 to 63 do
-             Capfs_sched.Heap.push h ((i * 37) mod 64)
+             Capfs_sched.Heap.push q
+               ~at:(float_of_int ((i * 37) mod 64))
+               ~seq:i i
            done;
-           while Capfs_sched.Heap.pop h <> None do
-             ()
+           while not (Capfs_sched.Heap.is_empty q) do
+             ignore (Capfs_sched.Heap.pop q : int)
            done))
   in
   let geometry_bench =
@@ -478,7 +480,7 @@ let micro () =
            let w = Capfs_layout.Codec.Writer.create ~capacity:4096 in
            Capfs_layout.Inode.serialize w inode ~indirect:[];
            ignore
-             (Capfs_layout.Inode.deserialize
+             (Capfs_layout.Inode.deserialize ~block_bytes:4096
                 (Capfs_layout.Codec.Writer.contents w))))
   in
   let key_bench =
@@ -662,8 +664,12 @@ let perfsmoke ~jobs ~duration =
 (* {1 Baseline gate (-baseline FILE)}
 
    Compares the run just performed against a committed
-   BENCH_results.json, per experiment label. Three checks:
+   BENCH_results.json, per experiment label. Four checks:
 
+   - what Patsy computes must not move at all: the {!simulated_fields}
+     of each cell repeat exactly for a given trace and configuration,
+     so each must print exactly as in the baseline row. A baseline row
+     without a field skips that field.
    - [minor_words_per_op] is deterministic on a given machine, so any
      per-label growth beyond 10 % means a real allocation slipped into
      the replay path — fail. (The zero-copy data plane roughly halved
@@ -681,7 +687,15 @@ let perfsmoke ~jobs ~duration =
    misconfigured gate). The CI smoke job runs
    [figures -j 1 -traces sprite-1a,sprite-1b -baseline BENCH_results.json]. *)
 
+let simulated_fields =
+  [
+    "operations"; "mean_latency_ms"; "p95_latency_ms"; "cache_hit_rate";
+    "blocks_flushed"; "writes_absorbed"; "errors"; "skipped_ops";
+    "errors_by_kind"; "sim_elapsed_s";
+  ]
+
 type baseline_row = {
+  b_row : Json.t;
   b_ops : float;
   b_wall : float;
   b_minor : float;
@@ -713,7 +727,8 @@ let read_baseline path =
               | Some (Json.Num m) -> Some m
               | _ -> None
             in
-            Hashtbl.replace rows label { b_ops; b_wall; b_minor; b_major }
+            Hashtbl.replace rows label
+              { b_row = row; b_ops; b_wall; b_minor; b_major }
           | _ -> ())
         results
     | _ -> ())
@@ -733,6 +748,7 @@ let baseline_gate ~path results =
           let per_op x = if ops > 0. then x /. ops else 0. in
           Some
             ( r.Fleet.job.Fleet.label,
+              result_json r,
               ops,
               r.Fleet.wall_s,
               per_op r.Fleet.minor_words,
@@ -744,7 +760,7 @@ let baseline_gate ~path results =
   let ops_base = ref 0. and wall_base = ref 0. in
   let matched = ref 0 in
   List.iter
-    (fun (label, ops, wall, minor, major) ->
+    (fun (label, row, ops, wall, minor, major) ->
       match Hashtbl.find_opt base label with
       | None -> Format.printf "  %-36s (not in baseline, skipped)@." label
       | Some b ->
@@ -763,6 +779,22 @@ let baseline_gate ~path results =
             what base fresh (100. *. growth)
             (if bad then "  FAIL (> +10%)" else "")
         in
+        List.iter
+          (fun field ->
+            match Json.member field b.b_row with
+            | None -> ()
+            | Some base ->
+              let base = Json.compact base
+              and fresh =
+                Option.fold ~none:"(missing)" ~some:Json.compact
+                  (Json.member field row)
+              in
+              if base <> fresh then begin
+                incr failures;
+                Format.printf "  %-36s %s %s -> %s  FAIL (simulation changed)@."
+                  label field base fresh
+              end)
+          simulated_fields;
         gate "minor_words" b.b_minor minor;
         match b.b_major with
         | Some base -> gate "major_words" base major

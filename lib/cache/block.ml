@@ -1,3 +1,11 @@
+(* Fibonacci-style multiplicative mix. OCaml's [Hashtbl] masks the
+   hash with a power-of-two table size, so an identity hash would
+   collide every key sharing low bits; folding the high product bits
+   back down spreads all of them over the low bits. *)
+let mix k =
+  let h = k * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land max_int
+
 module Key = struct
   type t = int
 
@@ -17,16 +25,17 @@ module Key = struct
   let equal (a : int) (b : int) = a = b
   let compare (a : int) (b : int) = compare a b
 
-  (* Fibonacci-style multiplicative mix. OCaml's [Hashtbl] masks the
-     hash with a power-of-two table size, so an identity hash would
-     collide every key sharing low index bits; folding the high product
-     bits back down spreads both ino and index over the low bits. *)
-  let hash k =
-    let h = k * 0x9E3779B97F4A7C1 in
-    (h lxor (h lsr 29)) land max_int
+  let hash = mix
 
   let pp ppf k = Format.fprintf ppf "%d:%d" (ino k) (index k)
 end
+
+module Ino_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash = mix
+end)
 
 type state = Clean | Dirty | Flushing
 

@@ -37,6 +37,11 @@ module Key : sig
   val pp : Format.formatter -> t -> unit
 end
 
+(** A hash table on inode numbers, hashed with {!Key.hash}'s mix
+    instead of the polymorphic [caml_hash]. Its iteration order differs
+    from [Hashtbl]'s, so it serves only tables that nothing iterates. *)
+module Ino_table : Hashtbl.S with type key = int
+
 type state =
   | Clean    (** matches the on-disk contents *)
   | Dirty    (** newer than disk; scheduled to be written eventually *)

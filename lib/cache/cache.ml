@@ -6,7 +6,7 @@ module Counter = Capfs_stats.Counter
 module Tracer = Capfs_obs.Tracer
 module Ev = Capfs_obs.Event
 module Ktbl = Hashtbl.Make (Block.Key)
-module Itbl = Hashtbl.Make (Int)
+module Itbl = Block.Ino_table
 
 let src = Logs.Src.create "capfs.cache" ~doc:"file-system block cache"
 
@@ -185,18 +185,43 @@ let fold_file t ino f acc =
 
 let blocks_of_ino t ino = fold_file t ino (fun acc b -> b :: acc) []
 
-(* The whole-file flush path: every Dirty block of [ino], sorted by
-   index, as a fresh array — sorted in place rather than through
-   [List.sort]'s merge allocations. *)
-let dirty_blocks_of_ino t ino =
-  let dirty =
-    fold_file t ino
-      (fun acc b -> if b.Block.state = Block.Dirty then b :: acc else acc)
-      []
+(* A key packs the ino above the index, so key order is (ino, index)
+   order. *)
+let keys_increasing (blocks : Block.t array) =
+  let rec go i =
+    i >= Array.length blocks
+    || ((blocks.(i - 1).Block.key :> int) < (blocks.(i).Block.key :> int)
+       && go (i + 1))
   in
-  let arr = Array.of_list dirty in
-  Array.sort (fun a b -> compare (Block.index a) (Block.index b)) arr;
-  arr
+  go 1
+
+(* The whole-file flush path: every Dirty block of [ino], in index
+   order. One pass over the file chain fills the array. Blocks join the
+   chain in the order they were cached, which for a file written front
+   to back is index order already, so the sort runs only when the check
+   finds the array out of order. *)
+let dirty_blocks_of_ino t ino =
+  match Itbl.find t.by_ino ino with
+  | exception Not_found -> [||]
+  | first ->
+    let buf = ref [||] and n = ref 0 in
+    let rec go b =
+      if b.Block.state = Block.Dirty then begin
+        if !n = Array.length !buf then begin
+          let grown = Array.make (Stdlib.max 8 (2 * !n)) b in
+          Array.blit !buf 0 grown 0 !n;
+          buf := grown
+        end;
+        !buf.(!n) <- b;
+        incr n
+      end;
+      if b.Block.file_next != first then go b.Block.file_next
+    in
+    go first;
+    let arr = if !n = Array.length !buf then !buf else Array.sub !buf 0 !n in
+    if not (keys_increasing arr) then
+      Array.sort (fun a b -> compare (Block.index a) (Block.index b)) arr;
+    arr
 
 (* dirty-list bookkeeping: the list holds blocks in state Dirty only,
    ordered by the time they became dirty (front = oldest), linked
@@ -344,17 +369,24 @@ let do_writeback_clustered t (job : flush_job) =
   let n = Array.length job.job_blocks in
   if n = 0 then space_freed t
   else begin
-    let order = Array.init n (fun i -> i) in
-    Array.sort
-      (fun i j ->
-        let a = job.job_blocks.(i) and b = job.job_blocks.(j) in
-        let c = compare (Block.ino a) (Block.ino b) in
-        if c <> 0 then c
-        else
-          let c = compare (Block.index a) (Block.index b) in
-          if c <> 0 then c
-          else compare job.job_versions.(i) job.job_versions.(j))
-      order;
+    let blocks, versions =
+      if keys_increasing job.job_blocks then (job.job_blocks, job.job_versions)
+      else begin
+        let order = Array.init n (fun i -> i) in
+        Array.sort
+          (fun i j ->
+            let a = job.job_blocks.(i) and b = job.job_blocks.(j) in
+            let c = compare (Block.ino a) (Block.ino b) in
+            if c <> 0 then c
+            else
+              let c = compare (Block.index a) (Block.index b) in
+              if c <> 0 then c
+              else compare job.job_versions.(i) job.job_versions.(j))
+          order;
+        ( Array.map (fun i -> job.job_blocks.(i)) order,
+          Array.map (fun i -> job.job_versions.(i)) order )
+      end
+    in
     (* extent boundaries: file change, index gap or duplicate, cap *)
     let extents = ref [] and start = ref 0 in
     for k = 1 to n do
@@ -362,8 +394,7 @@ let do_writeback_clustered t (job : flush_job) =
         k = n
         || k - !start >= t.cfg.max_extent_blocks
         ||
-        let prev = job.job_blocks.(order.(k - 1))
-        and cur = job.job_blocks.(order.(k)) in
+        let prev = blocks.(k - 1) and cur = blocks.(k) in
         Block.ino cur <> Block.ino prev
         || Block.index cur <> Block.index prev + 1
       in
@@ -384,7 +415,7 @@ let do_writeback_clustered t (job : flush_job) =
           (Sched.spawn t.sched ~name:(t.cname ^ ".extent") (fun () ->
                let payload = ref [] in
                for k = off + len - 1 downto off do
-                 let b = job.job_blocks.(order.(k)) in
+                 let b = blocks.(k) in
                  payload := (Block.ino b, Block.index b, b.Block.data) :: !payload
                done;
                let tr = tracer t in
@@ -393,8 +424,7 @@ let do_writeback_clustered t (job : flush_job) =
                    (Ev.Cache_flush { cache = t.cname; blocks = len });
                t.writeback !payload;
                for k = off to off + len - 1 do
-                 complete_flushed t job.job_blocks.(order.(k))
-                   job.job_versions.(order.(k))
+                 complete_flushed t blocks.(k) versions.(k)
                done;
                space_freed t;
                t.inflight_extents <- t.inflight_extents - 1;

@@ -136,6 +136,12 @@ module Reader = struct
     t.pos <- t.pos + n;
     s
 
+  let count t ~max what =
+    let n = u32 t in
+    if n > max then
+      raise (Corrupt (Printf.sprintf "%s count %d exceeds %d" what n max));
+    n
+
   let remaining t = String.length t.src - t.pos
 end
 

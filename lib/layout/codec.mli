@@ -68,6 +68,12 @@ module Reader : sig
   val f64 : t -> float
   val string : t -> string
 
+  (** [count t ~max what] reads a {!u32} count of [what] and raises
+      {!Corrupt} if it exceeds [max]: every count read from disk is
+      bounded by what its structure can hold before anything is sized
+      by it. *)
+  val count : t -> max:int -> string -> int
+
   (** Bytes left to read. *)
   val remaining : t -> int
 end

@@ -94,7 +94,25 @@ let serialize w t ~indirect =
   Codec.Writer.u32 w (List.length indirect);
   List.iter (fun a -> Codec.Writer.u64 w a) indirect
 
-let deserialize s =
+let addrs_per_indirect ~block_bytes = block_bytes / 8
+
+(* The fixed part of an inode with indirect blocks: header, nblocks,
+   all [ndirect] addresses and the indirect count. What is left of the
+   block holds the indirect addresses. *)
+let fixed_bytes = 8 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 4 + (ndirect * 8) + 4
+let max_indirect ~block_bytes = Stdlib.max 0 ((block_bytes - fixed_bytes) / 8)
+
+let max_blocks ~block_bytes =
+  ndirect + (max_indirect ~block_bytes * addrs_per_indirect ~block_bytes)
+
+let indirect_count ~block_bytes ~nblocks =
+  let per = addrs_per_indirect ~block_bytes in
+  (Stdlib.max 0 (nblocks - ndirect) + per - 1) / per
+
+(* Every count is checked before anything is sized by it: [nblocks]
+   against what an inode block can map, and the indirect count against
+   what [nblocks] needs. The block map is allocated only then. *)
+let deserialize ~block_bytes s =
   let r = Codec.Reader.of_string s in
   let ino = Codec.Reader.u64 r in
   let kind = kind_of_int (Codec.Reader.u8 r) in
@@ -104,30 +122,36 @@ let deserialize s =
   let atime = Codec.Reader.f64 r in
   let mtime = Codec.Reader.f64 r in
   let ctime = Codec.Reader.f64 r in
-  let nblocks = Codec.Reader.u32 r in
-  let t =
-    {
-      ino;
-      kind;
-      size;
-      nlink;
-      uid;
-      atime;
-      mtime;
-      ctime;
-      blocks = Array.make (Stdlib.max 8 nblocks) addr_none;
-      nblocks;
-    }
+  let nblocks =
+    Codec.Reader.count r ~max:(max_blocks ~block_bytes) "inode block"
   in
-  let direct = Stdlib.min nblocks ndirect in
-  for i = 0 to direct - 1 do
-    t.blocks.(i) <- Codec.Reader.u64 r - 1
-  done;
+  let direct =
+    Array.init (Stdlib.min nblocks ndirect) (fun _ -> Codec.Reader.u64 r - 1)
+  in
   let n_ind = Codec.Reader.u32 r in
+  if n_ind <> indirect_count ~block_bytes ~nblocks then
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf "inode of %d blocks with %d indirect blocks" nblocks
+            n_ind));
   let indirect = List.init n_ind (fun _ -> Codec.Reader.u64 r) in
-  (t, indirect)
+  let blocks = Array.make (Stdlib.max 8 nblocks) addr_none in
+  Array.blit direct 0 blocks 0 (Array.length direct);
+  ( { ino; kind; size; nlink; uid; atime; mtime; ctime; blocks; nblocks },
+    indirect )
 
-let addrs_per_indirect ~block_bytes = block_bytes / 8
+let load_indirect t ~block_bytes ~k s =
+  let r = Codec.Reader.of_string s in
+  let per = addrs_per_indirect ~block_bytes in
+  let base = ndirect + (k * per) in
+  let count =
+    Codec.Reader.count r
+      ~max:(Stdlib.min per (t.nblocks - base))
+      "indirect address"
+  in
+  for i = 0 to count - 1 do
+    set_addr t (base + i) (Codec.Reader.u64 r - 1)
+  done
 
 let pp ppf t =
   Format.fprintf ppf "ino=%d kind=%d size=%d nlink=%d blocks=%d" t.ino

@@ -55,12 +55,24 @@ val kind_of_int : int -> kind
     blocks it wrote. *)
 val serialize : Codec.Writer.t -> t -> indirect:int list -> unit
 
-(** Inverse of {!serialize}: returns the inode (with only direct
-    addresses present) and the indirect block addresses to fetch. *)
-val deserialize : string -> t * int list
+(** Inverse of {!serialize} for a volume of [block_bytes] blocks:
+    returns the inode (with only direct addresses present) and the
+    indirect block addresses to fetch. Raises [Codec.Corrupt] before
+    allocating the block map when the stored block count exceeds what
+    an inode block can map, or disagrees with the indirect count. *)
+val deserialize : block_bytes:int -> string -> t * int list
+
+(** [load_indirect t ~block_bytes ~k s] maps the addresses stored in
+    [s], indirect block [k] of [t]. Raises [Codec.Corrupt] when its
+    count exceeds the addresses an indirect block holds, or the blocks
+    [t] has past the block's first index. *)
+val load_indirect : t -> block_bytes:int -> k:int -> string -> unit
 
 (** How many block addresses fit in one indirect block of [block_bytes]. *)
 val addrs_per_indirect : block_bytes:int -> int
+
+(** How many indirect block addresses fit in an inode block. *)
+val max_indirect : block_bytes:int -> int
 
 (** One-line rendering (ino, kind, size, mapped blocks) for logs. *)
 val pp : Format.formatter -> t -> unit

@@ -162,12 +162,13 @@ let serialize_summary t entries =
   seal_crc w;
   to_blocks t w
 
-let deserialize_summary s =
+(* A summary has an entry per block of its segment but its own. *)
+let deserialize_summary ~seg_blocks s =
   let r = Codec.Reader.of_string s in
   let m = Codec.Reader.string r in
   if m <> "SUMM" then raise (Codec.Corrupt "segment summary magic");
   let seq = Codec.Reader.u64 r in
-  let count = Codec.Reader.u32 r in
+  let count = Codec.Reader.count r ~max:(seg_blocks - 1) "summary entry" in
   let entries =
     List.init count (fun _ ->
         let tag = Codec.Reader.u8 r in
@@ -401,7 +402,7 @@ and clean_segment t victim =
   in
   let summary_str = Data.to_string (block_at 0) in
   let entries =
-    try snd (deserialize_summary summary_str) with
+    try snd (deserialize_summary ~seg_blocks:t.cfg.seg_blocks summary_str) with
     | Codec.Corrupt _ when not (Data.is_real seg_data) ->
       (* Simulated disk without backing store: reconstruct liveness from
          in-core metadata instead of the unreadable summary. *)
@@ -542,8 +543,10 @@ and load_inode t ino =
           (Codec.Corrupt
              "LFS: cannot load inode from a simulated disk without backing")
       else begin
-        let inode, indirect = Inode.deserialize (Data.to_string data) in
-        let per = Inode.addrs_per_indirect ~block_bytes:t.block_bytes in
+        let block_bytes = t.block_bytes in
+        let inode, indirect =
+          Inode.deserialize ~block_bytes (Data.to_string data)
+        in
         List.iteri
           (fun k ind_addr ->
             let ind_data =
@@ -551,12 +554,8 @@ and load_inode t ino =
               | Some d -> d
               | None -> read_block_raw t ~addr:ind_addr
             in
-            let r = Codec.Reader.of_string (Data.to_string ind_data) in
-            let count = Codec.Reader.u32 r in
-            let base = Inode.ndirect + (k * per) in
-            for i = 0 to count - 1 do
-              Inode.set_addr inode (base + i) (Codec.Reader.u64 r - 1)
-            done)
+            Inode.load_indirect inode ~block_bytes ~k
+              (Data.to_string ind_data))
           indirect;
         Hashtbl.replace t.inodes ino inode;
         Hashtbl.replace t.indirect_of ino indirect;
@@ -565,7 +564,10 @@ and load_inode t ino =
 
 (* {2 Checkpoints} *)
 
-let parse_checkpoint s =
+(* The counts are bounded by the volume: [nsegs] is the superblock's,
+   and every mapped inode and indirect block takes a log slot of its
+   own, a block of a segment other than its summary. *)
+let parse_checkpoint ~nsegs ~seg_blocks ~block_bytes s =
   let crc_pos = String.length s - 4 in
   if crc_pos <= 0 then raise (Codec.Corrupt "checkpoint too small");
   (* the region is padded with zeroes; find the actual body length by
@@ -573,26 +575,36 @@ let parse_checkpoint s =
   let r = Codec.Reader.of_string s in
   let m = Codec.Reader.string r in
   if m <> "CKPT" then raise (Codec.Corrupt "checkpoint magic");
+  let log_slots = nsegs * (seg_blocks - 1) in
   let seq = Codec.Reader.u64 r in
   let next_ino = Codec.Reader.u64 r in
   let _ts = Codec.Reader.f64 r in
-  let n_imap = Codec.Reader.u32 r in
+  let n_imap = Codec.Reader.count r ~max:log_slots "inode map entry" in
   let imap = List.init n_imap (fun _ ->
       let ino = Codec.Reader.u64 r in
       let addr = Codec.Reader.u64 r in
       (ino, addr))
   in
-  let nsegs = Codec.Reader.u32 r in
+  let stored_nsegs = Codec.Reader.u32 r in
+  if stored_nsegs <> nsegs then
+    raise
+      (Codec.Corrupt
+         (Printf.sprintf "checkpoint of %d segments on a volume of %d"
+            stored_nsegs nsegs));
   let segs = List.init nsegs (fun _ ->
       let live = Codec.Reader.u32 r in
       let wseq = Codec.Reader.u64 r in
       let free = Codec.Reader.u8 r = 1 in
       { live; written_seq = wseq; free; pending_free = false })
   in
-  let n_ind = Codec.Reader.u32 r in
+  let n_ind = Codec.Reader.count r ~max:log_slots "indirect list" in
   let indirects = List.init n_ind (fun _ ->
       let ino = Codec.Reader.u64 r in
-      let n = Codec.Reader.u32 r in
+      let n =
+        Codec.Reader.count r
+          ~max:(Inode.max_indirect ~block_bytes)
+          "indirect block"
+      in
       (ino, List.init n (fun _ -> Codec.Reader.u64 r)))
   in
   (* crc sits immediately after the body we just read *)
@@ -624,7 +636,10 @@ let serialize_superblock t =
   seal_crc w;
   to_blocks t w
 
-let parse_superblock s =
+(* The geometry must be the one [derive_geometry] lays out, on a disk
+   at least [total_blocks] long: [make_t] sizes the segment table by
+   [nsegs], and the checkpoint reads trust the region bounds. *)
+let parse_superblock ~sector_bytes ~disk_bytes s =
   let r = Codec.Reader.of_string s in
   let m = Codec.Reader.string r in
   if m <> magic then raise (Codec.Corrupt "superblock magic");
@@ -636,6 +651,18 @@ let parse_superblock s =
   let ckpt_a = Codec.Reader.u64 r in
   let ckpt_b = Codec.Reader.u64 r in
   let checkpoint_blocks = Codec.Reader.u32 r in
+  let laid_out =
+    block_bytes >= sector_bytes
+    && block_bytes mod sector_bytes = 0
+    && total_blocks <= disk_bytes / block_bytes
+    && seg_blocks >= 2 && checkpoint_blocks >= 1
+    && ckpt_a = 1
+    && ckpt_b = ckpt_a + checkpoint_blocks
+    && seg0 = ckpt_b + checkpoint_blocks
+    && seg0 <= total_blocks
+    && nsegs = (total_blocks - seg0) / seg_blocks
+  in
+  if not laid_out then raise (Codec.Corrupt "superblock geometry");
   (block_bytes, total_blocks, seg_blocks, nsegs, seg0, ckpt_a, ckpt_b,
    checkpoint_blocks)
 
@@ -857,7 +884,7 @@ let roll_forward t =
   for s = 0 to t.nsegs - 1 do
     let base = seg_base t s in
     match
-      (try Some (deserialize_summary
+      (try Some (deserialize_summary ~seg_blocks:t.cfg.seg_blocks
                    (Data.to_string (read_block_raw t ~addr:base)))
        with Codec.Corrupt _ -> None)
     with
@@ -917,7 +944,9 @@ let mount_t ?registry ?(name = "lfs") ?(config = default_config) sched driver =
     raise (Codec.Corrupt "Lfs.mount: simulated disk holds no metadata; use format_and_mount");
   let ( block_bytes, total_blocks, seg_blocks, nsegs, seg0, ckpt_a, ckpt_b,
         checkpoint_blocks ) =
-    parse_superblock (Data.to_string sb_data)
+    parse_superblock ~sector_bytes:sector
+      ~disk_bytes:(Driver.total_sectors driver * sector)
+      (Data.to_string sb_data)
   in
   let cfg = { config with seg_blocks; checkpoint_blocks } in
   let t =
@@ -927,7 +956,7 @@ let mount_t ?registry ?(name = "lfs") ?(config = default_config) sched driver =
   let try_region addr =
     try
       Some
-        (parse_checkpoint
+        (parse_checkpoint ~nsegs ~seg_blocks ~block_bytes
            (Data.to_string
               (read_region t ~addr ~blocks:cfg.checkpoint_blocks)))
     with Codec.Corrupt _ -> None

@@ -1,78 +1,65 @@
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a array;
-  mutable len : int;
-}
+(* A timer's expiry is a boxed float in its record, so [top_at] hands
+   out the box the caller pushed and the scheduler stores it as the
+   virtual clock: neither allocates, even across modules compiled
+   without cross-module inlining. *)
+type 'a timer = { at : float; seq : int; v : 'a }
+type 'a t = { mutable data : 'a timer array; mutable len : int }
 
-let create ~cmp = { cmp; data = [||]; len = 0 }
-let length t = t.len
-let is_empty t = t.len = 0
+let create () = { data = [||]; len = 0 }
+let length q = q.len
+let is_empty q = q.len = 0
 
-let swap t i j =
-  let tmp = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- tmp
+(* [a] comes strictly before [b]; [Float.compare] keeps the order total
+   even for a NaN expiry. *)
+let before a b =
+  let c = Float.compare a.at b.at in
+  c < 0 || (c = 0 && a.seq < b.seq)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.len && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let push t x =
-  if t.len = Array.length t.data then begin
-    let grown = Array.make (Stdlib.max 8 (2 * t.len)) x in
-    Array.blit t.data 0 grown 0 t.len;
-    t.data <- grown
+(* Sift up through a hole: parents that come after the new timer move
+   down one level, and the timer is written once, where the hole ends. *)
+let push q ~at ~seq v =
+  let x = { at; seq; v } in
+  if q.len = Array.length q.data then begin
+    let grown = Array.make (Stdlib.max 8 (2 * q.len)) x in
+    Array.blit q.data 0 grown 0 q.len;
+    q.data <- grown
   end;
-  t.data.(t.len) <- x;
-  t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  let i = ref q.len in
+  q.len <- q.len + 1;
+  while !i > 0 && before x q.data.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    q.data.(!i) <- q.data.(p);
+    i := p
+  done;
+  q.data.(!i) <- x
 
-let peek t = if t.len = 0 then None else Some t.data.(0)
+let top_at q =
+  if q.len = 0 then invalid_arg "Heap.top_at: empty";
+  q.data.(0).at
 
-exception Empty
-
-let top_exn t = if t.len = 0 then raise Empty else t.data.(0)
-
-let delete_at t i =
-  t.len <- t.len - 1;
-  if i <> t.len then begin
-    t.data.(i) <- t.data.(t.len);
-    sift_down t i;
-    sift_up t i
-  end
-
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let top = t.data.(0) in
-    delete_at t 0;
-    Some top
-  end
-
-let remove t p =
-  let rec find i = if i >= t.len then None else
-      if p t.data.(i) then Some i else find (i + 1)
-  in
-  match find 0 with
-  | None -> false
-  | Some i ->
-    delete_at t i;
-    true
-
-let to_list t = Array.to_list (Array.sub t.data 0 t.len)
-let clear t = t.len <- 0
+(* The last timer fills the root's hole and sifts down through it. *)
+let pop q =
+  if q.len = 0 then invalid_arg "Heap.pop: empty";
+  let top = q.data.(0) in
+  let n = q.len - 1 in
+  q.len <- n;
+  if n > 0 then begin
+    let x = q.data.(n) in
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let c =
+          if l + 1 < n && before q.data.(l + 1) q.data.(l) then l + 1 else l
+        in
+        if before q.data.(c) x then begin
+          q.data.(!i) <- q.data.(c);
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    q.data.(!i) <- x
+  end;
+  top.v

@@ -1,34 +1,23 @@
-(** Polymorphic binary min-heap.
+(** The scheduler's timer queue: a binary min-heap keyed on
+    [(at, seq)], expiry time first, then insertion sequence.
 
-    Used for the scheduler's timer queue and by disk-queue scheduling
-    policies that service requests in key order. *)
+    Timers are compared inline (as {!Float.compare} then integer
+    order), with no closure, and a peek or pop allocates no option.
+    Callers give every timer a distinct [seq], which makes [(at, seq)]
+    a total order: the pop order is then fixed by the keys alone. *)
 
 type 'a t
 
-(** [create ~cmp] is an empty heap ordered by [cmp] (minimum first). *)
-val create : cmp:('a -> 'a -> int) -> 'a t
-
+val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val push : 'a t -> 'a -> unit
 
-(** Smallest element without removing it. *)
-val peek : 'a t -> 'a option
+(** [push q ~at ~seq v] adds timer [v] expiring at [at]. *)
+val push : 'a t -> at:float -> seq:int -> 'a -> unit
 
-exception Empty
+(** Expiry of the first timer. Raises [Invalid_argument] when empty. *)
+val top_at : 'a t -> float
 
-(** Like {!peek} but raising {!Empty} instead of allocating an option —
-    for callers probing the heap on a per-operation hot path. *)
-val top_exn : 'a t -> 'a
-
-(** Remove and return the smallest element. *)
-val pop : 'a t -> 'a option
-
-(** [remove t p] removes the first element satisfying [p], if any;
-    O(n). Returns whether an element was removed. *)
-val remove : 'a t -> ('a -> bool) -> bool
-
-(** Elements in arbitrary order. *)
-val to_list : 'a t -> 'a list
-
-val clear : 'a t -> unit
+(** Remove and return the first timer. Raises [Invalid_argument] when
+    empty. *)
+val pop : 'a t -> 'a

@@ -52,8 +52,6 @@ type timer_action =
   | A_fun of (unit -> unit)
   | A_cont of { thread : thread; k : (unit, unit) Effect.Deep.continuation }
 
-type timer = { at : float; seq : int; action : timer_action }
-
 type waiter_wake =
   | W_fun of (bool -> unit) (* true = signalled, false = timed out *)
   | W_cont of (bool, unit) Effect.Deep.continuation
@@ -87,7 +85,7 @@ type t = {
   mutable runq : runnable array;
   mutable runq_head : int;
   mutable runq_len : int;
-  timers : timer Heap.t;
+  timers : timer_action Heap.t; (* keyed on (expiry, timer_seq) *)
   mutable timer_seq : int;
   mutable next_tid : int;
   live : (thread_id, thread) Hashtbl.t;
@@ -99,10 +97,6 @@ type t = {
   mutable horizon : float; (* active [run ~until] bound, else infinity *)
   mutable failure : exn option;
 }
-
-let cmp_timer a b =
-  let c = compare a.at b.at in
-  if c <> 0 then c else compare a.seq b.seq
 
 let create ?(seed = 42) ?(policy = `Random) ?(tracer = Tracer.null)
     ?(injector = Capfs_fault.Injector.null) ~clock () =
@@ -117,7 +111,7 @@ let create ?(seed = 42) ?(policy = `Random) ?(tracer = Tracer.null)
     runq = [||];
     runq_head = 0;
     runq_len = 0;
-    timers = Heap.create ~cmp:cmp_timer;
+    timers = Heap.create ();
     timer_seq = 0;
     next_tid = 1;
     live = Hashtbl.create 64;
@@ -180,11 +174,11 @@ let pop_run t =
 
 let add_timer t ~at action =
   t.timer_seq <- t.timer_seq + 1;
-  Heap.push t.timers { at; seq = t.timer_seq; action = A_fun action }
+  Heap.push t.timers ~at ~seq:t.timer_seq (A_fun action)
 
 let add_timer_cont t ~at thread k =
   t.timer_seq <- t.timer_seq + 1;
-  Heap.push t.timers { at; seq = t.timer_seq; action = A_cont { thread; k } }
+  Heap.push t.timers ~at ~seq:t.timer_seq (A_cont { thread; k })
 
 (* The general suspension effect: the performer hands the handler a
    registration function that receives the resume callback. Resuming
@@ -310,9 +304,7 @@ let solo_wake_at t ~at =
   t.clk = `Virtual && t.running && t.runq_len = 0
   && (not (Tracer.enabled t.tracer))
   && at <= t.horizon
-  && (match Heap.top_exn t.timers with
-     | tm -> tm.at > at
-     | exception Heap.Empty -> true)
+  && (Heap.is_empty t.timers || Heap.top_at t.timers > at)
   (* A lone daemon (say a periodic flusher whose service loop outlived
      every non-daemon fibre) must take the slow path: parked on its
      timer, [idle] sees no non-daemon work and [run] returns. Waking it
@@ -425,17 +417,20 @@ let stop t = t.stopping <- true
    clock to each timer's expiry; real mode has already slept past it. *)
 let fire_due t horizon =
   let rec go () =
-    match Heap.peek t.timers with
-    | Some timer when timer.at <= horizon ->
-      ignore (Heap.pop t.timers);
-      if t.clk = `Virtual && timer.at > !(t.vnow) then t.vnow := timer.at;
-      (match timer.action with
+    if
+      (not (Heap.is_empty t.timers))
+      && Heap.top_at t.timers <= horizon
+    then begin
+      let at = Heap.top_at t.timers in
+      let action = Heap.pop t.timers in
+      if t.clk = `Virtual && at > !(t.vnow) then t.vnow := at;
+      (match action with
       | A_fun f -> f ()
       | A_cont { thread; k } ->
         trace_wake t thread;
         push_run t (Cont { thread; k }));
       go ()
-    | Some _ | None -> ()
+    end
   in
   go ()
 
@@ -491,35 +486,35 @@ let run ?until t =
     if t.nondaemon = 0 then ()
       (* Only daemons (service loops, periodic flushers) remain: their
          timers and fds must not keep the system alive. *)
-    else
-      match Heap.peek t.timers with
-      | Some timer when not (past_horizon timer.at) ->
+    else if not (Heap.is_empty t.timers) then begin
+      let at = Heap.top_at t.timers in
+      if not (past_horizon at) then begin
         (match t.clk with
         | `Virtual -> ()
         | `Real ->
-          let delay = timer.at -. now t in
+          let delay = at -. now t in
           if delay > 0. then select_real t delay);
-        fire_due t (match t.clk with `Virtual -> timer.at | `Real -> now t);
+        fire_due t (match t.clk with `Virtual -> at | `Real -> now t);
         loop ()
-      | Some timer ->
+      end
+      else
         (* Next event lies beyond the horizon: stop the simulation there. *)
-        ignore (timer : timer);
-        (match horizon with
+        match horizon with
         | Some u when t.clk = `Virtual && u > !(t.vnow) -> t.vnow := u
-        | Some _ | None -> ())
-      | None ->
-        if t.fd_waiters <> [] && t.clk = `Real then begin
-          select_real t (-1.);
-          loop ()
-        end
-        else begin
-          (* A dead helper fibre (e.g. a crashed flusher daemon) usually
-             explains why everyone else is stuck: surface its exception
-             rather than the symptom. *)
-          match t.failure with
-          | Some e -> raise e
-          | None -> raise (Deadlock (live_names t))
-        end
+        | Some _ | None -> ()
+    end
+    else if t.fd_waiters <> [] && t.clk = `Real then begin
+      select_real t (-1.);
+      loop ()
+    end
+    else begin
+      (* A dead helper fibre (e.g. a crashed flusher daemon) usually
+         explains why everyone else is stuck: surface its exception
+         rather than the symptom. *)
+      match t.failure with
+      | Some e -> raise e
+      | None -> raise (Deadlock (live_names t))
+    end
   in
   let cleanup () =
     t.running <- false;

@@ -53,7 +53,7 @@ let parse_line ~line s =
         | "RMDIR", [] -> Record.Rmdir { path }
         | _ -> fail line "unknown or malformed op %S" op
       in
-      Some { Record.time; client; op }
+      Some (Record.make ~time ~client op)
     | _ -> fail line "short record"
   end
 

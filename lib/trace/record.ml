@@ -16,6 +16,13 @@ type t = { time : float; client : int; op : op }
 let no_time = -1.
 let has_time t = t.time >= 0.
 
+(* [time] is a boxed field of this mixed record; copying it from one
+   prototype makes every untimed record point at the same box. *)
+let untimed = { time = no_time; client = 0; op = Mkdir { path = "" } }
+
+let make ~time ~client op =
+  if time = no_time then { untimed with client; op } else { time; client; op }
+
 let path t =
   match t.op with
   | Open { path; _ }

@@ -32,6 +32,11 @@ val no_time : float
 
 val has_time : t -> bool
 
+(** [make ~time ~client op] is [{ time; client; op }], except that every
+    record made with [time = no_time] shares one boxed [no_time]: an
+    untimed record costs no float box of its own. *)
+val make : time:float -> client:int -> op -> t
+
 (** Path named by the operation. *)
 val path : t -> string
 

@@ -65,7 +65,7 @@ let parse_line ~line s =
       | op :: _ -> fail line "unknown or malformed op %S" op
       | [] -> fail line "missing op"
     in
-    Some { Record.time; client; op }
+    Some (Record.make ~time ~client op)
   end
 
 let print_record buf r =

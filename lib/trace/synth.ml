@@ -123,38 +123,97 @@ let pick_existing rng st =
     let n = List.length files in
     Some (List.nth files (Prng.int rng n))
 
-let io_records p ~client ~path ~write ~bytes ~t_open ~t_close =
+(* The trace under construction, in emission order: each record with
+   its sort key, the time of the latest timed record at or before it in
+   emission order. Times are never negative, so a key is stored as the
+   IEEE bits of the float, which order like the float does. *)
+type emitted = {
+  mutable recs : Record.t array;
+  mutable keys : int array;
+  mutable len : int;
+  mutable last_key : int;
+}
+
+(* [compare] holds -0. equal to +0.; their bits differ, so add 0. to
+   turn -0. into +0. before taking them. Bit 63 (the sign) is then 0,
+   and the 63-bit int keeps the other 63. *)
+let key_bits time = Int64.to_int (Int64.bits_of_float (time +. 0.))
+
+let emit e (r : Record.t) =
+  if e.len = Array.length e.recs then begin
+    let cap = Stdlib.max 1024 (2 * e.len) in
+    let recs = Array.make cap r and keys = Array.make cap 0 in
+    Array.blit e.recs 0 recs 0 e.len;
+    Array.blit e.keys 0 keys 0 e.len;
+    e.recs <- recs;
+    e.keys <- keys
+  end;
+  if Record.has_time r then e.last_key <- key_bits r.Record.time;
+  e.recs.(e.len) <- r;
+  e.keys.(e.len) <- e.last_key;
+  e.len <- e.len + 1
+
+let emit_io e p ~client ~path ~write ~bytes ~t_open ~t_close =
   let unit_ = p.io_unit in
   let n = Stdlib.max 1 ((bytes + unit_ - 1) / unit_) in
-  List.init n (fun i ->
-      let offset = i * unit_ in
-      let len = Stdlib.min unit_ (bytes - offset) in
-      let len = Stdlib.max 1 len in
-      let time =
-        if p.record_io_times then
-          (* equidistant, which is also what the replay synthesizes *)
-          t_open +. ((t_close -. t_open) *. float_of_int (i + 1)
-                     /. float_of_int (n + 1))
-        else Record.no_time
-      in
-      if write then
-        { Record.time; client; op = Record.Write { path; offset; bytes = len } }
-      else { Record.time; client; op = Record.Read { path; offset; bytes = len } })
+  for i = 0 to n - 1 do
+    let offset = i * unit_ in
+    let len = Stdlib.max 1 (Stdlib.min unit_ (bytes - offset)) in
+    let op =
+      if write then Record.Write { path; offset; bytes = len }
+      else Record.Read { path; offset; bytes = len }
+    in
+    emit e
+      (if p.record_io_times then
+         (* equidistant, which is also what the replay synthesizes *)
+         Record.make
+           ~time:
+             (t_open +. ((t_close -. t_open) *. float_of_int (i + 1)
+                         /. float_of_int (n + 1)))
+           ~client op
+       else Record.make ~time:Record.no_time ~client op)
+  done
+
+(* Emission indices ordered by key, emission order breaking ties: a
+   stable LSD radix sort, four 16-bit digits of the 63-bit keys. *)
+let sort_by_key keys n =
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let count = Array.make 0x10000 0 in
+  for pass = 0 to 3 do
+    let shift = 16 * pass in
+    Array.fill count 0 0x10000 0;
+    for i = 0 to n - 1 do
+      let d = (keys.(i) lsr shift) land 0xffff in
+      count.(d) <- count.(d) + 1
+    done;
+    let sum = ref 0 in
+    for d = 0 to 0xffff do
+      let c = count.(d) in
+      count.(d) <- !sum;
+      sum := !sum + c
+    done;
+    let s = !src and t = !dst in
+    for i = 0 to n - 1 do
+      let j = s.(i) in
+      let d = (keys.(j) lsr shift) land 0xffff in
+      t.(count.(d)) <- j;
+      count.(d) <- count.(d) + 1
+    done;
+    src := t;
+    dst := s
+  done;
+  !src
 
 let generate ~seed ?duration p =
   let duration = match duration with Some d -> d | None -> p.duration in
   let rng = Prng.create ~seed in
   let st = { sizes = Hashtbl.create 1024; existing = [] } in
-  let out = ref [] in
-  let emit r = out := r :: !out in
+  let e = { recs = [||]; keys = [||]; len = 0; last_key = 0 } in
   (* directories first *)
   for d = 0 to p.dirs - 1 do
-    emit
-      {
-        Record.time = 0.;
-        client = 0;
-        op = Record.Mkdir { path = Printf.sprintf "/d%d" d };
-      }
+    emit e
+      (Record.make ~time:0. ~client:0
+         (Record.Mkdir { path = Printf.sprintf "/d%d" d }))
   done;
   (* Each client walks its own timeline; records merge afterwards. The
      per-client PRNGs split off the master so adding a client does not
@@ -169,12 +228,11 @@ let generate ~seed ?duration p =
         let n = 1 + Prng.int crng 4 in
         for i = 0 to n - 1 do
           let fid = pick_file p crng in
-          emit
-            {
-              Record.time = t0 +. (0.01 *. float_of_int i);
-              client;
-              op = Record.Stat { path = file_path p fid };
-            }
+          emit e
+            (Record.make
+               ~time:(t0 +. (0.01 *. float_of_int i))
+               ~client
+               (Record.Stat { path = file_path p fid }))
         done;
         t := t0 +. 0.05 +. Prng.exponential crng ~mean:p.mean_think
       end
@@ -204,16 +262,11 @@ let generate ~seed ?duration p =
           in
           let io_time = float_of_int bytes /. 2.0e6 in
           let t_close = t0 +. 0.02 +. io_time in
-          emit
-            {
-              Record.time = t0;
-              client;
-              op = Record.Open { path; mode = Record.Read_only };
-            };
-          List.iter emit
-            (io_records p ~client ~path ~write:false ~bytes ~t_open:t0
-               ~t_close);
-          emit { Record.time = t_close; client; op = Record.Close { path } };
+          emit e
+            (Record.make ~time:t0 ~client
+               (Record.Open { path; mode = Record.Read_only }));
+          emit_io e p ~client ~path ~write:false ~bytes ~t_open:t0 ~t_close;
+          emit e (Record.make ~time:t_close ~client (Record.Close { path }));
           t := t_close +. Prng.exponential crng ~mean:p.mean_think
         | true, None | false, _ ->
           (* write session *)
@@ -236,30 +289,23 @@ let generate ~seed ?duration p =
           in
           let io_time = float_of_int bytes /. 1.5e6 in
           let t_close = t0 +. 0.03 +. io_time in
-          emit
-            {
-              Record.time = t0;
-              client;
-              op = Record.Open { path; mode = Record.Write_only };
-            };
+          emit e
+            (Record.make ~time:t0 ~client
+               (Record.Open { path; mode = Record.Write_only }));
           if truncate_first then
-            emit
-              {
-                Record.time = Record.no_time;
-                client;
-                op = Record.Truncate { path; size = 0 };
-              };
-          List.iter emit
-            (io_records p ~client ~path ~write:true ~bytes ~t_open:t0 ~t_close);
-          emit { Record.time = t_close; client; op = Record.Close { path } };
+            emit e
+              (Record.make ~time:Record.no_time ~client
+                 (Record.Truncate { path; size = 0 }));
+          emit_io e p ~client ~path ~write:true ~bytes ~t_open:t0 ~t_close;
+          emit e (Record.make ~time:t_close ~client (Record.Close { path }));
           Hashtbl.replace st.sizes fid bytes;
           if not existed then st.existing <- fid :: st.existing;
           (* short-lived data: delete soon after writing *)
           if Prng.bool crng p.delete_after_write then begin
             let t_del = t_close +. Prng.exponential crng ~mean:10.0 in
             if t_del < duration then begin
-              emit
-                { Record.time = t_del; client; op = Record.Delete { path } };
+              emit e
+                (Record.make ~time:t_del ~client (Record.Delete { path }));
               Hashtbl.remove st.sizes fid;
               st.existing <- List.filter (fun f -> f <> fid) st.existing
             end
@@ -268,31 +314,15 @@ let generate ~seed ?duration p =
       end
     done
   done;
-  (* Sort by time; records without a time sort with their session via a
-     stable sort keyed only on recorded times being monotone per client,
-     so keep them adjacent: assign each untimed record the time of the
-     preceding timed record from the same emission order. *)
-  let records = Array.of_list (List.rev !out) in
-  let n = Array.length records in
-  let keys = Array.make n 0. in
-  let last = ref 0. in
-  for i = 0 to n - 1 do
-    if Record.has_time records.(i) then last := records.(i).Record.time;
-    keys.(i) <- !last
-  done;
-  let order = Array.init n (fun i -> i) in
-  (* emission order breaks key ties, which makes the sort stable *)
-  Array.sort
-    (fun a b ->
-      let c = compare keys.(a) keys.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  Array.map (fun i -> records.(i)) order
+  (* Sort by key: an untimed record keeps the time of the timed record
+     emitted before it, so it stays with its session. *)
+  let order = sort_by_key e.keys e.len in
+  Array.map (fun i -> e.recs.(i)) order
 
 let source ~seed ?duration p =
   (* generation materializes the whole array anyway (the final global
-     sort needs it), so the source is array-backed — replay takes its
-     exact array path — but lazy: a fleet worker that never runs this
-     trace never pays for it. For O(1)-memory replay of a big synthetic
-     trace, save it to a file and stream with [Source.sprite_file]. *)
+     sort needs it), so the source is array-backed, but lazy: a fleet
+     worker that never runs this trace never pays for it. For
+     O(1)-memory replay of a big synthetic trace, save it to a file and
+     stream with [Source.sprite_file]. *)
   Source.of_lazy ~name:p.profile_name (lazy (generate ~seed ?duration p))

@@ -928,6 +928,116 @@ let prop_dirty_list_matches_model =
             ops);
       !ok)
 
+(* Out-of-order writes to several files, then whole-file flushes: each
+   flush set must be exactly that file's dirty blocks, in index order.
+   Indices are drawn at random, so the file chains (cache-entry order)
+   are mostly out of index order and the flush set must be sorted; runs
+   of ascending writes exercise the already-sorted path. Without
+   coalescing the write-back hands the set over in order, 8 blocks a
+   batch; with it, every extent is an ascending run and together they
+   cover the set. *)
+type flush_op =
+  | F_write of int * int
+  | F_run of int * int
+  | F_truncate of int * int
+  | F_flush of int
+  | F_sync
+
+let prop_whole_file_flush_sets_sorted =
+  let gen_op =
+    QCheck.Gen.(
+      let ino = int_range 1 4 and idx = int_bound 40 in
+      frequency
+        [
+          (10, map2 (fun i x -> F_write (i, x)) ino idx);
+          (2, map2 (fun i x -> F_run (i, x)) ino idx);
+          (1, map2 (fun i x -> F_truncate (i, x)) ino idx);
+          (3, map (fun i -> F_flush i) ino);
+          (1, return F_sync);
+        ])
+  in
+  let print = function
+    | F_write (i, x) -> Printf.sprintf "write %d:%d" i x
+    | F_run (i, x) -> Printf.sprintf "run %d:%d+" i x
+    | F_truncate (i, x) -> Printf.sprintf "truncate %d %d" i x
+    | F_flush i -> Printf.sprintf "flush %d" i
+    | F_sync -> "sync"
+  in
+  QCheck.Test.make ~name:"whole-file flush sets are dirty blocks in index order"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (c, ops) ->
+         Printf.sprintf "coalesce %b: %s" c (String.concat "; " (List.map print ops)))
+       QCheck.Gen.(pair bool (list_size (int_bound 150) gen_op)))
+    (fun (coalesce, ops) ->
+      let ok = ref true in
+      run_fs (fun s ->
+          let sink, wb = make_sink s in
+          let c =
+            Cache.create ~writeback:wb s
+              (demand_config ~async:false ~coalesce ~max_extent:8 512)
+          in
+          let dirty = Hashtbl.create 16 in
+          let dirty_of i =
+            List.sort_uniq compare
+              (Hashtbl.fold (fun (j, x) () acc -> if j = i then x :: acc else acc) dirty [])
+          in
+          let write i x =
+            Cache.write c (k i x) (Data.sim 16);
+            Hashtbl.replace dirty (i, x) ()
+          in
+          let keys batch = List.map (fun (j, x, _) -> (j, x)) batch in
+          (* what a coalesced write-back must send for [sorted] keys:
+             maximal runs of one file's consecutive blocks, at most 8 *)
+          let extents sorted =
+            let close run acc = if run = [] then acc else List.rev run :: acc in
+            let rec go acc run = function
+              | [] -> List.rev (close run acc)
+              | (i, x) :: rest -> (
+                match run with
+                | (j, y) :: _ when j = i && x = y + 1 && List.length run < 8 ->
+                  go acc ((i, x) :: run) rest
+                | _ -> go (close run acc) [ (i, x) ] rest)
+            in
+            go [] [] sorted
+          in
+          let sent_right ~in_order expected =
+            let batches = List.rev sink.flushed in
+            if coalesce then
+              List.sort compare (List.map keys batches)
+              = List.sort compare (extents expected)
+            else if in_order then List.concat_map keys batches = expected
+            else List.sort compare (List.concat_map keys batches) = expected
+          in
+          List.iter
+            (function
+              | F_write (i, x) -> write i x
+              | F_run (i, x) -> for y = x to Stdlib.min 40 (x + 9) do write i y done
+              | F_truncate (i, from) ->
+                Cache.truncate c i ~from;
+                Hashtbl.filter_map_inplace
+                  (fun (j, x) () -> if j = i && x >= from then None else Some ())
+                  dirty
+              | F_flush i ->
+                sink.flushed <- [];
+                Cache.flush_file c i;
+                if not (sent_right ~in_order:true (List.map (fun x -> (i, x)) (dirty_of i)))
+                then ok := false;
+                Hashtbl.filter_map_inplace
+                  (fun (j, _) () -> if j = i then None else Some ())
+                  dirty
+              | F_sync ->
+                (* the dirty list is in dirtying order; a coalesced
+                   write-back must still sort it into maximal extents *)
+                sink.flushed <- [];
+                Cache.sync c;
+                let all = Hashtbl.fold (fun key () acc -> key :: acc) dirty [] in
+                if not (sent_right ~in_order:false (List.sort compare all)) then
+                  ok := false;
+                Hashtbl.reset dirty)
+            ops);
+      !ok)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -937,6 +1047,7 @@ let qsuite =
       prop_dirty_list_matches_model;
       prop_cache_capacity_respected;
       prop_sync_always_cleans;
+      prop_whole_file_flush_sets_sorted;
     ]
 
 let suite =

@@ -236,7 +236,9 @@ let prop_inode_roundtrip =
       i.Inode.size <- List.length addrs * 4096;
       let w = Codec.Writer.create ~capacity:64 in
       Inode.serialize w i ~indirect:[];
-      let i', indirect = Inode.deserialize (Codec.Writer.contents w) in
+      let i', indirect =
+        Inode.deserialize ~block_bytes:4096 (Codec.Writer.contents w)
+      in
       indirect = []
       && i'.Inode.ino = 42
       && i'.Inode.size = i.Inode.size
@@ -567,6 +569,195 @@ let qsuite =
       prop_lfs_read_after_write;
     ]
 
+(* Counts read from disk: every reader bounds a stored count by what
+   its structure can hold before sizing anything by it. Each case crafts
+   one corrupt count with [Codec.Writer] and allows the reader a small
+   allocation budget, so a reader that allocates first and checks later
+   fails even where its allocation succeeds. A mount's budget covers
+   its own tables and the two checkpoint regions it reads (about 80k
+   words on this 4 MB volume). *)
+
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = match f () with v -> Ok v | exception e -> Error e in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let expect_corrupt ~budget what f =
+  match allocated_words f with
+  | Error (Codec.Corrupt _), words ->
+    if words > budget then
+      Alcotest.failf "%s: refused only after allocating %.0f words (budget %.0f)"
+        what words budget
+  | Error e, _ -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  | Ok _, _ -> Alcotest.failf "%s: accepted" what
+
+let crafted_inode ~nblocks ~n_ind =
+  let w = Codec.Writer.create ~capacity:4096 in
+  Codec.Writer.u64 w 7;
+  Codec.Writer.u8 w (Inode.kind_to_int Inode.Regular);
+  Codec.Writer.u64 w (nblocks * 4096);
+  Codec.Writer.u32 w 1;
+  Codec.Writer.u32 w 0;
+  List.iter (Codec.Writer.f64 w) [ 1.; 2.; 3. ];
+  Codec.Writer.u32 w nblocks;
+  for i = 0 to Stdlib.min nblocks Inode.ndirect - 1 do
+    Codec.Writer.u64 w (100 + i)
+  done;
+  Codec.Writer.u32 w n_ind;
+  for i = 0 to Stdlib.min n_ind 8 - 1 do
+    Codec.Writer.u64 w (900 + i)
+  done;
+  Codec.Writer.contents w
+
+let test_inode_counts_bounded () =
+  let block_bytes = 4096 in
+  let deser s () = Inode.deserialize ~block_bytes s in
+  expect_corrupt ~budget:2_000. "nblocks 2^32-1"
+    (deser (crafted_inode ~nblocks:0xFFFF_FFFF ~n_ind:0));
+  let per = Inode.addrs_per_indirect ~block_bytes in
+  let most = Inode.ndirect + (Inode.max_indirect ~block_bytes * per) in
+  expect_corrupt ~budget:2_000. "nblocks one past what an inode maps"
+    (deser (crafted_inode ~nblocks:(most + 1) ~n_ind:1));
+  expect_corrupt ~budget:2_000. "indirect count short of nblocks"
+    (deser (crafted_inode ~nblocks:(Inode.ndirect + 8) ~n_ind:0));
+  expect_corrupt ~budget:2_000. "indirect count past nblocks"
+    (deser (crafted_inode ~nblocks:Inode.ndirect ~n_ind:1));
+  let inode, indirect =
+    Inode.deserialize ~block_bytes
+      (crafted_inode ~nblocks:(Inode.ndirect + 8) ~n_ind:1)
+  in
+  Alcotest.(check (list int)) "consistent counts accepted" [ 900 ] indirect;
+  let indirect_block count =
+    let w = Codec.Writer.create ~capacity:4096 in
+    Codec.Writer.u32 w count;
+    for i = 0 to Stdlib.min count 8 - 1 do
+      Codec.Writer.u64 w (2000 + i + 1)
+    done;
+    Codec.Writer.contents w
+  in
+  let load count () = Inode.load_indirect inode ~block_bytes ~k:0 (indirect_block count) in
+  expect_corrupt ~budget:2_000. "indirect count 2^32-1" (load 0xFFFF_FFFF);
+  expect_corrupt ~budget:2_000. "indirect count past addrs_per_indirect"
+    (load (per + 1));
+  expect_corrupt ~budget:2_000. "indirect count past the inode's blocks"
+    (load 9);
+  load 8 ();
+  Alcotest.(check int) "last mapped block" 2007
+    (Inode.get_addr inode (Inode.ndirect + 7))
+
+(* A formatted 4 MB RAM disk of [small_lfs_config]: 1,024 blocks,
+   checkpoint regions at 1 and 9, 62 segments of 16 blocks from 17. *)
+let small_geometry = (1024, 17, 62)
+
+let with_small_volume f =
+  run_fs (fun s ->
+      let drv = mem_driver s in
+      ignore
+        (Lfs.format_and_mount ~config:small_lfs_config s drv ~block_bytes:4096);
+      f s drv)
+
+let write_block drv ~addr w =
+  Driver.write_exn drv ~lba:(addr * 8)
+    (Data.Real (Codec.Writer.blocks w ~block_bytes:4096))
+
+let superblock ~total ~seg_blocks ~nsegs =
+  let w = Codec.Writer.create ~capacity:4096 in
+  Codec.Writer.string w "CAPLFS01";
+  Codec.Writer.u32 w 4096;
+  Codec.Writer.u64 w total;
+  Codec.Writer.u32 w seg_blocks;
+  Codec.Writer.u32 w nsegs;
+  Codec.Writer.u64 w 17;
+  Codec.Writer.u64 w 1;
+  Codec.Writer.u64 w 9;
+  Codec.Writer.u32 w 8;
+  Codec.Writer.u32 w (Codec.Writer.crc w);
+  w
+
+let test_lfs_superblock_counts_bounded () =
+  let total, _, nsegs = small_geometry in
+  let case what ~total ~nsegs =
+    with_small_volume (fun s drv ->
+        write_block drv ~addr:0 (superblock ~total ~seg_blocks:16 ~nsegs);
+        expect_corrupt ~budget:150_000. what (fun () ->
+            Lfs.mount ~config:small_lfs_config s drv))
+  in
+  case "segment count 2^32-1" ~total ~nsegs:0xFFFF_FFFF;
+  case "segment count one past the geometry" ~total ~nsegs:(nsegs + 1);
+  case "volume larger than the disk" ~total:(total + 16) ~nsegs:(nsegs + 1);
+  with_small_volume (fun s drv ->
+      write_block drv ~addr:0 (superblock ~total ~seg_blocks:16 ~nsegs);
+      ignore (Lfs.mount ~config:small_lfs_config s drv))
+
+let checkpoint ~n_imap ~nsegs ~n_ind =
+  let w = Codec.Writer.create ~capacity:4096 in
+  Codec.Writer.string w "CKPT";
+  Codec.Writer.u64 w 1000;
+  Codec.Writer.u64 w 1;
+  Codec.Writer.f64 w 0.;
+  Codec.Writer.u32 w n_imap;
+  for i = 1 to (if n_imap <= 2000 then n_imap else 0) do
+    Codec.Writer.u64 w i;
+    Codec.Writer.u64 w (17 + i)
+  done;
+  Codec.Writer.u32 w nsegs;
+  for _ = 1 to Stdlib.min nsegs 100 do
+    Codec.Writer.u32 w 0;
+    Codec.Writer.u64 w 0;
+    Codec.Writer.u8 w 1
+  done;
+  Codec.Writer.u32 w n_ind;
+  Codec.Writer.u32 w (Codec.Writer.crc w);
+  w
+
+let test_lfs_checkpoint_counts_bounded () =
+  let _, _, nsegs = small_geometry in
+  let case what ~n_imap ~nsegs ~n_ind =
+    with_small_volume (fun s drv ->
+        write_block drv ~addr:1 (checkpoint ~n_imap ~nsegs ~n_ind);
+        write_block drv ~addr:9 (checkpoint ~n_imap ~nsegs ~n_ind);
+        expect_corrupt ~budget:150_000. what (fun () ->
+            Lfs.mount ~config:small_lfs_config s drv))
+  in
+  case "inode map count 2^32-1" ~n_imap:0xFFFF_FFFF ~nsegs ~n_ind:0;
+  case "inode map count past the log's slots" ~n_imap:(nsegs * 15 + 1) ~nsegs
+    ~n_ind:0;
+  case "segment count unlike the superblock's" ~n_imap:0 ~nsegs:(nsegs + 1)
+    ~n_ind:0;
+  case "indirect list count 2^32-1" ~n_imap:0 ~nsegs ~n_ind:0xFFFF_FFFF;
+  with_small_volume (fun s drv ->
+      write_block drv ~addr:1 (checkpoint ~n_imap:0 ~nsegs ~n_ind:0);
+      write_block drv ~addr:9 (checkpoint ~n_imap:0 ~nsegs ~n_ind:0);
+      ignore (Lfs.mount ~config:small_lfs_config s drv))
+
+(* A summary newer than every checkpoint is rolled forward; one whose
+   count exceeds the segment's blocks is corrupt, and skipped. *)
+let test_lfs_summary_count_bounded () =
+  let _, seg0, nsegs = small_geometry in
+  let rolled count =
+    let result = ref (-1) in
+    with_small_volume (fun s drv ->
+        let w = Codec.Writer.create ~capacity:4096 in
+        Codec.Writer.string w "SUMM";
+        Codec.Writer.u64 w 1_000_000;
+        Codec.Writer.u32 w count;
+        for i = 0 to count - 1 do
+          Codec.Writer.u8 w 0;
+          Codec.Writer.u64 w 5;
+          Codec.Writer.u64 w i
+        done;
+        Codec.Writer.u32 w (Codec.Writer.crc w);
+        write_block drv ~addr:(seg0 + ((nsegs - 1) * 16)) w;
+        match Lfs.recover ~config:small_lfs_config s drv with
+        | Ok (_, report) -> result := report.Lfs.r_rolled_segments
+        | Error e -> Alcotest.failf "recover: %s" (Capfs_core.Errno.to_string e));
+    !result
+  in
+  Alcotest.(check int) "15 entries roll forward" 1 (rolled 15);
+  Alcotest.(check int) "16 entries in a 16-block segment are skipped" 0
+    (rolled 16)
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -599,5 +790,12 @@ let suite =
       test_lfs_torn_checkpoint_falls_back;
     Alcotest.test_case "adopted blocks survive churn" `Quick
       test_lfs_adopted_blocks_survive_cleaning_pressure;
+    Alcotest.test_case "inode counts bounded" `Quick test_inode_counts_bounded;
+    Alcotest.test_case "lfs superblock counts bounded" `Quick
+      test_lfs_superblock_counts_bounded;
+    Alcotest.test_case "lfs checkpoint counts bounded" `Quick
+      test_lfs_checkpoint_counts_bounded;
+    Alcotest.test_case "lfs summary count bounded" `Quick
+      test_lfs_summary_count_bounded;
   ]
   @ qsuite

@@ -371,6 +371,21 @@ let test_pfs_refuses_corrupt_inodes () =
       Unix.close fd;
       check_refused ~size_mb:16 path)
 
+(* A superblock claiming 2^32-1 segments: the mount sizes its segment
+   table from that count only after checking it against the geometry,
+   so the server refuses the image instead of allocating for it. The
+   count sits at byte 28: the magic (4-byte length, 8 bytes), the block
+   size (4), the volume length (8) and the segment size (4). *)
+let test_pfs_refuses_impossible_segment_count () =
+  with_temp_image (fun path ->
+      let t = start_pfs ~size_mb:16 path in
+      Pfs.shutdown t;
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      ignore (Unix.lseek fd 28 Unix.SEEK_SET);
+      ignore (Unix.write_substring fd "\xff\xff\xff\xff" 0 4);
+      Unix.close fd;
+      check_refused ~size_mb:16 path)
+
 (* A short image of foreign bytes, opened with a larger size: refused
    without being grown to that size first. *)
 let test_pfs_refuses_short_image () =
@@ -447,4 +462,6 @@ let suite =
     Alcotest.test_case "read keeps its bytes after a rewrite" `Quick
       test_pfs_read_keeps_bytes_after_rewrite;
     Alcotest.test_case "read across a hole" `Quick test_pfs_read_across_hole;
+    Alcotest.test_case "pfs refuses an impossible segment count" `Quick
+      test_pfs_refuses_impossible_segment_count;
   ]

@@ -509,37 +509,86 @@ let test_mailbox_try_ops () =
          Alcotest.(check bool) "empty" true (Mailbox.try_recv mb = None)));
   Sched.run s
 
-(* Heap *)
+(* Timer heap *)
+
+let drain q =
+  let rec go acc = if Heap.is_empty q then List.rev acc else go (Heap.pop q :: acc) in
+  go []
 
 let test_heap_sorts () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
-
-let test_heap_remove () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check bool) "removed" true (Heap.remove h (fun x -> x = 2));
-  Alcotest.(check bool) "absent" false (Heap.remove h (fun x -> x = 7));
-  Alcotest.(check int) "len" 2 (Heap.length h)
+  let q = Heap.create () in
+  List.iteri
+    (fun seq at -> Heap.push q ~at:(float_of_int at) ~seq (at, seq))
+    [ 5; 1; 4; 1; 3; 9; 2 ];
+  Alcotest.(check (list (pair int int)))
+    "sorted by (at, seq)"
+    [ (1, 1); (1, 3); (2, 6); (3, 4); (4, 2); (5, 0); (9, 5) ]
+    (drain q);
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Heap.pop: empty") (fun () -> ignore (Heap.pop q))
 
 let prop_heap_pop_monotone =
   QCheck.Test.make ~name:"heap pops in nondecreasing order" ~count:200
     QCheck.(list int)
     (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
+      let q = Heap.create () in
+      List.iteri (fun seq x -> Heap.push q ~at:(float_of_int x) ~seq (x, seq)) xs;
       let rec check prev =
-        match Heap.pop h with
-        | None -> true
-        | Some x -> x >= prev && check x
+        Heap.is_empty q
+        ||
+        let x = Heap.pop q in
+        compare x prev > 0 && check x
       in
-      check min_int)
+      check (min_int, min_int))
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_heap_pop_monotone ]
+(* Random pushes, pops and peeks against a plain list kept sorted by
+   (at, seq). Expiry times come from a handful of values, so most
+   comparisons fall through to the sequence number. *)
+type tq_op = Push of int | Pop | Peek
+
+let prop_timer_queue_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ (5, map (fun at -> Push at) (int_range 0 5)); (3, return Pop); (1, return Peek) ])
+  in
+  let print = function
+    | Push at -> Printf.sprintf "push %d" at
+    | Pop -> "pop"
+    | Peek -> "peek"
+  in
+  QCheck.Test.make ~name:"timer queue matches a sorted-list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print ops))
+       QCheck.Gen.(list_size (int_range 0 200) op_gen))
+    (fun ops ->
+      let q = Heap.create () in
+      let model = ref [] and seq = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push at ->
+            incr seq;
+            let at = float_of_int at /. 4. in
+            Heap.push q ~at ~seq:!seq !seq;
+            model := List.sort compare ((at, !seq) :: !model);
+            true
+          | Pop -> (
+            match !model with
+            | [] -> Heap.is_empty q
+            | (_, s) :: rest ->
+              model := rest;
+              Heap.pop q = s)
+          | Peek -> (
+            match !model with
+            | [] -> Heap.is_empty q
+            | (at, _) :: _ -> Heap.top_at q = at))
+          && Heap.length q = List.length !model)
+        ops)
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_heap_pop_monotone; prop_timer_queue_model ]
 
 let suite =
   [
@@ -594,6 +643,5 @@ let suite =
     Alcotest.test_case "mailbox recv timeout" `Quick test_mailbox_recv_timeout;
     Alcotest.test_case "mailbox try ops" `Quick test_mailbox_try_ops;
     Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
-    Alcotest.test_case "heap remove" `Quick test_heap_remove;
   ]
   @ qsuite

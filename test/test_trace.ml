@@ -243,6 +243,228 @@ let test_profile_by_name () =
     Alcotest.fail "unknown profile must raise"
   with Invalid_argument _ -> ()
 
+(* The generator as it was before emission went into growable arrays
+   and the sort became a radix sort: records consed onto a list, then a
+   heap sort of emission indices on (key, index). Kept as the reference
+   that [Synth.generate] must match record for record. *)
+module Reference_synth = struct
+  module Prng = Capfs_stats.Prng
+
+  type state = {
+    sizes : (int, int) Hashtbl.t;
+    mutable existing : int list;
+  }
+
+  let file_path (p : Synth.profile) fid =
+    Printf.sprintf "/d%d/f%d" (fid mod p.dirs) fid
+
+  let pick_file (p : Synth.profile) rng =
+    let hot = Prng.bool rng p.hot_fraction in
+    let span = Stdlib.max 1 (p.files / 10) in
+    if hot then Prng.int rng span
+    else span + Prng.int rng (Stdlib.max 1 (p.files - span))
+
+  let pick_existing rng st =
+    match st.existing with
+    | [] -> None
+    | files ->
+      let n = List.length files in
+      Some (List.nth files (Prng.int rng n))
+
+  let io_records (p : Synth.profile) ~client ~path ~write ~bytes ~t_open
+      ~t_close =
+    let unit_ = p.io_unit in
+    let n = Stdlib.max 1 ((bytes + unit_ - 1) / unit_) in
+    List.init n (fun i ->
+        let offset = i * unit_ in
+        let len = Stdlib.min unit_ (bytes - offset) in
+        let len = Stdlib.max 1 len in
+        let time =
+          if p.record_io_times then
+            t_open +. ((t_close -. t_open) *. float_of_int (i + 1)
+                       /. float_of_int (n + 1))
+          else Record.no_time
+        in
+        if write then
+          { Record.time; client; op = Record.Write { path; offset; bytes = len } }
+        else
+          { Record.time; client; op = Record.Read { path; offset; bytes = len } })
+
+  let generate ~seed ~duration (p : Synth.profile) =
+    let rng = Prng.create ~seed in
+    let st = { sizes = Hashtbl.create 1024; existing = [] } in
+    let out = ref [] in
+    let emit r = out := r :: !out in
+    for d = 0 to p.dirs - 1 do
+      emit
+        {
+          Record.time = 0.;
+          client = 0;
+          op = Record.Mkdir { path = Printf.sprintf "/d%d" d };
+        }
+    done;
+    for client = 1 to p.clients do
+      let crng = Prng.split rng in
+      let t = ref (Prng.exponential crng ~mean:p.mean_think) in
+      while !t < duration do
+        let t0 = !t in
+        if Prng.bool crng p.stat_fraction then begin
+          let n = 1 + Prng.int crng 4 in
+          for i = 0 to n - 1 do
+            let fid = pick_file p crng in
+            emit
+              {
+                Record.time = t0 +. (0.01 *. float_of_int i);
+                client;
+                op = Record.Stat { path = file_path p fid };
+              }
+          done;
+          t := t0 +. 0.05 +. Prng.exponential crng ~mean:p.mean_think
+        end
+        else begin
+          let want_read = Prng.bool crng p.read_fraction in
+          let read_target =
+            if not want_read then None
+            else if Prng.bool crng p.cold_read_fraction then
+              Some (pick_file p crng)
+            else pick_existing crng st
+          in
+          match (want_read, read_target) with
+          | true, Some fid ->
+            let path = file_path p fid in
+            let bytes =
+              match Hashtbl.find_opt st.sizes fid with
+              | Some b -> Stdlib.max 1 b
+              | None ->
+                let b =
+                  int_of_float
+                    (Prng.lognormal crng ~mu:p.file_size_mu
+                       ~sigma:p.file_size_sigma)
+                in
+                Stdlib.max 256 (Stdlib.min b (1 lsl 20))
+            in
+            let io_time = float_of_int bytes /. 2.0e6 in
+            let t_close = t0 +. 0.02 +. io_time in
+            emit
+              {
+                Record.time = t0;
+                client;
+                op = Record.Open { path; mode = Record.Read_only };
+              };
+            List.iter emit
+              (io_records p ~client ~path ~write:false ~bytes ~t_open:t0
+                 ~t_close);
+            emit { Record.time = t_close; client; op = Record.Close { path } };
+            t := t_close +. Prng.exponential crng ~mean:p.mean_think
+          | true, None | false, _ ->
+            let fid = pick_file p crng in
+            let path = file_path p fid in
+            let bytes =
+              if Prng.bool crng p.large_write_fraction then
+                p.large_size / 2
+                + Prng.int crng (Stdlib.max 1 (p.large_size / 2))
+              else
+                let b =
+                  int_of_float
+                    (Prng.lognormal crng ~mu:p.file_size_mu
+                       ~sigma:p.file_size_sigma)
+                in
+                Stdlib.max 256 (Stdlib.min b (1 lsl 22))
+            in
+            let existed = Hashtbl.mem st.sizes fid in
+            let truncate_first =
+              existed && Prng.bool crng p.truncate_on_rewrite
+            in
+            let io_time = float_of_int bytes /. 1.5e6 in
+            let t_close = t0 +. 0.03 +. io_time in
+            emit
+              {
+                Record.time = t0;
+                client;
+                op = Record.Open { path; mode = Record.Write_only };
+              };
+            if truncate_first then
+              emit
+                {
+                  Record.time = Record.no_time;
+                  client;
+                  op = Record.Truncate { path; size = 0 };
+                };
+            List.iter emit
+              (io_records p ~client ~path ~write:true ~bytes ~t_open:t0
+                 ~t_close);
+            emit { Record.time = t_close; client; op = Record.Close { path } };
+            Hashtbl.replace st.sizes fid bytes;
+            if not existed then st.existing <- fid :: st.existing;
+            if Prng.bool crng p.delete_after_write then begin
+              let t_del = t_close +. Prng.exponential crng ~mean:10.0 in
+              if t_del < duration then begin
+                emit
+                  { Record.time = t_del; client; op = Record.Delete { path } };
+                Hashtbl.remove st.sizes fid;
+                st.existing <- List.filter (fun f -> f <> fid) st.existing
+              end
+            end;
+            t := t_close +. Prng.exponential crng ~mean:p.mean_think
+        end
+      done
+    done;
+    let records = Array.of_list (List.rev !out) in
+    let n = Array.length records in
+    let keys = Array.make n 0. in
+    let last = ref 0. in
+    for i = 0 to n - 1 do
+      if Record.has_time records.(i) then last := records.(i).Record.time;
+      keys.(i) <- !last
+    done;
+    let order = Array.init n (fun i -> i) in
+    Array.sort
+      (fun a b ->
+        let c = compare keys.(a) keys.(b) in
+        if c <> 0 then c else compare a b)
+      order;
+    Array.map (fun i -> records.(i)) order
+end
+
+let prop_synth_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 0 1_000_000) (float_range 30. 120.)
+        (oneofl Synth.all_profiles) bool)
+  in
+  let print (seed, duration, (p : Synth.profile), io) =
+    Printf.sprintf "seed %d, %.3f s of %s%s" seed duration p.profile_name
+      (if io then " with io times" else "")
+  in
+  QCheck.Test.make ~name:"synth equals the reference generator" ~count:25
+    (QCheck.make ~print gen)
+    (fun (seed, duration, p, io) ->
+      let p = { p with Synth.record_io_times = io } in
+      let expected = Reference_synth.generate ~seed ~duration p in
+      let actual = Synth.generate ~seed ~duration p in
+      (* [=] on the records themselves: times must be equal, not close *)
+      Array.length expected = Array.length actual
+      && Array.for_all2 (fun (a : Record.t) b -> a = b) expected actual)
+
+let test_synth_untimed_share_no_time () =
+  let records = Synth.generate ~seed:3 ~duration:60. Synth.sprite_5 in
+  let untimed =
+    List.filter (fun r -> not (Record.has_time r)) (Array.to_list records)
+  in
+  Alcotest.(check bool) "some untimed" true (List.length untimed > 100);
+  let first = (List.hd untimed).Record.time in
+  List.iter
+    (fun r ->
+      if Obj.repr r.Record.time != Obj.repr first then
+        Alcotest.failf "untimed record %a has its own time box" Record.pp r)
+    untimed;
+  let parsed = Sprite_format.of_string "? c1 read /x 0 10\n? c2 stat /y\n" in
+  Array.iter
+    (fun r ->
+      Alcotest.(check bool) "parsed untimed shares it" true
+        (Obj.repr r.Record.time == Obj.repr first))
+    parsed
+
 let prop_sprite_roundtrip =
   let record_gen =
     QCheck.Gen.(
@@ -279,7 +501,9 @@ let prop_sprite_roundtrip =
       Array.length parsed = Array.length records
       && Array.for_all2 rec_eq records parsed)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_sprite_roundtrip ]
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_sprite_roundtrip; prop_synth_matches_reference ]
 
 let suite =
   [
@@ -300,5 +524,7 @@ let suite =
       test_synth_profiles_have_character;
     Alcotest.test_case "synth deletes happen" `Quick test_synth_deletes_happen;
     Alcotest.test_case "profile by name" `Quick test_profile_by_name;
+    Alcotest.test_case "synth untimed records share no_time" `Quick
+      test_synth_untimed_share_no_time;
   ]
   @ qsuite
