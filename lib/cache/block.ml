@@ -42,7 +42,7 @@ type state = Clean | Dirty | Flushing
 type times = { mutable dirtied_at : float; mutable last_access : float }
 
 type t = {
-  key : Key.t;
+  mutable key : Key.t;
   mutable data : Capfs_disk.Data.t;
   mutable state : state;
   times : times;
@@ -52,6 +52,7 @@ type t = {
   mutable pinned : int;
   mutable policy_slot : int;
   mutable zombie : bool;
+  mutable holds : int;
   mutable repl_prev : t;
   mutable repl_next : t;
   mutable dirty_prev : t;
@@ -73,6 +74,7 @@ let make ~key ~data ~now =
       pinned = 0;
       policy_slot = -1;
       zombie = false;
+      holds = 0;
       repl_prev = b;
       repl_next = b;
       dirty_prev = b;
@@ -82,6 +84,26 @@ let make ~key ~data ~now =
     }
   in
   b
+
+let reset b ~key ~data ~now =
+  b.key <- key;
+  b.data <- data;
+  b.state <- Clean;
+  b.times.dirtied_at <- now;
+  b.times.last_access <- now;
+  b.access_count <- 0;
+  b.version <- 0;
+  b.in_nvram <- false;
+  b.pinned <- 0;
+  b.policy_slot <- -1;
+  b.zombie <- false;
+  b.holds <- 0;
+  b.repl_prev <- b;
+  b.repl_next <- b;
+  b.dirty_prev <- b;
+  b.dirty_next <- b;
+  b.file_prev <- b;
+  b.file_next <- b
 
 let sentinel () = make ~key:(Key.v 0 0) ~data:(Capfs_disk.Data.sim 0) ~now:0.
 

@@ -60,9 +60,13 @@ type times = {
     shared by LRU and SLRU's two segments; private to {!Replacement}),
     the cache's dirty list and the chain of its file's cached blocks
     (both private to {!Cache}). An unlinked block's links point at
-    itself. *)
+    itself.
+
+    A record outlives the block it holds: when a block leaves the cache
+    and nothing still reads its record, {!Cache} keeps the record and
+    gives it to the next block it caches, through {!reset}. *)
 type t = {
-  key : Key.t;
+  mutable key : Key.t;
   mutable data : Capfs_disk.Data.t;
   mutable state : state;
   times : times;
@@ -77,6 +81,10 @@ type t = {
   mutable zombie : bool;
       (** invalidated while a flush snapshot was in flight; the flusher
           discards it on completion *)
+  mutable holds : int;
+      (** references that will still read the record: flush-job entries
+          not yet completed, and reads waiting out their copy delay. A
+          record is reused only at 0 *)
   mutable repl_prev : t;
   mutable repl_next : t;
   mutable dirty_prev : t;
@@ -87,6 +95,11 @@ type t = {
 
 (** [make ~key ~data ~now] is a clean block on no list, stamped [now]. *)
 val make : key:Key.t -> data:Capfs_disk.Data.t -> now:float -> t
+
+(** [reset b ~key ~data ~now] sets every field of [b] to what
+    [make ~key ~data ~now] gives, in place: a retired record becomes a
+    new block without allocating. *)
+val reset : t -> key:Key.t -> data:Capfs_disk.Data.t -> now:float -> unit
 
 (** A block that is never cached: the head of a circular list, whose
     first element is its [next] link and last its [prev]. *)

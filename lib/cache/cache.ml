@@ -85,6 +85,11 @@ type t = {
   space_ev : Sched.event;
   extent_done_ev : Sched.event;
   flush_q : flush_job Mailbox.t;
+  (* retired records, [spare.(0 .. nspare-1)]: blocks that left the
+     cache and that nothing reads any more, kept for the next block the
+     cache takes in (the paper's free list) *)
+  mutable spare : Block.t array;
+  mutable nspare : int;
 }
 
 let stat_names =
@@ -137,6 +142,17 @@ let find t key = Ktbl.find_opt t.table key
 
 let copy_delay t =
   if t.cfg.mem_copy_rate > 0. then Sched.sleep t.sched t.block_copy_s
+
+(* A read hands out the block's contents once its copy is paid for: the
+   block may leave the cache meanwhile, so the reader holds its record
+   against reuse. *)
+let copy_out t b =
+  if t.cfg.mem_copy_rate > 0. then begin
+    b.Block.holds <- b.Block.holds + 1;
+    Sched.sleep t.sched t.block_copy_s;
+    b.Block.holds <- b.Block.holds - 1
+  end;
+  b.Block.data
 
 let touch t b =
   b.Block.times.Block.last_access <- now t;
@@ -196,32 +212,33 @@ let keys_increasing (blocks : Block.t array) =
   go 1
 
 (* The whole-file flush path: every Dirty block of [ino], in index
-   order. One pass over the file chain fills the array. Blocks join the
-   chain in the order they were cached, which for a file written front
-   to back is index order already, so the sort runs only when the check
-   finds the array out of order. *)
+   order. One pass over the file chain counts them and a second fills
+   an array of exactly that length. Blocks join the chain in the order
+   they were cached, which for a file written front to back is index
+   order already, so the sort runs only when the check finds the array
+   out of order. *)
 let dirty_blocks_of_ino t ino =
-  match Itbl.find t.by_ino ino with
-  | exception Not_found -> [||]
-  | first ->
-    let buf = ref [||] and n = ref 0 in
-    let rec go b =
-      if b.Block.state = Block.Dirty then begin
-        if !n = Array.length !buf then begin
-          let grown = Array.make (Stdlib.max 8 (2 * !n)) b in
-          Array.blit !buf 0 grown 0 !n;
-          buf := grown
-        end;
-        !buf.(!n) <- b;
-        incr n
-      end;
-      if b.Block.file_next != first then go b.Block.file_next
-    in
-    go first;
-    let arr = if !n = Array.length !buf then !buf else Array.sub !buf 0 !n in
+  let n =
+    fold_file t ino
+      (fun n b -> if b.Block.state = Block.Dirty then n + 1 else n)
+      0
+  in
+  if n = 0 then [||]
+  else begin
+    let arr = Array.make n t.dirty in
+    ignore
+      (fold_file t ino
+         (fun i b ->
+           if b.Block.state = Block.Dirty then begin
+             arr.(i) <- b;
+             i + 1
+           end
+           else i)
+         0);
     if not (keys_increasing arr) then
       Array.sort (fun a b -> compare (Block.index a) (Block.index b)) arr;
     arr
+  end
 
 (* dirty-list bookkeeping: the list holds blocks in state Dirty only,
    ordered by the time they became dirty (front = oldest), linked
@@ -262,6 +279,41 @@ let release_frame t b =
 
 let space_freed t = Sched.broadcast t.sched t.space_ev
 
+(* {2 Frame records}
+
+   A block that leaves the cache hands its record to the next block the
+   cache takes in, so a cache at capacity allocates no records. Only a
+   record nothing reads any more is retired: a pinned block is held by
+   a writer stalled on NVRAM, which compares it with the table's block
+   when it wakes, and [holds] counts the flush-job entries that
+   complete on the record and the reads that return its contents after
+   their copy delay. *)
+
+let no_data = Data.sim 0
+
+let retire t b =
+  if b.Block.pinned = 0 && b.Block.holds = 0 then begin
+    if t.nspare = Array.length t.spare then begin
+      let grown = Array.make (Stdlib.max 64 (2 * t.nspare)) b in
+      Array.blit t.spare 0 grown 0 t.nspare;
+      t.spare <- grown
+    end;
+    (* the payload is no longer the cache's to keep alive *)
+    b.Block.data <- no_data;
+    t.spare.(t.nspare) <- b;
+    t.nspare <- t.nspare + 1
+  end
+
+(* A new clean block on no list: a retired record when there is one. *)
+let fresh t ~key ~data =
+  if t.nspare = 0 then Block.make ~key ~data ~now:(now t)
+  else begin
+    t.nspare <- t.nspare - 1;
+    let b = t.spare.(t.nspare) in
+    Block.reset b ~key ~data ~now:(now t);
+    b
+  end
+
 (* {2 Flushing} *)
 
 let snapshot_for_flush t (blocks : Block.t array) =
@@ -272,7 +324,11 @@ let snapshot_for_flush t (blocks : Block.t array) =
   in
   if n = 0 then None
   else begin
-    let job_blocks = Array.make n blocks.(0) in
+    (* a set of Dirty blocks only, as every flush path but [sync]'s
+       builds, is fresh and the caller's to give: the job keeps it *)
+    let job_blocks =
+      if n = Array.length blocks then blocks else Array.make n blocks.(0)
+    in
     let job_versions = Array.make n 0 in
     let j = ref 0 in
     Array.iter
@@ -281,6 +337,7 @@ let snapshot_for_flush t (blocks : Block.t array) =
           b.Block.state <- Block.Flushing;
           dirty_remove t b;
           t.flushing_count <- t.flushing_count + 1;
+          b.Block.holds <- b.Block.holds + 1;
           job_blocks.(!j) <- b;
           job_versions.(!j) <- b.Block.version;
           incr j
@@ -303,9 +360,12 @@ let rehouse_from_nvram t b =
       table_remove t victim;
       Counter.incr t.c.evictions;
       trace_evict t victim;
+      retire t victim;
       (* victim frees a frame; [b] takes it: volatile_used unchanged *)
       Replacement.insert t.policy b
-    | None -> table_remove t b
+    | None ->
+      table_remove t b;
+      retire t b
 
 (* Completion bookkeeping for one written-back block: release the frame
    of a zombie, otherwise come clean — unless it was re-dirtied while in
@@ -313,8 +373,12 @@ let rehouse_from_nvram t b =
    and stays there. *)
 let complete_flushed t b version =
   t.flushing_count <- t.flushing_count - 1;
+  b.Block.holds <- b.Block.holds - 1;
   Counter.incr t.c.flushed_blocks;
-  if b.Block.zombie then release_frame t b
+  if b.Block.zombie then begin
+    release_frame t b;
+    retire t b
+  end
   else if b.Block.state = Block.Flushing && b.Block.version = version then begin
     b.Block.state <- Block.Clean;
     if b.Block.in_nvram then begin
@@ -510,7 +574,8 @@ let rec reserve_volatile t ~stall =
     | Some victim ->
       table_remove t victim;
       Counter.incr t.c.evictions;
-      trace_evict t victim
+      trace_evict t victim;
+      retire t victim
     | None ->
       let t0 = now t in
       wait_for_space t ~satisfied:(fun () ->
@@ -545,8 +610,7 @@ let rec read t key ~fill =
            { cache = t.cname; ino = Block.Key.ino key; index = Block.Key.index key });
     if b.Block.state = Block.Clean then Replacement.access t.policy b;
     touch t b;
-    copy_delay t;
-    b.Block.data
+    copy_out t b
   | exception Not_found -> (
     Counter.incr t.c.misses;
     let tr = tracer t in
@@ -573,10 +637,9 @@ let rec read t key ~fill =
         space_freed t;
         if b.Block.state = Block.Clean then Replacement.access t.policy b;
         touch t b;
-        copy_delay t;
-        b.Block.data
+        copy_out t b
       | None ->
-        let b = Block.make ~key ~data ~now:(now t) in
+        let b = fresh t ~key ~data in
         table_add t b;
         Replacement.insert t.policy b;
         touch t b;
@@ -649,7 +712,7 @@ let rec write t key data =
         space_freed t;
         write t key data
       | None ->
-        let b = Block.make ~key ~data ~now:(now t) in
+        let b = fresh t ~key ~data in
         b.Block.in_nvram <- true;
         table_add t b;
         mark_dirty t b data
@@ -662,7 +725,7 @@ let rec write t key data =
         space_freed t;
         write t key data
       | None ->
-        let b = Block.make ~key ~data ~now:(now t) in
+        let b = fresh t ~key ~data in
         table_add t b;
         mark_dirty t b data
     end);
@@ -678,12 +741,14 @@ let invalidate_block t b =
     Replacement.forget t.policy b;
     table_remove t b;
     t.volatile_used <- t.volatile_used - 1;
+    retire t b;
     space_freed t
   | Block.Dirty ->
     dirty_remove t b;
     table_remove t b;
     release_frame t b;
     Counter.incr t.c.absorbed_writes;
+    retire t b;
     space_freed t
   | Block.Flushing ->
     (* the flusher holds a snapshot; it releases the frame on
@@ -809,6 +874,8 @@ let create ?registry ?(name = "cache") ?replacement ~writeback sched cfg =
       space_ev = Sched.new_event ~name:(name ^ ".space") sched;
       extent_done_ev = Sched.new_event ~name:(name ^ ".extent_done") sched;
       flush_q = Mailbox.create ~name:(name ^ ".flushq") sched;
+      spare = [||];
+      nspare = 0;
     }
   in
   if cfg.async_flush then
@@ -832,3 +899,6 @@ let contains t key = Ktbl.mem t.table key
 
 let keys_of_file t ino =
   List.map (fun b -> b.Block.key) (blocks_of_ino t ino)
+
+let cached_blocks t = Ktbl.fold (fun _ b acc -> b :: acc) t.table []
+let spare_blocks t = Array.to_list (Array.sub t.spare 0 t.nspare)

@@ -149,3 +149,12 @@ val keys_of_file : t -> int -> Block.Key.t list
 (** The dirty list, oldest first: every block in state [Dirty], in the
     order each last became dirty. *)
 val dirty_blocks : t -> Block.t list
+
+(** Every block in the cache's table, unordered. *)
+val cached_blocks : t -> Block.t list
+
+(** The retired records: blocks that left the cache, kept for reuse by
+    the next blocks it takes in. None is in the table, on a list or
+    tracked by the replacement policy, none is pinned, and no pending
+    flush job holds one. *)
+val spare_blocks : t -> Block.t list

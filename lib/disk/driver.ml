@@ -148,8 +148,16 @@ let merge_requests t (req : Iorequest.t) companions =
                    (fun (a : Iorequest.t) b ->
                      compare a.Iorequest.lba b.Iorequest.lba)
                    all)))
-      else if List.exists (fun c -> Data.is_real (payload_of c)) all then begin
-        (* overlapping spans: the only copy the merged write path ever
+      else if
+        List.exists
+          (fun c ->
+            match payload_of c with
+            | Data.Sim _ -> false
+            | Data.Real _ | Data.Gather _ -> true)
+          all
+      then begin
+        (* overlapping spans where some payload carries real bytes (a
+           gather always does): the only copy the merged write path ever
            makes — flatten, later submissions winning *)
         let out = Data.real (sectors * bps) in
         Counter.incr t.c_blit;

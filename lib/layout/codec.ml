@@ -74,6 +74,14 @@ module Writer = struct
 
   let length t = t.pos
   let contents t = Bytes.sub_string t.buf 0 t.pos
+
+  let finish t =
+    let b =
+      if t.pos = Bytes.length t.buf then t.buf else Bytes.sub t.buf 0 t.pos
+    in
+    t.buf <- Bytes.empty;
+    t.pos <- 0;
+    b
   let crc t = adler32 t.buf t.pos
 
   let blocks t ~block_bytes =

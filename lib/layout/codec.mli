@@ -3,9 +3,9 @@
     Every persistent structure (superblock, checkpoint, inode, segment
     summary, directory) round-trips through these, so a PFS image written
     by one process mounts in another. A writer stores fields into a
-    growable byte buffer and finishes as whole zero-padded blocks; a
-    reader walks a string with bounds checking and raises {!Corrupt} on
-    malformed input rather than crashing. *)
+    growable byte buffer and finishes as its exact bytes or as whole
+    zero-padded blocks; a reader walks a string with bounds checking
+    and raises {!Corrupt} on malformed input rather than crashing. *)
 
 exception Corrupt of string
 
@@ -13,8 +13,8 @@ module Writer : sig
   type t
 
   (** A fresh, empty writer whose buffer holds [capacity] bytes before
-      it first grows. A structure that fills one block starts at the
-      block size, so {!blocks} hands that buffer over without a copy. *)
+      it first grows. A structure created at its exact length is handed
+      over by {!finish} without a copy. *)
   val create : capacity:int -> t
 
   (** One byte: the low 8 bits of the int (any int is accepted). *)
@@ -37,6 +37,11 @@ module Writer : sig
 
   (** Everything written so far, as a copy. *)
   val contents : t -> string
+
+  (** [finish t] is everything written so far. When [t] was created at
+      exactly that length the buffer itself is returned; otherwise it is
+      a copy. The writer is left empty, and the caller owns the bytes. *)
+  val finish : t -> bytes
 
   (** Bytes written so far. *)
   val length : t -> int

@@ -96,10 +96,40 @@ let serialize w t ~indirect =
 
 let addrs_per_indirect ~block_bytes = block_bytes / 8
 
+(* ino, kind, size, nlink, uid, three times and nblocks *)
+let header_bytes = 8 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 4
+
+(* Built at its exact length: the header, the direct addresses, the
+   indirect count and the indirect addresses. *)
+let encode t ~indirect =
+  let w =
+    Codec.Writer.create
+      ~capacity:
+        (header_bytes
+        + (8 * Stdlib.min t.nblocks ndirect)
+        + 4
+        + (8 * List.length indirect))
+  in
+  serialize w t ~indirect;
+  Codec.Writer.finish w
+
+(* Indirect block [k]: a count, then that many addresses, shifted by one
+   as in the inode. *)
+let encode_indirect t ~block_bytes ~k =
+  let per = addrs_per_indirect ~block_bytes in
+  let base = ndirect + (k * per) in
+  let count = Stdlib.min per (t.nblocks - base) in
+  let w = Codec.Writer.create ~capacity:(4 + (8 * count)) in
+  Codec.Writer.u32 w count;
+  for i = base to base + count - 1 do
+    Codec.Writer.u64 w (get_addr t i + 1)
+  done;
+  Codec.Writer.finish w
+
 (* The fixed part of an inode with indirect blocks: header, nblocks,
    all [ndirect] addresses and the indirect count. What is left of the
    block holds the indirect addresses. *)
-let fixed_bytes = 8 + 1 + 8 + 4 + 4 + 8 + 8 + 8 + 4 + (ndirect * 8) + 4
+let fixed_bytes = header_bytes + (ndirect * 8) + 4
 let max_indirect ~block_bytes = Stdlib.max 0 ((block_bytes - fixed_bytes) / 8)
 
 let max_blocks ~block_bytes =

@@ -55,6 +55,15 @@ val kind_of_int : int -> kind
     blocks it wrote. *)
 val serialize : Codec.Writer.t -> t -> indirect:int list -> unit
 
+(** [encode t ~indirect] is {!serialize}'s bytes, built in a buffer of
+    exactly their length. *)
+val encode : t -> indirect:int list -> bytes
+
+(** [encode_indirect t ~block_bytes ~k] is indirect block [k] of [t],
+    which {!load_indirect} reads: the count of addresses it maps, then
+    the addresses, at exactly that length. *)
+val encode_indirect : t -> block_bytes:int -> k:int -> bytes
+
 (** Inverse of {!serialize} for a volume of [block_bytes] blocks:
     returns the inode (with only direct addresses present) and the
     indirect block addresses to fetch. Raises [Codec.Corrupt] before

@@ -127,22 +127,26 @@ let write_block_raw t ~addr data =
 let read_block_raw t ~addr =
   Driver.read_exn t.driver ~lba:(addr * t.spb) ~sectors:t.spb
 
-(* Metadata is built in a writer the size of one block and handed to
-   the log as whole zero-padded blocks: one buffer per block, no copy
-   unless a structure outgrows its block. *)
-let block_writer t = Codec.Writer.create ~capacity:t.block_bytes
-let to_blocks t w = Data.Real (Codec.Writer.blocks w ~block_bytes:t.block_bytes)
+(* Metadata is built in a writer of its structure's exact length and
+   goes to the log followed by simulated zeroes up to the next block
+   boundary (see lfs.mli). *)
+let padded ~block_bytes body =
+  let len = Data.length body in
+  let n = (len + block_bytes - 1) / block_bytes * block_bytes in
+  Data.gather [ body; Data.sim (n - len) ]
 
 (* A structure's Adler-32, appended after its body. *)
 let seal_crc w = Codec.Writer.u32 w (Codec.Writer.crc w)
 
 (* {2 Segment summaries} *)
 
-let serialize_summary t entries =
-  let w = block_writer t in
+let encode_summary ~seq entries =
+  let n = List.length entries in
+  (* magic, seq and count, then 17 bytes an entry, then the crc *)
+  let w = Codec.Writer.create ~capacity:(24 + (17 * n)) in
   Codec.Writer.string w "SUMM";
-  Codec.Writer.u64 w t.seq;
-  Codec.Writer.u32 w (List.length entries);
+  Codec.Writer.u64 w seq;
+  Codec.Writer.u32 w n;
   List.iter
     (fun e ->
       match e with
@@ -160,10 +164,10 @@ let serialize_summary t entries =
         Codec.Writer.u64 w 0)
     entries;
   seal_crc w;
-  to_blocks t w
+  Codec.Writer.finish w
 
 (* A summary has an entry per block of its segment but its own. *)
-let deserialize_summary ~seg_blocks s =
+let decode_summary ~seg_blocks s =
   let r = Codec.Reader.of_string s in
   let m = Codec.Reader.string r in
   if m <> "SUMM" then raise (Codec.Corrupt "segment summary magic");
@@ -199,7 +203,17 @@ let find_free_segment t =
   go 0
 
 let serialize_checkpoint t =
-  let w = block_writer t in
+  (* the fixed fields and crc, 16 bytes an inode-map entry, 13 a
+     segment, and an indirect list's ino, count and addresses *)
+  let bytes =
+    48
+    + (16 * Hashtbl.length t.imap)
+    + (13 * t.nsegs)
+    + Hashtbl.fold
+        (fun _ addrs n -> n + 12 + (8 * List.length addrs))
+        t.indirect_of 0
+  in
+  let w = Codec.Writer.create ~capacity:bytes in
   Codec.Writer.string w "CKPT";
   Codec.Writer.u64 w t.seq;
   Codec.Writer.u64 w t.next_ino;
@@ -237,7 +251,10 @@ let rec seal_segment t =
     let seg = t.cur_seg in
     let entries = List.rev t.cur_entries in
     let blocks = List.rev t.cur_data in
-    let summary = serialize_summary t entries in
+    let summary =
+      padded ~block_bytes:t.block_bytes
+        (Data.Real (encode_summary ~seq:t.seq entries))
+    in
     (* a scatter-gather payload: the buffered blocks travel to the
        driver by reference — no flattening copy at seal time *)
     let payload = Data.gather (summary :: blocks) in
@@ -278,7 +295,15 @@ let rec seal_segment t =
     end
   end
 
-and append_block t entry data =
+and append_block t entry data = append t entry ~logged:data ~pending:data
+
+(* A metadata block: the log gets the padded payload, while [pending]
+   keeps the exact body, which is all [load_inode] reads. *)
+and append_meta t entry body =
+  let pending = Data.Real body in
+  append t entry ~pending ~logged:(padded ~block_bytes:t.block_bytes pending)
+
+and append t entry ~logged ~pending =
   (* Re-check after sealing: the seal may have run the cleaner, which
      appends live blocks into the freshly opened segment. *)
   while t.cur_pos >= t.cfg.seg_blocks do
@@ -286,8 +311,8 @@ and append_block t entry data =
   done;
   let addr = seg_base t t.cur_seg + t.cur_pos in
   t.cur_entries <- entry :: t.cur_entries;
-  t.cur_data <- data :: t.cur_data;
-  Hashtbl.replace t.pending addr data;
+  t.cur_data <- logged :: t.cur_data;
+  Hashtbl.replace t.pending addr pending;
   t.segs.(t.cur_seg).live <- t.segs.(t.cur_seg).live + 1;
   t.cur_pos <- t.cur_pos + 1;
   addr
@@ -310,7 +335,8 @@ and log_inode t (inode : Inode.t) =
   (match Hashtbl.find_opt t.indirect_of inode.Inode.ino with
   | Some olds -> List.iter (kill_addr t) olds
   | None -> ());
-  let per = Inode.addrs_per_indirect ~block_bytes:t.block_bytes in
+  let block_bytes = t.block_bytes in
+  let per = Inode.addrs_per_indirect ~block_bytes in
   let spill = Stdlib.max 0 (inode.Inode.nblocks - Inode.ndirect) in
   let n_ind = (spill + per - 1) / per in
   (* A full indirect block holds a 4-byte count and [per] addresses:
@@ -320,20 +346,13 @@ and log_inode t (inode : Inode.t) =
      records. *)
   let indirect =
     List.init n_ind (fun k ->
-        let w = block_writer t in
-        let base = Inode.ndirect + (k * per) in
-        let count = Stdlib.min per (inode.Inode.nblocks - base) in
-        Codec.Writer.u32 w count;
-        for i = base to base + count - 1 do
-          Codec.Writer.u64 w (Inode.get_addr inode i + 1)
-        done;
-        append_block t (E_indirect inode.Inode.ino) (to_blocks t w))
+        append_meta t (E_indirect inode.Inode.ino)
+          (Inode.encode_indirect inode ~block_bytes ~k))
   in
-  let w = block_writer t in
-  Inode.serialize w inode ~indirect;
-  if Codec.Writer.length w > t.block_bytes then
+  let body = Inode.encode inode ~indirect in
+  if Bytes.length body > block_bytes then
     raise (Codec.Corrupt "inode larger than a block");
-  let addr = append_block t (E_inode inode.Inode.ino) (to_blocks t w) in
+  let addr = append_meta t (E_inode inode.Inode.ino) body in
   Hashtbl.replace t.imap inode.Inode.ino addr;
   Hashtbl.replace t.indirect_of inode.Inode.ino indirect
 
@@ -402,7 +421,7 @@ and clean_segment t victim =
   in
   let summary_str = Data.to_string (block_at 0) in
   let entries =
-    try snd (deserialize_summary ~seg_blocks:t.cfg.seg_blocks summary_str) with
+    try snd (decode_summary ~seg_blocks:t.cfg.seg_blocks summary_str) with
     | Codec.Corrupt _ when not (Data.is_real seg_data) ->
       (* Simulated disk without backing store: reconstruct liveness from
          in-core metadata instead of the unreadable summary. *)
@@ -512,7 +531,8 @@ and checkpoint t =
   while t.inflight_seals > 0 do
     Sched.await t.sched t.seal_done
   done;
-  write_block_raw t ~addr:region (to_blocks t w);
+  write_block_raw t ~addr:region
+    (padded ~block_bytes:t.block_bytes (Data.Real (Codec.Writer.finish w)));
   t.ckpt_seq <- seq;
   (* the image calling parked victims free is durable: reuse is safe *)
   Array.iter
@@ -623,7 +643,8 @@ let parse_checkpoint ~nsegs ~seg_blocks ~block_bytes s =
 (* {2 Superblock} *)
 
 let serialize_superblock t =
-  let w = block_writer t in
+  (* magic, nine geometry fields and the crc *)
+  let w = Codec.Writer.create ~capacity:64 in
   Codec.Writer.string w magic;
   Codec.Writer.u32 w t.block_bytes;
   Codec.Writer.u64 w t.total_blocks;
@@ -634,7 +655,7 @@ let serialize_superblock t =
   Codec.Writer.u64 w t.ckpt_b;
   Codec.Writer.u32 w t.cfg.checkpoint_blocks;
   seal_crc w;
-  to_blocks t w
+  padded ~block_bytes:t.block_bytes (Data.Real (Codec.Writer.finish w))
 
 (* The geometry must be the one [derive_geometry] lays out, on a disk
    at least [total_blocks] long: [make_t] sizes the segment table by
@@ -884,7 +905,7 @@ let roll_forward t =
   for s = 0 to t.nsegs - 1 do
     let base = seg_base t s in
     match
-      (try Some (deserialize_summary ~seg_blocks:t.cfg.seg_blocks
+      (try Some (decode_summary ~seg_blocks:t.cfg.seg_blocks
                    (Data.to_string (read_block_raw t ~addr:base)))
        with Codec.Corrupt _ -> None)
     with

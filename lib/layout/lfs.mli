@@ -41,6 +41,36 @@ type config = {
 (** 128-block (512 KB) segments, cost-benefit cleaning, ino stride 1. *)
 val default_config : config
 
+(** {2 Metadata in the log}
+
+    Every metadata structure (segment summary, inode, indirect block,
+    checkpoint, superblock) is built in a buffer of its exact length and
+    reaches the disk as {!padded}: its bytes, then zeroes up to the
+    next block boundary. *)
+
+(** What a block in the log is, as its segment's summary records it. *)
+type entry =
+  | E_data of int * int  (** (ino, file block) *)
+  | E_inode of int
+  | E_indirect of int
+
+(** [padded ~block_bytes body] is [body] followed by simulated zeroes
+    up to the next multiple of [block_bytes]. Every transport persists
+    simulated bytes as zeroes, so the image holds what a zero-filled
+    buffer would, without one being allocated. *)
+val padded : block_bytes:int -> Capfs_disk.Data.t -> Capfs_disk.Data.t
+
+(** [encode_summary ~seq entries] is the summary block of a segment
+    sealed at sequence [seq]: a magic, [seq], the entries and an
+    Adler-32, 24 + 17 bytes an entry. *)
+val encode_summary : seq:int -> entry list -> bytes
+
+(** Inverse of {!encode_summary}; the bytes after the entries (the crc
+    and padding) are not read. Raises [Codec.Corrupt] on a bad magic or
+    tag, or more entries than a segment of [seg_blocks] has blocks
+    besides its summary. *)
+val decode_summary : seg_blocks:int -> string -> int * entry list
+
 (** [min_blocks config] — the smallest disk, in blocks,
     {!format_and_mount} accepts under [config]: the superblock, both checkpoint regions and
     [target_free_segments + 2] segments. A smaller one raises

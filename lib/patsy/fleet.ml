@@ -71,14 +71,21 @@ let run_jobs ?(jobs = default_jobs ()) ~gen jl =
         (* GC counters are per-domain in OCaml 5, and a worker runs one
            job at a time, so quick_stat deltas around the experiment
            (trace generation excluded: it is memoized, so it would bill
-           only the first job to use each trace) are exact. *)
+           only the first job to use each trace) are the job's own, given
+           two collections. quick_stat's minor and promoted words advance
+           only at a minor collection, so one precedes each reading. And
+           the window opens on a finished major cycle and an empty minor
+           heap: otherwise the minor collections inside it, and so what
+           it promotes, depend on the jobs this worker ran before. *)
         let result, minor_words, promoted_words, major_words,
             major_collections =
           match trace_of job.trace with
           | trace -> (
+            Gc.full_major ();
             let g0 = Gc.quick_stat () in
             match Experiment.run job.config ~trace with
             | o ->
+              Gc.minor ();
               let g1 = Gc.quick_stat () in
               ( Ok o,
                 g1.Gc.minor_words -. g0.Gc.minor_words,

@@ -47,12 +47,14 @@ type job_result = {
   minor_words : float;
       (** words allocated in the worker domain's minor heap during the
           experiment (trace generation excluded) — divide by the
-          operation count for the allocation rate of the replay loop *)
+          operation count for the allocation rate of the replay loop.
+          This and the next two figures are exact: a job reads the same
+          whether it runs alone or after other jobs *)
   promoted_words : float;     (** of those, words promoted to the major heap *)
   major_words : float;
       (** words put into the major heap during the experiment: the
           promoted ones plus those allocated there directly (blocks
-          larger than 256 words, such as a 4 KiB metadata buffer) *)
+          larger than 256 words, such as a large file's flush set) *)
   major_collections : int;    (** major GC cycles during the experiment *)
   worker : int;               (** index of the worker domain that ran it *)
 }

@@ -23,10 +23,11 @@ let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
     fill 0;
     buf
   in
-  (* pwritev-style vectored write: one seek, then each segment of the
-     payload written in sequence — a merged scatter-gather request never
-     flattens into one contiguous heap buffer. A simulated segment has
-     no bytes: its zeroes stage through a reused scratch buffer. *)
+  (* One write per request. A real payload goes out as it is; a gather
+     (a merged request, or a segment of LFS blocks and metadata padded
+     with simulated zeroes) is flattened into a reused scratch buffer,
+     simulated runs as zeroes, so a segment costs one call, not one per
+     piece. *)
   let scratch = ref Bytes.empty in
   let scratch_for len =
     if Bytes.length !scratch < len then scratch := Bytes.create len;
@@ -41,19 +42,15 @@ let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
     in
     drain pos len
   in
-  let rec write_segment (d : Data.t) =
+  let pwrite ~off (d : Data.t) =
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
     match d with
     | Data.Real b -> write_seq b 0 (Bytes.length b)
-    | Data.Sim n ->
-      (* simulated payloads have no bytes; persist zeroes *)
-      let buf = scratch_for n in
-      Bytes.fill buf 0 n '\000';
-      write_seq buf 0 n
-    | Data.Gather g -> List.iter (fun (_, s) -> write_segment s) g.Data.g_segs
-  in
-  let pwritev ~off d =
-    ignore (Unix.lseek fd off Unix.SEEK_SET);
-    write_segment d
+    | Data.Sim _ | Data.Gather _ ->
+      let len = Data.length d in
+      let buf = scratch_for len in
+      Data.blit ~src:d ~src_pos:0 ~dst:(Data.Real buf) ~dst_pos:0 ~len;
+      write_seq buf 0 len
   in
   let execute ~queue_empty:_ (req : Iorequest.t) =
     if Iorequest.last_lba req > total_sectors then
@@ -65,7 +62,7 @@ let transport ?(sector_bytes = 512) sched ~path ~size_bytes () =
     | Iorequest.Read -> req.Iorequest.data <- Some (Data.Real (pread ~off ~len))
     | Iorequest.Write -> (
       match req.Iorequest.data with
-      | Some d -> pwritev ~off d
+      | Some d -> pwrite ~off d
       | None -> ()));
     Iorequest.complete sched req
   in

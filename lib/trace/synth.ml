@@ -126,10 +126,15 @@ let pick_existing rng st =
 (* The trace under construction, in emission order: each record with
    its sort key, the time of the latest timed record at or before it in
    emission order. Times are never negative, so a key is stored as the
-   IEEE bits of the float, which order like the float does. *)
+   IEEE bits of the float, which order like the float does. Records and
+   keys fill fixed chunks of [chunk] entries, a new chunk when the last
+   is full, so emission never copies what it has emitted. *)
+let chunk_bits = 16
+let chunk = 1 lsl chunk_bits
+
 type emitted = {
-  mutable recs : Record.t array;
-  mutable keys : int array;
+  mutable recs : Record.t array array;
+  mutable keys : int array array;
   mutable len : int;
   mutable last_key : int;
 }
@@ -140,17 +145,22 @@ type emitted = {
 let key_bits time = Int64.to_int (Int64.bits_of_float (time +. 0.))
 
 let emit e (r : Record.t) =
-  if e.len = Array.length e.recs then begin
-    let cap = Stdlib.max 1024 (2 * e.len) in
-    let recs = Array.make cap r and keys = Array.make cap 0 in
-    Array.blit e.recs 0 recs 0 e.len;
-    Array.blit e.keys 0 keys 0 e.len;
-    e.recs <- recs;
-    e.keys <- keys
+  let c = e.len lsr chunk_bits and i = e.len land (chunk - 1) in
+  if i = 0 then begin
+    if c = Array.length e.recs then begin
+      let n = Stdlib.max 16 (2 * c) in
+      let recs = Array.make n [||] and keys = Array.make n [||] in
+      Array.blit e.recs 0 recs 0 c;
+      Array.blit e.keys 0 keys 0 c;
+      e.recs <- recs;
+      e.keys <- keys
+    end;
+    e.recs.(c) <- Array.make chunk r;
+    e.keys.(c) <- Array.make chunk 0
   end;
   if Record.has_time r then e.last_key <- key_bits r.Record.time;
-  e.recs.(e.len) <- r;
-  e.keys.(e.len) <- e.last_key;
+  e.recs.(c).(i) <- r;
+  e.keys.(c).(i) <- e.last_key;
   e.len <- e.len + 1
 
 let emit_io e p ~client ~path ~write ~bytes ~t_open ~t_close =
@@ -176,14 +186,16 @@ let emit_io e p ~client ~path ~write ~bytes ~t_open ~t_close =
 
 (* Emission indices ordered by key, emission order breaking ties: a
    stable LSD radix sort, four 16-bit digits of the 63-bit keys. *)
-let sort_by_key keys n =
+let sort_by_key e =
+  let n = e.len in
+  let key j = e.keys.(j lsr chunk_bits).(j land (chunk - 1)) in
   let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
   let count = Array.make 0x10000 0 in
   for pass = 0 to 3 do
     let shift = 16 * pass in
     Array.fill count 0 0x10000 0;
     for i = 0 to n - 1 do
-      let d = (keys.(i) lsr shift) land 0xffff in
+      let d = (key i lsr shift) land 0xffff in
       count.(d) <- count.(d) + 1
     done;
     let sum = ref 0 in
@@ -195,7 +207,7 @@ let sort_by_key keys n =
     let s = !src and t = !dst in
     for i = 0 to n - 1 do
       let j = s.(i) in
-      let d = (keys.(j) lsr shift) land 0xffff in
+      let d = (key j lsr shift) land 0xffff in
       t.(count.(d)) <- j;
       count.(d) <- count.(d) + 1
     done;
@@ -316,8 +328,8 @@ let generate ~seed ?duration p =
   done;
   (* Sort by key: an untimed record keeps the time of the timed record
      emitted before it, so it stays with its session. *)
-  let order = sort_by_key e.keys e.len in
-  Array.map (fun i -> e.recs.(i)) order
+  let order = sort_by_key e in
+  Array.map (fun i -> e.recs.(i lsr chunk_bits).(i land (chunk - 1))) order
 
 let source ~seed ?duration p =
   (* generation materializes the whole array anyway (the final global

@@ -1038,6 +1038,202 @@ let prop_whole_file_flush_sets_sorted =
             ops);
       !ok)
 
+(* Frame records are reused: a block that leaves the cache gives its
+   record to the next block cached. Two or three fibres drive one small
+   cache with random writes, reads, truncates, deletes, syncs, file
+   flushes and pauses, so evictions, NVRAM stalls, flushes in flight
+   and reads waiting out their copy delay overlap. After every
+   operation no record may sit under two keys, and the retired records
+   must be in no table, file chain, dirty list or policy, unpinned and
+   held by no flush job; every clean block, and nothing else, is
+   tracked by the policy, every read returns a block's contents, and
+   every write-back hands over a payload written to that block. *)
+type frame_op =
+  | P_write of int * int
+  | P_read of int * int
+  | P_truncate of int * int
+  | P_delete of int
+  | P_sync
+  | P_flush of int
+  | P_pause
+
+type frame_case = {
+  fc_policy : string;
+  fc_capacity : int;
+  fc_nvram : int;
+  fc_coalesce : bool;
+  fc_async : bool;
+  fc_periodic : bool;
+  fc_copy : bool;
+  fc_fibres : frame_op list list;
+}
+
+let prop_frame_records_recycled_safely =
+  let gen_op =
+    QCheck.Gen.(
+      let ino = int_range 1 4 and idx = int_bound 7 in
+      frequency
+        [
+          (8, map2 (fun i x -> P_write (i, x)) ino idx);
+          (6, map2 (fun i x -> P_read (i, x)) ino idx);
+          (2, map2 (fun i x -> P_truncate (i, x)) ino idx);
+          (1, map (fun i -> P_delete i) ino);
+          (1, return P_sync);
+          (1, map (fun i -> P_flush i) ino);
+          (2, return P_pause);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* fc_policy = oneofl Replacement.known_policies in
+      let* fc_capacity = int_range 3 8 in
+      let* fc_nvram = oneofl [ 0; 0; 2; 3 ] in
+      let* fc_coalesce = bool in
+      let* fc_async = bool in
+      let* fc_periodic = bool in
+      let* fc_copy = bool in
+      let* n = int_range 2 3 in
+      let+ fc_fibres = list_repeat n (list_size (int_bound 60) gen_op) in
+      { fc_policy; fc_capacity; fc_nvram; fc_coalesce; fc_async;
+        fc_periodic; fc_copy; fc_fibres })
+  in
+  let print_op = function
+    | P_write (i, x) -> Printf.sprintf "w%d:%d" i x
+    | P_read (i, x) -> Printf.sprintf "r%d:%d" i x
+    | P_truncate (i, x) -> Printf.sprintf "t%d:%d" i x
+    | P_delete i -> Printf.sprintf "d%d" i
+    | P_sync -> "s"
+    | P_flush i -> Printf.sprintf "f%d" i
+    | P_pause -> "p"
+  in
+  let print fc =
+    Printf.sprintf "%s cap=%d nvram=%d coalesce=%b async=%b periodic=%b copy=%b [%s]"
+      fc.fc_policy fc.fc_capacity fc.fc_nvram fc.fc_coalesce fc.fc_async
+      fc.fc_periodic fc.fc_copy
+      (String.concat " | "
+         (List.map (fun ops -> String.concat " " (List.map print_op ops))
+            fc.fc_fibres))
+  in
+  QCheck.Test.make ~name:"frame records are recycled only when unreferenced"
+    ~count:1000 (QCheck.make ~print gen)
+    (fun fc ->
+      let s = vsched () in
+      let policy = Replacement.by_name ~capacity:fc.fc_capacity fc.fc_policy in
+      let failures = ref [] in
+      let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+      (* every payload written, by key: a write-back must hand over one
+         of the payloads written to that very block, never a fill's or
+         another block's *)
+      let written = Hashtbl.create 64 in
+      let wb batch =
+        Sched.sleep s 0.004;
+        List.iter
+          (fun (i, x, d) ->
+            if not (List.memq d (Hashtbl.find_all written (i, x))) then
+              fail "write-back of %d:%d carries a payload never written there" i x)
+          batch
+      in
+      let cfg =
+        {
+          (demand_config ~nvram:fc.fc_nvram ~async:fc.fc_async
+             ~coalesce:fc.fc_coalesce ~max_extent:4 fc.fc_capacity)
+          with
+          Cache.trigger =
+            (if fc.fc_periodic then
+               Cache.Periodic { max_age = 0.02; scan_interval = 0.01 }
+             else Cache.Demand);
+          mem_copy_rate = (if fc.fc_copy then 4096. /. 0.002 else 0.);
+        }
+      in
+      let c = Cache.create ~replacement:policy ~writeback:wb s cfg in
+      let memq b l = List.exists (fun x -> x == b) l in
+      let check () =
+        let cached = Cache.cached_blocks c and spare = Cache.spare_blocks c in
+        let dirty = Cache.dirty_blocks c in
+        let rec distinct = function
+          | [] -> true
+          | b :: rest -> (not (memq b rest)) && distinct rest
+        in
+        if not (distinct cached) then fail "a record under two keys";
+        if not (distinct spare) then fail "a record retired twice";
+        List.iter
+          (fun (b : Block.t) ->
+            let self (x : Block.t) = x == b in
+            if memq b cached then
+              fail "retired %d:%d still cached" (Block.ino b) (Block.index b);
+            if memq b dirty then fail "retired record on the dirty list";
+            if b.Block.pinned <> 0 then fail "pinned record retired";
+            if b.Block.holds <> 0 then fail "held record retired";
+            if b.Block.policy_slot <> -1 then fail "retired record in the policy";
+            if
+              not
+                (self b.Block.repl_prev && self b.Block.repl_next
+                && self b.Block.dirty_prev && self b.Block.dirty_next
+                && self b.Block.file_prev && self b.Block.file_next)
+            then fail "retired record still linked")
+          spare;
+        List.iter
+          (fun (b : Block.t) ->
+            if b.Block.holds < 0 || b.Block.pinned < 0 then
+              fail "negative holds or pins on %d:%d" (Block.ino b) (Block.index b))
+          cached;
+        let clean =
+          List.length (List.filter (fun b -> b.Block.state = Block.Clean) cached)
+        in
+        if Replacement.count policy <> clean then
+          fail "policy tracks %d blocks, %d clean cached" (Replacement.count policy) clean;
+        for i = 1 to 4 do
+          let chain = List.sort compare (Cache.keys_of_file c i) in
+          let table =
+            List.sort compare
+              (List.filter_map
+                 (fun b -> if Block.ino b = i then Some b.Block.key else None)
+                 cached)
+          in
+          if chain <> table then fail "file %d's chain differs from the table" i
+        done
+      in
+      let fill _key =
+        Sched.sleep s 0.003;
+        Data.sim 16
+      in
+      let run_op = function
+        | P_write (i, x) ->
+          let d = Data.sim 16 in
+          Hashtbl.add written (i, x) d;
+          Cache.write c (k i x) d
+        | P_read (i, x) ->
+          let d = Cache.read c (k i x) ~fill in
+          if Data.length d <> 16 then
+            fail "read %d:%d returned %d bytes" i x (Data.length d)
+        | P_truncate (i, from) -> Cache.truncate c i ~from
+        | P_delete i -> Cache.remove_file c i
+        | P_sync -> Cache.sync c
+        | P_flush i -> Cache.flush_file c i
+        | P_pause -> Sched.sleep s 0.003
+      in
+      List.iteri
+        (fun n ops ->
+          ignore
+            (Sched.spawn s ~name:(Printf.sprintf "client%d" n) (fun () ->
+                 List.iter
+                   (fun op ->
+                     run_op op;
+                     check ())
+                   ops)))
+        fc.fc_fibres;
+      (match Sched.run s with
+      | () -> ()
+      | exception Sched.Deadlock _ ->
+        (* with NVRAM and synchronous flushing, some schedules wedge the
+           cache whether records are reused or not (CHANGES.md); the
+           checks made until then stand *)
+        ());
+      check ();
+      match !failures with
+      | [] -> true
+      | m :: _ -> QCheck.Test.fail_report m)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1048,6 +1244,7 @@ let qsuite =
       prop_cache_capacity_respected;
       prop_sync_always_cleans;
       prop_whole_file_flush_sets_sorted;
+      prop_frame_records_recycled_safely;
     ]
 
 let suite =

@@ -559,6 +559,207 @@ let prop_lfs_read_after_write =
             model);
       !ok)
 
+(* Metadata reaches the log as its exact bytes padded with simulated
+   zeroes. For random inodes (several full indirect blocks among them)
+   and summaries of 0-127 entries, the logged payload must read as the
+   per-byte reference encoding padded with zero bytes to whole blocks
+   ([Ref_codec.pad]), its real bytes must be exactly the structure, and
+   the exact body (what [pending] keeps) must decode to the same
+   structure. *)
+type meta_case = {
+  m_nblocks : int;
+  m_holes : int list;
+  m_seq : int;
+  m_entries : Lfs.entry list;
+}
+
+let real_bytes (d : Data.t) =
+  match d with
+  | Data.Real b -> Bytes.length b
+  | Data.Sim _ -> 0
+  | Data.Gather g ->
+    List.fold_left
+      (fun n (_, seg) ->
+        match seg with Data.Real b -> n + Bytes.length b | _ -> n)
+      0 g.Data.g_segs
+
+let prop_lfs_metadata_payloads =
+  let block_bytes = 4096 in
+  let per = Inode.addrs_per_indirect ~block_bytes in
+  let gen =
+    QCheck.Gen.(
+      let* m_nblocks =
+        oneof
+          [
+            int_bound 40;
+            int_range Inode.ndirect (Inode.ndirect + (3 * per) + 40);
+            return (Inode.ndirect + (3 * per));
+          ]
+      in
+      let* m_holes = list_size (int_bound 20) (int_bound (m_nblocks + 1)) in
+      let* m_seq = int_bound 1_000_000 in
+      let entry =
+        oneof
+          [
+            map2 (fun i b -> Lfs.E_data (i, b)) (int_bound 100_000) (int_bound 100_000);
+            map (fun i -> Lfs.E_inode i) (int_bound 100_000);
+            map (fun i -> Lfs.E_indirect i) (int_bound 100_000);
+          ]
+      in
+      let+ m_entries = list_size (int_bound 127) entry in
+      { m_nblocks; m_holes; m_seq; m_entries })
+  in
+  let print m =
+    Printf.sprintf "nblocks=%d holes=%d seq=%d entries=%d" m.m_nblocks
+      (List.length m.m_holes) m.m_seq (List.length m.m_entries)
+  in
+  QCheck.Test.make ~name:"lfs metadata payloads are exact and pad to blocks"
+    ~count:100 (QCheck.make ~print gen)
+    (fun m ->
+      let logged_as body reference =
+        let d = Lfs.padded ~block_bytes (Data.Real body) in
+        Data.length d mod block_bytes = 0
+        && real_bytes d = Bytes.length body
+        && Data.to_string d = Ref_codec.pad reference ~block_bytes
+      in
+      let inode = Inode.make ~ino:77 ~kind:Inode.Regular ~now:2.5 in
+      for i = 0 to m.m_nblocks - 1 do
+        Inode.set_addr inode i (1000 + (3 * i))
+      done;
+      List.iter
+        (fun i -> if i < m.m_nblocks then Inode.set_addr inode i Inode.addr_none)
+        m.m_holes;
+      inode.Inode.size <- m.m_nblocks * block_bytes;
+      let n_ind = (Stdlib.max 0 (m.m_nblocks - Inode.ndirect) + per - 1) / per in
+      let indirect = List.init n_ind (fun k -> 500_000 + k) in
+      (* the inode, against the per-byte reference *)
+      let b = Buffer.create 512 in
+      Ref_codec.u64 b 77;
+      Ref_codec.u8 b (Inode.kind_to_int Inode.Regular);
+      Ref_codec.u64 b inode.Inode.size;
+      Ref_codec.u32 b 1;
+      Ref_codec.u32 b 0;
+      List.iter (Ref_codec.f64 b) [ 2.5; 2.5; 2.5 ];
+      Ref_codec.u32 b m.m_nblocks;
+      for i = 0 to Stdlib.min m.m_nblocks Inode.ndirect - 1 do
+        Ref_codec.u64 b (Inode.get_addr inode i + 1)
+      done;
+      Ref_codec.u32 b n_ind;
+      List.iter (Ref_codec.u64 b) indirect;
+      let body = Inode.encode inode ~indirect in
+      let inode_ok = logged_as body (Buffer.contents b) in
+      let decoded, indirect' =
+        Inode.deserialize ~block_bytes (Bytes.to_string body)
+      in
+      (* its indirect blocks, each full but perhaps the last *)
+      let indirect_ok =
+        List.for_all
+          (fun k ->
+            let base = Inode.ndirect + (k * per) in
+            let count = Stdlib.min per (m.m_nblocks - base) in
+            let b = Buffer.create 4100 in
+            Ref_codec.u32 b count;
+            for i = base to base + count - 1 do
+              Ref_codec.u64 b (Inode.get_addr inode i + 1)
+            done;
+            let body = Inode.encode_indirect inode ~block_bytes ~k in
+            Inode.load_indirect decoded ~block_bytes ~k (Bytes.to_string body);
+            logged_as body (Buffer.contents b))
+          (List.init n_ind Fun.id)
+      in
+      let same_inode =
+        indirect' = indirect
+        && decoded.Inode.nblocks = m.m_nblocks
+        && decoded.Inode.size = inode.Inode.size
+        && List.for_all
+             (fun i -> Inode.get_addr decoded i = Inode.get_addr inode i)
+             (List.init m.m_nblocks Fun.id)
+      in
+      (* the summary *)
+      let b = Buffer.create 2200 in
+      Ref_codec.string b "SUMM";
+      Ref_codec.u64 b m.m_seq;
+      Ref_codec.u32 b (List.length m.m_entries);
+      List.iter
+        (fun e ->
+          let tag, ino, blk =
+            match e with
+            | Lfs.E_data (i, x) -> (0, i, x)
+            | Lfs.E_inode i -> (1, i, 0)
+            | Lfs.E_indirect i -> (2, i, 0)
+          in
+          Ref_codec.u8 b tag;
+          Ref_codec.u64 b ino;
+          Ref_codec.u64 b blk)
+        m.m_entries;
+      Ref_codec.u32 b (Ref_codec.adler32 (Buffer.contents b));
+      let body = Lfs.encode_summary ~seq:m.m_seq m.m_entries in
+      let summary_ok =
+        logged_as body (Buffer.contents b)
+        && Lfs.decode_summary ~seg_blocks:128 (Bytes.to_string body)
+           = (m.m_seq, m.m_entries)
+      in
+      inode_ok && indirect_ok && same_inode && summary_ok)
+
+(* A checkpoint goes to its region as exactly its bytes, padded with
+   zeroes to whole blocks: its real bytes parse as a checkpoint with
+   nothing left over, and the rest of the write is zero. *)
+let test_lfs_checkpoint_payload () =
+  let writes = ref [] in
+  run_fs (fun s ->
+      let mem =
+        Driver.mem_transport ~sector_bytes:512 ~total_sectors:8192 s ()
+      in
+      let recording =
+        {
+          mem with
+          Driver.execute =
+            (fun ~queue_empty req ->
+              (match (req.Capfs_disk.Iorequest.op, req.Capfs_disk.Iorequest.data) with
+              | Capfs_disk.Iorequest.Write, Some d ->
+                writes := (req.Capfs_disk.Iorequest.lba, d) :: !writes
+              | _ -> ());
+              mem.Driver.execute ~queue_empty req);
+        }
+      in
+      let drv = Driver.create s recording in
+      let l = Lfs.format_and_mount ~config:small_lfs_config s drv ~block_bytes:4096 in
+      for n = 0 to 4 do
+        let f = alloc_inode l ~kind:Inode.Regular in
+        write_blocks l
+          (List.init (1 + (n * 20)) (fun i -> (f.Inode.ino, i, block_of_char 'c')))
+      done;
+      sync_l l);
+  (* regions at blocks 1 and 9 of small_lfs_config, 8 sectors a block *)
+  let ckpts = List.filter (fun (lba, _) -> lba = 8 || lba = 72) !writes in
+  Alcotest.(check bool) "checkpoints written" true (List.length ckpts >= 2);
+  List.iter
+    (fun (_, d) ->
+      let n = real_bytes d in
+      let s = Data.to_string d in
+      let r = Codec.Reader.of_string (String.sub s 0 n) in
+      Alcotest.(check string) "magic" "CKPT" (Codec.Reader.string r);
+      ignore (Codec.Reader.u64 r, Codec.Reader.u64 r, Codec.Reader.f64 r);
+      for _ = 1 to Codec.Reader.u32 r do
+        ignore (Codec.Reader.u64 r, Codec.Reader.u64 r)
+      done;
+      for _ = 1 to Codec.Reader.u32 r do
+        ignore (Codec.Reader.u32 r, Codec.Reader.u64 r, Codec.Reader.u8 r)
+      done;
+      for _ = 1 to Codec.Reader.u32 r do
+        ignore (Codec.Reader.u64 r);
+        for _ = 1 to Codec.Reader.u32 r do
+          ignore (Codec.Reader.u64 r)
+        done
+      done;
+      ignore (Codec.Reader.u32 r);
+      Alcotest.(check int) "nothing after the crc" 0 (Codec.Reader.remaining r);
+      Alcotest.(check int) "whole blocks" 0 (Data.length d mod 4096);
+      Alcotest.(check string) "zero padding"
+        (String.make (String.length s - n) '\000')
+        (String.sub s n (String.length s - n)))
+    ckpts
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -567,6 +768,7 @@ let qsuite =
       prop_crc_matches_reference;
       prop_inode_roundtrip;
       prop_lfs_read_after_write;
+      prop_lfs_metadata_payloads;
     ]
 
 (* Counts read from disk: every reader bounds a stored count by what
@@ -797,5 +999,7 @@ let suite =
       test_lfs_checkpoint_counts_bounded;
     Alcotest.test_case "lfs summary count bounded" `Quick
       test_lfs_summary_count_bounded;
+    Alcotest.test_case "lfs checkpoint payload is exact" `Quick
+      test_lfs_checkpoint_payload;
   ]
   @ qsuite

@@ -344,6 +344,41 @@ let test_fleet_parallel_matches_sequential () =
         oa.Experiment.writes_absorbed ob.Experiment.writes_absorbed)
     seq par
 
+(* A job's GC figures are its own: the same whether it runs alone or
+   after other jobs on the same worker. What a window promotes also
+   depends on whether a major cycle ends inside it (a cycle's end
+   empties the minor heap), so the runs must agree on that first;
+   these jobs are too small for a cycle to end inside them. *)
+let test_fleet_gc_figures_exact () =
+  let job trace policy =
+    { Fleet.label = Fleet.matrix_label ~trace policy; trace;
+      config = test_config policy }
+  in
+  let last results = List.nth results (List.length results - 1) in
+  let alone =
+    last (Fleet.run_jobs ~jobs:1 ~gen:fleet_gen
+            [ job "sprite-1b" Experiment.Nvram_whole ])
+  in
+  Alcotest.(check bool) "allocates" true (alone.Fleet.minor_words > 0.);
+  List.iter
+    (fun before ->
+      let after =
+        last (Fleet.run_jobs ~jobs:1 ~gen:fleet_gen
+                (before @ [ job "sprite-1b" Experiment.Nvram_whole ]))
+      in
+      Alcotest.(check int) "major cycles" alone.Fleet.major_collections
+        after.Fleet.major_collections;
+      Alcotest.(check (float 0.)) "minor words" alone.Fleet.minor_words
+        after.Fleet.minor_words;
+      Alcotest.(check (float 0.)) "promoted words" alone.Fleet.promoted_words
+        after.Fleet.promoted_words;
+      Alcotest.(check (float 0.)) "major words" alone.Fleet.major_words
+        after.Fleet.major_words)
+    [
+      [ job "sprite-1a" Experiment.Ups ];
+      [ job "sprite-1b" Experiment.Write_delay; job "sprite-1a" Experiment.Nvram_whole ];
+    ]
+
 let test_fleet_crash_does_not_wedge_pool () =
   (* one poisoned job (ndisks = 0 -> invalid_arg inside the worker):
      the pool must complete every other job and report the failure *)
@@ -740,6 +775,8 @@ let suite =
       test_adopted_files_cost_disk_reads;
     Alcotest.test_case "fleet parallel == sequential" `Quick
       test_fleet_parallel_matches_sequential;
+    Alcotest.test_case "fleet GC figures do not depend on earlier jobs" `Quick
+      test_fleet_gc_figures_exact;
     Alcotest.test_case "fleet crash does not wedge" `Quick
       test_fleet_crash_does_not_wedge_pool;
     Alcotest.test_case "fleet gen failure is Error" `Quick

@@ -435,6 +435,64 @@ let test_pfs_trace_replay_over_file () =
           Capfs.Client.close_exn t.Pfs.client ~client:1 "/after-restart/ok");
       Pfs.shutdown t)
 
+(* The image a fixed workload leaves, written under the virtual clock:
+   21 small files, a 543-block file and one delete, then a sync, a
+   remount and a 600-block file, whose first indirect block is full,
+   then a sync. Its MD5 was recorded from an earlier build, so a change
+   to how any structure reaches the disk (a summary, inode, indirect
+   block, checkpoint or superblock, or the padding after one) shows
+   here. The 543-block file must read back after the remount; it is
+   read before the 600-block file is written, because a volume holding
+   a file of 544 blocks or more does not remount (ROADMAP item 3). *)
+let image_digest = "9583682b7f782fa125f4ae4324fc5b6e"
+
+let test_pfs_image_digest () =
+  with_temp_image (fun path ->
+      let bb = Pfs.block_bytes in
+      let content ~seed n =
+        String.init n (fun j ->
+            Char.chr (((seed * 131) + (j * 7) + (j / bb)) land 0xff))
+      in
+      let write c f s =
+        Capfs.Client.open_exn c ~client:1 f Capfs.Client.WO;
+        let len = String.length s in
+        let chunk = 16 * bb in
+        let rec go off =
+          if off < len then begin
+            let n = Stdlib.min chunk (len - off) in
+            Capfs.Client.write_exn c ~client:1 f ~offset:off
+              (Data.of_string (String.sub s off n));
+            go (off + n)
+          end
+        in
+        go 0;
+        Capfs.Client.close_exn c ~client:1 f
+      in
+      let big = content ~seed:543 (543 * bb) in
+      let t = start_pfs ~size_mb:32 path in
+      let c = t.Pfs.client in
+      in_fibre t (fun () ->
+          Capfs.Client.mkdir_exn c "/small";
+          for i = 0 to 20 do
+            write c (Printf.sprintf "/small/f%d" i)
+              (content ~seed:i (1 + (i * 997)))
+          done;
+          write c "/big543" big;
+          Capfs.Client.delete_exn c "/small/f7");
+      Pfs.shutdown t;
+      let t = start_pfs ~size_mb:32 path in
+      let c = t.Pfs.client in
+      in_fibre t (fun () ->
+          let d = Capfs.Client.read_exn c ~client:1 "/big543" ~offset:0
+              ~bytes:(543 * bb)
+          in
+          Alcotest.(check bool) "543-block file after remount" true
+            (String.equal (Data.to_string d) big);
+          write c "/big600" (content ~seed:600 (600 * bb)));
+      Pfs.shutdown t;
+      Alcotest.(check string) "image digest" image_digest
+        (Digest.to_hex (Digest.file path)))
+
 let suite =
   [
     Alcotest.test_case "blockdev roundtrip" `Quick test_blockdev_roundtrip;
@@ -464,4 +522,6 @@ let suite =
     Alcotest.test_case "read across a hole" `Quick test_pfs_read_across_hole;
     Alcotest.test_case "pfs refuses an impossible segment count" `Quick
       test_pfs_refuses_impossible_segment_count;
+    Alcotest.test_case "pfs image matches its recorded digest" `Quick
+      test_pfs_image_digest;
   ]

@@ -426,6 +426,14 @@ module Reference_synth = struct
     Array.map (fun i -> records.(i)) order
 end
 
+let synth_matches (seed, duration, p, io) =
+  let p = { p with Synth.record_io_times = io } in
+  let expected = Reference_synth.generate ~seed ~duration p in
+  let actual = Synth.generate ~seed ~duration p in
+  (* [=] on the records themselves: times must be equal, not close *)
+  Array.length expected = Array.length actual
+  && Array.for_all2 (fun (a : Record.t) b -> a = b) expected actual
+
 let prop_synth_matches_reference =
   let gen =
     QCheck.Gen.(
@@ -438,13 +446,16 @@ let prop_synth_matches_reference =
   in
   QCheck.Test.make ~name:"synth equals the reference generator" ~count:25
     (QCheck.make ~print gen)
-    (fun (seed, duration, p, io) ->
-      let p = { p with Synth.record_io_times = io } in
-      let expected = Reference_synth.generate ~seed ~duration p in
-      let actual = Synth.generate ~seed ~duration p in
-      (* [=] on the records themselves: times must be equal, not close *)
-      Array.length expected = Array.length actual
-      && Array.for_all2 (fun (a : Record.t) b -> a = b) expected actual)
+    synth_matches
+
+(* The generator emits into chunks of 2^16 records; 250 s of sprite-5
+   fills more than two of them. *)
+let test_synth_matches_reference_across_chunks () =
+  Alcotest.(check bool) "spans three chunks" true
+    (Array.length (Synth.generate ~seed:7 ~duration:250. Synth.sprite_5)
+     > 2 * 65536);
+  Alcotest.(check bool) "equal to the reference" true
+    (synth_matches (7, 250., Synth.sprite_5, false))
 
 let test_synth_untimed_share_no_time () =
   let records = Synth.generate ~seed:3 ~duration:60. Synth.sprite_5 in
@@ -526,5 +537,7 @@ let suite =
     Alcotest.test_case "profile by name" `Quick test_profile_by_name;
     Alcotest.test_case "synth untimed records share no_time" `Quick
       test_synth_untimed_share_no_time;
+    Alcotest.test_case "synth equals the reference generator across chunks"
+      `Quick test_synth_matches_reference_across_chunks;
   ]
   @ qsuite
